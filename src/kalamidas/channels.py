@@ -191,7 +191,9 @@ def occupation_projectors(
     projectors = []
     for key in sorted(set(keys)):
         diag = np.array([1.0 if k == key else 0.0 for k in keys], dtype=np.complex128)
-        projectors.append(LinearOperator(sub, np.diag(diag), hermitian=True))
+        projectors.append(
+            LinearOperator(sub, np.diag(diag), hermitian=True, diagonal=True)
+        )
     return ProjectorFamily(tuple(projectors))
 
 

@@ -7,6 +7,7 @@ tolerance, 2 on usage or configuration errors.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -89,6 +90,43 @@ def _parse_cutoffs(entries: Sequence[str]) -> dict[str, int]:
     return out
 
 
+# Peak resident memory of a run per byte of one state vector: 368 MB for the
+# 15 MB state at alpha = 1 (the evolved states, the channel battery's
+# branches and the interpreter together).
+_PEAK_PER_STATE_BYTE = 25
+
+
+def _check_emit(path: str) -> None:
+    """Raise ValueError unless the report can be written to ``path``."""
+    if path == "-":
+        return
+    target = os.path.abspath(path)
+    folder = os.path.dirname(target)
+    if os.path.isdir(target):
+        raise ValueError(f"cannot write the report to {path}: it is a directory")
+    if not os.path.isdir(folder):
+        raise ValueError(
+            f"cannot write the report to {path}: no directory {folder}"
+        )
+    if not os.access(target if os.path.exists(target) else folder, os.W_OK):
+        raise ValueError(f"cannot write the report to {path}: permission denied")
+
+
+def _check_memory(config: ExperimentConfig) -> None:
+    """Raise ValueError when the run's estimated peak exceeds physical memory."""
+    dim = config.hilbert_spec().dim
+    need = _PEAK_PER_STATE_BYTE * 16 * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
+        raise ValueError(
+            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
+            f"{dim:.3g} amplitudes per state, an estimated {need / 2**30:.3g} GiB "
+            f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
+            f"lower |alpha| or the cutoffs"
+        )
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
@@ -108,6 +146,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tolerance=args.tolerance,
             emit=args.emit,
         )
+        _check_emit(config.emit)
+        _check_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

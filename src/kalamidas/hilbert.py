@@ -20,7 +20,7 @@ small cutoffs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence, Union
 
 import numpy as np
@@ -143,8 +143,14 @@ class HilbertSpec:
         )
 
 
-def _readonly(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=np.complex128, copy=True)
+def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
+    """A read-only complex128 array: a private copy of a caller's array, or,
+    when ``fresh``, the complex128 array itself, which its creator hands over
+    and no longer writes."""
+    if fresh and arr.dtype == np.complex128:
+        out = arr
+    else:
+        out = np.array(arr, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
 
@@ -155,14 +161,18 @@ class PureState:
 
     ``leakage`` is the norm squared lost to truncation by prior operations, so
     a normalized construction satisfies norm2 + leakage = 1.
+
+    The amplitudes are copied unless ``fresh`` is set, which only code that
+    just created the array and drops it does (see :func:`apply`).
     """
 
     spec: HilbertSpec
     amplitudes: np.ndarray
     leakage: float = 0.0
+    fresh: InitVar[bool] = False
 
-    def __post_init__(self) -> None:
-        amps = _readonly(np.ravel(self.amplitudes))
+    def __post_init__(self, fresh: bool) -> None:
+        amps = _readonly(np.ravel(self.amplitudes), fresh)
         if amps.shape != (self.spec.dim,):
             raise ValueError(
                 f"amplitude vector of length {amps.shape[0]} does not match "
@@ -180,8 +190,10 @@ class PureState:
 class LinearOperator:
     """Complex square matrix on a HilbertSpec, with optional structure flags.
 
-    The hermitian flag is verified at construction. The unitary flag is a
-    declaration used by :func:`apply` for leakage bookkeeping; truncated
+    The hermitian and diagonal flags are verified at construction; a diagonal
+    operator must have exactly zero off-diagonal entries, since :func:`apply`
+    then multiplies by its diagonal and never reads the rest. The unitary flag
+    is a declaration used by :func:`apply` for leakage bookkeeping; truncated
     unitaries satisfy it up to the tolerance declared where they are built.
     """
 
@@ -189,6 +201,7 @@ class LinearOperator:
     matrix: np.ndarray
     hermitian: bool = False
     unitary: bool = False
+    diagonal: bool = False
 
     def __post_init__(self) -> None:
         m = _readonly(self.matrix)
@@ -203,11 +216,17 @@ class LinearOperator:
                 raise ValueError(
                     f"hermitian flag set but max|M - M^H| = {defect:.3e}"
                 )
+        if self.diagonal:
+            off = np.count_nonzero(m) - np.count_nonzero(np.diagonal(m))
+            if off:
+                raise ValueError(
+                    f"diagonal flag set but {off} off-diagonal entries are nonzero"
+                )
 
     def adjoint(self) -> "LinearOperator":
         return LinearOperator(
             self.spec, self.matrix.conj().T,
-            hermitian=self.hermitian, unitary=self.unitary,
+            hermitian=self.hermitian, unitary=self.unitary, diagonal=self.diagonal,
         )
 
     def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
@@ -285,8 +304,7 @@ def ladder(spec: HilbertSpec, m: Union[str, ModeId], kind: str) -> LinearOperato
     from the cutoff maps to the zero vector.
     """
     sub = spec.subspace((m,))
-    d = sub.dim
-    up = np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), -1).astype(np.complex128)
+    up = raising_matrix(sub.dim)
     if kind == "raise":
         return LinearOperator(sub, up)
     if kind == "lower":
@@ -294,11 +312,17 @@ def ladder(spec: HilbertSpec, m: Union[str, ModeId], kind: str) -> LinearOperato
     raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
 
 
+def raising_matrix(d: int) -> np.ndarray:
+    """The creation operator on one mode of dimension d, as a d x d matrix."""
+    return np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), -1).astype(np.complex128)
+
+
 def number_op(spec: HilbertSpec, m: Union[str, ModeId]) -> LinearOperator:
     """Occupation-number operator for one mode, on its single-mode subspace."""
     sub = spec.subspace((m,))
     return LinearOperator(
-        sub, np.diag(np.arange(sub.dim, dtype=np.complex128)), hermitian=True
+        sub, np.diag(np.arange(sub.dim, dtype=np.complex128)),
+        hermitian=True, diagonal=True,
     )
 
 
@@ -338,33 +362,50 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
     for i in range(len(spec.modes)):
         perm.append(k + positions.index(i) if i in positions else 2 * k + nr + rest.index(i))
     full = tensor.transpose(perm).reshape(spec.dim, spec.dim)
-    return LinearOperator(spec, full, hermitian=op.hermitian, unitary=op.unitary)
+    return LinearOperator(
+        spec, full, hermitian=op.hermitian, unitary=op.unitary, diagonal=op.diagonal
+    )
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
     """Act with an operator on a state, contracting subset operators in place.
 
-    Unitary-flagged operators track truncation: any norm squared they lose is
-    added to the state's leakage, and the state is never renormalized.
+    A diagonal-flagged operator acts as a mask: its diagonal, broadcast over
+    the state's tensor axes, multiplies the amplitudes, which gives the same
+    numbers as the contraction without summing over zero entries. Unitary-
+    flagged operators track truncation: any norm squared they lose is added
+    to the state's leakage, and the state is never renormalized. The result
+    owns its amplitudes, so the new state takes them without a copy.
     """
     if op.spec == state.spec:
-        new = op.matrix @ state.amplitudes
+        if op.diagonal:
+            new = np.diagonal(op.matrix) * state.amplitudes
+        else:
+            new = op.matrix @ state.amplitudes
     else:
         if not state.spec.contains(op.spec):
             raise ValueError("operator modes/cutoffs do not match the state space")
         positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
-        k = len(positions)
         tensor = state.amplitudes.reshape(state.spec.dims)
-        op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
-        out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
-        out = np.moveaxis(out, tuple(range(k)), positions)
-        new = np.ascontiguousarray(out).reshape(-1)
+        if op.diagonal:
+            # positions ascend (both specs list modes in slot order), so the
+            # diagonal reshapes straight onto the state's axes
+            shape = [1] * tensor.ndim
+            for pos, d in zip(positions, op.spec.dims):
+                shape[pos] = d
+            new = (tensor * np.diagonal(op.matrix).reshape(shape)).reshape(-1)
+        else:
+            k = len(positions)
+            op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
+            out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
+            out = np.moveaxis(out, tuple(range(k)), positions)
+            new = np.ascontiguousarray(out).reshape(-1)
     leakage = state.leakage
     if op.unitary:
         old_n2 = state.norm2
         new_n2 = float(np.vdot(new, new).real)
         leakage += max(0.0, old_n2 - new_n2)
-    return PureState(state.spec, new, leakage=leakage)
+    return PureState(state.spec, new, leakage=leakage, fresh=True)
 
 
 def inner(x: PureState, y: PureState) -> complex:

@@ -22,6 +22,7 @@ as leakage. The cutoff-adequacy rule below keeps that tail below 1e-12 for
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -37,6 +38,7 @@ from .hilbert import (
     PureState,
     ladder,
     mode,
+    raising_matrix,
 )
 
 
@@ -90,7 +92,10 @@ def adequate_cutoff(alpha: complex) -> int:
     cutoff stays below 1e-12 for |alpha| <= 2.
     """
     a = abs(complex(alpha))
-    return math.ceil(a * a + 5.0 * a + 10.0)
+    needed = a * a + 5.0 * a + 10.0
+    if not math.isfinite(needed):
+        raise ValueError(f"|alpha| = {a:.4g} is too large for any cutoff")
+    return math.ceil(needed)
 
 
 def _check_adequacy(spec: HilbertSpec, m: Union[str, ModeId], alpha: complex) -> None:
@@ -115,16 +120,32 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
     With t = 1, r = 0 this is the identity. The generator commutes with the
     pair's total photon number, so every complete total-occupation sector is
     rotated exactly.
+
+    The matrix depends only on the pair's dimensions and on theta, not on
+    which modes the pair holds, so it is built once per (dimensions, theta)
+    and kept in a small cache: both arm splitters of a configuration, every
+    phase and every call of one run share one build.
     """
     x, y = bs.mode_pair
     sub = spec.subspace((x, y))
-    theta = math.atan2(bs.r, bs.t)
-    lower_x = ladder(spec, x, "lower").matrix
-    lower_y = ladder(spec, y, "lower").matrix
+    return LinearOperator(
+        sub, _splitter_matrix(sub.dims, math.atan2(bs.r, bs.t)), unitary=True
+    )
+
+
+# Holds the two matrices of one configuration (left pair and arm pairs); a
+# sweep that moves to the next t or alpha evicts the arm matrix it left.
+@functools.lru_cache(maxsize=2)
+def _splitter_matrix(dims: tuple[int, int], theta: float) -> np.ndarray:
+    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, read-only."""
+    lower_x = raising_matrix(dims[0]).conj().T
+    lower_y = raising_matrix(dims[1]).conj().T
     gen = theta * (
         np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
     )
-    return LinearOperator(sub, expm(gen), unitary=True)
+    out = expm(gen)
+    out.setflags(write=False)
+    return out
 
 
 def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:

@@ -230,3 +230,16 @@ def test_channel_invariance_under_embedded_unitary_composition(small_spec):
     baseline = reduce_left(psi)
     after = reduce_left(apply(embed(u2, small_spec), apply(embed(u1, small_spec), psi)))
     assert trace_distance(after, baseline) < 1e-12
+
+
+@pytest.mark.parametrize("spec_name", ["small_spec", "quick_spec"])
+@pytest.mark.parametrize("group", ["total", "tuple"])
+@pytest.mark.parametrize("modes", [("a2", "b2"), ("a3",), ("a2", "b2", "a3", "b3")])
+def test_projector_masks_equal_the_dense_product(request, spec_name, group, modes):
+    spec = request.getfixturevalue(spec_name)
+    psi = _random_state(spec, 5)
+    family = occupation_projectors(spec, modes, group=group)
+    for p in family.projectors:
+        assert p.diagonal
+        dense = embed(p, spec).matrix @ psi.amplitudes
+        assert np.array_equal(apply(p, psi).amplitudes, dense)

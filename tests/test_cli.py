@@ -1,6 +1,7 @@
 """Command line contract: flags, exit codes, emission, determinism."""
 import json
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -135,3 +136,43 @@ def test_main_returns_exit_codes_in_process(tmp_path, capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
     assert main(["--t", "2"]) == 2
+
+
+class _BatteryReached(Exception):
+    """Raised in place of run_experiment, to stop main at the battery."""
+
+
+def _stop_at_battery(monkeypatch):
+    def reached(config):
+        raise _BatteryReached
+
+    monkeypatch.setattr("kalamidas.cli.run_experiment", reached)
+
+
+@pytest.mark.parametrize("where", ["missing_dir/r.json", "."])
+def test_unwritable_emit_exits_2_before_the_battery(tmp_path, capsys, monkeypatch, where):
+    _stop_at_battery(monkeypatch)
+    target = str(tmp_path / where)
+    assert main(QUICK_ARGS + ["--emit", target]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert target in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("alpha", ["50", "1e200"])
+def test_oversized_alpha_exits_2_before_allocating(capsys, monkeypatch, alpha):
+    _stop_at_battery(monkeypatch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["--alpha-re", alpha]) == 2
+    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "alpha" in err
+    assert grown_kb < 16 * 1024
+
+
+def test_alpha_two_passes_the_memory_check(monkeypatch):
+    _stop_at_battery(monkeypatch)
+    with pytest.raises(_BatteryReached):
+        main(["--alpha-re", "2"])

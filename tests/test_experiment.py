@@ -247,3 +247,15 @@ def test_leakage_entries_are_tracked_per_state():
     assert list(report.leakage) == keys
     assert report.leakage["initial_bare"] == 0.0
     assert report.leakage["final_with_coherent"] >= report.leakage["initial_with_coherent"]
+
+
+def test_report_is_identical_when_every_splitter_comes_from_the_cache():
+    from kalamidas.optics import _splitter_matrix
+
+    _splitter_matrix.cache_clear()
+    first = run_experiment(_quick_config()).to_json()
+    built = _splitter_matrix.cache_info().misses
+    assert built == 2  # the left pair and the arm pairs
+    second = run_experiment(_quick_config()).to_json()
+    assert _splitter_matrix.cache_info().misses == built
+    assert first == second

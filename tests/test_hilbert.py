@@ -267,3 +267,39 @@ def test_identity_flags(quick_spec):
     op = identity(quick_spec)
     assert op.hermitian and op.unitary
     assert np.array_equal(op.matrix, np.eye(quick_spec.dim))
+
+
+def test_diagonal_flag_is_verified(quick_spec):
+    sub = quick_spec.subspace(("a2",))
+    LinearOperator(sub, np.diag([1.0, 2.0, 3.0]), diagonal=True)
+    almost = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    almost[0, 2] = 1e-300
+    with pytest.raises(ValueError, match="diagonal"):
+        LinearOperator(sub, almost, diagonal=True)
+    assert number_op(quick_spec, "a2").diagonal
+    assert not ladder(quick_spec, "a2", "raise").diagonal
+
+
+@pytest.mark.parametrize("label", MODE_LABELS)
+def test_diagonal_apply_matches_the_dense_product(quick_spec, label):
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal(quick_spec.dim) + 1j * rng.standard_normal(quick_spec.dim)
+    psi = PureState(quick_spec, amps)
+    n = number_op(quick_spec, label)
+    dense = embed(n, quick_spec).matrix @ psi.amplitudes
+    assert np.array_equal(apply(n, psi).amplitudes, dense)
+    full = embed(n, quick_spec)
+    assert full.diagonal
+    assert np.array_equal(apply(full, psi).amplitudes, dense)
+
+
+def test_apply_result_is_read_only_and_callers_arrays_are_copied(quick_spec):
+    amps = np.zeros(quick_spec.dim, dtype=complex)
+    amps[0] = 1.0
+    psi = PureState(quick_spec, amps)
+    amps[0] = 5.0
+    assert psi.amplitudes[0] == 1.0
+    out = apply(ladder(quick_spec, "a3", "raise"), psi)
+    assert not out.amplitudes.flags.writeable
+    with pytest.raises(ValueError):
+        out.amplitudes[0] = 1.0

@@ -214,3 +214,34 @@ def test_coherent_series_norm_is_poisson_cdf(re, im, dim):
     a2 = abs(alpha) ** 2
     cdf = math.exp(-a2) * sum(a2**n / math.factorial(n) for n in range(dim))
     assert float(np.vdot(series, series).real) == pytest.approx(cdf, abs=1e-12)
+
+
+def test_arm_splitters_share_one_read_only_matrix(quick_spec):
+    u_a = beamsplitter_unitary(quick_spec, BeamSplitter(("a2", "a3"), 0.8, 0.6))
+    u_b = beamsplitter_unitary(quick_spec, BeamSplitter(("b2", "b3"), 0.8, 0.6))
+    assert u_a.spec != u_b.spec
+    assert np.array_equal(u_a.matrix, u_b.matrix)
+    assert not u_a.matrix.flags.writeable and not u_b.matrix.flags.writeable
+    u_c = beamsplitter_unitary(quick_spec, BeamSplitter(("a2", "a3"), 0.6, 0.8))
+    assert not np.array_equal(u_a.matrix, u_c.matrix)
+
+
+@pytest.mark.parametrize("pair,t,r", [(("a2", "a3"), 0.6, 0.8), (("a1", "b1"), SQRT_HALF, SQRT_HALF)])
+def test_cached_splitter_equals_a_fresh_build(pair, t, r):
+    # the expm of the generator written out from the ladder operators
+    from scipy.linalg import expm
+
+    from kalamidas.optics import _splitter_matrix
+
+    _splitter_matrix.cache_clear()
+    spec = HilbertSpec(MODES, (1, 1, 3, 2, 4, 2))
+    x, y = pair
+    theta = math.atan2(r, t)
+    lower_x = ladder(spec, x, "lower").matrix
+    lower_y = ladder(spec, y, "lower").matrix
+    fresh = expm(theta * (
+        np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
+    ))
+    for _ in range(2):  # the first call builds, the second reads the cache
+        u = beamsplitter_unitary(spec, BeamSplitter(pair, t, r))
+        assert np.array_equal(u.matrix, fresh)

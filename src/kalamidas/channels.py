@@ -1,10 +1,13 @@
 """Right-side quantum operations and selective conditioning.
 
-Three families of legitimate operations are provided: unitaries on the right
-modes, non-selective projective measurements (rho -> sum_k P_k rho P_k), and
+Three families of legitimate operations act on the right modes: unitaries,
+non-selective projective measurements (rho -> sum_k P_k rho P_k), and
 non-selective generalized measurements given by a Kraus family
 (rho -> sum_k A_k rho A_k+). None of them can change the left reduced state;
-the experiment driver measures exactly that.
+the experiment driver measures exactly that. All three run through
+:func:`nonselective_left`, which applies each operator to a pure state and
+sums the left reductions of the branches, so no density operator on the full
+space is ever built.
 
 Selective conditioning on a single recorded outcome is also implemented. It is
 the one operation that does move the left reduced state, which is why it
@@ -32,8 +35,8 @@ from .hilbert import (
     ModeId,
     PureState,
     apply,
-    embed,
 )
+from .nosignal import reduce_left
 
 PROBABILITY_FLOOR = 1e-12
 
@@ -116,41 +119,26 @@ class ProjectorFamily:
         return self
 
 
-def apply_right_unitary(
-    obj: Union[PureState, DensityOperator], u: LinearOperator
-) -> Union[PureState, DensityOperator]:
-    """Conjugate a state (or evolve a pure state) by a right-mode unitary."""
-    if not u.unitary:
-        raise ValueError("apply_right_unitary needs a unitary-flagged operator")
-    _require_right_modes(u.spec)
-    if isinstance(obj, PureState):
-        return apply(u, obj)
-    full = embed(u, obj.spec).matrix
-    return DensityOperator(
-        obj.spec, full @ obj.matrix @ full.conj().T, leakage=obj.leakage
-    )
-
-
-def projective_nonselective(
-    rho: DensityOperator, family: ProjectorFamily
+def nonselective_left(
+    state: PureState, operators: Sequence[LinearOperator]
 ) -> DensityOperator:
-    """rho -> sum_k P_k rho P_k with the outcomes discarded."""
-    family.validate()
-    out = np.zeros_like(rho.matrix)
-    for p in family.projectors:
-        full = embed(p, rho.spec).matrix
-        out += full @ rho.matrix @ full.conj().T
-    return DensityOperator(rho.spec, out, leakage=rho.leakage)
+    """Left reduction of sum_k A_k |psi><psi| A_k+, the outcomes discarded.
 
-
-def kraus_nonselective(rho: DensityOperator, family: KrausFamily) -> DensityOperator:
-    """rho -> sum_k A_k rho A_k+ for a complete Kraus family."""
-    family.validate()
-    out = np.zeros_like(rho.matrix)
-    for a in family.operators:
-        full = embed(a, rho.spec).matrix
-        out += full @ rho.matrix @ full.conj().T
-    return DensityOperator(rho.spec, out, leakage=rho.leakage)
+    Each branch A_k |psi> is reduced on its own and the left Gram matrices are
+    summed, one branch at a time. The operators must act on right modes only;
+    that they form a channel (one unitary, a projector family or a complete
+    Kraus family) is the caller's to ensure, and the families' ``validate``
+    checks it. Such a channel preserves the trace, so the output carries the
+    input state's leakage.
+    """
+    if not operators:
+        raise ValueError("nonselective_left needs at least one operator")
+    left = state.spec.subspace(LEFT_LABELS)
+    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
+    for a in operators:
+        _require_right_modes(a.spec)
+        out += reduce_left(apply(a, state)).matrix
+    return DensityOperator(left, out, leakage=state.leakage)
 
 
 def selective_outcome(

@@ -144,9 +144,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             seed=args.seed,
             trials=args.trials,
             tolerance=args.tolerance,
-            emit=args.emit,
         )
-        _check_emit(config.emit)
+        _check_emit(args.emit)
         _check_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -154,10 +153,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     report = run_experiment(config)
     text = report.to_json() + "\n"
-    if config.emit == "-":
+    if args.emit == "-":
         sys.stdout.write(text)
     else:
-        with open(config.emit, "w", encoding="utf-8") as handle:
+        with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(text)
     return 0 if report.verdict == "pass" else 1
 

@@ -32,6 +32,7 @@ import numpy as np
 from .channels import (
     PROBABILITY_FLOOR,
     conditional_left_by_occupation,
+    nonselective_left,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
@@ -98,9 +99,10 @@ def default_cutoffs(alpha: complex) -> dict[str, int]:
 class ExperimentConfig:
     """One experiment: physics parameters, cutoffs, RNG seed, tolerances.
 
-    ``cutoffs`` may be None (defaults for this alpha) or a partial mapping of
-    mode label to cutoff that overrides the defaults; it is normalized to a
-    full six-entry tuple in mode order. r is derived as +sqrt(1 - t^2).
+    ``cutoffs`` may be None (defaults for this alpha), a partial mapping of
+    mode label to cutoff that overrides the defaults, or a tuple of all six
+    cutoffs in mode order; it is normalized to the six-entry tuple.
+    r is derived as +sqrt(1 - t^2).
     """
 
     alpha: complex = 1.0
@@ -110,7 +112,6 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 100
     tolerance: float = 1e-9
-    emit: str = "-"
 
     def __post_init__(self) -> None:
         alpha = complex(self.alpha)
@@ -134,10 +135,9 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         object.__setattr__(self, "trials", trials)
         tolerance = float(self.tolerance)
-        if not tolerance > 0:
-            raise ValueError("tolerance must be positive")
+        if not (tolerance > 0 and math.isfinite(tolerance)):
+            raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
         object.__setattr__(self, "tolerance", tolerance)
-        object.__setattr__(self, "emit", str(self.emit))
 
         resolved = default_cutoffs(alpha)
         given = self.cutoffs
@@ -145,6 +145,12 @@ class ExperimentConfig:
             if isinstance(given, Mapping):
                 items = given.items()
             else:
+                given = tuple(given)
+                if len(given) != len(MODE_LABELS):
+                    raise ValueError(
+                        f"a cutoffs tuple needs six entries, one per mode "
+                        f"{MODE_LABELS}, got {len(given)}"
+                    )
                 items = zip(MODE_LABELS, given)
             for label, value in items:
                 if label not in MODE_LABELS:
@@ -407,10 +413,6 @@ def _render_json(value, indent: int = 0) -> str:
     raise TypeError(f"cannot serialize {type(value)!r}")
 
 
-def _max_invariant_residual(rho: DensityOperator) -> float:
-    return max(rho.invariant_residuals().values())
-
-
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
@@ -438,9 +440,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     rho_with = reduce_left(psi_with)
     rho_bare = reduce_left(psi_bare)
-    invariants = max(
-        _max_invariant_residual(rho_with), _max_invariant_residual(rho_bare)
-    )
+    # every left state the run produces, for the reduced_invariants check
+    reduced = [rho_with, rho_bare]
 
     td = trace_distance(rho_with, rho_bare)
     gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
@@ -456,30 +457,21 @@ def run_experiment(config: ExperimentConfig) -> Report:
         deviation = abs(expectation(rho_with, h) - analytic_left_expectation(h))
         oracle = max(oracle, deviation / spectral_norm(h))
 
-    unitary_res = 0.0
-    for k in range(_CHANNEL_TRIALS):
-        u = random_right_unitary(spec, _RIGHT_PAIRS[k % len(_RIGHT_PAIRS)], (config.seed, 2, k))
-        rho_after = reduce_left(apply(u, psi_with))
-        invariants = max(invariants, _max_invariant_residual(rho_after))
-        unitary_res = max(unitary_res, trace_distance(rho_after, rho_with))
-
-    family = occupation_projectors(spec, _SCAN_PAIR, group="total")
-    acc = np.zeros((left.dim, left.dim), dtype=np.complex128)
-    for p in family.projectors:
-        acc += reduce_left(apply(p, psi_with)).matrix
-    rho_projected = DensityOperator(left, acc, leakage=psi_with.leakage)
-    invariants = max(invariants, _max_invariant_residual(rho_projected))
-    projective_res = trace_distance(rho_projected, rho_with)
-
-    kraus_res = 0.0
-    for k in range(_CHANNEL_TRIALS):
-        fam = random_kraus(spec, _RIGHT_PAIRS[k % len(_RIGHT_PAIRS)], (config.seed, 3, k), k=3)
-        acc = np.zeros((left.dim, left.dim), dtype=np.complex128)
-        for a in fam.operators:
-            acc += reduce_left(apply(a, psi_with)).matrix
-        rho_after = DensityOperator(left, acc, leakage=psi_with.leakage)
-        invariants = max(invariants, _max_invariant_residual(rho_after))
-        kraus_res = max(kraus_res, trace_distance(rho_after, rho_with))
+    pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
+    after_unitary = [
+        nonselective_left(psi_with, (random_right_unitary(spec, pair, (config.seed, 2, k)),))
+        for k, pair in enumerate(pairs)
+    ]
+    after_projective = nonselective_left(
+        psi_with, occupation_projectors(spec, _SCAN_PAIR, group="total").projectors
+    )
+    after_kraus = [
+        nonselective_left(
+            psi_with, random_kraus(spec, pair, (config.seed, 3, k), k=3).operators
+        )
+        for k, pair in enumerate(pairs)
+    ]
+    reduced += after_unitary + [after_projective] + after_kraus
 
     scan = conditional_left_by_occupation(psi_with, _SCAN_PAIR)
     trace_w = rho_with.trace
@@ -489,61 +481,47 @@ def run_experiment(config: ExperimentConfig) -> Report:
         if p < PROBABILITY_FLOOR:
             continue
         conditional = scan.conditional(k)
-        invariants = max(invariants, _max_invariant_residual(conditional))
+        reduced.append(conditional)
         contrast = trace_distance(conditional, baseline)
         score = p * contrast
         if score > best_score + 1e-15:
             best_k, best_score, best_contrast = k, score, contrast
     mixture = scan.mixture()
-    invariants = max(invariants, _max_invariant_residual(mixture))
-    mixture_res = trace_distance(mixture, rho_with)
+    reduced.append(mixture)
     selective = {
         "outcome": dict(zip(scan.mode_labels, scan.occupations[best_k])),
         "probability": float(scan.probabilities[best_k]),
         "conditional_trace_distance": best_contrast,
     }
 
+    def moved(states: list[DensityOperator]) -> float:
+        return max(trace_distance(rho, rho_with) for rho in states)
+
     base = config.tolerance
-    tolerances = {
-        "heisenberg_left_pair": _EXACT_CHECK_TOL,
-        "heisenberg_arm_a": _EXACT_CHECK_TOL,
-        "heisenberg_arm_b": _EXACT_CHECK_TOL,
-        "structure": base + 2.0 * math.sqrt(leak_max),
-        "trace_distance": base + leak_max,
-        "signaling_gap": base + leak_max,
-        "left_oracle": base + leak_max,
-        "channel_unitary": _EXACT_CHECK_TOL,
-        "channel_projective": _EXACT_CHECK_TOL,
-        "channel_kraus": _EXACT_CHECK_TOL,
-        "selective_mixture": _EXACT_CHECK_TOL,
-        "reduced_invariants": _EXACT_CHECK_TOL,
-    }
-    residuals = {
-        "heisenberg_left_pair": heis["left_pair"],
-        "heisenberg_arm_a": heis["arm_a"],
-        "heisenberg_arm_b": heis["arm_b"],
-        "structure": structure,
-        "trace_distance": td,
-        "signaling_gap": gap,
-        "left_oracle": oracle,
-        "channel_unitary": unitary_res,
-        "channel_projective": projective_res,
-        "channel_kraus": kraus_res,
-        "selective_mixture": mixture_res,
-        "reduced_invariants": invariants,
-    }
-    verdict = (
-        "pass"
-        if all(residuals[name] <= tolerances[name] for name in residuals)
-        else "fail"
+    checks = (
+        *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
+        ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
+        ("trace_distance", td, base + leak_max),
+        ("signaling_gap", gap, base + leak_max),
+        ("left_oracle", oracle, base + leak_max),
+        ("channel_unitary", moved(after_unitary), _EXACT_CHECK_TOL),
+        ("channel_projective", trace_distance(after_projective, rho_with), _EXACT_CHECK_TOL),
+        ("channel_kraus", moved(after_kraus), _EXACT_CHECK_TOL),
+        ("selective_mixture", trace_distance(mixture, rho_with), _EXACT_CHECK_TOL),
+        (
+            "reduced_invariants",
+            max(max(rho.invariant_residuals().values()) for rho in reduced),
+            _EXACT_CHECK_TOL,
+        ),
     )
+    verdict = "pass" if all(res <= tol for _, res, tol in checks) else "fail"
     return Report(
         config=config,
         required_cutoff=config.required_cutoff,
         adequacy_warning=config.adequacy_warning,
         leakage=leakage,
-        tolerances=tolerances,
-        residuals=residuals,
+        tolerances={name: tol for name, _, tol in checks},
+        residuals={name: res for name, res, _ in checks},
         selective=selective,
         verdict=verdict,
     )

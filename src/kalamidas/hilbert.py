@@ -229,14 +229,6 @@ class LinearOperator:
             hermitian=self.hermitian, unitary=self.unitary, diagonal=self.diagonal,
         )
 
-    def __matmul__(self, other: "LinearOperator") -> "LinearOperator":
-        if self.spec != other.spec:
-            raise ValueError("operator composition needs matching specs")
-        return LinearOperator(
-            self.spec, self.matrix @ other.matrix,
-            unitary=self.unitary and other.unitary,
-        )
-
 
 @dataclass(frozen=True)
 class DensityOperator:

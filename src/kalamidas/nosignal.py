@@ -32,29 +32,18 @@ Observable = LinearOperator
 _IMAG_ATOL = 1e-10
 
 
-def reduce_left(obj: Union[PureState, DensityOperator]) -> DensityOperator:
-    """Partial trace over everything but the left pair (a1, b1).
+def reduce_left(state: PureState) -> DensityOperator:
+    """Partial trace of a pure state over everything but the left pair (a1, b1).
 
-    For a pure state this is the Gram matrix of the (left, rest) reshape; for
-    a density operator the right axes are contracted pairwise. Leakage is
-    carried, so the output trace is 1 - leakage for normalized constructions.
+    The Gram matrix of the (left, rest) reshape. Leakage is carried, so the
+    output trace is 1 - leakage for normalized constructions.
     """
-    left = obj.spec.subspace(LEFT_LABELS)
-    left_pos = tuple(obj.spec.axis_of(m) for m in left.modes)
+    left = state.spec.subspace(LEFT_LABELS)
+    left_pos = tuple(state.spec.axis_of(m) for m in left.modes)
     if left_pos != (0, 1):
         raise ValueError("state space must contain both left modes at slots 0, 1")
-    if isinstance(obj, PureState):
-        a = obj.amplitudes.reshape(left.dim, -1)
-        return DensityOperator(left, a @ a.conj().T, leakage=obj.leakage)
-    n = len(obj.spec.modes)
-    dims = obj.spec.dims
-    tensor = obj.matrix.reshape(dims + dims)
-    # row and column subscripts share a label on each traced axis
-    row = list(range(n))
-    col = [i if i not in left_pos else n + i for i in range(n)]
-    out = [0, 1, n, n + 1]
-    reduced = np.einsum(tensor, row + col, out)
-    return DensityOperator(left, reduced.reshape(left.dim, left.dim), leakage=obj.leakage)
+    a = state.amplitudes.reshape(left.dim, -1)
+    return DensityOperator(left, a @ a.conj().T, leakage=state.leakage)
 
 
 def expectation(rho: DensityOperator, h: Observable) -> float:

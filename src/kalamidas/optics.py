@@ -72,19 +72,6 @@ class BeamSplitter:
             raise ValueError(f"t^2 + r^2 must be 1, got {t * t + r * r}")
 
 
-@dataclass(frozen=True)
-class CoherentAmplitude:
-    """A dimensionless complex coherent amplitude."""
-
-    alpha: complex
-
-    def __post_init__(self) -> None:
-        a = complex(self.alpha)
-        object.__setattr__(self, "alpha", a)
-        if not math.isfinite(abs(a)):
-            raise ValueError("alpha must be finite")
-
-
 def adequate_cutoff(alpha: complex) -> int:
     """Smallest per-mode cutoff the adequacy rule accepts for amplitude alpha.
 
@@ -158,7 +145,7 @@ def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:
 
 
 def displacement_unitary(
-    spec: HilbertSpec, m: Union[str, ModeId], alpha: Union[complex, CoherentAmplitude]
+    spec: HilbertSpec, m: Union[str, ModeId], alpha: complex
 ) -> LinearOperator:
     """D(alpha) = exp(alpha a+ - conj(alpha) a) on the mode's subspace.
 
@@ -166,7 +153,7 @@ def displacement_unitary(
     below the adequacy rule, since the action near the boundary then deviates
     from the ideal displacement.
     """
-    a = alpha.alpha if isinstance(alpha, CoherentAmplitude) else complex(alpha)
+    a = complex(alpha)
     _check_adequacy(spec, m, a)
     low = ladder(spec, m, "lower")
     gen = a * low.matrix.conj().T - np.conj(a) * low.matrix
@@ -183,7 +170,7 @@ def coherent_series(alpha: complex, dim: int) -> np.ndarray:
 
 
 def coherent_state(
-    spec: HilbertSpec, m: Union[str, ModeId], alpha: Union[complex, CoherentAmplitude]
+    spec: HilbertSpec, m: Union[str, ModeId], alpha: complex
 ) -> PureState:
     """|alpha> on one mode, vacuum elsewhere, from the truncated series.
 
@@ -191,7 +178,7 @@ def coherent_state(
     rounding. Within the adequacy rule this state agrees with the displaced
     vacuum to well below 1e-9.
     """
-    a = alpha.alpha if isinstance(alpha, CoherentAmplitude) else complex(alpha)
+    a = complex(alpha)
     _check_adequacy(spec, m, a)
     axis = spec.axis_of(m)
     factors = []

@@ -5,7 +5,6 @@ import pytest
 
 from kalamidas import (
     PROBABILITY_FLOOR,
-    DensityOperator,
     HilbertSpec,
     KrausFamily,
     LinearOperator,
@@ -13,14 +12,11 @@ from kalamidas import (
     ProjectorFamily,
     PureState,
     apply,
-    apply_right_unitary,
     conditional_left_by_occupation,
     embed,
-    kraus_nonselective,
     identity,
-    number_op,
+    nonselective_left,
     occupation_projectors,
-    projective_nonselective,
     random_kraus,
     random_right_unitary,
     reduce_left,
@@ -36,10 +32,14 @@ def _random_state(spec, seed):
     return PureState(spec, amps / np.linalg.norm(amps))
 
 
-def _density(state):
-    return DensityOperator(
-        state.spec, np.outer(state.amplitudes, state.amplitudes.conj())
+def _dense_nonselective_left(state, operators):
+    """Reference: sum_k of the left reduction of embed(A_k) psi, each branch
+    built with the full matrix."""
+    branches = (
+        reduce_left(PureState(state.spec, embed(a, state.spec).matrix @ state.amplitudes))
+        for a in operators
     )
+    return sum(rho.matrix for rho in branches)
 
 
 def test_occupation_projectors_total_group(small_spec):
@@ -69,48 +69,50 @@ def test_occupation_projectors_guards(quick_spec):
 
 def test_projective_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 5)
-    rho = _density(psi)
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
-    after = projective_nonselective(rho, family)
-    assert trace_distance(reduce_left(after), reduce_left(rho)) < 1e-12
-    assert after.trace == pytest.approx(rho.trace, abs=1e-12)
+    after = nonselective_left(psi, family.projectors)
+    dense = _dense_nonselective_left(psi, family.projectors)
+    assert np.abs(after.matrix - dense).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
+    assert after.trace == pytest.approx(psi.norm2, abs=1e-12)
 
 
 def test_kraus_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 6)
-    rho = _density(psi)
     family = random_kraus(small_spec, ("a2", "b2", "a3", "b3"), seed=42, k=3)
     assert family.completeness_defect() < 1e-12
-    after = kraus_nonselective(rho, family)
-    assert trace_distance(reduce_left(after), reduce_left(rho)) < 1e-12
+    after = nonselective_left(psi, family.operators)
+    dense = _dense_nonselective_left(psi, family.operators)
+    assert np.abs(after.matrix - dense).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
 
 
 def test_projectors_are_a_kraus_special_case(small_spec):
-    psi = _random_state(small_spec, 7)
-    rho = _density(psi)
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
     as_kraus = KrausFamily(family.projectors).validate()
-    lhs = projective_nonselective(rho, family)
-    rhs = kraus_nonselective(rho, as_kraus)
-    assert np.abs(lhs.matrix - rhs.matrix).max() < 1e-14
+    assert as_kraus.completeness_defect() < 1e-14
 
 
-def test_apply_right_unitary_pure_and_density_agree(small_spec):
-    psi = _random_state(small_spec, 8)
+def test_unitary_channel_matches_the_dense_conjugation(small_spec):
+    rng = np.random.default_rng(8)
+    amps = rng.standard_normal(small_spec.dim) + 1j * rng.standard_normal(small_spec.dim)
+    amps *= 0.9 / np.linalg.norm(amps)
+    psi = PureState(small_spec, amps, leakage=1.0 - 0.81)
     u = random_right_unitary(small_spec, ("a2", "a3"), seed=3)
-    via_pure = reduce_left(apply_right_unitary(psi, u))
-    via_density = reduce_left(apply_right_unitary(_density(psi), u))
-    assert trace_distance(via_pure, via_density) < 1e-12
+    after = nonselective_left(psi, (u,))
+    assert np.abs(after.matrix - _dense_nonselective_left(psi, (u,))).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
+    assert after.leakage == psi.leakage
+    assert max(after.invariant_residuals().values()) < 1e-12
 
 
-def test_apply_right_unitary_guards(small_spec):
+def test_nonselective_left_guards(small_spec):
     psi = _random_state(small_spec, 9)
-    n = number_op(small_spec, "a2")
-    with pytest.raises(ValueError):
-        apply_right_unitary(psi, n)
     left_u = identity(small_spec.subspace(("a1", "b1")))
-    with pytest.raises(ValueError):
-        apply_right_unitary(psi, left_u)
+    with pytest.raises(ValueError, match="right modes"):
+        nonselective_left(psi, (left_u,))
+    with pytest.raises(ValueError, match="at least one"):
+        nonselective_left(psi, ())
 
 
 def test_random_right_unitary_is_unitary_and_seeded(small_spec):

@@ -176,3 +176,12 @@ def test_alpha_two_passes_the_memory_check(monkeypatch):
     _stop_at_battery(monkeypatch)
     with pytest.raises(_BatteryReached):
         main(["--alpha-re", "2"])
+
+
+@pytest.mark.parametrize("tolerance", ["inf", "1e400"])
+def test_infinite_tolerance_exits_2_before_the_battery(capsys, monkeypatch, tolerance):
+    _stop_at_battery(monkeypatch)
+    assert main(QUICK_ARGS + ["--tolerance", tolerance]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "tolerance" in err

@@ -50,6 +50,14 @@ def test_config_validations():
         ExperimentConfig(trials=0)
     with pytest.raises(ValueError, match="tolerance"):
         ExperimentConfig(tolerance=0.0)
+    with pytest.raises(ValueError, match="tolerance"):
+        ExperimentConfig(tolerance=float("inf"))
+    with pytest.raises(ValueError, match="tolerance"):
+        ExperimentConfig(tolerance=1e400)
+    with pytest.raises(ValueError, match="six entries"):
+        ExperimentConfig(cutoffs=(1, 1, 3))
+    with pytest.raises(ValueError, match="six entries"):
+        ExperimentConfig(cutoffs=(1, 1, 3, 3, 3, 3, 99))
     with pytest.raises(ValueError, match="left mode"):
         ExperimentConfig(cutoffs={"a1": 0})
     with pytest.raises(ValueError, match="photon arm"):

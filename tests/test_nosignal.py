@@ -75,14 +75,6 @@ def test_evolved_bare_state_reduces_to_half_mixture():
     ) - expected).max() < 1e-10
 
 
-def test_reduce_left_density_path_matches_pure_path(quick_spec):
-    psi = _random_state(quick_spec, 103)
-    rho_full = DensityOperator(
-        quick_spec, np.outer(psi.amplitudes, psi.amplitudes.conj())
-    )
-    assert np.abs(reduce_left(psi).matrix - reduce_left(rho_full).matrix).max() < 1e-13
-
-
 def test_reduce_left_of_product_state_is_exact(quick_spec):
     rng = np.random.default_rng(107)
     left = quick_spec.subspace(LEFT_LABELS)

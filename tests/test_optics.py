@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from kalamidas import (
     MODES,
     BeamSplitter,
-    CoherentAmplitude,
     CutoffAdequacyWarning,
     HilbertSpec,
     adequate_cutoff,
@@ -190,16 +189,6 @@ def test_splitter_covariance_with_displacement():
         apply(displacement_unitary(spec, "a3", t * alpha), vacuum(spec)),
     )
     assert np.abs(lhs.amplitudes - rhs.amplitudes).max() < 1e-8
-
-
-def test_coherent_amplitude_validation():
-    assert CoherentAmplitude(0.5 + 1j).alpha == 0.5 + 1j
-    with pytest.raises(ValueError):
-        CoherentAmplitude(complex("inf"))
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 12, 1))
-    d_wrapped = displacement_unitary(spec, "a3", CoherentAmplitude(0.3))
-    d_plain = displacement_unitary(spec, "a3", 0.3)
-    assert np.array_equal(d_wrapped.matrix, d_plain.matrix)
 
 
 @settings(max_examples=25, deadline=None)

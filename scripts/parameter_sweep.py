@@ -6,6 +6,7 @@ Example:
 """
 import argparse
 import math
+import sys
 
 from kalamidas import (
     ExperimentConfig,
@@ -32,31 +33,38 @@ def main() -> int:
     parser.add_argument("--tolerance", type=float, default=1e-9)
     args = parser.parse_args()
 
+    # every point is validated before the table starts
+    try:
+        configs = [
+            ExperimentConfig(
+                alpha=alpha, t=t, phi=phi, seed=args.seed,
+                trials=args.trials, tolerance=args.tolerance,
+            )
+            for alpha in args.alphas
+            for t in args.ts
+            for phi in args.phis
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     header = f"{'alpha':>7} {'t':>7} {'phi':>7} {'trace_dist':>12} {'gap':>12} verdict"
     print(header)
     print("-" * len(header))
     worst_td = worst_gap = 0.0
     failures = 0
-    for alpha in args.alphas:
-        for t in args.ts:
-            for phi in args.phis:
-                config = ExperimentConfig(
-                    alpha=alpha, t=t, phi=phi, seed=args.seed,
-                    trials=args.trials, tolerance=args.tolerance,
-                )
-                rho_with = reduce_left(evolve(initial_state_with_coherent(config), config))
-                rho_bare = reduce_left(evolve(initial_state_bare(config), config))
-                td = trace_distance(rho_with, rho_bare)
-                gap = signaling_gap(
-                    rho_with, rho_bare, trials=args.trials, seed=args.seed
-                )
-                ok = td <= args.tolerance and gap <= args.tolerance
-                failures += 0 if ok else 1
-                worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
-                print(
-                    f"{alpha:7.3f} {t:7.4f} {phi:7.4f} {td:12.3e} {gap:12.3e} "
-                    f"{'pass' if ok else 'FAIL'}"
-                )
+    for config in configs:
+        rho_with = reduce_left(evolve(initial_state_with_coherent(config), config))
+        rho_bare = reduce_left(evolve(initial_state_bare(config), config))
+        td = trace_distance(rho_with, rho_bare)
+        gap = signaling_gap(rho_with, rho_bare, trials=args.trials, seed=args.seed)
+        ok = td <= args.tolerance and gap <= args.tolerance
+        failures += 0 if ok else 1
+        worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
+        print(
+            f"{config.alpha.real:7.3f} {config.t:7.4f} {config.phi:7.4f} "
+            f"{td:12.3e} {gap:12.3e} {'pass' if ok else 'FAIL'}"
+        )
     print("-" * len(header))
     print(f"worst trace distance {worst_td:.3e}, worst gap {worst_gap:.3e}")
     if failures:

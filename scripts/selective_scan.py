@@ -11,6 +11,7 @@ Example:
 """
 import argparse
 import math
+import sys
 
 import numpy as np
 
@@ -35,9 +36,13 @@ def main() -> int:
     parser.add_argument("--top", type=int, default=10)
     args = parser.parse_args()
 
-    config = ExperimentConfig(
-        alpha=complex(args.alpha_re, args.alpha_im), phi=args.phi, t=args.t
-    )
+    try:
+        config = ExperimentConfig(
+            alpha=complex(args.alpha_re, args.alpha_im), phi=args.phi, t=args.t
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     psi = evolve(initial_state_with_coherent(config), config)
     rho = reduce_left(psi)
     baseline = DensityOperator(rho.spec, rho.matrix / rho.trace)

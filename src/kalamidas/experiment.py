@@ -9,11 +9,13 @@ splitters: one on each right arm pair, (a2, a3) and (b2, b3), with parameters
 :func:`run_experiment` runs the full verification battery for one
 configuration and returns a :class:`Report` whose verdict certifies that the
 left reduced state is independent of the injection and of every legitimate
-right-side operation, within explicit tolerances. Amplitude-level checks
-(the direct-construction comparison) degrade with the truncation leakage of
-the coherent backgrounds, so their effective tolerances grow as
-2 sqrt(leakage); density-level checks grow linearly; invariance checks under
-right-side channels are exact linear algebra and keep fixed tolerances.
+right-side operation, within explicit tolerances. Every state it builds is a
+sum of product states of single-mode vectors (hilbert.product_state), so the
+direct construction it compares the evolved state with is the box projection
+of the ideal output, and that residual measures the simulator's own
+truncation error. Its tolerance grows as 2 sqrt(leakage); density-level
+checks grow linearly; invariance checks under right-side channels are exact
+linear algebra and keep fixed tolerances.
 
 Default per-mode cutoffs take the adequacy rule plus a margin of
 DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the evolved state agrees
@@ -47,7 +49,8 @@ from .hilbert import (
     apply,
     embed,
     ladder,
-    vacuum,
+    product_state,
+    raising_matrix,
 )
 from .nosignal import (
     analytic_left_expectation,
@@ -64,7 +67,6 @@ from .optics import (
     adequate_cutoff,
     beamsplitter_unitary,
     coherent_series,
-    displacement_unitary,
     heisenberg_action,
 )
 
@@ -194,44 +196,38 @@ class ExperimentConfig:
         return HilbertSpec(MODES, self.cutoffs)
 
 
-def _combine(spec: HilbertSpec, terms) -> np.ndarray:
-    out = np.zeros(spec.dim, dtype=np.complex128)
-    for coeff, state in terms:
-        out += coeff * state.amplitudes
-    return out
+def _photon_pairs(
+    spec: HilbertSpec,
+    amplitudes: Mapping[str, complex],
+    pairs: list[tuple[str, str, complex]],
+    scale: float,
+) -> PureState:
+    """scale * sum_k c_k x_k+ y_k+ acting on coherent states of the given
+    amplitudes (vacuum on the other modes), for pairs (x_k, y_k, c_k).
+
+    Every factor is the box projection of its ideal single-mode vector:
+    raising the truncated series only drops the component above the cutoff.
+    """
+
+    def factor(m: str, photon: bool = False) -> np.ndarray:
+        d = spec.cutoff_of(m) + 1
+        vec = coherent_series(amplitudes.get(m, 0.0), d)
+        return raising_matrix(d) @ vec if photon else vec
+
+    background = {m: factor(m) for m in amplitudes}
+    terms = [(c, {**background, x: factor(x, True), y: factor(y, True)}) for x, y, c in pairs]
+    return product_state(spec, terms, scale=scale)
 
 
-def _photon_superposition(background: PureState, phi: float) -> PureState:
-    """(1/sqrt2)(a1+ a2+ + e^{i phi} b1+ b2+) applied to a background state."""
-    spec = background.spec
-    sa = apply(ladder(spec, "a1", "raise"), apply(ladder(spec, "a2", "raise"), background))
-    sb = apply(ladder(spec, "b1", "raise"), apply(ladder(spec, "b2", "raise"), background))
-    amps = SQRT_HALF * _combine(spec, [(1.0, sa), (np.exp(1j * phi), sb)])
-    n2 = float(np.vdot(amps, amps).real)
-    return PureState(spec, amps, leakage=max(0.0, 1.0 - n2))
-
-
-def _product_background(spec: HilbertSpec, alpha: complex) -> PureState:
-    """Vacuum with truncated coherent series of amplitude alpha on a3 and b3."""
-    factors = []
-    for m, d in zip(spec.modes, spec.dims):
-        if m.label in ("a3", "b3"):
-            factors.append(coherent_series(alpha, d))
-        else:
-            e0 = np.zeros(d, dtype=np.complex128)
-            e0[0] = 1.0
-            factors.append(e0)
-    amps = factors[0]
-    for f in factors[1:]:
-        amps = np.multiply.outer(amps, f)
-    amps = amps.reshape(-1)
-    n2 = float(np.vdot(amps, amps).real)
-    return PureState(spec, amps, leakage=max(0.0, 1.0 - n2))
+def _prepared_state(config: ExperimentConfig, alpha: complex) -> PureState:
+    """(1/sqrt2)(a1+ a2+ + e^{i phi} b1+ b2+) acting on |alpha> on a3 and b3."""
+    pairs = [("a1", "a2", 1.0), ("b1", "b2", np.exp(1j * config.phi))]
+    return _photon_pairs(config.hilbert_spec(), {"a3": alpha, "b3": alpha}, pairs, SQRT_HALF)
 
 
 def initial_state_bare(config: ExperimentConfig) -> PureState:
     """The photon superposition over vacuum: no injection on the right."""
-    return _photon_superposition(vacuum(config.hilbert_spec()), config.phi)
+    return _prepared_state(config, 0.0)
 
 
 def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
@@ -249,8 +245,7 @@ def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
             CutoffAdequacyWarning,
             stacklevel=2,
         )
-    background = _product_background(config.hilbert_spec(), config.alpha)
-    return _photon_superposition(background, config.phi)
+    return _prepared_state(config, config.alpha)
 
 
 def _splitters(config: ExperimentConfig) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
@@ -276,39 +271,22 @@ def evolve(state: PureState, config: ExperimentConfig) -> PureState:
 def direct_final_state(config: ExperimentConfig) -> PureState:
     """The evolved coherent-input state assembled without evolving anything.
 
-    Displacement products put the transformed coherent backgrounds in place
-    (amplitude t alpha on a3/b3 and -r alpha on a2/b2), then the photon
-    polynomial is written directly in its splitter-transformed form. Agreement
-    with :func:`evolve` of :func:`initial_state_with_coherent` validates the
-    whole optical chain in one residual.
+    The ideal output is
+    (1/2)[(a1+ + b1+)(t a2+ + r a3+) + e^{i phi}(-a1+ + b1+)(t b2+ + r b3+)]
+    acting on |-r alpha> on a2 and b2 and |t alpha> on a3 and b3, written out
+    as eight product terms. Every amplitude is the ideal one, so agreement
+    with :func:`evolve` of :func:`initial_state_with_coherent` measures the
+    simulator's own truncation error over the whole optical chain.
     """
-    spec = config.hilbert_spec()
-    t, r, alpha, phi = config.t, config.r, config.alpha, config.phi
-    background = vacuum(spec)
-    for label, amp in (
-        ("a3", t * alpha),
-        ("a2", -r * alpha),
-        ("b3", t * alpha),
-        ("b2", -r * alpha),
-    ):
-        background = apply(displacement_unitary(spec, label, amp), background)
-
-    raise_op = {m: ladder(spec, m, "raise") for m in MODE_LABELS}
-    arm_a = _combine(
-        spec,
-        [(t, apply(raise_op["a2"], background)), (r, apply(raise_op["a3"], background))],
-    )
-    arm_b = _combine(
-        spec,
-        [(t, apply(raise_op["b2"], background)), (r, apply(raise_op["b3"], background))],
-    )
-    pa = PureState(spec, arm_a)
-    pb = PureState(spec, arm_b)
-    la = _combine(spec, [(1.0, apply(raise_op["a1"], pa)), (1.0, apply(raise_op["b1"], pa))])
-    lb = _combine(spec, [(-1.0, apply(raise_op["a1"], pb)), (1.0, apply(raise_op["b1"], pb))])
-    amps = 0.5 * (la + np.exp(1j * phi) * lb)
-    n2 = float(np.vdot(amps, amps).real)
-    return PureState(spec, amps, leakage=max(0.0, 1.0 - n2))
+    t, r, alpha = config.t, config.r, config.alpha
+    phase = np.exp(1j * config.phi)
+    pairs = [
+        ("a1", "a2", t), ("a1", "a3", r), ("b1", "a2", t), ("b1", "a3", r),
+        ("a1", "b2", -phase * t), ("a1", "b3", -phase * r),
+        ("b1", "b2", phase * t), ("b1", "b3", phase * r),
+    ]
+    amplitudes = {"a2": -r * alpha, "b2": -r * alpha, "a3": t * alpha, "b3": t * alpha}
+    return _photon_pairs(config.hilbert_spec(), amplitudes, pairs, 0.5)
 
 
 def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:

@@ -19,9 +19,10 @@ small cutoffs.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 import numpy as np
 
@@ -288,6 +289,28 @@ def basis_state(spec: HilbertSpec, occupation: Sequence[int]) -> PureState:
     return PureState(spec, amps, leakage=0.0)
 
 
+def product_state(
+    spec: HilbertSpec,
+    terms: Iterable[tuple[complex, Mapping[Union[str, ModeId], np.ndarray]]],
+    scale: float = 1.0,
+) -> PureState:
+    """scale * sum_k c_k (tensor product over the modes of f_km), for terms
+    ``(c_k, {mode: f_km})``; a mode that a term does not name holds its vacuum.
+
+    Each product is formed before its coefficient multiplies it, and the scale
+    multiplies the sum. The norm squared missing from 1 is booked as leakage,
+    so a truncated normalized state reports the tail it lost.
+    """
+    out = np.zeros(spec.dim, dtype=np.complex128)
+    for coeff, named in terms:
+        factors = [np.eye(d, 1, dtype=np.complex128).ravel() for d in spec.dims]
+        for m, vec in named.items():
+            factors[spec.axis_of(m)] = vec
+        out += coeff * functools.reduce(np.multiply.outer, factors).reshape(-1)
+    out *= scale
+    return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
+
+
 def ladder(spec: HilbertSpec, m: Union[str, ModeId], kind: str) -> LinearOperator:
     """Creation ("raise") or annihilation ("lower") operator for one mode.
 
@@ -360,7 +383,7 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
-    """Act with an operator on a state, contracting subset operators in place.
+    """Act with an operator on a state, contracting it against its modes' axes.
 
     A diagonal-flagged operator acts as a mask: its diagonal, broadcast over
     the state's tensor axes, multiplies the amplitudes, which gives the same
@@ -369,29 +392,23 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     to the state's leakage, and the state is never renormalized. The result
     owns its amplitudes, so the new state takes them without a copy.
     """
-    if op.spec == state.spec:
-        if op.diagonal:
-            new = np.diagonal(op.matrix) * state.amplitudes
-        else:
-            new = op.matrix @ state.amplitudes
+    if not state.spec.contains(op.spec):
+        raise ValueError("operator modes/cutoffs do not match the state space")
+    positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
+    tensor = state.amplitudes.reshape(state.spec.dims)
+    if op.diagonal:
+        # positions ascend (both specs list modes in slot order), so the
+        # diagonal reshapes straight onto the state's axes
+        shape = [1] * tensor.ndim
+        for pos, d in zip(positions, op.spec.dims):
+            shape[pos] = d
+        new = (tensor * np.diagonal(op.matrix).reshape(shape)).reshape(-1)
     else:
-        if not state.spec.contains(op.spec):
-            raise ValueError("operator modes/cutoffs do not match the state space")
-        positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
-        tensor = state.amplitudes.reshape(state.spec.dims)
-        if op.diagonal:
-            # positions ascend (both specs list modes in slot order), so the
-            # diagonal reshapes straight onto the state's axes
-            shape = [1] * tensor.ndim
-            for pos, d in zip(positions, op.spec.dims):
-                shape[pos] = d
-            new = (tensor * np.diagonal(op.matrix).reshape(shape)).reshape(-1)
-        else:
-            k = len(positions)
-            op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
-            out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
-            out = np.moveaxis(out, tuple(range(k)), positions)
-            new = np.ascontiguousarray(out).reshape(-1)
+        k = len(positions)
+        op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
+        out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
+        out = np.moveaxis(out, tuple(range(k)), positions)
+        new = np.ascontiguousarray(out).reshape(-1)
     leakage = state.leakage
     if op.unitary:
         old_n2 = state.norm2

@@ -27,8 +27,6 @@ from .hilbert import (
     PureState,
 )
 
-Observable = LinearOperator
-
 _IMAG_ATOL = 1e-10
 
 
@@ -46,7 +44,7 @@ def reduce_left(state: PureState) -> DensityOperator:
     return DensityOperator(left, a @ a.conj().T, leakage=state.leakage)
 
 
-def expectation(rho: DensityOperator, h: Observable) -> float:
+def expectation(rho: DensityOperator, h: LinearOperator) -> float:
     """Tr(rho h) for a hermitian-flagged observable; the imaginary residue
     must stay below 1e-10 and is discarded after the check."""
     if not h.hermitian:
@@ -59,7 +57,7 @@ def expectation(rho: DensityOperator, h: Observable) -> float:
     return value.real
 
 
-def analytic_left_expectation(h: Observable) -> float:
+def analytic_left_expectation(h: LinearOperator) -> float:
     """Closed-form left expectation for the evolved apparatus state.
 
     Independent of the six-mode simulation: on the bare two-mode space it
@@ -103,7 +101,7 @@ def spectral_norm(h: LinearOperator) -> float:
 
 def random_left_observable(
     spec: HilbertSpec, seed: Union[int, Sequence[int]]
-) -> Observable:
+) -> LinearOperator:
     """Seeded random hermitian observable H = (G + G+)/2 on the left space."""
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal(

@@ -14,11 +14,11 @@ truncated space; truncation shows up as a distorted action on pair sectors
 whose total occupation exceeds the smaller cutoff, not as norm loss.
 
 Displacement operators are likewise matrix exponentials of the exact
-anti-hermitian generator alpha a+ - conj(alpha) a, hence exactly unitary.
-Coherent STATES, by contrast, are built from the truncated analytic series
-exp(-|alpha|^2/2) alpha^n / sqrt(n!), so their missing Poisson tail is visible
-as leakage. The cutoff-adequacy rule below keeps that tail below 1e-12 for
-|alpha| <= 2.
+anti-hermitian generator alpha a+ - conj(alpha) a, hence exactly unitary; no
+state of a run is built with them. Coherent STATES are product states of the
+truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!), so their missing Poisson
+tail is visible as leakage. The cutoff-adequacy rule below keeps that tail below
+1e-12 for |alpha| <= 2.
 """
 from __future__ import annotations
 
@@ -38,6 +38,7 @@ from .hilbert import (
     PureState,
     ladder,
     mode,
+    product_state,
     raising_matrix,
 )
 
@@ -180,18 +181,4 @@ def coherent_state(
     """
     a = complex(alpha)
     _check_adequacy(spec, m, a)
-    axis = spec.axis_of(m)
-    factors = []
-    for i, d in enumerate(spec.dims):
-        if i == axis:
-            factors.append(coherent_series(a, d))
-        else:
-            e0 = np.zeros(d, dtype=np.complex128)
-            e0[0] = 1.0
-            factors.append(e0)
-    amps = factors[0]
-    for f in factors[1:]:
-        amps = np.multiply.outer(amps, f)
-    amps = amps.reshape(-1)
-    n2 = float(np.vdot(amps, amps).real)
-    return PureState(spec, amps, leakage=max(0.0, 1.0 - n2))
+    return product_state(spec, [(1.0, {m: coherent_series(a, spec.cutoff_of(m) + 1)})])

@@ -9,8 +9,10 @@ import pytest
 from kalamidas import (
     CutoffAdequacyWarning,
     ExperimentConfig,
+    PureState,
     apply,
     beamsplitter_unitary,
+    coherent_series,
     default_cutoffs,
     direct_final_state,
     evolve,
@@ -18,6 +20,7 @@ from kalamidas import (
     initial_state_bare,
     initial_state_with_coherent,
     inner,
+    ladder,
     number_op,
     run_experiment,
 )
@@ -267,3 +270,66 @@ def test_report_is_identical_when_every_splitter_comes_from_the_cache():
     second = run_experiment(_quick_config()).to_json()
     assert _splitter_matrix.cache_info().misses == built
     assert first == second
+
+
+@pytest.mark.parametrize(
+    "alpha, t, phi", [(1.0, 0.6, 0.0), (1 + 0.5j, 0.8, 1.0)], ids=["real", "complex"]
+)
+def test_direct_final_state_is_the_box_projection_of_a_larger_cutoff(alpha, t, phi):
+    def direct(n):
+        right = {m: n for m in ("a2", "b2", "a3", "b3")}
+        return direct_final_state(ExperimentConfig(alpha=alpha, t=t, phi=phi, cutoffs=right))
+
+    small, large = direct(6), direct(20)
+    box = large.amplitudes.reshape(large.spec.dims)[:, :, :7, :7, :7, :7].reshape(-1)
+    assert np.abs(small.amplitudes - box).max() <= 1e-15
+
+
+def _ladder_built_initial_state(config, alpha):
+    """The photon superposition built by raising a product background, the
+    way the states were assembled before the product builder existed."""
+    spec = config.hilbert_spec()
+    factors = [
+        coherent_series(alpha, d)
+        if m.label in ("a3", "b3")
+        else np.eye(d, 1, dtype=complex).ravel()
+        for m, d in zip(spec.modes, spec.dims)
+    ]
+    background = factors[0]
+    for f in factors[1:]:
+        background = np.multiply.outer(background, f)
+    background = PureState(spec, background.reshape(-1))
+
+    def up(label, state):
+        return apply(ladder(spec, label, "raise"), state)
+
+    sa = up("a1", up("a2", background))
+    sb = up("b1", up("b2", background))
+    amps = np.zeros(spec.dim, dtype=np.complex128)
+    amps += 1.0 * sa.amplitudes
+    amps += np.exp(1j * config.phi) * sb.amplitudes
+    return SQRT_HALF * amps
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 1 + 0.5j])
+@pytest.mark.parametrize("phi", [0.0, math.pi / 3, 1.0, math.pi])
+def test_initial_states_equal_the_ladder_construction(alpha, phi):
+    config = ExperimentConfig(alpha=alpha, phi=phi, cutoffs=(1, 1, 3, 3, 6, 6))
+    bare = initial_state_bare(config)
+    injected = initial_state_with_coherent(config)
+    assert np.array_equal(bare.amplitudes, _ladder_built_initial_state(config, 0.0))
+    assert np.array_equal(injected.amplitudes, _ladder_built_initial_state(config, alpha))
+    assert bare.leakage == 0.0
+    assert injected.leakage == max(0.0, 1.0 - injected.norm2)
+
+
+def test_undersized_run_warns_once_at_config_level():
+    right = {m: 3 for m in ("a2", "b2", "a3", "b3")}
+    config = ExperimentConfig(alpha=1.0, cutoffs=right, trials=3)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(config)
+    adequacy = [w for w in caught if issubclass(w.category, CutoffAdequacyWarning)]
+    assert len(adequacy) == 1
+    assert "right-mode cutoffs" in str(adequacy[0].message)

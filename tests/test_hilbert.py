@@ -21,6 +21,7 @@ from kalamidas import (
     number_op,
     vacuum,
 )
+from kalamidas.hilbert import product_state
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -294,3 +295,33 @@ def test_apply_result_is_read_only_and_callers_arrays_are_copied(quick_spec):
     assert not out.amplitudes.flags.writeable
     with pytest.raises(ValueError):
         out.amplitudes[0] = 1.0
+
+
+def test_product_state_matches_the_kron_chain(quick_spec):
+    rng = np.random.default_rng(17)
+
+    def vec(d):
+        return 0.3 * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+
+    f_a2, f_b3 = vec(3), vec(3)
+    g_a1, g_a3 = vec(2), vec(3)
+    terms = [(0.7 - 0.2j, {"a2": f_a2, "b3": f_b3}), (1.3, {"a1": g_a1, "a3": g_a3})]
+    state = product_state(quick_spec, terms, scale=0.9)
+
+    def chain(named):
+        vacua = (np.eye(d, 1).ravel() for d in quick_spec.dims)
+        factors = [named.get(m, e0) for m, e0 in zip(MODE_LABELS, vacua)]
+        out = factors[0]
+        for f in factors[1:]:
+            out = np.kron(out, f)
+        return out
+
+    expected = 0.9 * sum(c * chain(named) for c, named in terms)
+    assert np.allclose(state.amplitudes, expected, rtol=0, atol=1e-15)
+    norm2 = float(np.vdot(expected, expected).real)
+    assert norm2 < 1.0
+    assert state.leakage == pytest.approx(1.0 - norm2, abs=1e-15)
+    assert product_state(quick_spec, [(1.0, {})]).amplitudes[0] == 1.0
+    assert product_state(quick_spec, [(1.0, {})]).leakage == 0.0
+    with pytest.raises(ValueError):
+        product_state(quick_spec, [(1.0, {"a2": vec(4)})])

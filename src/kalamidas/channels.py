@@ -241,7 +241,6 @@ class OccupationScan:
     """
 
     left_spec: HilbertSpec
-    mode_labels: tuple[str, ...]
     occupations: tuple[tuple[int, ...], ...]
     probabilities: np.ndarray
     grams: np.ndarray
@@ -286,7 +285,6 @@ def conditional_left_by_occupation(
     occupations = tuple(sub.occupation_of(i) for i in range(sub.dim))
     return OccupationScan(
         left_spec=left,
-        mode_labels=sub.labels,
         occupations=occupations,
         probabilities=probabilities,
         grams=grams,

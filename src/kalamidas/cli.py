@@ -2,7 +2,8 @@
 
 Runs one experiment configuration and emits the JSON report to stdout or to a
 file. Exit status: 0 when the verdict is pass, 1 when any residual exceeds its
-tolerance, 2 on usage or configuration errors.
+tolerance (each such check is named on stderr as ``name: residual >
+tolerance``), 2 on usage or configuration errors.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .experiment import SQRT_HALF, ExperimentConfig, run_experiment
+from .experiment import SQRT_HALF, ExperimentConfig, check_memory, run_experiment
 from .hilbert import MODE_LABELS
 
 
@@ -90,12 +91,6 @@ def _parse_cutoffs(entries: Sequence[str]) -> dict[str, int]:
     return out
 
 
-# Peak resident memory of a run per byte of one state vector: 368 MB for the
-# 15 MB state at alpha = 1 (the evolved states, the channel battery's
-# branches and the interpreter together).
-_PEAK_PER_STATE_BYTE = 25
-
-
 def _check_emit(path: str) -> None:
     """Raise ValueError unless the report can be written to ``path``."""
     if path == "-":
@@ -110,21 +105,6 @@ def _check_emit(path: str) -> None:
         )
     if not os.access(target if os.path.exists(target) else folder, os.W_OK):
         raise ValueError(f"cannot write the report to {path}: permission denied")
-
-
-def _check_memory(config: ExperimentConfig) -> None:
-    """Raise ValueError when the run's estimated peak exceeds physical memory."""
-    dim = config.hilbert_spec().dim
-    need = _PEAK_PER_STATE_BYTE * 16 * dim
-    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if need > have:
-        cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
-        raise ValueError(
-            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
-            f"{dim:.3g} amplitudes per state, an estimated {need / 2**30:.3g} GiB "
-            f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
-            f"lower |alpha| or the cutoffs"
-        )
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -146,7 +126,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tolerance=args.tolerance,
         )
         _check_emit(args.emit)
-        _check_memory(config)
+        check_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -158,6 +138,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(text)
+    for name, residual in report.residuals.items():
+        tolerance = report.tolerances[name]
+        if not residual <= tolerance:
+            print(f"{name}: {residual:.3e} > {tolerance:.3e}", file=sys.stderr)
     return 0 if report.verdict == "pass" else 1
 
 

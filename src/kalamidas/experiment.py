@@ -24,7 +24,9 @@ around 1; at the bare adequacy cutoff that residual sits near 1e-7.
 """
 from __future__ import annotations
 
+import functools
 import math
+import os
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Union
@@ -196,6 +198,27 @@ class ExperimentConfig:
         return HilbertSpec(MODES, self.cutoffs)
 
 
+# Peak resident memory of a run per byte of one state vector: 368 MB for the
+# 15 MB state at alpha = 1 (the evolved states, the channel battery's
+# branches and the interpreter together).
+_PEAK_PER_STATE_BYTE = 25
+
+
+def check_memory(config: ExperimentConfig) -> None:
+    """Raise ValueError when the run's estimated peak exceeds physical memory."""
+    dim = config.hilbert_spec().dim
+    need = _PEAK_PER_STATE_BYTE * 16 * dim
+    have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if need > have:
+        cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
+        raise ValueError(
+            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
+            f"{dim:.3g} amplitudes per state, an estimated {need / 2**30:.3g} GiB "
+            f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
+            f"lower |alpha| or the cutoffs"
+        )
+
+
 def _photon_pairs(
     spec: HilbertSpec,
     amplitudes: Mapping[str, complex],
@@ -266,6 +289,54 @@ def evolve(state: PureState, config: ExperimentConfig) -> PureState:
     out = apply(beamsplitter_unitary(spec, arm_a), out)
     out = apply(beamsplitter_unitary(spec, left), out)
     return out
+
+
+def evolve_and_reduce(
+    config: ExperimentConfig, injected: bool
+) -> tuple[PureState, DensityOperator, float]:
+    """One preparation, injected or bare, evolved and reduced: (final state,
+    its left state, the prepared state's leakage)."""
+    prepared = (initial_state_with_coherent if injected else initial_state_bare)(config)
+    final = evolve(prepared, config)
+    return final, reduce_left(final), prepared.leakage
+
+
+def no_signaling_rows(
+    config: ExperimentConfig, rho_with: DensityOperator, rho_bare: DensityOperator
+) -> tuple[tuple[str, float, float], ...]:
+    """The trace_distance and signaling_gap check rows (name, residual,
+    tolerance). Their one tolerance is the base plus the larger leakage of the
+    left states, the run's largest, since evolution only adds leakage."""
+    gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
+    tolerance = config.tolerance + max(rho_with.leakage, rho_bare.leakage)
+    return (
+        ("trace_distance", trace_distance(rho_with, rho_bare), tolerance),
+        ("signaling_gap", gap, tolerance),
+    )
+
+
+def selective_ranking(
+    final: PureState, rho: DensityOperator
+) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
+    """Every (a2, b2) outcome above PROBABILITY_FLOOR as (occupation,
+    probability, contrast, conditional left state), and the mixture; ``rho``
+    is the left state of ``final``. Row 0 is the report's outcome: in scan
+    order, a later outcome wins only when its probability times contrast is
+    larger by more than 1e-15. The rest follow by that product, descending."""
+    scan = conditional_left_by_occupation(final, _SCAN_PAIR)
+    baseline = DensityOperator(rho.spec, rho.matrix / rho.trace)
+    rows = []
+    for k, p in enumerate(scan.probabilities):
+        if p < PROBABILITY_FLOOR:
+            continue
+        conditional = scan.conditional(k)
+        contrast = trace_distance(conditional, baseline)
+        rows.append((scan.occupations[k], float(p), contrast, conditional))
+    score = [p * contrast for _, p, contrast, _ in rows]
+    ks = range(len(rows))
+    best = functools.reduce(lambda i, j: j if score[j] > score[i] + 1e-15 else i, ks)
+    order = sorted(ks, key=lambda i: (i != best, -score[i]))  # stable: ties keep scan order
+    return [rows[i] for i in order], scan.mixture()
 
 
 def direct_final_state(config: ExperimentConfig) -> PureState:
@@ -394,44 +465,34 @@ def _render_json(value, indent: int = 0) -> str:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
-    Order: Heisenberg checks on the three splitters; construction of both
-    initial states; evolution; left reduction; trace distance and signaling
-    gap; comparison against the analytic left-expectation oracle; invariance
-    under right-side unitary, projective, and Kraus channels; the selective
-    demonstration with its mixture-restoration check.
+    Order: Heisenberg checks on the three splitters; the injected, then the
+    bare preparation, evolved and reduced (:func:`evolve_and_reduce`); the
+    structure check; trace distance and gap (:func:`no_signaling_rows`); the
+    analytic oracle; invariance under right-side unitary, projective, and Kraus
+    channels; the selective ranking (:func:`selective_ranking`) and mixture.
     """
     spec = config.hilbert_spec()
     heis = heisenberg_residuals(config)
 
-    psi_with0 = initial_state_with_coherent(config)
-    psi_bare0 = initial_state_bare(config)
-    psi_with = evolve(psi_with0, config)
-    psi_bare = evolve(psi_bare0, config)
-
+    psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
+    rho_bare, leak_bare = evolve_and_reduce(config, injected=False)[1:]
     leakage = {
-        "initial_bare": psi_bare0.leakage,
-        "initial_with_coherent": psi_with0.leakage,
-        "final_bare": psi_bare.leakage,
+        "initial_bare": leak_bare,
+        "initial_with_coherent": leak_with,
+        "final_bare": rho_bare.leakage,
         "final_with_coherent": psi_with.leakage,
     }
     leak_max = max(leakage.values())
-
-    rho_with = reduce_left(psi_with)
-    rho_bare = reduce_left(psi_bare)
     # every left state the run produces, for the reduced_invariants check
     reduced = [rho_with, rho_bare]
-
-    td = trace_distance(rho_with, rho_bare)
-    gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
 
     structure = float(
         np.linalg.norm(psi_with.amplitudes - direct_final_state(config).amplitudes)
     )
 
-    left = rho_with.spec
     oracle = 0.0
     for k in range(config.trials):
-        h = random_left_observable(left, (config.seed, 4, k))
+        h = random_left_observable(rho_with.spec, (config.seed, 4, k))
         deviation = abs(expectation(rho_with, h) - analytic_left_expectation(h))
         oracle = max(oracle, deviation / spectral_norm(h))
 
@@ -451,25 +512,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ]
     reduced += after_unitary + [after_projective] + after_kraus
 
-    scan = conditional_left_by_occupation(psi_with, _SCAN_PAIR)
-    trace_w = rho_with.trace
-    baseline = DensityOperator(left, rho_with.matrix / trace_w)
-    best_k, best_score, best_contrast = -1, -1.0, 0.0
-    for k, p in enumerate(scan.probabilities):
-        if p < PROBABILITY_FLOOR:
-            continue
-        conditional = scan.conditional(k)
-        reduced.append(conditional)
-        contrast = trace_distance(conditional, baseline)
-        score = p * contrast
-        if score > best_score + 1e-15:
-            best_k, best_score, best_contrast = k, score, contrast
-    mixture = scan.mixture()
-    reduced.append(mixture)
+    ranked, mixture = selective_ranking(psi_with, rho_with)
+    reduced += [row[3] for row in ranked] + [mixture]
+    occupation, probability, contrast, _ = ranked[0]
     selective = {
-        "outcome": dict(zip(scan.mode_labels, scan.occupations[best_k])),
-        "probability": float(scan.probabilities[best_k]),
-        "conditional_trace_distance": best_contrast,
+        "outcome": dict(zip(_SCAN_PAIR, occupation)),
+        "probability": probability,
+        "conditional_trace_distance": contrast,
     }
 
     def moved(states: list[DensityOperator]) -> float:
@@ -479,8 +528,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     checks = (
         *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
         ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
-        ("trace_distance", td, base + leak_max),
-        ("signaling_gap", gap, base + leak_max),
+        *no_signaling_rows(config, rho_with, rho_bare),
         ("left_oracle", oracle, base + leak_max),
         ("channel_unitary", moved(after_unitary), _EXACT_CHECK_TOL),
         ("channel_projective", trace_distance(after_projective, rho_with), _EXACT_CHECK_TOL),

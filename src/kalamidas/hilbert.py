@@ -306,7 +306,11 @@ def product_state(
         factors = [np.eye(d, 1, dtype=np.complex128).ravel() for d in spec.dims]
         for m, vec in named.items():
             factors[spec.axis_of(m)] = vec
-        out += coeff * functools.reduce(np.multiply.outer, factors).reshape(-1)
+        product = functools.reduce(np.multiply.outer, factors).reshape(-1)
+        # scaled in place when the outer products made it; a lone factor is
+        # the caller's own vector
+        out += np.multiply(coeff, product, out=product if len(factors) > 1 else None)
+        del product  # before the next term's product is formed
     out *= scale
     return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
 

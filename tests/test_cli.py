@@ -89,6 +89,23 @@ def test_forced_failure_exits_1():
     assert json.loads(proc.stdout)["verdict"] == "fail"
 
 
+def test_failing_checks_are_named_on_stderr(capsys):
+    assert main(QUICK_ARGS + ["--tolerance", "1e-30"]) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    over = {
+        name: (res, doc["tolerances"][name])
+        for name, res in doc["residuals"].items()
+        if res > doc["tolerances"][name]
+    }
+    assert set(over) == {"structure", "left_oracle"}
+    assert err.splitlines() == [
+        f"{name}: {res:.3e} > {tol:.3e}" for name, (res, tol) in over.items()
+    ]
+    assert main(QUICK_ARGS) == 0
+    assert capsys.readouterr().err == ""
+
+
 def _declared_script_help():
     """Run ``kalamidas --help`` through the entry point that pyproject.toml
     declares, loaded from this source tree."""

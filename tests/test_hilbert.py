@@ -325,3 +325,12 @@ def test_product_state_matches_the_kron_chain(quick_spec):
     assert product_state(quick_spec, [(1.0, {})]).leakage == 0.0
     with pytest.raises(ValueError):
         product_state(quick_spec, [(1.0, {"a2": vec(4)})])
+
+
+def test_one_mode_product_state_leaves_the_callers_vector_alone():
+    spec = HilbertSpec((mode("a3"),), (3,))
+    vec = np.array([0.5, 0.5j, -0.5, 0.25 + 0.25j])
+    kept = vec.copy()
+    state = product_state(spec, [(2.0 - 1.0j, {"a3": vec})], scale=0.5)
+    assert np.array_equal(vec, kept)
+    assert np.array_equal(state.amplitudes, 0.5 * ((2.0 - 1.0j) * kept))

@@ -1,10 +1,12 @@
 """The scripts' command lines: bad input is refused with exit 2 before any
-output, and a valid sweep prints its table."""
+output, a valid sweep prints its table, and the scan ranks as the report does."""
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from kalamidas import ExperimentConfig, run_experiment
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 SWEEP = SCRIPTS / "parameter_sweep.py"
@@ -27,8 +29,13 @@ def _run(script, *args):
         (SWEEP, ["--alphas", "0", "--ts", "0.6,1.5", "--phis", "0", "--trials", "3"]),
         (SCAN, ["--t", "1.5"]),
         (SCAN, ["--alpha-re", "nan"]),
+        (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),
+        (SCAN, ["--alpha-re", "50"]),
     ],
-    ids=["sweep-t", "sweep-tolerance", "sweep-trials", "sweep-late-point", "scan-t", "scan-alpha"],
+    ids=[
+        "sweep-t", "sweep-tolerance", "sweep-trials", "sweep-late-point", "scan-t",
+        "scan-alpha", "sweep-memory", "scan-memory",
+    ],
 )
 def test_bad_input_exits_2_before_any_output(script, args):
     proc = _run(script, *args)
@@ -45,3 +52,14 @@ def test_one_point_sweep_prints_its_table():
     assert lines[2].split()[:3] == ["0.000", "0.6000", "0.0000"]
     assert lines[2].endswith("pass")
     assert lines[-1] == "all points within 1e-09: no signaling observed"
+
+
+def test_scan_names_the_reports_selective_outcome():
+    proc = _run(SCAN, "--alpha-re", "0", "--top", "2")
+    assert proc.returncode == 0
+    lines = proc.stdout.splitlines()
+    first = tuple(int(n) for n in lines[2].split()[:2])
+    assert first == (0, 1)
+    assert lines[5].startswith(f"top outcome {first}:")
+    outcome = run_experiment(ExperimentConfig(alpha=0.0, trials=3)).selective["outcome"]
+    assert (outcome["a2"], outcome["b2"]) == first

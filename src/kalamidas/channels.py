@@ -35,6 +35,7 @@ from .hilbert import (
     ModeId,
     PureState,
     apply,
+    total_occupations,
 )
 from .nosignal import reduce_left
 
@@ -169,16 +170,15 @@ def occupation_projectors(
     """
     sub = spec.subspace(modes)
     _require_right_modes(sub)
-    occupations = [sub.occupation_of(i) for i in range(sub.dim)]
     if group == "total":
-        keys = [sum(occ) for occ in occupations]
+        keys = total_occupations(sub.dims)
     elif group == "tuple":
-        keys = list(range(sub.dim))
+        keys = np.arange(sub.dim)
     else:
         raise ValueError(f"group must be 'total' or 'tuple', got {group!r}")
     projectors = []
-    for key in sorted(set(keys)):
-        diag = np.array([1.0 if k == key else 0.0 for k in keys], dtype=np.complex128)
+    for key in np.unique(keys):
+        diag = (keys == key).astype(np.complex128)
         projectors.append(
             LinearOperator(sub, np.diag(diag), hermitian=True, diagonal=True)
         )

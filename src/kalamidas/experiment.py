@@ -53,6 +53,7 @@ from .hilbert import (
     ladder,
     product_state,
     raising_matrix,
+    total_occupations,
 )
 from .nosignal import (
     analytic_left_expectation,
@@ -202,18 +203,27 @@ class ExperimentConfig:
 # 15 MB state at alpha = 1 (the evolved states, the channel battery's
 # branches and the interpreter together).
 _PEAK_PER_STATE_BYTE = 25
+# Peak traced memory of building one dense operator on a mode pair of
+# dimension d = d_x d_y, per byte of its d^2 complex entries: 9.0 for a
+# splitter (expm), 10.1 for a Kraus family (QR of a 3d x d matrix) and 4.1 for
+# a Haar unitary. The largest is charged for every pair a run builds on.
+_PEAK_PER_PAIR_OPERATOR_BYTE = 10.1
 
 
 def check_memory(config: ExperimentConfig) -> None:
-    """Raise ValueError when the run's estimated peak exceeds physical memory."""
-    dim = config.hilbert_spec().dim
-    need = _PEAK_PER_STATE_BYTE * 16 * dim
+    """Raise ValueError when the run's estimated peak exceeds physical memory:
+    its states, plus the largest dense operator it builds on a mode pair."""
+    spec = config.hilbert_spec()
+    dim = spec.dim
+    pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
+    need = 16 * (_PEAK_PER_STATE_BYTE * dim + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2)
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
         raise ValueError(
             f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
-            f"{dim:.3g} amplitudes per state, an estimated {need / 2**30:.3g} GiB "
+            f"{dim:.3g} amplitudes per state and dense operators on mode pairs "
+            f"of up to {pair:.3g} levels, an estimated {need / 2**30:.3g} GiB "
             f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
             f"lower |alpha| or the cutoffs"
         )
@@ -381,7 +391,7 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
             (rx, bs.t * rx.matrix + bs.r * ry.matrix),
             (ry, -bs.r * rx.matrix + bs.t * ry.matrix),
         )
-        totals = np.array([sum(sub.occupation_of(i)) for i in range(sub.dim)])
+        totals = total_occupations(sub.dims)
         mmin = min(sub.cutoffs)
         rows = totals <= mmin
         cols = totals <= mmin - 1

@@ -12,17 +12,21 @@ squared lost at a cutoff boundary is tracked in the ``leakage`` field of
 :class:`PureState`, so every accuracy claim downstream can be tied to it.
 
 Operators may live on the full space or on a subspace spanned by a subset of
-the modes. :func:`apply` contracts a subset operator directly against the
-matching tensor axes of the state, which keeps the cost linear in the state
-size; :func:`embed` materializes the full matrix and is only economical at
-small cutoffs.
+the modes. :func:`apply` acts with a subset operator directly on the matching
+tensor axes of the state, which keeps the cost linear in the state size; it
+has three paths, each chosen by the operator's own verified structure: a
+diagonal operator multiplies the amplitudes as a mask, an operator with
+sectors (a block-diagonal one, such as a beam splitter, whose blocks are the
+total-occupation sectors of its modes) multiplies one block per sector, and
+any other operator is contracted densely. :func:`embed` materializes the full
+matrix and is only economical at small cutoffs.
 """
 from __future__ import annotations
 
 import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -144,6 +148,12 @@ class HilbertSpec:
         )
 
 
+def total_occupations(dims: Sequence[int]) -> np.ndarray:
+    """The total photon number of every basis index of a space with these
+    per-mode dimensions, in basis order."""
+    return np.indices(tuple(dims)).sum(axis=0).ravel()
+
+
 def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
     """A read-only complex128 array: a private copy of a caller's array, or,
     when ``fresh``, the complex128 array itself, which its creator hands over
@@ -187,15 +197,27 @@ class PureState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
+Sectors = tuple[tuple[slice, np.ndarray], ...]
+
+
 @dataclass(frozen=True)
 class LinearOperator:
-    """Complex square matrix on a HilbertSpec, with optional structure flags.
+    """Complex square matrix on a HilbertSpec, with optional structure.
 
     The hermitian and diagonal flags are verified at construction; a diagonal
     operator must have exactly zero off-diagonal entries, since :func:`apply`
     then multiplies by its diagonal and never reads the rest. The unitary flag
     is a declaration used by :func:`apply` for leakage bookkeeping; truncated
     unitaries satisfy it up to the tolerance declared where they are built.
+
+    ``sectors``, when given, is a block-diagonal decomposition of the matrix:
+    pairs (indices, block), the indices a slice of the basis (a strided run,
+    as a two-mode total-occupation sector is). Construction verifies that the
+    slices cover every basis index once, that each block equals
+    ``matrix[indices, indices]`` exactly and that every entry outside the
+    blocks is zero, since :func:`apply` then multiplies by the blocks and
+    never reads the rest. Read-only complex128 blocks are kept, not copied,
+    so operators built from one cache share one set.
     """
 
     spec: HilbertSpec
@@ -203,6 +225,7 @@ class LinearOperator:
     hermitian: bool = False
     unitary: bool = False
     diagonal: bool = False
+    sectors: Optional[Sectors] = None
 
     def __post_init__(self) -> None:
         m = _readonly(self.matrix)
@@ -211,6 +234,25 @@ class LinearOperator:
                 f"matrix shape {m.shape} does not match dim {self.spec.dim}"
             )
         object.__setattr__(self, "matrix", m)
+        if self.sectors is not None:
+            sectors = tuple(
+                (sl, _readonly(block, fresh=not block.flags.writeable))
+                for sl, block in self.sectors
+            )
+            basis = np.arange(self.spec.dim)
+            covered = np.sort(np.concatenate([basis[sl] for sl, _ in sectors]))
+            if not np.array_equal(covered, basis):
+                raise ValueError("sector indices must cover every basis index once")
+            # real and imaginary parts are counted separately: on a float
+            # view of the matrix that is faster than a complex count
+            inside = 0
+            for sl, block in sectors:
+                if not np.array_equal(block, m[sl, sl]):
+                    raise ValueError(f"sector block on indices {sl} differs from the matrix")
+                inside += np.count_nonzero(block.real) + np.count_nonzero(block.imag)
+            if np.count_nonzero(m.view(np.float64)) != inside:
+                raise ValueError("the matrix has nonzero entries outside the sectors")
+            object.__setattr__(self, "sectors", sectors)
         if self.hermitian:
             defect = float(np.abs(m - m.conj().T).max())
             if defect > _HERMITIAN_ATOL:
@@ -225,6 +267,7 @@ class LinearOperator:
                 )
 
     def adjoint(self) -> "LinearOperator":
+        """The conjugate transpose; it carries the flags but not the sectors."""
         return LinearOperator(
             self.spec, self.matrix.conj().T,
             hermitian=self.hermitian, unitary=self.unitary, diagonal=self.diagonal,
@@ -387,19 +430,27 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
-    """Act with an operator on a state, contracting it against its modes' axes.
+    """Act with an operator on a state, on its modes' tensor axes only.
 
-    A diagonal-flagged operator acts as a mask: its diagonal, broadcast over
-    the state's tensor axes, multiplies the amplitudes, which gives the same
-    numbers as the contraction without summing over zero entries. Unitary-
-    flagged operators track truncation: any norm squared they lose is added
-    to the state's leakage, and the state is never renormalized. The result
-    owns its amplitudes, so the new state takes them without a copy.
+    The operator's own verified structure picks one of three paths; each
+    skips the operator's zero entries and otherwise computes what the dense
+    contraction computes:
+
+    - diagonal: the diagonal, broadcast over the state's axes, multiplies the
+      amplitudes as a mask;
+    - sectors: with the operator's axes moved first, the rows of each
+      sector are multiplied by its block in place, one sector at a time;
+    - otherwise: a dense contraction against the operator's axes.
+
+    Unitary-flagged operators track truncation: any norm squared they lose is
+    added to the state's leakage, and the state is never renormalized. The
+    result owns its amplitudes, so the new state takes them without a copy.
     """
     if not state.spec.contains(op.spec):
         raise ValueError("operator modes/cutoffs do not match the state space")
     positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
     tensor = state.amplitudes.reshape(state.spec.dims)
+    k = len(positions)
     if op.diagonal:
         # positions ascend (both specs list modes in slot order), so the
         # diagonal reshapes straight onto the state's axes
@@ -407,8 +458,19 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
         for pos, d in zip(positions, op.spec.dims):
             shape[pos] = d
         new = (tensor * np.diagonal(op.matrix).reshape(shape)).reshape(-1)
+    elif op.sectors is not None:
+        first = tuple(range(k))
+        moved = np.moveaxis(tensor, positions, first)
+        rest = moved.shape[k:]
+        pair_major = moved.reshape(op.spec.dim, -1)
+        out = np.empty_like(pair_major)
+        for sl, block in op.sectors:
+            # strided row views: BLAS reads and writes them in place
+            np.matmul(block, pair_major[sl], out=out[sl])
+        del pair_major  # freed before the copy back into slot order
+        out = np.moveaxis(out.reshape(op.spec.dims + rest), first, positions)
+        new = np.ascontiguousarray(out).reshape(-1)
     else:
-        k = len(positions)
         op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
         out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
         out = np.moveaxis(out, tuple(range(k)), positions)

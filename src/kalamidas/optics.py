@@ -36,10 +36,12 @@ from .hilbert import (
     LinearOperator,
     ModeId,
     PureState,
+    Sectors,
     ladder,
     mode,
     product_state,
     raising_matrix,
+    total_occupations,
 )
 
 
@@ -107,25 +109,27 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 
     With t = 1, r = 0 this is the identity. The generator commutes with the
     pair's total photon number, so every complete total-occupation sector is
-    rotated exactly.
+    rotated exactly, and the matrix is block-diagonal by that number: the
+    operator carries one block per total as its sectors, which :func:`apply`
+    multiplies one at a time instead of taking the mask or dense path.
 
     The matrix depends only on the pair's dimensions and on theta, not on
     which modes the pair holds, so it is built once per (dimensions, theta)
-    and kept in a small cache: both arm splitters of a configuration, every
-    phase and every call of one run share one build.
+    and kept in a small cache with its sectors: both arm splitters of a
+    configuration, every phase and every call of one run share one build.
     """
     x, y = bs.mode_pair
     sub = spec.subspace((x, y))
-    return LinearOperator(
-        sub, _splitter_matrix(sub.dims, math.atan2(bs.r, bs.t)), unitary=True
-    )
+    matrix, sectors = _splitter_matrix(sub.dims, math.atan2(bs.r, bs.t))
+    return LinearOperator(sub, matrix, unitary=True, sectors=sectors)
 
 
 # Holds the two matrices of one configuration (left pair and arm pairs); a
 # sweep that moves to the next t or alpha evicts the arm matrix it left.
 @functools.lru_cache(maxsize=2)
-def _splitter_matrix(dims: tuple[int, int], theta: float) -> np.ndarray:
-    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, read-only."""
+def _splitter_matrix(dims: tuple[int, int], theta: float) -> tuple[np.ndarray, Sectors]:
+    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, and its
+    blocks per total occupation, sliced from it; all read-only."""
     lower_x = raising_matrix(dims[0]).conj().T
     lower_y = raising_matrix(dims[1]).conj().T
     gen = theta * (
@@ -133,7 +137,17 @@ def _splitter_matrix(dims: tuple[int, int], theta: float) -> np.ndarray:
     )
     out = expm(gen)
     out.setflags(write=False)
-    return out
+    totals = total_occupations(dims)
+    sectors = []
+    for n in range(int(totals.max()) + 1):
+        # n + (d_y - 1) n_x over the n_x the pair admits: a strided run
+        idx = np.flatnonzero(totals == n)
+        step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+        sl = slice(int(idx[0]), int(idx[-1]) + 1, step)
+        block = out[sl, sl].copy()
+        block.setflags(write=False)
+        sectors.append((sl, block))
+    return out, tuple(sectors)
 
 
 def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:

@@ -189,6 +189,20 @@ def test_oversized_alpha_exits_2_before_allocating(capsys, monkeypatch, alpha):
     assert grown_kb < 16 * 1024
 
 
+def test_oversized_pair_operator_exits_2_before_allocating(capsys, monkeypatch):
+    # an 11.6 MB state whose (a2, a3) splitter would be a dense 90601 x 90601 matrix
+    _stop_at_battery(monkeypatch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    argv = ["--alpha-re", "0", "--cutoff", "a2=300", "--cutoff", "a3=300",
+            "--cutoff", "b2=1", "--cutoff", "b3=0", "--trials", "3"]
+    assert main(argv) == 2
+    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "mode pairs" in err
+    assert grown_kb < 16 * 1024
+
+
 def test_alpha_two_passes_the_memory_check(monkeypatch):
     _stop_at_battery(monkeypatch)
     with pytest.raises(_BatteryReached):

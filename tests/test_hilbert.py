@@ -7,12 +7,14 @@ from hypothesis import strategies as st
 from kalamidas import (
     MODE_LABELS,
     MODES,
+    BeamSplitter,
     DensityOperator,
     HilbertSpec,
     LinearOperator,
     PureState,
     apply,
     basis_state,
+    beamsplitter_unitary,
     embed,
     identity,
     inner,
@@ -21,7 +23,7 @@ from kalamidas import (
     number_op,
     vacuum,
 )
-from kalamidas.hilbert import product_state
+from kalamidas.hilbert import product_state, total_occupations
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -334,3 +336,89 @@ def test_one_mode_product_state_leaves_the_callers_vector_alone():
     state = product_state(spec, [(2.0 - 1.0j, {"a3": vec})], scale=0.5)
     assert np.array_equal(vec, kept)
     assert np.array_equal(state.amplitudes, 0.5 * ((2.0 - 1.0j) * kept))
+
+
+# a2, a3 make a 4 x 5 pair, b2, b3 a 3 x 3 pair and a1, b1 a 2 x 2 pair
+_RAGGED = HilbertSpec(MODES, (1, 1, 3, 2, 4, 2))
+_SPLITTER_PAIRS = [("a2", "a3"), ("b2", "b3"), ("a1", "b1")]
+
+
+def _random_state(spec, seed, leakage=0.0):
+    rng = np.random.default_rng(seed)
+    amps = rng.standard_normal(spec.dim) + 1j * rng.standard_normal(spec.dim)
+    return PureState(spec, amps / np.linalg.norm(amps), leakage=leakage)
+
+
+def test_total_occupations_match_the_occupation_tuples():
+    for spec in (_RAGGED, _RAGGED.subspace(("a2", "a3")), _RAGGED.subspace(("b3",))):
+        expected = [sum(spec.occupation_of(i)) for i in range(spec.dim)]
+        assert total_occupations(spec.dims).tolist() == expected
+
+
+@pytest.mark.parametrize("pair", _SPLITTER_PAIRS)
+@pytest.mark.parametrize("t,r", [(0.6, 0.8), (0.8, -0.6)])
+def test_sector_apply_equals_the_dense_apply(pair, t, r):
+    u = beamsplitter_unitary(_RAGGED, BeamSplitter(pair, t, r))
+    assert u.sectors is not None
+    dense = LinearOperator(u.spec, u.matrix, unitary=True)
+    # a block-diagonal operator that loses norm, so leakage is booked
+    shrunk = LinearOperator(
+        u.spec, 0.9 * u.matrix, unitary=True,
+        sectors=tuple((sl, 0.9 * block) for sl, block in u.sectors),
+    )
+    shrunk_dense = LinearOperator(u.spec, 0.9 * u.matrix, unitary=True)
+    psi = _random_state(_RAGGED, 5, leakage=0.125)
+    for op, ref in ((u, dense), (shrunk, shrunk_dense)):
+        got, want = apply(op, psi), apply(ref, psi)
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.leakage == want.leakage
+    assert apply(shrunk, psi).leakage > 0.125 + 0.1
+    # the operator's own space, no other modes: the dense path is then a
+    # matrix-vector product, whose rounding differs from a matrix product's
+    alone = _random_state(u.spec, 6)
+    got, want = apply(u, alone).amplitudes, apply(dense, alone).amplitudes
+    assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+def test_mismatched_sectors_are_refused():
+    u = beamsplitter_unitary(_RAGGED, BeamSplitter(("a2", "a3"), 0.6, 0.8))
+    sectors = list(u.sectors)
+    LinearOperator(u.spec, u.matrix, sectors=tuple(sectors))
+
+    sl, block = sectors[3]
+    nudged = block.copy()
+    nudged[0, 0] += 1e-12
+    with pytest.raises(ValueError, match="differs"):
+        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors[:3] + [(sl, nudged)] + sectors[4:]))
+
+    stray = u.matrix.copy()
+    stray[0, u.spec.dim - 1] = 1e-300  # (0, 0) to (3, 4): totals 0 and 7
+    with pytest.raises(ValueError, match="outside"):
+        LinearOperator(u.spec, stray, sectors=u.sectors)
+
+    with pytest.raises(ValueError, match="cover"):
+        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors[:-1]))
+    with pytest.raises(ValueError, match="cover"):
+        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors + sectors[-1:]))
+
+
+def test_sector_blocks_are_read_only_and_writable_ones_are_copied():
+    u = beamsplitter_unitary(_RAGGED, BeamSplitter(("b2", "b3"), 0.6, 0.8))
+    given = [(sl, block.copy()) for sl, block in u.sectors]
+    op = LinearOperator(u.spec, u.matrix, sectors=tuple(given))
+    for (_, kept), (_, mine) in zip(op.sectors, given):
+        assert kept is not mine and not kept.flags.writeable
+    given[0][1][0, 0] = 7.0
+    assert op.sectors[0][1][0, 0] == u.sectors[0][1][0, 0]
+
+
+def test_adjoint_and_embed_drop_the_sectors():
+    u = beamsplitter_unitary(_RAGGED, BeamSplitter(("a2", "a3"), 0.6, 0.8))
+    back = u.adjoint()
+    assert back.sectors is None and back.unitary
+    psi = _random_state(_RAGGED, 7)
+    there_and_back = apply(back, apply(u, psi))
+    assert np.allclose(there_and_back.amplitudes, psi.amplitudes, rtol=0, atol=1e-14)
+    wider = _RAGGED.subspace(("a2", "b2", "a3"))
+    assert embed(u, wider).sectors is None
+    assert embed(u, u.spec) is u

@@ -211,6 +211,10 @@ def test_arm_splitters_share_one_read_only_matrix(quick_spec):
     assert u_a.spec != u_b.spec
     assert np.array_equal(u_a.matrix, u_b.matrix)
     assert not u_a.matrix.flags.writeable and not u_b.matrix.flags.writeable
+    # one block set, read-only, shared by both arms
+    assert [sl for sl, _ in u_a.sectors] == [sl for sl, _ in u_b.sectors]
+    for (_, block_a), (_, block_b) in zip(u_a.sectors, u_b.sectors):
+        assert block_a is block_b and not block_a.flags.writeable
     u_c = beamsplitter_unitary(quick_spec, BeamSplitter(("a2", "a3"), 0.6, 0.8))
     assert not np.array_equal(u_a.matrix, u_c.matrix)
 

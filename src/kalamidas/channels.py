@@ -35,6 +35,7 @@ from .hilbert import (
     ModeId,
     PureState,
     apply,
+    diagonal_blocks,
     total_occupations,
 )
 from .nosignal import reduce_left
@@ -176,13 +177,10 @@ def occupation_projectors(
         keys = np.arange(sub.dim)
     else:
         raise ValueError(f"group must be 'total' or 'tuple', got {group!r}")
-    projectors = []
-    for key in np.unique(keys):
-        diag = (keys == key).astype(np.complex128)
-        projectors.append(
-            LinearOperator(sub, np.diag(diag), hermitian=True, diagonal=True)
-        )
-    return ProjectorFamily(tuple(projectors))
+    return ProjectorFamily(tuple(
+        LinearOperator(sub, blocks=diagonal_blocks(keys == key), hermitian=True)
+        for key in np.unique(keys)
+    ))
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

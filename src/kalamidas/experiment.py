@@ -199,10 +199,11 @@ class ExperimentConfig:
         return HilbertSpec(MODES, self.cutoffs)
 
 
-# Peak resident memory of a run per byte of one state vector: 368 MB for the
-# 15 MB state at alpha = 1 (the evolved states, the channel battery's
-# branches and the interpreter together).
-_PEAK_PER_STATE_BYTE = 25
+# Peak resident memory of a run per byte of one state vector, measured with
+# one BLAS thread: 142 MiB for the 14.3 MiB state at alpha = 1 (ratio 9.96)
+# and 350 MiB for the 49.4 MiB state at alpha = 2 (ratio 7.07), the evolved
+# states, the channel battery's branches and the interpreter together.
+_PEAK_PER_STATE_BYTE = 10
 # Peak traced memory of building one dense operator on a mode pair of
 # dimension d = d_x d_y, per byte of its d^2 complex entries: 9.0 for a
 # splitter (expm), 10.1 for a Kraus family (QR of a 3d x d matrix) and 4.1 for

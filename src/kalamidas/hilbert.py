@@ -12,14 +12,14 @@ squared lost at a cutoff boundary is tracked in the ``leakage`` field of
 :class:`PureState`, so every accuracy claim downstream can be tied to it.
 
 Operators may live on the full space or on a subspace spanned by a subset of
-the modes. :func:`apply` acts with a subset operator directly on the matching
-tensor axes of the state, which keeps the cost linear in the state size; it
-has three paths, each chosen by the operator's own verified structure: a
-diagonal operator multiplies the amplitudes as a mask, an operator with
-sectors (a block-diagonal one, such as a beam splitter, whose blocks are the
-total-occupation sectors of its modes) multiplies one block per sector, and
-any other operator is contracted densely. :func:`embed` materializes the full
-matrix and is only economical at small cutoffs.
+the modes. An operator is stored as its diagonal blocks: disjoint runs of its
+basis, each with a square block, and zero rows everywhere else. A dense matrix
+is one block, a beam splitter one block per total-occupation sector of its
+pair, and a diagonal operator its nonzero entries as 1 x 1 blocks.
+:func:`apply` acts with a subset operator directly on the matching tensor axes
+of the state, one block at a time, which keeps the cost linear in the state
+size. :func:`embed` materializes the full matrix and is only economical at
+small cutoffs.
 """
 from __future__ import annotations
 
@@ -197,81 +197,100 @@ class PureState:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
-Sectors = tuple[tuple[slice, np.ndarray], ...]
+Blocks = tuple[tuple[slice, np.ndarray], ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class LinearOperator:
-    """Complex square matrix on a HilbertSpec, with optional structure.
+    """Complex square operator on a HilbertSpec, stored as diagonal blocks.
 
-    The hermitian and diagonal flags are verified at construction; a diagonal
-    operator must have exactly zero off-diagonal entries, since :func:`apply`
-    then multiplies by its diagonal and never reads the rest. The unitary flag
-    is a declaration used by :func:`apply` for leakage bookkeeping; truncated
-    unitaries satisfy it up to the tolerance declared where they are built.
-
-    ``sectors``, when given, is a block-diagonal decomposition of the matrix:
-    pairs (indices, block), the indices a slice of the basis (a strided run,
-    as a two-mode total-occupation sector is). Construction verifies that the
-    slices cover every basis index once, that each block equals
-    ``matrix[indices, indices]`` exactly and that every entry outside the
-    blocks is zero, since :func:`apply` then multiplies by the blocks and
-    never reads the rest. Read-only complex128 blocks are kept, not copied,
+    ``blocks`` holds pairs (indices, block): the indices a slice of the basis
+    (a strided run, as a two-mode total-occupation sector is), the block a
+    square matrix on them. The slices are disjoint, and rows outside every
+    slice are zero. ``LinearOperator(spec, matrix)`` stores a dense matrix as
+    one block over the whole basis; ``LinearOperator(spec, blocks=...)`` takes
+    the blocks themselves. Read-only complex128 blocks are kept, not copied,
     so operators built from one cache share one set.
+
+    Construction refuses overlapping slices and blocks whose shape does not
+    match their slice, and verifies the hermitian flag block by block. The
+    unitary flag is a declaration used by :func:`apply` for leakage
+    bookkeeping; truncated unitaries satisfy it up to the tolerance declared
+    where they are built.
     """
 
     spec: HilbertSpec
-    matrix: np.ndarray
+    blocks: Blocks
     hermitian: bool = False
     unitary: bool = False
-    diagonal: bool = False
-    sectors: Optional[Sectors] = None
 
-    def __post_init__(self) -> None:
-        m = _readonly(self.matrix)
-        if m.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match dim {self.spec.dim}"
-            )
-        object.__setattr__(self, "matrix", m)
-        if self.sectors is not None:
-            sectors = tuple(
-                (sl, _readonly(block, fresh=not block.flags.writeable))
-                for sl, block in self.sectors
-            )
-            basis = np.arange(self.spec.dim)
-            covered = np.sort(np.concatenate([basis[sl] for sl, _ in sectors]))
-            if not np.array_equal(covered, basis):
-                raise ValueError("sector indices must cover every basis index once")
-            # real and imaginary parts are counted separately: on a float
-            # view of the matrix that is faster than a complex count
-            inside = 0
-            for sl, block in sectors:
-                if not np.array_equal(block, m[sl, sl]):
-                    raise ValueError(f"sector block on indices {sl} differs from the matrix")
-                inside += np.count_nonzero(block.real) + np.count_nonzero(block.imag)
-            if np.count_nonzero(m.view(np.float64)) != inside:
-                raise ValueError("the matrix has nonzero entries outside the sectors")
-            object.__setattr__(self, "sectors", sectors)
-        if self.hermitian:
-            defect = float(np.abs(m - m.conj().T).max())
-            if defect > _HERMITIAN_ATOL:
+    def __init__(
+        self,
+        spec: HilbertSpec,
+        matrix: Optional[np.ndarray] = None,
+        hermitian: bool = False,
+        unitary: bool = False,
+        *,
+        blocks: Optional[Blocks] = None,
+    ) -> None:
+        if (matrix is None) == (blocks is None):
+            raise ValueError("give either a dense matrix or its blocks")
+        if matrix is not None:
+            blocks = ((slice(0, spec.dim), np.asarray(matrix)),)
+        kept = tuple(
+            (sl, _readonly(block, fresh=not block.flags.writeable)) for sl, block in blocks
+        )
+        hits = np.zeros(spec.dim, dtype=np.int64)
+        for sl, block in kept:
+            n = len(range(spec.dim)[sl])
+            if block.shape != (n, n):
                 raise ValueError(
-                    f"hermitian flag set but max|M - M^H| = {defect:.3e}"
+                    f"block of shape {block.shape} on indices {sl} needs shape "
+                    f"{(n, n)} (dim {spec.dim})"
                 )
-        if self.diagonal:
-            off = np.count_nonzero(m) - np.count_nonzero(np.diagonal(m))
-            if off:
-                raise ValueError(
-                    f"diagonal flag set but {off} off-diagonal entries are nonzero"
-                )
+            hits[sl] += 1
+        if np.any(hits > 1):
+            raise ValueError("block indices overlap")
+        if hermitian:
+            for sl, block in kept:
+                defect = float(np.abs(block - block.conj().T).max(initial=0.0))
+                if defect > _HERMITIAN_ATOL:
+                    raise ValueError(
+                        f"hermitian flag set but max|M - M^H| = {defect:.3e}"
+                    )
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "blocks", kept)
+        object.__setattr__(self, "hermitian", hermitian)
+        object.__setattr__(self, "unitary", unitary)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The dense matrix, read-only: a single block over the whole basis as
+        it is stored, any other operator assembled anew on each access."""
+        dim = self.spec.dim
+        if len(self.blocks) == 1 and self.blocks[0][0] == slice(0, dim):
+            return self.blocks[0][1]
+        out = np.zeros((dim, dim), dtype=np.complex128)
+        for sl, block in self.blocks:
+            out[sl, sl] = block
+        out.setflags(write=False)
+        return out
 
     def adjoint(self) -> "LinearOperator":
-        """The conjugate transpose; it carries the flags but not the sectors."""
+        """The conjugate transpose, block by block, with the same flags."""
         return LinearOperator(
-            self.spec, self.matrix.conj().T,
-            hermitian=self.hermitian, unitary=self.unitary, diagonal=self.diagonal,
+            self.spec, blocks=tuple((sl, block.conj().T) for sl, block in self.blocks),
+            hermitian=self.hermitian, unitary=self.unitary,
         )
+
+
+def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
+    """A diagonal matrix as blocks: each nonzero entry a 1 x 1 block."""
+    diagonal = np.asarray(diagonal, dtype=np.complex128)
+    return tuple(
+        (slice(i, i + 1), diagonal[i : i + 1].reshape(1, 1))
+        for i in np.flatnonzero(diagonal)
+    )
 
 
 @dataclass(frozen=True)
@@ -382,10 +401,7 @@ def raising_matrix(d: int) -> np.ndarray:
 def number_op(spec: HilbertSpec, m: Union[str, ModeId]) -> LinearOperator:
     """Occupation-number operator for one mode, on its single-mode subspace."""
     sub = spec.subspace((m,))
-    return LinearOperator(
-        sub, np.diag(np.arange(sub.dim, dtype=np.complex128)),
-        hermitian=True, diagonal=True,
-    )
+    return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)), hermitian=True)
 
 
 def identity(spec: HilbertSpec) -> LinearOperator:
@@ -397,8 +413,8 @@ def identity(spec: HilbertSpec) -> LinearOperator:
 def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
     """Tensor a subset operator with the identity on the remaining modes.
 
-    Materializes the full dim x dim matrix; meant for small spaces and for
-    cross-checking the contraction path of :func:`apply`.
+    Materializes the full dim x dim matrix as one block; meant for small
+    spaces and for cross-checking :func:`apply`.
     """
     if not spec.contains(op.spec):
         raise ValueError("operator subspace is not contained in the target space")
@@ -424,23 +440,15 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
     for i in range(len(spec.modes)):
         perm.append(k + positions.index(i) if i in positions else 2 * k + nr + rest.index(i))
     full = tensor.transpose(perm).reshape(spec.dim, spec.dim)
-    return LinearOperator(
-        spec, full, hermitian=op.hermitian, unitary=op.unitary, diagonal=op.diagonal
-    )
+    return LinearOperator(spec, full, hermitian=op.hermitian, unitary=op.unitary)
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
     """Act with an operator on a state, on its modes' tensor axes only.
 
-    The operator's own verified structure picks one of three paths; each
-    skips the operator's zero entries and otherwise computes what the dense
-    contraction computes:
-
-    - diagonal: the diagonal, broadcast over the state's axes, multiplies the
-      amplitudes as a mask;
-    - sectors: with the operator's axes moved first, the rows of each
-      sector are multiplied by its block in place, one sector at a time;
-    - otherwise: a dense contraction against the operator's axes.
+    With the operator's axes moved first, the rows of each block's slice are
+    multiplied by the block into a zeroed buffer, one block at a time, and
+    the axes are moved back; rows outside every block stay zero.
 
     Unitary-flagged operators track truncation: any norm squared they lose is
     added to the state's leakage, and the state is never renormalized. The
@@ -449,32 +457,17 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     if not state.spec.contains(op.spec):
         raise ValueError("operator modes/cutoffs do not match the state space")
     positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
-    tensor = state.amplitudes.reshape(state.spec.dims)
-    k = len(positions)
-    if op.diagonal:
-        # positions ascend (both specs list modes in slot order), so the
-        # diagonal reshapes straight onto the state's axes
-        shape = [1] * tensor.ndim
-        for pos, d in zip(positions, op.spec.dims):
-            shape[pos] = d
-        new = (tensor * np.diagonal(op.matrix).reshape(shape)).reshape(-1)
-    elif op.sectors is not None:
-        first = tuple(range(k))
-        moved = np.moveaxis(tensor, positions, first)
-        rest = moved.shape[k:]
-        pair_major = moved.reshape(op.spec.dim, -1)
-        out = np.empty_like(pair_major)
-        for sl, block in op.sectors:
-            # strided row views: BLAS reads and writes them in place
-            np.matmul(block, pair_major[sl], out=out[sl])
-        del pair_major  # freed before the copy back into slot order
-        out = np.moveaxis(out.reshape(op.spec.dims + rest), first, positions)
-        new = np.ascontiguousarray(out).reshape(-1)
-    else:
-        op_tensor = op.matrix.reshape(op.spec.dims + op.spec.dims)
-        out = np.tensordot(op_tensor, tensor, axes=(tuple(range(k, 2 * k)), positions))
-        out = np.moveaxis(out, tuple(range(k)), positions)
-        new = np.ascontiguousarray(out).reshape(-1)
+    first = tuple(range(len(positions)))
+    moved = np.moveaxis(state.amplitudes.reshape(state.spec.dims), positions, first)
+    rest = moved.shape[len(positions):]
+    op_major = moved.reshape(op.spec.dim, -1)
+    out = np.zeros(op_major.shape, dtype=np.complex128)
+    for sl, block in op.blocks:
+        # strided row views: BLAS reads and writes them in place
+        np.matmul(block, op_major[sl], out=out[sl])
+    del op_major  # freed before the copy back into slot order
+    out = np.moveaxis(out.reshape(op.spec.dims + rest), first, positions)
+    new = np.ascontiguousarray(out).reshape(-1)
     leakage = state.leakage
     if op.unitary:
         old_n2 = state.norm2

@@ -32,11 +32,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from .hilbert import (
+    Blocks,
     HilbertSpec,
     LinearOperator,
     ModeId,
     PureState,
-    Sectors,
     ladder,
     mode,
     product_state,
@@ -109,36 +109,37 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 
     With t = 1, r = 0 this is the identity. The generator commutes with the
     pair's total photon number, so every complete total-occupation sector is
-    rotated exactly, and the matrix is block-diagonal by that number: the
-    operator carries one block per total as its sectors, which :func:`apply`
-    multiplies one at a time instead of taking the mask or dense path.
+    rotated exactly, and the unitary is block-diagonal by that number: the
+    operator is one block per total, which :func:`apply` multiplies one at a
+    time.
 
-    The matrix depends only on the pair's dimensions and on theta, not on
-    which modes the pair holds, so it is built once per (dimensions, theta)
-    and kept in a small cache with its sectors: both arm splitters of a
-    configuration, every phase and every call of one run share one build.
+    The blocks depend only on the pair's dimensions and on theta, not on
+    which modes the pair holds, so they are built once per (dimensions,
+    theta) and kept in a small cache: both arm splitters of a configuration,
+    every phase and every call of one run share one build.
     """
     x, y = bs.mode_pair
     sub = spec.subspace((x, y))
-    matrix, sectors = _splitter_matrix(sub.dims, math.atan2(bs.r, bs.t))
-    return LinearOperator(sub, matrix, unitary=True, sectors=sectors)
+    return LinearOperator(
+        sub, blocks=_splitter_matrix(sub.dims, math.atan2(bs.r, bs.t)), unitary=True
+    )
 
 
-# Holds the two matrices of one configuration (left pair and arm pairs); a
-# sweep that moves to the next t or alpha evicts the arm matrix it left.
+# Holds the blocks of one configuration (left pair and arm pairs); a sweep
+# that moves to the next t or alpha evicts the arm blocks it left.
 @functools.lru_cache(maxsize=2)
-def _splitter_matrix(dims: tuple[int, int], theta: float) -> tuple[np.ndarray, Sectors]:
-    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, and its
-    blocks per total occupation, sliced from it; all read-only."""
+def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
+    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its
+    read-only blocks per total occupation. Raises ValueError when the matrix
+    has a nonzero entry outside those blocks, which the blocks would drop."""
     lower_x = raising_matrix(dims[0]).conj().T
     lower_y = raising_matrix(dims[1]).conj().T
     gen = theta * (
         np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
     )
     out = expm(gen)
-    out.setflags(write=False)
     totals = total_occupations(dims)
-    sectors = []
+    blocks = []
     for n in range(int(totals.max()) + 1):
         # n + (d_y - 1) n_x over the n_x the pair admits: a strided run
         idx = np.flatnonzero(totals == n)
@@ -146,8 +147,11 @@ def _splitter_matrix(dims: tuple[int, int], theta: float) -> tuple[np.ndarray, S
         sl = slice(int(idx[0]), int(idx[-1]) + 1, step)
         block = out[sl, sl].copy()
         block.setflags(write=False)
-        sectors.append((sl, block))
-    return out, tuple(sectors)
+        blocks.append((sl, block))
+        out[sl, sl] = 0  # what the blocks leave must be zero
+    if out.any():
+        raise ValueError("the splitter matrix has nonzero entries outside its sectors")
+    return tuple(blocks)
 
 
 def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:
@@ -156,7 +160,8 @@ def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:
         raise ValueError("heisenberg_action needs a unitary-flagged operator")
     if u.spec != op.spec:
         raise ValueError("operator specs do not match")
-    return LinearOperator(u.spec, u.matrix @ op.matrix @ u.matrix.conj().T)
+    m = u.matrix
+    return LinearOperator(u.spec, m @ op.matrix @ m.conj().T)
 
 
 def displacement_unitary(

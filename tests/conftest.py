@@ -1,5 +1,6 @@
 """Shared fixtures. The default-configuration states and report are expensive
 (about a million amplitudes), so they are built once per session."""
+import numpy as np
 import pytest
 
 from kalamidas import (
@@ -45,3 +46,21 @@ def quick_spec():
 @pytest.fixture()
 def small_spec():
     return HilbertSpec(MODES, (1, 1, 1, 1, 1, 1))
+
+
+@pytest.fixture(scope="session")
+def tensordot_apply():
+    """Reference for ``apply``: the operator's full matrix contracted against
+    its modes' axes of the state with np.tensordot, the amplitudes returned."""
+
+    def contract(op, state):
+        k = len(op.spec.modes)
+        positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
+        out = np.tensordot(
+            op.matrix.reshape(op.spec.dims + op.spec.dims),
+            state.amplitudes.reshape(state.spec.dims),
+            axes=(tuple(range(k, 2 * k)), positions),
+        )
+        return np.ascontiguousarray(np.moveaxis(out, tuple(range(k)), positions)).reshape(-1)
+
+    return contract

@@ -1,10 +1,13 @@
 """Right-side operations: families, invariance of the left reduction,
 selective conditioning, and the occupation scan."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kalamidas import (
     PROBABILITY_FLOOR,
+    ExperimentConfig,
     HilbertSpec,
     KrausFamily,
     LinearOperator,
@@ -237,11 +240,25 @@ def test_channel_invariance_under_embedded_unitary_composition(small_spec):
 @pytest.mark.parametrize("spec_name", ["small_spec", "quick_spec"])
 @pytest.mark.parametrize("group", ["total", "tuple"])
 @pytest.mark.parametrize("modes", [("a2", "b2"), ("a3",), ("a2", "b2", "a3", "b3")])
-def test_projector_masks_equal_the_dense_product(request, spec_name, group, modes):
+def test_projector_masks_equal_the_dense_product(
+    request, tensordot_apply, spec_name, group, modes
+):
     spec = request.getfixturevalue(spec_name)
     psi = _random_state(spec, 5)
     family = occupation_projectors(spec, modes, group=group)
     for p in family.projectors:
-        assert p.diagonal
-        dense = embed(p, spec).matrix @ psi.amplitudes
-        assert np.array_equal(apply(p, psi).amplitudes, dense)
+        assert all(block.shape == (1, 1) for _, block in p.blocks)
+        assert np.array_equal(apply(p, psi).amplitudes, tensordot_apply(p, psi))
+
+
+def test_occupation_projectors_allocate_no_dense_matrix():
+    spec = ExperimentConfig(alpha=1.0).hilbert_spec()
+    dense = 16 * spec.subspace(("a2", "b2")).dim ** 2  # one 484 x 484 matrix
+    tracemalloc.start()
+    try:
+        family = occupation_projectors(spec, ("a2", "b2"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(family.projectors) == 43
+    assert peak < dense

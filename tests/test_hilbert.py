@@ -21,6 +21,9 @@ from kalamidas import (
     ladder,
     mode,
     number_op,
+    occupation_projectors,
+    random_kraus,
+    random_right_unitary,
     vacuum,
 )
 from kalamidas.hilbert import product_state, total_occupations
@@ -208,6 +211,9 @@ def test_hermitian_flag_is_verified(quick_spec):
     sub = quick_spec.subspace(("a2",))
     with pytest.raises(ValueError):
         LinearOperator(sub, ladder(quick_spec, "a2", "raise").matrix, hermitian=True)
+    skew = np.array([[1.0, 1e-3], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="hermitian"):
+        LinearOperator(sub, blocks=((slice(0, 1), np.eye(1)), (slice(1, 3), skew)), hermitian=True)
 
 
 def test_adjoint_preserves_flags(quick_spec):
@@ -263,28 +269,17 @@ def test_identity_flags(quick_spec):
     assert np.array_equal(op.matrix, np.eye(quick_spec.dim))
 
 
-def test_diagonal_flag_is_verified(quick_spec):
-    sub = quick_spec.subspace(("a2",))
-    LinearOperator(sub, np.diag([1.0, 2.0, 3.0]), diagonal=True)
-    almost = np.diag([1.0, 2.0, 3.0]).astype(complex)
-    almost[0, 2] = 1e-300
-    with pytest.raises(ValueError, match="diagonal"):
-        LinearOperator(sub, almost, diagonal=True)
-    assert number_op(quick_spec, "a2").diagonal
-    assert not ladder(quick_spec, "a2", "raise").diagonal
-
-
 @pytest.mark.parametrize("label", MODE_LABELS)
-def test_diagonal_apply_matches_the_dense_product(quick_spec, label):
+def test_diagonal_apply_matches_the_dense_product(quick_spec, tensordot_apply, label):
     rng = np.random.default_rng(11)
     amps = rng.standard_normal(quick_spec.dim) + 1j * rng.standard_normal(quick_spec.dim)
     psi = PureState(quick_spec, amps)
     n = number_op(quick_spec, label)
-    dense = embed(n, quick_spec).matrix @ psi.amplitudes
-    assert np.array_equal(apply(n, psi).amplitudes, dense)
+    assert all(block.shape == (1, 1) for _, block in n.blocks)
+    assert np.array_equal(apply(n, psi).amplitudes, tensordot_apply(n, psi))
     full = embed(n, quick_spec)
-    assert full.diagonal
-    assert np.array_equal(apply(full, psi).amplitudes, dense)
+    assert len(full.blocks) == 1
+    assert np.array_equal(apply(full, psi).amplitudes, tensordot_apply(full, psi))
 
 
 def test_apply_result_is_read_only_and_callers_arrays_are_copied(quick_spec):
@@ -341,6 +336,7 @@ def test_one_mode_product_state_leaves_the_callers_vector_alone():
 # a2, a3 make a 4 x 5 pair, b2, b3 a 3 x 3 pair and a1, b1 a 2 x 2 pair
 _RAGGED = HilbertSpec(MODES, (1, 1, 3, 2, 4, 2))
 _SPLITTER_PAIRS = [("a2", "a3"), ("b2", "b3"), ("a1", "b1")]
+_RIGHT_PAIRS = [("a2", "b2"), ("a2", "a3"), ("a2", "b3"), ("b2", "a3"), ("b2", "b3"), ("a3", "b3")]
 
 
 def _random_state(spec, seed, leakage=0.0):
@@ -357,68 +353,97 @@ def test_total_occupations_match_the_occupation_tuples():
 
 @pytest.mark.parametrize("pair", _SPLITTER_PAIRS)
 @pytest.mark.parametrize("t,r", [(0.6, 0.8), (0.8, -0.6)])
-def test_sector_apply_equals_the_dense_apply(pair, t, r):
+def test_sector_apply_equals_the_dense_apply(tensordot_apply, pair, t, r):
     u = beamsplitter_unitary(_RAGGED, BeamSplitter(pair, t, r))
-    assert u.sectors is not None
-    dense = LinearOperator(u.spec, u.matrix, unitary=True)
+    assert len(u.blocks) == sum(u.spec.dims) - 1  # one per total occupation
     # a block-diagonal operator that loses norm, so leakage is booked
     shrunk = LinearOperator(
-        u.spec, 0.9 * u.matrix, unitary=True,
-        sectors=tuple((sl, 0.9 * block) for sl, block in u.sectors),
+        u.spec, blocks=tuple((sl, 0.9 * block) for sl, block in u.blocks), unitary=True
     )
-    shrunk_dense = LinearOperator(u.spec, 0.9 * u.matrix, unitary=True)
     psi = _random_state(_RAGGED, 5, leakage=0.125)
-    for op, ref in ((u, dense), (shrunk, shrunk_dense)):
-        got, want = apply(op, psi), apply(ref, psi)
-        assert np.array_equal(got.amplitudes, want.amplitudes)
-        assert got.leakage == want.leakage
+    for op in (u, shrunk):
+        got, want = apply(op, psi), tensordot_apply(op, psi)
+        assert np.array_equal(got.amplitudes, want)
+        assert got.leakage == 0.125 + max(0.0, psi.norm2 - float(np.vdot(want, want).real))
     assert apply(shrunk, psi).leakage > 0.125 + 0.1
-    # the operator's own space, no other modes: the dense path is then a
+    # the operator's own space, no other modes: the reference is then a
     # matrix-vector product, whose rounding differs from a matrix product's
     alone = _random_state(u.spec, 6)
-    got, want = apply(u, alone).amplitudes, apply(dense, alone).amplitudes
+    got, want = apply(u, alone).amplitudes, tensordot_apply(u, alone)
     assert np.allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("pair", _RIGHT_PAIRS)
+def test_every_operator_kind_equals_the_tensordot_reference(tensordot_apply, pair):
+    # one dense block (Haar unitary, Kraus operators) and 1 x 1 blocks
+    # (occupation projectors, number operators); splitters are covered above
+    psi = _random_state(_RAGGED, 8)
+    operators = [
+        random_right_unitary(_RAGGED, pair, 1),
+        *random_kraus(_RAGGED, pair, 2).operators,
+        *occupation_projectors(_RAGGED, pair).projectors,
+        *(number_op(_RAGGED, m) for m in pair),
+    ]
+    for op in operators:
+        assert np.array_equal(apply(op, psi).amplitudes, tensordot_apply(op, psi))
 
 
 def test_mismatched_sectors_are_refused():
     u = beamsplitter_unitary(_RAGGED, BeamSplitter(("a2", "a3"), 0.6, 0.8))
-    sectors = list(u.sectors)
-    LinearOperator(u.spec, u.matrix, sectors=tuple(sectors))
+    blocks = list(u.blocks)
+    LinearOperator(u.spec, blocks=tuple(blocks))
 
-    sl, block = sectors[3]
-    nudged = block.copy()
-    nudged[0, 0] += 1e-12
-    with pytest.raises(ValueError, match="differs"):
-        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors[:3] + [(sl, nudged)] + sectors[4:]))
-
-    stray = u.matrix.copy()
-    stray[0, u.spec.dim - 1] = 1e-300  # (0, 0) to (3, 4): totals 0 and 7
-    with pytest.raises(ValueError, match="outside"):
-        LinearOperator(u.spec, stray, sectors=u.sectors)
-
-    with pytest.raises(ValueError, match="cover"):
-        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors[:-1]))
-    with pytest.raises(ValueError, match="cover"):
-        LinearOperator(u.spec, u.matrix, sectors=tuple(sectors + sectors[-1:]))
+    with pytest.raises(ValueError, match="overlap"):
+        LinearOperator(u.spec, blocks=tuple(blocks + blocks[-1:]))
+    sl, block = blocks[3]
+    shifted = slice(sl.start + 1, sl.stop + 1, sl.step)  # runs into sector 4
+    with pytest.raises(ValueError, match="overlap"):
+        LinearOperator(u.spec, blocks=tuple(blocks[:3] + [(shifted, block)] + blocks[4:]))
+    with pytest.raises(ValueError, match="shape"):
+        LinearOperator(u.spec, blocks=tuple(blocks[:3] + [(sl, block[:-1])] + blocks[4:]))
+    with pytest.raises(ValueError, match="shape"):
+        LinearOperator(u.spec, blocks=((slice(0, u.spec.dim + 3), np.eye(u.spec.dim + 3)),))
+    with pytest.raises(ValueError, match="shape"):
+        LinearOperator(u.spec, np.eye(u.spec.dim - 1))
+    with pytest.raises(ValueError, match="either"):
+        LinearOperator(u.spec, u.matrix, blocks=u.blocks)
+    with pytest.raises(ValueError, match="either"):
+        LinearOperator(u.spec)
 
 
 def test_sector_blocks_are_read_only_and_writable_ones_are_copied():
     u = beamsplitter_unitary(_RAGGED, BeamSplitter(("b2", "b3"), 0.6, 0.8))
-    given = [(sl, block.copy()) for sl, block in u.sectors]
-    op = LinearOperator(u.spec, u.matrix, sectors=tuple(given))
-    for (_, kept), (_, mine) in zip(op.sectors, given):
+    given = [(sl, block.copy()) for sl, block in u.blocks]
+    op = LinearOperator(u.spec, blocks=tuple(given))
+    for (_, kept), (_, mine) in zip(op.blocks, given):
         assert kept is not mine and not kept.flags.writeable
     given[0][1][0, 0] = 7.0
-    assert op.sectors[0][1][0, 0] == u.sectors[0][1][0, 0]
+    assert op.blocks[0][1][0, 0] == u.blocks[0][1][0, 0]
 
 
-def test_adjoint_and_embed_drop_the_sectors():
+def test_adjoint_keeps_the_blocks_and_embed_is_one_block():
     u = beamsplitter_unitary(_RAGGED, BeamSplitter(("a2", "a3"), 0.6, 0.8))
     back = u.adjoint()
-    assert back.sectors is None and back.unitary
+    assert back.unitary
+    assert [sl for sl, _ in back.blocks] == [sl for sl, _ in u.blocks]
+    assert np.array_equal(back.matrix, u.matrix.conj().T)
     psi = _random_state(_RAGGED, 7)
     there_and_back = apply(back, apply(u, psi))
     assert np.allclose(there_and_back.amplitudes, psi.amplitudes, rtol=0, atol=1e-14)
     wider = _RAGGED.subspace(("a2", "b2", "a3"))
-    assert embed(u, wider).sectors is None
+    (sl, block), = embed(u, wider).blocks
+    assert sl == slice(0, wider.dim) and block.shape == (wider.dim, wider.dim)
     assert embed(u, u.spec) is u
+
+
+def test_only_a_single_block_is_stored_as_the_matrix():
+    u = beamsplitter_unitary(_RAGGED, BeamSplitter(("b2", "b3"), 0.6, 0.8))
+    assembled = u.matrix
+    assert assembled is not u.matrix  # built on each access, never kept
+    assert not assembled.flags.writeable
+    for sl, block in u.blocks:
+        assert np.array_equal(assembled[sl, sl], block)
+    inside = sum(block.size for _, block in u.blocks)
+    assert np.count_nonzero(assembled) <= inside
+    dense = LinearOperator(u.spec, assembled, unitary=True)
+    assert dense.matrix is dense.blocks[0][1] is assembled

@@ -1,5 +1,6 @@
 """Splitter and displacement conventions, coherent series, adequacy warnings."""
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from kalamidas import (
     MODES,
     BeamSplitter,
     CutoffAdequacyWarning,
+    ExperimentConfig,
     HilbertSpec,
     adequate_cutoff,
     apply,
@@ -212,8 +214,8 @@ def test_arm_splitters_share_one_read_only_matrix(quick_spec):
     assert np.array_equal(u_a.matrix, u_b.matrix)
     assert not u_a.matrix.flags.writeable and not u_b.matrix.flags.writeable
     # one block set, read-only, shared by both arms
-    assert [sl for sl, _ in u_a.sectors] == [sl for sl, _ in u_b.sectors]
-    for (_, block_a), (_, block_b) in zip(u_a.sectors, u_b.sectors):
+    assert [sl for sl, _ in u_a.blocks] == [sl for sl, _ in u_b.blocks]
+    for (_, block_a), (_, block_b) in zip(u_a.blocks, u_b.blocks):
         assert block_a is block_b and not block_a.flags.writeable
     u_c = beamsplitter_unitary(quick_spec, BeamSplitter(("a2", "a3"), 0.6, 0.8))
     assert not np.array_equal(u_a.matrix, u_c.matrix)
@@ -238,3 +240,37 @@ def test_cached_splitter_equals_a_fresh_build(pair, t, r):
     for _ in range(2):  # the first call builds, the second reads the cache
         u = beamsplitter_unitary(spec, BeamSplitter(pair, t, r))
         assert np.array_equal(u.matrix, fresh)
+
+
+def test_splitter_entries_outside_the_sectors_are_refused(monkeypatch):
+    from kalamidas import optics
+
+    build = optics.expm
+
+    def stray_expm(gen):
+        out = build(gen)
+        out[0, -1] = 1e-300  # total 0 to the largest total
+        return out
+
+    monkeypatch.setattr(optics, "expm", stray_expm)
+    optics._splitter_matrix.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="outside"):
+            optics._splitter_matrix((3, 4), 0.5)
+    finally:
+        optics._splitter_matrix.cache_clear()
+
+
+def test_cache_hit_splitter_allocates_no_dense_matrix():
+    spec = ExperimentConfig(alpha=1.0).hilbert_spec()
+    bs = BeamSplitter(("a2", "a3"), SQRT_HALF, SQRT_HALF)
+    beamsplitter_unitary(spec, bs)  # builds, or finds, the cached blocks
+    dense = 16 * spec.subspace(("a2", "a3")).dim ** 2  # one 484 x 484 matrix
+    tracemalloc.start()
+    try:
+        u = beamsplitter_unitary(spec, bs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.spec.dim == 484
+    assert peak < dense

@@ -51,7 +51,9 @@ def test_one_point_sweep_prints_its_table():
     assert lines[0].split() == ["alpha", "t", "phi", "trace_dist", "gap", "verdict"]
     assert lines[2].split()[:3] == ["0.000", "0.6000", "0.0000"]
     assert lines[2].endswith("pass")
-    assert lines[-1] == "all points within 1e-09: no signaling observed"
+    assert lines[-1] == (
+        "all points within their tolerance, base 1e-09 + leakage: no signaling observed"
+    )
 
 
 def test_scan_names_the_reports_selective_outcome():

@@ -1,6 +1,11 @@
 """Sweep the apparatus over amplitudes, transmissivities, and phases, and
 tabulate the left-side trace distance and signaling gap at each point.
 
+Each (alpha, t) evolves its injected preparation through the arm splitters
+once and serves every phase from that left state
+(experiment.left_states_over_phases); the bare preparation is built at
+right cutoff 1, where it is exact.
+
 Example:
     python scripts/parameter_sweep.py --alphas 0,0.5,1 --ts 0.6,0.9 --trials 25
 """
@@ -9,7 +14,7 @@ import math
 import sys
 
 from kalamidas.experiment import (
-    ExperimentConfig, check_memory, evolve_and_reduce, no_signaling_rows,
+    ExperimentConfig, check_memory, left_states_over_phases, no_signaling_rows,
 )
 
 
@@ -29,17 +34,24 @@ def main() -> int:
 
     # every point is validated before the table starts
     try:
-        configs = [
-            ExperimentConfig(
-                alpha=alpha, t=t, phi=phi, seed=args.seed,
-                trials=args.trials, tolerance=args.tolerance,
-            )
+        for name in ("alphas", "ts", "phis"):
+            if not getattr(args, name):
+                raise ValueError(f"--{name} needs at least one value")
+        # one group of configs per (alpha, t), one config per phi
+        groups = [
+            [
+                ExperimentConfig(
+                    alpha=alpha, t=t, phi=phi, seed=args.seed,
+                    trials=args.trials, tolerance=args.tolerance,
+                )
+                for phi in args.phis
+            ]
             for alpha in args.alphas
             for t in args.ts
-            for phi in args.phis
         ]
-        for config in configs:
-            check_memory(config)
+        for group in groups:
+            for config in group:
+                check_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -49,19 +61,19 @@ def main() -> int:
     print("-" * len(header))
     worst_td = worst_gap = 0.0
     failures = 0
-    for config in configs:
-        # only the left state is kept, so the next final state is not built beside one
-        rho_with = evolve_and_reduce(config, injected=True)[1]
-        rho_bare = evolve_and_reduce(config, injected=False)[1]
-        rows = no_signaling_rows(config, rho_with, rho_bare)
-        (_, td, _), (_, gap, _) = rows
-        ok = all(residual <= tolerance for _, residual, tolerance in rows)
-        failures += 0 if ok else 1
-        worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
-        print(
-            f"{config.alpha.real:7.3f} {config.t:7.4f} {config.phi:7.4f} "
-            f"{td:12.3e} {gap:12.3e} {'pass' if ok else 'FAIL'}"
-        )
+    for group in groups:
+        with_states = left_states_over_phases(group[0], args.phis, injected=True)
+        bare_states = left_states_over_phases(group[0], args.phis, injected=False)
+        for config, rho_with, rho_bare in zip(group, with_states, bare_states):
+            rows = no_signaling_rows(config, rho_with, rho_bare)
+            (_, td, _), (_, gap, _) = rows
+            ok = all(residual <= tolerance for _, residual, tolerance in rows)
+            failures += 0 if ok else 1
+            worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
+            print(
+                f"{config.alpha.real:7.3f} {config.t:7.4f} {config.phi:7.4f} "
+                f"{td:12.3e} {gap:12.3e} {'pass' if ok else 'FAIL'}"
+            )
     print("-" * len(header))
     print(f"worst trace distance {worst_td:.3e}, worst gap {worst_gap:.3e}")
     rule = f"their tolerance, base {args.tolerance:.0e} + leakage"

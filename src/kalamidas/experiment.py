@@ -28,8 +28,8 @@ import functools
 import math
 import os
 import warnings
-from dataclasses import dataclass
-from typing import Mapping, Optional, Union
+from dataclasses import dataclass, replace
+from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from .hilbert import (
     RIGHT_LABELS,
     DensityOperator,
     HilbertSpec,
+    LinearOperator,
     PureState,
     apply,
     embed,
@@ -291,15 +292,20 @@ def _splitters(config: ExperimentConfig) -> tuple[BeamSplitter, BeamSplitter, Be
     )
 
 
+def _arm_unitaries(spec: HilbertSpec, config: ExperimentConfig) -> tuple[LinearOperator, ...]:
+    """The two arm splitters in the order they are applied; they act on
+    disjoint pairs and commute."""
+    _, arm_a, arm_b = _splitters(config)
+    return beamsplitter_unitary(spec, arm_b), beamsplitter_unitary(spec, arm_a)
+
+
 def evolve(state: PureState, config: ExperimentConfig) -> PureState:
     """Send a prepared state through the apparatus: arm splitters first
-    (they act on disjoint pairs and commute), then the left splitter."""
-    spec = state.spec
-    left, arm_a, arm_b = _splitters(config)
-    out = apply(beamsplitter_unitary(spec, arm_b), state)
-    out = apply(beamsplitter_unitary(spec, arm_a), out)
-    out = apply(beamsplitter_unitary(spec, left), out)
-    return out
+    (:func:`_arm_unitaries`), then the left splitter."""
+    left = _splitters(config)[0]
+    for u in (*_arm_unitaries(state.spec, config), beamsplitter_unitary(state.spec, left)):
+        state = apply(u, state)
+    return state
 
 
 def evolve_and_reduce(
@@ -312,12 +318,52 @@ def evolve_and_reduce(
     return final, reduce_left(final), prepared.leakage
 
 
+def left_states_over_phases(
+    config: ExperimentConfig, phis: Sequence[float], injected: bool
+) -> list[DensityOperator]:
+    """The left state of the injected or bare preparation at each phase in
+    ``phis``, from one arm evolution: what :func:`evolve_and_reduce` gives
+    at that phase, up to rounding.
+
+    The phase enters as e^{i phi n_b1} on the phi = 0 preparation, since the
+    b-term holds the only b1 photon, and it and the left splitter act on
+    (a1, b1) only, so both commute with the partial trace. The phi = 0
+    preparation goes through the arm splitters and is reduced once to
+    rho_arms; each phase then costs K rho_arms K+ with K = U_left e^{i phi n_b1}
+    on the left pair. The bare preparation holds one photon on the right, so
+    it is built at right cutoffs of at most 1 (the config's own left
+    cutoffs), which loses nothing. Each left state carries the preparation's
+    leakage plus the loss the arm splitters booked; the left rotation books
+    none.
+    """
+    base = replace(config, phi=0.0)
+    if injected:
+        state = initial_state_with_coherent(base)
+    else:
+        cutoffs = base.cutoffs_map
+        cutoffs.update({m: min(cutoffs[m], 1) for m in RIGHT_LABELS})
+        state = initial_state_bare(replace(base, cutoffs=cutoffs))
+    for u in _arm_unitaries(state.spec, base):
+        state = apply(u, state)  # the preparation is freed after the first
+    rho = reduce_left(state)
+    left = beamsplitter_unitary(rho.spec, _splitters(base)[0]).matrix
+    n_b1 = np.indices(rho.spec.dims)[rho.spec.axis_of("b1")].ravel()
+    out = []
+    for phi in phis:
+        k = left * np.exp(1j * phi * n_b1)  # U_left times the diagonal phase
+        out.append(DensityOperator(rho.spec, k @ rho.matrix @ k.conj().T, leakage=rho.leakage))
+    return out
+
+
 def no_signaling_rows(
     config: ExperimentConfig, rho_with: DensityOperator, rho_bare: DensityOperator
 ) -> tuple[tuple[str, float, float], ...]:
     """The trace_distance and signaling_gap check rows (name, residual,
     tolerance). Their one tolerance is the base plus the larger leakage of the
-    left states, the run's largest, since evolution only adds leakage."""
+    two left states. From :func:`evolve_and_reduce` that is the run's
+    largest, since evolution only adds leakage; from
+    :func:`left_states_over_phases` it leaves out the left splitter's booked
+    loss, a rounding-level term."""
     gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
     tolerance = config.tolerance + max(rho_with.leakage, rho_bare.leakage)
     return (

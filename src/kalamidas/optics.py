@@ -125,9 +125,12 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
     )
 
 
-# Holds the blocks of one configuration (left pair and arm pairs); a sweep
-# that moves to the next t or alpha evicts the arm blocks it left.
-@functools.lru_cache(maxsize=2)
+# A sweep uses per (alpha, t) an arm splitter at full cutoffs and one at the
+# bare state's right cutoff 1, and the left pair's throughout, so 2 n_t + 1
+# entries keep every splitter it reuses: 16 serve up to 7 values of t. The
+# blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
+# 1.9 MB at alpha = 4.3, the largest the memory gate admits on 8 GB.
+@functools.lru_cache(maxsize=16)
 def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
     """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its
     read-only blocks per total occupation. Raises ValueError when the matrix

@@ -38,7 +38,7 @@ from kalamidas import (
     trace_distance,
     vacuum,
 )
-from kalamidas.experiment import _RIGHT_PAIRS, SQRT_HALF
+from kalamidas.experiment import _RIGHT_PAIRS, SQRT_HALF, left_states_over_phases
 
 FROZEN_SELECTIVE_PROBABILITY = 0.27590958087858186
 FROZEN_SELECTIVE_CONTRAST = 1.0 / 6.0
@@ -47,6 +47,7 @@ FROZEN_CONDITIONAL_DIAG = (0.0, 2.0 / 3.0, 1.0 / 3.0, 0.0)
 NO_SIGNALING_TOL = 1e-9
 ORACLE_TOL = 1e-9
 STRUCTURE_TOL = 1e-9
+PHASE_STAGE_TOL = 1e-13
 HEISENBERG_TOL = 1e-10
 CHANNEL_TOL = 1e-10
 MIXTURE_TOL = 1e-10
@@ -55,16 +56,20 @@ CONTRAST_FLOOR = 0.01
 
 
 def test_no_signaling_across_parameter_grid():
+    """Every phase of an (alpha, t) comes from one arm evolution
+    (left_states_over_phases); for each alpha one point is also evolved the
+    direct way, in full, and must agree with it."""
     alphas = [0.0, 0.5, 1.0, 1.0 + 0.5j]
     ts = [0.6, SQRT_HALF, 0.9]
     phis = [0.0, math.pi / 3.0, math.pi]
-    worst_td, worst_gap, points = 0.0, 0.0, 0
-    for alpha in alphas:
+    worst_td, worst_gap, worst_direct, points = 0.0, 0.0, 0.0, 0
+    for i, alpha in enumerate(alphas):
+        direct_point = (ts[i % len(ts)], phis[(i + 1) % len(phis)])
         for t in ts:
-            for phi in phis:
-                config = ExperimentConfig(alpha=alpha, t=t, phi=phi)
-                rho_with = reduce_left(evolve(initial_state_with_coherent(config), config))
-                rho_bare = reduce_left(evolve(initial_state_bare(config), config))
+            config = ExperimentConfig(alpha=alpha, t=t)
+            with_states = left_states_over_phases(config, phis, injected=True)
+            bare_states = left_states_over_phases(config, phis, injected=False)
+            for phi, rho_with, rho_bare in zip(phis, with_states, bare_states):
                 rho_with.validate(atol=HYGIENE_TOL)
                 rho_bare.validate(atol=HYGIENE_TOL)
                 td = trace_distance(rho_with, rho_bare)
@@ -73,6 +78,19 @@ def test_no_signaling_across_parameter_grid():
                 assert gap <= NO_SIGNALING_TOL, f"gap {gap:.3e} at {alpha=}, {t=}, {phi=}"
                 worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
                 points += 1
+                if (t, phi) != direct_point:
+                    continue
+                point = ExperimentConfig(alpha=alpha, t=t, phi=phi)
+                for rho, prepare in (
+                    (rho_with, initial_state_with_coherent),
+                    (rho_bare, initial_state_bare),
+                ):
+                    direct = reduce_left(evolve(prepare(point), point))
+                    deviation = float(np.abs(rho.matrix - direct.matrix).max())
+                    assert deviation <= PHASE_STAGE_TOL, (
+                        f"stage deviates by {deviation:.3e} at {alpha=}, {t=}, {phi=}"
+                    )
+                    worst_direct = max(worst_direct, deviation)
 
     # a negative reflectivity branch must not open a signaling channel either
     config = ExperimentConfig(alpha=0.8, t=0.8)
@@ -95,7 +113,8 @@ def test_no_signaling_across_parameter_grid():
     print(
         f"PASS no-signaling: worst trace distance {worst_td:.3e} and worst gap "
         f"{worst_gap:.3e} <= {NO_SIGNALING_TOL:.0e} over {points} parameter points, "
-        f"100 seeded observables per point"
+        f"100 seeded observables per point; {len(alphas)} points evolved the direct way "
+        f"agree to {worst_direct:.3e} <= {PHASE_STAGE_TOL:.0e}"
     )
 
 

@@ -2,6 +2,7 @@
 import json
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from kalamidas import (
     number_op,
     run_experiment,
 )
-from kalamidas.experiment import SQRT_HALF
+from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
@@ -160,6 +161,41 @@ def test_evolved_state_matches_direct_construction_small():
     evolved = evolve(initial_state_with_coherent(config), config)
     direct = direct_final_state(config)
     assert np.linalg.norm(evolved.amplitudes - direct.amplitudes) < 1e-9
+
+
+# right cutoffs below the adequacy rule keep these fast; the identities below
+# are exact linear algebra at any cutoff
+STAGE_RIGHT = {m: 8 for m in ("a2", "b2", "a3", "b3")}
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.4j, 1.0])
+@pytest.mark.parametrize("phi", [2.5, -1.0])
+def test_phase_is_exp_i_phi_n_b1_on_the_phi_zero_preparation(alpha, phi):
+    config = ExperimentConfig(alpha=alpha, phi=phi, cutoffs={**STAGE_RIGHT, "a1": 2})
+    spec = config.hilbert_spec()
+    zero = initial_state_with_coherent(replace(config, phi=0.0))
+    phase = np.exp(1j * phi * np.arange(spec.dims[spec.axis_of("b1")]))
+    shifted = zero.amplitudes.reshape(spec.dims) * phase[None, :, None, None, None, None]
+    at_phi = initial_state_with_coherent(config).amplitudes
+    assert np.abs(at_phi - shifted.reshape(-1)).max() <= 1e-15
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize("left", [{}, {"a1": 2}], ids=["a1=1", "a1=2"])
+@pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
+@pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.4j, 1.0])
+def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, left):
+    config = ExperimentConfig(alpha=alpha, t=t, cutoffs={**STAGE_RIGHT, **left})
+    phis = [0.0, 2.5, -1.0]
+    for injected in (True, False):
+        states = left_states_over_phases(config, phis, injected)
+        assert len(states) == len(phis)
+        for phi, rho in zip(phis, states):
+            direct = evolve_and_reduce(replace(config, phi=phi), injected)[1]
+            assert rho.spec == direct.spec
+            assert np.abs(rho.matrix - direct.matrix).max() <= 1e-13
+            assert abs(rho.leakage - direct.leakage) <= 1e-13
 
 
 def test_photon_arm_occupation_closed_form():

@@ -1,5 +1,7 @@
 """The scripts' command lines: bad input is refused with exit 2 before any
 output, a valid sweep prints its table, and the scan ranks as the report does."""
+import math
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +9,8 @@ from pathlib import Path
 import pytest
 
 from kalamidas import ExperimentConfig, run_experiment
+from kalamidas.experiment import SQRT_HALF
+from kalamidas.optics import _splitter_matrix
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
 SWEEP = SCRIPTS / "parameter_sweep.py"
@@ -31,10 +35,14 @@ def _run(script, *args):
         (SCAN, ["--alpha-re", "nan"]),
         (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),
         (SCAN, ["--alpha-re", "50"]),
+        (SWEEP, ["--alphas", "", "--ts", "0.6", "--phis", "0"]),
+        (SWEEP, ["--alphas", "0", "--ts", " , ", "--phis", "0"]),
+        (SWEEP, ["--alphas", "0", "--ts", "0.6", "--phis", ""]),
     ],
     ids=[
         "sweep-t", "sweep-tolerance", "sweep-trials", "sweep-late-point", "scan-t",
-        "scan-alpha", "sweep-memory", "scan-memory",
+        "scan-alpha", "sweep-memory", "scan-memory", "sweep-no-alphas", "sweep-no-ts",
+        "sweep-no-phis",
     ],
 )
 def test_bad_input_exits_2_before_any_output(script, args):
@@ -54,6 +62,61 @@ def test_one_point_sweep_prints_its_table():
     assert lines[-1] == (
         "all points within their tolerance, base 1e-09 + leakage: no signaling observed"
     )
+
+
+def _table_rows(stdout):
+    """The (alpha, t, phi) columns and the full text of each table row."""
+    lines = stdout.splitlines()
+    end = lines.index(lines[1], 2)  # the closing rule
+    return [(tuple(line.split()[:3]), line) for line in lines[2:end]]
+
+
+GRID = {"alphas": (0.0, 0.5), "ts": (0.6, 0.9), "phis": (0.0, 1.0)}
+GRID_ARGS = [
+    arg for name, values in GRID.items() for arg in (f"--{name}", ",".join(map(str, values)))
+]
+
+
+def test_sweep_prints_one_row_per_point_nested_alpha_t_phi():
+    proc = _run(SWEEP, *GRID_ARGS, "--trials", "3")
+    assert proc.returncode == 0
+    expected = [
+        (f"{alpha:.3f}", f"{t:.4f}", f"{phi:.4f}")
+        for alpha in GRID["alphas"]
+        for t in GRID["ts"]
+        for phi in GRID["phis"]
+    ]
+    rows = _table_rows(proc.stdout)
+    assert [key for key, _ in rows] == expected
+    assert all(line.endswith("pass") for _, line in rows)
+
+
+def test_sweep_repeated_phi_prints_identical_rows():
+    proc = _run(SWEEP, "--alphas", "0.5", "--ts", "0.6", "--phis", "0,0", "--trials", "3")
+    assert proc.returncode == 0
+    rows = _table_rows(proc.stdout)
+    assert len(rows) == 2
+    assert rows[0][1] == rows[1][1]
+
+
+def test_sweep_builds_each_splitter_once(monkeypatch, capsys):
+    """Per (alpha, t) the sweep needs an arm splitter at full cutoffs and one
+    at the bare state's right cutoff 1; the left pair's is shared by all. The
+    cache must build each exactly once over the pass."""
+    keys = {((2, 2), math.atan2(SQRT_HALF, SQRT_HALF))}
+    for alpha in GRID["alphas"]:
+        for t in GRID["ts"]:
+            config = ExperimentConfig(alpha=alpha, t=t)
+            theta = math.atan2(config.r, config.t)
+            arm = config.cutoffs_map["a2"] + 1, config.cutoffs_map["a3"] + 1
+            keys |= {(arm, theta), ((2, 2), theta)}
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *GRID_ARGS, "--trials", "3"])
+    _splitter_matrix.cache_clear()
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert done.value.code == 0
+    assert "no signaling observed" in capsys.readouterr().out
+    assert _splitter_matrix.cache_info().misses == len(keys)
 
 
 def test_scan_names_the_reports_selective_outcome():

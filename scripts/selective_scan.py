@@ -32,6 +32,8 @@ def main() -> int:
     args = parser.parse_args()
 
     try:
+        if args.top < 1:
+            raise ValueError(f"--top must be at least 1, got {args.top}")
         config = ExperimentConfig(
             alpha=complex(args.alpha_re, args.alpha_im), phi=args.phi, t=args.t
         )

@@ -8,8 +8,6 @@ or generalized measurements without record) moves the left reduced state.
 """
 from .channels import (
     PROBABILITY_FLOOR,
-    KrausFamily,
-    ProjectorFamily,
     conditional_left_by_occupation,
     nonselective_left,
     occupation_projectors,
@@ -31,7 +29,6 @@ from .experiment import (
 from .hilbert import (
     LEFT_LABELS,
     MODE_LABELS,
-    MODES,
     DensityOperator,
     HilbertSpec,
     LinearOperator,
@@ -42,7 +39,6 @@ from .hilbert import (
     identity,
     inner,
     ladder,
-    mode,
     number_op,
     vacuum,
 )
@@ -70,8 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "PROBABILITY_FLOOR",
-    "KrausFamily",
-    "ProjectorFamily",
     "conditional_left_by_occupation",
     "nonselective_left",
     "occupation_projectors",
@@ -89,7 +83,6 @@ __all__ = [
     "run_experiment",
     "LEFT_LABELS",
     "MODE_LABELS",
-    "MODES",
     "DensityOperator",
     "HilbertSpec",
     "LinearOperator",
@@ -100,7 +93,6 @@ __all__ = [
     "identity",
     "inner",
     "ladder",
-    "mode",
     "number_op",
     "vacuum",
     "analytic_left_expectation",

@@ -4,10 +4,12 @@ Three families of legitimate operations act on the right modes: unitaries,
 non-selective projective measurements (rho -> sum_k P_k rho P_k), and
 non-selective generalized measurements given by a Kraus family
 (rho -> sum_k A_k rho A_k+). None of them can change the left reduced state;
-the experiment driver measures exactly that. All three run through
-:func:`nonselective_left`, which applies each operator to a pure state and
-sums the left reductions of the branches, so no density operator on the full
-space is ever built.
+the experiment driver measures exactly that. A channel is its operators: a
+tuple of LinearOperator on one right-mode subspace, which
+:func:`completeness_defect` measures against sum_k A_k+ A_k = I. All three
+run through :func:`nonselective_left`, which applies each operator to a pure
+state and sums the left reductions of the branches, so no density operator
+on the full space is ever built.
 
 Selective conditioning on a single recorded outcome is also implemented. It is
 the one operation that does move the left reduced state, which is why it
@@ -32,7 +34,6 @@ from .hilbert import (
     DensityOperator,
     HilbertSpec,
     LinearOperator,
-    ModeId,
     PureState,
     apply,
     diagonal_blocks,
@@ -44,81 +45,19 @@ PROBABILITY_FLOOR = 1e-12
 
 
 def _require_right_modes(spec: HilbertSpec) -> None:
-    bad = [m.label for m in spec.modes if not m.is_right]
+    bad = [m for m in spec.modes if m not in RIGHT_LABELS]
     if bad:
         raise ValueError(f"operation must act on right modes only, got {bad}")
 
 
-@dataclass(frozen=True)
-class KrausFamily:
-    """Operators {A_k} on a right-mode subspace with sum_k A_k+ A_k = I."""
-
-    operators: tuple[LinearOperator, ...]
-
-    def __post_init__(self) -> None:
-        ops = tuple(self.operators)
-        object.__setattr__(self, "operators", ops)
-        if not ops:
-            raise ValueError("empty Kraus family")
-        spec = ops[0].spec
-        if any(a.spec != spec for a in ops):
-            raise ValueError("all Kraus operators must share one subspace")
-        _require_right_modes(spec)
-
-    @property
-    def spec(self) -> HilbertSpec:
-        return self.operators[0].spec
-
-    def completeness_defect(self) -> float:
-        acc = np.zeros((self.spec.dim, self.spec.dim), dtype=np.complex128)
-        for a in self.operators:
-            acc += a.matrix.conj().T @ a.matrix
-        return float(np.abs(acc - np.eye(self.spec.dim)).max())
-
-    def validate(self, atol: float = 1e-10) -> "KrausFamily":
-        defect = self.completeness_defect()
-        if defect > atol:
-            raise ValueError(f"Kraus completeness defect {defect:.3e} > {atol:.1e}")
-        return self
-
-
-@dataclass(frozen=True)
-class ProjectorFamily:
-    """Orthogonal hermitian projectors on a right-mode subspace summing to I."""
-
-    projectors: tuple[LinearOperator, ...]
-
-    def __post_init__(self) -> None:
-        ps = tuple(self.projectors)
-        object.__setattr__(self, "projectors", ps)
-        if not ps:
-            raise ValueError("empty projector family")
-        spec = ps[0].spec
-        if any(p.spec != spec for p in ps):
-            raise ValueError("all projectors must share one subspace")
-        _require_right_modes(spec)
-
-    @property
-    def spec(self) -> HilbertSpec:
-        return self.projectors[0].spec
-
-    def validate(self, atol: float = 1e-10) -> "ProjectorFamily":
-        dim = self.spec.dim
-        total = np.zeros((dim, dim), dtype=np.complex128)
-        for p in self.projectors:
-            m = p.matrix
-            herm = float(np.abs(m - m.conj().T).max())
-            if herm > atol:
-                raise ValueError(f"projector not hermitian: defect {herm:.3e}")
-            idem = float(np.abs(m @ m - m).max())
-            if idem > atol:
-                raise ValueError(f"projector not idempotent: defect {idem:.3e}")
-            total += m
-        defect = float(np.abs(total - np.eye(dim)).max())
-        if defect > atol:
-            raise ValueError(f"projector family does not sum to I: {defect:.3e}")
-        # hermitian idempotents summing to I are pairwise orthogonal
-        return self
+def completeness_defect(operators: Sequence[LinearOperator]) -> float:
+    """max |sum_k A_k+ A_k - I| over the entries: zero for a projector family
+    or a complete Kraus family, up to rounding."""
+    dim = operators[0].spec.dim
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for a in operators:
+        acc += a.matrix.conj().T @ a.matrix
+    return float(np.abs(acc - np.eye(dim)).max())
 
 
 def nonselective_left(
@@ -129,8 +68,8 @@ def nonselective_left(
     Each branch A_k |psi> is reduced on its own and the left Gram matrices are
     summed, one branch at a time. The operators must act on right modes only;
     that they form a channel (one unitary, a projector family or a complete
-    Kraus family) is the caller's to ensure, and the families' ``validate``
-    checks it. Such a channel preserves the trace, so the output carries the
+    Kraus family) is the caller's to ensure, and :func:`completeness_defect`
+    measures it. Such a channel preserves the trace, so the output carries the
     input state's leakage.
     """
     if not operators:
@@ -160,9 +99,9 @@ def selective_outcome(
 
 def occupation_projectors(
     spec: HilbertSpec,
-    modes: Sequence[Union[str, ModeId]] = RIGHT_LABELS,
+    modes: Sequence[str] = RIGHT_LABELS,
     group: str = "total",
-) -> ProjectorFamily:
+) -> tuple[LinearOperator, ...]:
     """Diagonal projectors onto occupation classes of the given right modes.
 
     group="total" merges occupation tuples by their total photon number, which
@@ -177,10 +116,10 @@ def occupation_projectors(
         keys = np.arange(sub.dim)
     else:
         raise ValueError(f"group must be 'total' or 'tuple', got {group!r}")
-    return ProjectorFamily(tuple(
+    return tuple(
         LinearOperator(sub, blocks=diagonal_blocks(keys == key), hermitian=True)
         for key in np.unique(keys)
-    ))
+    )
 
 
 def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -194,7 +133,7 @@ def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_right_unitary(
     spec: HilbertSpec,
-    modes: Sequence[Union[str, ModeId]],
+    modes: Sequence[str],
     seed: Union[int, Sequence[int]],
 ) -> LinearOperator:
     """Seeded Haar-style unitary on a right-mode subspace."""
@@ -206,10 +145,10 @@ def random_right_unitary(
 
 def random_kraus(
     spec: HilbertSpec,
-    modes: Sequence[Union[str, ModeId]],
+    modes: Sequence[str],
     seed: Union[int, Sequence[int]],
     k: int = 3,
-) -> KrausFamily:
+) -> tuple[LinearOperator, ...]:
     """Seeded Kraus family of k operators, complete by construction.
 
     The stacked operators form the economic QR factor of a (k d) x d Gaussian
@@ -223,10 +162,7 @@ def random_kraus(
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
     q, _ = np.linalg.qr(z)
-    ops = tuple(
-        LinearOperator(sub, q[i * d : (i + 1) * d, :]) for i in range(k)
-    )
-    return KrausFamily(ops)
+    return tuple(LinearOperator(sub, q[i * d : (i + 1) * d, :]) for i in range(k))
 
 
 @dataclass(frozen=True)
@@ -260,7 +196,7 @@ class OccupationScan:
 
 
 def conditional_left_by_occupation(
-    state: PureState, modes: Sequence[Union[str, ModeId]]
+    state: PureState, modes: Sequence[str]
 ) -> OccupationScan:
     """Scan every occupation outcome of the given right modes at once.
 

@@ -43,7 +43,6 @@ from .channels import (
 )
 from .hilbert import (
     MODE_LABELS,
-    MODES,
     RIGHT_LABELS,
     DensityOperator,
     HilbertSpec,
@@ -197,7 +196,7 @@ class ExperimentConfig:
         return any(self.cutoffs_map[label] < needed for label in RIGHT_LABELS)
 
     def hilbert_spec(self) -> HilbertSpec:
-        return HilbertSpec(MODES, self.cutoffs)
+        return HilbertSpec(MODE_LABELS, self.cutoffs)
 
 
 # Peak resident memory of a run per byte of one state vector, measured with
@@ -423,7 +422,8 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
     Restricted to the exactly-representable sectors: input pair states whose
     total occupation stays strictly below the smaller cutoff, output states at
     or below it. There the truncated generator matches the ideal one, so the
-    residuals are rounding-level regardless of alpha.
+    residuals are rounding-level regardless of alpha. A pair with a cutoff of
+    0 has no such input state, and its residual is 0.
     """
     spec = config.hilbert_spec()
     left, arm_a, arm_b = _splitters(config)
@@ -446,7 +446,7 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
         for op, target in targets:
             acted = heisenberg_action(u, op).matrix
             delta = np.abs(acted - target)[np.ix_(rows, cols)]
-            worst = max(worst, float(delta.max()))
+            worst = max(worst, float(delta.max(initial=0.0)))
         out[name] = worst
     return out
 
@@ -559,12 +559,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         for k, pair in enumerate(pairs)
     ]
     after_projective = nonselective_left(
-        psi_with, occupation_projectors(spec, _SCAN_PAIR, group="total").projectors
+        psi_with, occupation_projectors(spec, _SCAN_PAIR, group="total")
     )
     after_kraus = [
-        nonselective_left(
-            psi_with, random_kraus(spec, pair, (config.seed, 3, k), k=3).operators
-        )
+        nonselective_left(psi_with, random_kraus(spec, pair, (config.seed, 3, k), k=3))
         for k, pair in enumerate(pairs)
     ]
     reduced += after_unitary + [after_projective] + after_kraus

@@ -2,7 +2,9 @@
 
 The simulator works on six optical modes named a1, b1, a2, b2, a3, b3. The pair
 (a1, b1) is the left side of the apparatus, the quartet (a2, b2, a3, b3) the
-right side. A state is a complex amplitude vector over occupation-number tuples
+right side. A mode is its label: every space, splitter and operator names its
+modes by these strings, listed in the order of MODE_LABELS. A state is a
+complex amplitude vector over occupation-number tuples
 (n_a1, n_b1, n_a2, n_b2, n_a3, n_b3) with a per-mode occupation cutoff. Basis
 ordering is row-major over the mode list, the occupation of the last mode
 varying fastest, so ``amplitudes.reshape(spec.dims)`` exposes one axis per mode.
@@ -26,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import InitVar, dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -37,55 +39,35 @@ RIGHT_LABELS = ("a2", "b2", "a3", "b3")
 _HERMITIAN_ATOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ModeId:
-    """One optical mode: a label from MODE_LABELS and its tensor slot 0..5."""
-
-    label: str
-    slot: int
-
-    def __post_init__(self) -> None:
-        if self.label not in MODE_LABELS:
-            raise ValueError(f"unknown mode label {self.label!r}")
-        expected = MODE_LABELS.index(self.label)
-        if self.slot != expected:
+def check_mode_order(labels: Sequence[str]) -> None:
+    """Raise ValueError, naming the label at fault, unless every label is in
+    MODE_LABELS and they are distinct and listed in its order."""
+    for label in labels:
+        if label not in MODE_LABELS:
+            raise ValueError(f"unknown mode label {label!r}")
+    for before, label in zip(labels, labels[1:]):
+        if MODE_LABELS.index(label) <= MODE_LABELS.index(before):
             raise ValueError(
-                f"mode {self.label!r} must sit at slot {expected}, got {self.slot}"
+                f"mode {label!r} listed after {before!r}: modes must be distinct "
+                f"and in the order {MODE_LABELS}"
             )
-
-    @property
-    def is_left(self) -> bool:
-        return self.label in LEFT_LABELS
-
-    @property
-    def is_right(self) -> bool:
-        return self.label in RIGHT_LABELS
-
-
-def mode(label: Union[str, ModeId]) -> ModeId:
-    """Coerce a label string (or pass through a ModeId) to a ModeId."""
-    if isinstance(label, ModeId):
-        return label
-    return ModeId(label, MODE_LABELS.index(label))
-
-
-MODES = tuple(mode(lbl) for lbl in MODE_LABELS)
 
 
 @dataclass(frozen=True)
 class HilbertSpec:
     """A truncated tensor-product space over an ordered subset of the modes.
 
-    ``modes`` must be listed in slot order and ``cutoffs`` gives the maximum
-    occupation per mode, so each mode contributes a factor of dimension
-    cutoff + 1. The left modes, when present, must allow at least one photon.
+    ``modes`` holds labels from MODE_LABELS, distinct and in that order, and
+    ``cutoffs`` gives the maximum occupation per mode, so each mode
+    contributes a factor of dimension cutoff + 1. The left modes, when
+    present, must allow at least one photon.
     """
 
-    modes: tuple[ModeId, ...]
+    modes: tuple[str, ...]
     cutoffs: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        mds = tuple(mode(m) for m in self.modes)
+        mds = tuple(self.modes)
         cts = tuple(int(c) for c in self.cutoffs)
         object.__setattr__(self, "modes", mds)
         object.__setattr__(self, "cutoffs", cts)
@@ -93,14 +75,12 @@ class HilbertSpec:
             raise ValueError("one cutoff per mode required")
         if not mds:
             raise ValueError("empty mode list")
-        slots = [m.slot for m in mds]
-        if len(set(slots)) != len(slots) or slots != sorted(slots):
-            raise ValueError("modes must be distinct and listed in slot order")
+        check_mode_order(mds)
         for m, c in zip(mds, cts):
             if c < 0:
-                raise ValueError(f"negative cutoff for mode {m.label}")
-            if m.is_left and c < 1:
-                raise ValueError(f"left mode {m.label} needs cutoff >= 1")
+                raise ValueError(f"negative cutoff for mode {m}")
+            if m in LEFT_LABELS and c < 1:
+                raise ValueError(f"left mode {m} needs cutoff >= 1")
 
     @property
     def dims(self) -> tuple[int, ...]:
@@ -110,14 +90,10 @@ class HilbertSpec:
     def dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.modes)
+    def axis_of(self, m: str) -> int:
+        return self.modes.index(m)
 
-    def axis_of(self, m: Union[str, ModeId]) -> int:
-        return self.modes.index(mode(m))
-
-    def cutoff_of(self, m: Union[str, ModeId]) -> int:
+    def cutoff_of(self, m: str) -> int:
         return self.cutoffs[self.axis_of(m)]
 
     def index_of(self, occupation: Sequence[int]) -> int:
@@ -128,17 +104,16 @@ class HilbertSpec:
         """Occupation tuple of a basis index; inverse of :meth:`index_of`."""
         return tuple(int(n) for n in np.unravel_index(index, self.dims))
 
-    def subspace(self, labels: Iterable[Union[str, ModeId]]) -> "HilbertSpec":
+    def subspace(self, labels: Iterable[str]) -> "HilbertSpec":
         """The subspace spanned by the given modes, cutoffs carried over."""
-        wanted = sorted((mode(m) for m in labels), key=lambda m: m.slot)
+        wanted = tuple(labels)
         if not wanted:
             raise ValueError("empty subspace")
-        missing = [m.label for m in wanted if m not in self.modes]
+        missing = [m for m in wanted if m not in self.modes]
         if missing:
             raise ValueError(f"modes not in this space: {missing}")
-        return HilbertSpec(
-            tuple(wanted), tuple(self.cutoff_of(m) for m in wanted)
-        )
+        wanted = sorted(wanted, key=self.modes.index)
+        return HilbertSpec(wanted, tuple(self.cutoff_of(m) for m in wanted))
 
     def contains(self, other: "HilbertSpec") -> bool:
         """True when every mode of `other` appears here with the same cutoff."""
@@ -353,7 +328,7 @@ def basis_state(spec: HilbertSpec, occupation: Sequence[int]) -> PureState:
 
 def product_state(
     spec: HilbertSpec,
-    terms: Iterable[tuple[complex, Mapping[Union[str, ModeId], np.ndarray]]],
+    terms: Iterable[tuple[complex, Mapping[str, np.ndarray]]],
     scale: float = 1.0,
 ) -> PureState:
     """scale * sum_k c_k (tensor product over the modes of f_km), for terms
@@ -377,7 +352,7 @@ def product_state(
     return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
 
 
-def ladder(spec: HilbertSpec, m: Union[str, ModeId], kind: str) -> LinearOperator:
+def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
     """Creation ("raise") or annihilation ("lower") operator for one mode.
 
     Returned on the single-mode subspace; use :func:`apply` to act on a state
@@ -398,7 +373,7 @@ def raising_matrix(d: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), -1).astype(np.complex128)
 
 
-def number_op(spec: HilbertSpec, m: Union[str, ModeId]) -> LinearOperator:
+def number_op(spec: HilbertSpec, m: str) -> LinearOperator:
     """Occupation-number operator for one mode, on its single-mode subspace."""
     sub = spec.subspace((m,))
     return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)), hermitian=True)
@@ -450,9 +425,11 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     multiplied by the block into a zeroed buffer, one block at a time, and
     the axes are moved back; rows outside every block stay zero.
 
-    Unitary-flagged operators track truncation: any norm squared they lose is
-    added to the state's leakage, and the state is never renormalized. The
-    result owns its amplitudes, so the new state takes them without a copy.
+    After a unitary-flagged operator any norm squared the state lost is added
+    to its leakage, and the state is never renormalized; the splitters and
+    displacements are unitary on the truncated space, so what is booked there
+    is rounding. The result owns its amplitudes, so the new state takes them
+    without a copy.
     """
     if not state.spec.contains(op.spec):
         raise ValueError("operator modes/cutoffs do not match the state space")

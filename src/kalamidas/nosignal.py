@@ -69,7 +69,7 @@ def analytic_left_expectation(h: LinearOperator) -> float:
     if not h.hermitian:
         raise ValueError("analytic_left_expectation needs a hermitian observable")
     spec = h.spec
-    if spec.labels != LEFT_LABELS:
+    if spec.modes != LEFT_LABELS:
         raise ValueError("observable must live on the left pair (a1, b1)")
     i10 = spec.index_of((1, 0))
     i01 = spec.index_of((0, 1))

@@ -26,7 +26,6 @@ import functools
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 from scipy.linalg import expm
@@ -35,10 +34,9 @@ from .hilbert import (
     Blocks,
     HilbertSpec,
     LinearOperator,
-    ModeId,
     PureState,
+    check_mode_order,
     ladder,
-    mode,
     product_state,
     raising_matrix,
     total_occupations,
@@ -51,21 +49,23 @@ class CutoffAdequacyWarning(UserWarning):
 
 @dataclass(frozen=True)
 class BeamSplitter:
-    """A two-mode splitter on the slot-ordered pair with parameters (t, r).
+    """A two-mode splitter on a pair of mode labels, in MODE_LABELS order,
+    with parameters (t, r).
 
     t must lie in [0, 1]; r may be negative (the verdict of the experiment is
     independent of the sign choice, which is exercised in the tests).
     """
 
-    mode_pair: tuple[ModeId, ModeId]
+    mode_pair: tuple[str, str]
     t: float
     r: float
 
     def __post_init__(self) -> None:
-        pair = tuple(mode(m) for m in self.mode_pair)
+        pair = tuple(self.mode_pair)
         object.__setattr__(self, "mode_pair", pair)
-        if len(pair) != 2 or pair[0].slot >= pair[1].slot:
-            raise ValueError("mode_pair must be two distinct modes in slot order")
+        if len(pair) != 2:
+            raise ValueError(f"mode_pair must hold two modes, got {pair}")
+        check_mode_order(pair)
         t, r = float(self.t), float(self.r)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "r", r)
@@ -88,7 +88,7 @@ def adequate_cutoff(alpha: complex) -> int:
     return math.ceil(needed)
 
 
-def _check_adequacy(spec: HilbertSpec, m: Union[str, ModeId], alpha: complex) -> None:
+def _check_adequacy(spec: HilbertSpec, m: str, alpha: complex) -> None:
     a = complex(alpha)
     if a == 0:
         return
@@ -96,9 +96,8 @@ def _check_adequacy(spec: HilbertSpec, m: Union[str, ModeId], alpha: complex) ->
     have = spec.cutoff_of(m)
     if have < needed:
         warnings.warn(
-            f"cutoff {have} on mode {mode(m).label} is below the adequacy "
-            f"rule ({needed}) for |alpha| = {abs(a):.4g}; accuracy degrades "
-            f"and leakage grows",
+            f"cutoff {have} on mode {m} is below the adequacy rule ({needed}) "
+            f"for |alpha| = {abs(a):.4g}; accuracy degrades and leakage grows",
             CutoffAdequacyWarning,
             stacklevel=3,
         )
@@ -167,9 +166,7 @@ def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:
     return LinearOperator(u.spec, m @ op.matrix @ m.conj().T)
 
 
-def displacement_unitary(
-    spec: HilbertSpec, m: Union[str, ModeId], alpha: complex
-) -> LinearOperator:
+def displacement_unitary(spec: HilbertSpec, m: str, alpha: complex) -> LinearOperator:
     """D(alpha) = exp(alpha a+ - conj(alpha) a) on the mode's subspace.
 
     Exactly unitary on the truncated space. Warns when the mode's cutoff is
@@ -192,9 +189,7 @@ def coherent_series(alpha: complex, dim: int) -> np.ndarray:
     return out
 
 
-def coherent_state(
-    spec: HilbertSpec, m: Union[str, ModeId], alpha: complex
-) -> PureState:
+def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:
     """|alpha> on one mode, vacuum elsewhere, from the truncated series.
 
     The missing Poisson tail appears as leakage, so norm2 + leakage = 1 up to

@@ -1,18 +1,31 @@
 """Shared fixtures. The default-configuration states and report are expensive
 (about a million amplitudes), so they are built once per session."""
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from kalamidas import (
     ExperimentConfig,
+    MODE_LABELS,
     HilbertSpec,
-    MODES,
     evolve,
     initial_state_bare,
     initial_state_with_coherent,
     reduce_left,
     run_experiment,
 )
+
+
+SRC = Path(__file__).parents[1] / "src"
+
+
+def child_env():
+    """The environment for a child Python process that must import this
+    checkout's package: ``src`` put before any inherited PYTHONPATH."""
+    pythonpath = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": pythonpath}
 
 
 @pytest.fixture(scope="session")
@@ -40,12 +53,12 @@ def reduced_pair(evolved_states):
 
 @pytest.fixture()
 def quick_spec():
-    return HilbertSpec(MODES, (1, 1, 2, 2, 2, 2))
+    return HilbertSpec(MODE_LABELS, (1, 1, 2, 2, 2, 2))
 
 
 @pytest.fixture()
 def small_spec():
-    return HilbertSpec(MODES, (1, 1, 1, 1, 1, 1))
+    return HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 1, 1))
 
 
 @pytest.fixture(scope="session")

@@ -13,12 +13,12 @@ import sys
 
 import numpy as np
 import pytest
+from conftest import child_env
 
 from kalamidas import (
     BeamSplitter,
     DensityOperator,
     ExperimentConfig,
-    KrausFamily,
     apply,
     analytic_left_expectation,
     beamsplitter_unitary,
@@ -38,6 +38,7 @@ from kalamidas import (
     trace_distance,
     vacuum,
 )
+from kalamidas.channels import completeness_defect
 from kalamidas.experiment import _RIGHT_PAIRS, SQRT_HALF, left_states_over_phases
 
 FROZEN_SELECTIVE_PROBABILITY = 0.27590958087858186
@@ -241,24 +242,33 @@ def test_numerical_hygiene(default_config, default_report, reduced_pair):
 
     completeness = 0.0
     for k, pair in enumerate(_RIGHT_PAIRS):
-        fam = random_kraus(spec, pair, (default_config.seed, 3, k), k=3)
-        completeness = max(completeness, fam.completeness_defect())
+        kraus = random_kraus(spec, pair, (default_config.seed, 3, k), k=3)
+        completeness = max(completeness, completeness_defect(kraus))
     assert completeness <= HYGIENE_TOL
 
-    family = occupation_projectors(spec, ("a2", "b2"), group="total")
-    family.validate(atol=HYGIENE_TOL)
-    KrausFamily(family.projectors).validate(atol=HYGIENE_TOL)
+    # hermitian idempotents summing to I, hence pairwise orthogonal
+    projectors = occupation_projectors(spec, ("a2", "b2"), group="total")
+    projection = completeness_defect(projectors)
+    total = np.zeros((projectors[0].spec.dim,) * 2, dtype=np.complex128)
+    for p in projectors:
+        m = p.matrix
+        hermiticity = float(np.abs(m - m.conj().T).max())
+        idempotency = float(np.abs(m @ m - m).max())
+        projection = max(projection, hermiticity, idempotency)
+        total += m
+    projection = max(projection, float(np.abs(total - np.eye(len(total))).max()))
+    assert projection <= HYGIENE_TOL
 
     rho_with, rho_bare = reduced_pair
     rho_with.validate(atol=HYGIENE_TOL)
     rho_bare.validate(atol=HYGIENE_TOL)
     assert default_report.residuals["reduced_invariants"] <= HYGIENE_TOL
     worst = max(
-        unitarity, bs_unitarity, completeness,
+        unitarity, bs_unitarity, completeness, projection,
         default_report.residuals["reduced_invariants"],
     )
     print(
-        f"PASS hygiene: worst unitarity/completeness/invariant defect {worst:.3e} "
+        f"PASS hygiene: worst unitarity/completeness/projector/invariant defect {worst:.3e} "
         f"<= {HYGIENE_TOL:.0e}"
     )
 
@@ -270,21 +280,18 @@ def test_cli_determinism_and_exit_codes(tmp_path):
         "--cutoff", "a2=3", "--cutoff", "b2=3", "--cutoff", "a3=3", "--cutoff", "b3=3",
         "--trials", "3",
     ]
-    first = subprocess.run(cli + quick, capture_output=True, text=True, timeout=600)
-    second = subprocess.run(cli + quick, capture_output=True, text=True, timeout=600)
+    run = dict(capture_output=True, text=True, timeout=600, env=child_env())
+    first = subprocess.run(cli + quick, **run)
+    second = subprocess.run(cli + quick, **run)
     assert first.returncode == 0
     assert first.stdout == second.stdout
     assert json.loads(first.stdout)["verdict"] == "pass"
 
-    failing = subprocess.run(
-        cli + quick + ["--tolerance", "1e-30"], capture_output=True, text=True, timeout=600
-    )
+    failing = subprocess.run(cli + quick + ["--tolerance", "1e-30"], **run)
     assert failing.returncode == 1
     assert json.loads(failing.stdout)["verdict"] == "fail"
 
-    usage = subprocess.run(
-        cli + ["--t", "1.2"], capture_output=True, text=True, timeout=600
-    )
+    usage = subprocess.run(cli + ["--t", "1.2"], **run)
     assert usage.returncode == 2
     assert "[0, 1]" in usage.stderr
     print(

@@ -1,4 +1,4 @@
-"""Right-side operations: families, invariance of the left reduction,
+"""Right-side operations: operator families, invariance of the left reduction,
 selective conditioning, and the occupation scan."""
 import tracemalloc
 
@@ -8,11 +8,7 @@ import pytest
 from kalamidas import (
     PROBABILITY_FLOOR,
     ExperimentConfig,
-    HilbertSpec,
-    KrausFamily,
     LinearOperator,
-    MODES,
-    ProjectorFamily,
     PureState,
     apply,
     conditional_left_by_occupation,
@@ -27,6 +23,7 @@ from kalamidas import (
     trace_distance,
     vacuum,
 )
+from kalamidas.channels import completeness_defect
 
 
 def _random_state(spec, seed):
@@ -45,21 +42,29 @@ def _dense_nonselective_left(state, operators):
     return sum(rho.matrix for rho in branches)
 
 
+def _assert_projector_family(projectors, atol=1e-10):
+    """Hermitian idempotents summing to I, hence pairwise orthogonal."""
+    for p in projectors:
+        m = p.matrix
+        assert np.abs(m - m.conj().T).max() <= atol
+        assert np.abs(m @ m - m).max() <= atol
+    assert completeness_defect(projectors) <= atol
+
+
 def test_occupation_projectors_total_group(small_spec):
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
-    family.validate()
-    assert len(family.projectors) == 5
-    for i, p in enumerate(family.projectors):
-        for q in family.projectors[i + 1 :]:
+    _assert_projector_family(family)
+    assert len(family) == 5
+    for i, p in enumerate(family):
+        for q in family[i + 1 :]:
             assert np.abs(p.matrix @ q.matrix).max() < 1e-15
 
 
 def test_occupation_projectors_tuple_group(quick_spec):
     family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
-    family.validate()
-    sub = family.spec
-    assert len(family.projectors) == sub.dim
-    for p in family.projectors:
+    _assert_projector_family(family)
+    assert len(family) == quick_spec.subspace(("a2", "b2")).dim
+    for p in family:
         assert int(np.trace(p.matrix).real) == 1
 
 
@@ -73,8 +78,8 @@ def test_occupation_projectors_guards(quick_spec):
 def test_projective_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 5)
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
-    after = nonselective_left(psi, family.projectors)
-    dense = _dense_nonselective_left(psi, family.projectors)
+    after = nonselective_left(psi, family)
+    dense = _dense_nonselective_left(psi, family)
     assert np.abs(after.matrix - dense).max() < 1e-14
     assert trace_distance(after, reduce_left(psi)) < 1e-12
     assert after.trace == pytest.approx(psi.norm2, abs=1e-12)
@@ -83,17 +88,16 @@ def test_projective_channel_preserves_left_state(small_spec):
 def test_kraus_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 6)
     family = random_kraus(small_spec, ("a2", "b2", "a3", "b3"), seed=42, k=3)
-    assert family.completeness_defect() < 1e-12
-    after = nonselective_left(psi, family.operators)
-    dense = _dense_nonselective_left(psi, family.operators)
+    assert completeness_defect(family) < 1e-12
+    after = nonselective_left(psi, family)
+    dense = _dense_nonselective_left(psi, family)
     assert np.abs(after.matrix - dense).max() < 1e-14
     assert trace_distance(after, reduce_left(psi)) < 1e-12
 
 
 def test_projectors_are_a_kraus_special_case(small_spec):
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
-    as_kraus = KrausFamily(family.projectors).validate()
-    assert as_kraus.completeness_defect() < 1e-14
+    assert completeness_defect(family) < 1e-14
 
 
 def test_unitary_channel_matches_the_dense_conjugation(small_spec):
@@ -133,39 +137,28 @@ def test_random_right_unitary_is_unitary_and_seeded(small_spec):
 def test_random_kraus_seeded_and_guarded(small_spec):
     f1 = random_kraus(small_spec, ("b2", "b3"), seed=(0, 3, 1), k=4)
     f2 = random_kraus(small_spec, ("b2", "b3"), seed=(0, 3, 1), k=4)
-    assert len(f1.operators) == 4
-    assert all(
-        np.array_equal(a.matrix, b.matrix)
-        for a, b in zip(f1.operators, f2.operators)
-    )
-    f1.validate()
-    single = random_kraus(small_spec, ("b2", "b3"), seed=5, k=1)
-    gram = single.operators[0].matrix.conj().T @ single.operators[0].matrix
+    assert len(f1) == 4
+    assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(f1, f2))
+    assert completeness_defect(f1) < 1e-10
+    (single,) = random_kraus(small_spec, ("b2", "b3"), seed=5, k=1)
+    gram = single.matrix.conj().T @ single.matrix
     assert np.abs(gram - np.eye(single.spec.dim)).max() < 1e-12
     with pytest.raises(ValueError):
         random_kraus(small_spec, ("b2", "b3"), seed=5, k=0)
 
 
-def test_family_construction_guards(small_spec):
-    with pytest.raises(ValueError):
-        KrausFamily(())
-    with pytest.raises(ValueError):
-        ProjectorFamily(())
+def test_completeness_defect_sees_an_incomplete_family(small_spec):
     a = identity(small_spec.subspace(("a2",)))
-    b = identity(small_spec.subspace(("b2",)))
-    with pytest.raises(ValueError):
-        KrausFamily((a, b))
-    ProjectorFamily((a,)).validate()
     halved = LinearOperator(a.spec, a.matrix / 2)
-    with pytest.raises(ValueError):
-        ProjectorFamily((a, halved)).validate()
+    assert completeness_defect((a,)) == 0.0
+    assert completeness_defect((a, halved)) == pytest.approx(0.25)
 
 
 def test_selective_outcome_probabilities(quick_spec):
     psi = _random_state(quick_spec, 13)
     family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
     total = 0.0
-    for p in family.projectors:
+    for p in family:
         cond, prob = selective_outcome(psi, p)
         total += prob
         if cond is not None:
@@ -176,7 +169,7 @@ def test_selective_outcome_probabilities(quick_spec):
 def test_selective_outcome_null_below_floor(quick_spec):
     psi = vacuum(quick_spec)
     family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
-    occupied = family.projectors[1]
+    occupied = family[1]
     cond, prob = selective_outcome(psi, occupied)
     assert cond is None
     assert prob < PROBABILITY_FLOOR
@@ -186,8 +179,8 @@ def test_scan_matches_projector_by_projector_conditioning(quick_spec):
     psi = _random_state(quick_spec, 17)
     scan = conditional_left_by_occupation(psi, ("a2", "b2"))
     family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
-    sub = family.spec
-    for k, p in enumerate(family.projectors):
+    sub = quick_spec.subspace(("a2", "b2"))
+    for k, p in enumerate(family):
         assert scan.occupations[k] == sub.occupation_of(k)
         cond, prob = selective_outcome(psi, p)
         assert scan.probabilities[k] == pytest.approx(prob, abs=1e-13)
@@ -246,7 +239,7 @@ def test_projector_masks_equal_the_dense_product(
     spec = request.getfixturevalue(spec_name)
     psi = _random_state(spec, 5)
     family = occupation_projectors(spec, modes, group=group)
-    for p in family.projectors:
+    for p in family:
         assert all(block.shape == (1, 1) for _, block in p.blocks)
         assert np.array_equal(apply(p, psi).amplitudes, tensordot_apply(p, psi))
 
@@ -260,5 +253,5 @@ def test_occupation_projectors_allocate_no_dense_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(family.projectors) == 43
+    assert len(family) == 43
     assert peak < dense

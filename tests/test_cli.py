@@ -1,6 +1,5 @@
 """Command line contract: flags, exit codes, emission, determinism."""
 import json
-import os
 import resource
 import shutil
 import subprocess
@@ -8,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from kalamidas.cli import main
 
@@ -33,7 +33,7 @@ sys.exit(main())
 
 def _run(*extra, args=None):
     argv = CLI + (list(args) if args is not None else QUICK_ARGS) + list(extra)
-    return subprocess.run(argv, capture_output=True, text=True, timeout=600)
+    return subprocess.run(argv, capture_output=True, text=True, timeout=600, env=child_env())
 
 
 def test_quick_run_exits_zero_with_json_report():
@@ -115,13 +115,9 @@ def _declared_script_help():
         tomllib = pytest.importorskip("tomli")
     project = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]
     value = project["scripts"]["kalamidas"]
-    pythonpath = os.pathsep.join(
-        filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")])
-    )
     return subprocess.run(
         [sys.executable, "-c", _ENTRY_POINT_CHILD, value],
-        capture_output=True, text=True, timeout=120,
-        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True, text=True, timeout=120, env=child_env(),
     )
 
 
@@ -216,3 +212,19 @@ def test_infinite_tolerance_exits_2_before_the_battery(capsys, monkeypatch, tole
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "tolerance" in err
+
+
+def test_zero_right_cutoffs_run_without_a_traceback(capsys):
+    # no pair sector is exactly representable at cutoff 0, so the Heisenberg
+    # residuals of the arm splitters read 0; at t = 0.6 the photon reflected
+    # into a3 or b3 is cut, and the structure check fails cleanly
+    argv = ["--alpha-re", "0", "--trials", "3", "--cutoff", "a3=0", "--cutoff", "b3=0"]
+    assert main(argv + ["--t", "1"]) == 0
+    out, err = capsys.readouterr()
+    residuals = json.loads(out)["residuals"]
+    assert residuals["heisenberg_arm_a"] == residuals["heisenberg_arm_b"] == 0
+    assert err == ""
+    assert main(["--alpha-re", "0", "--trials", "3", "--t", "0.6", "--cutoff", "b3=0"]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("structure: 2.828e-01 > 1.000e-09")

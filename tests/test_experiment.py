@@ -327,7 +327,7 @@ def _ladder_built_initial_state(config, alpha):
     spec = config.hilbert_spec()
     factors = [
         coherent_series(alpha, d)
-        if m.label in ("a3", "b3")
+        if m in ("a3", "b3")
         else np.eye(d, 1, dtype=complex).ravel()
         for m, d in zip(spec.modes, spec.dims)
     ]

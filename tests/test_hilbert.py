@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from kalamidas import (
     MODE_LABELS,
-    MODES,
     BeamSplitter,
     DensityOperator,
     HilbertSpec,
@@ -19,7 +18,6 @@ from kalamidas import (
     identity,
     inner,
     ladder,
-    mode,
     number_op,
     occupation_projectors,
     random_kraus,
@@ -31,7 +29,7 @@ from kalamidas.hilbert import product_state, total_occupations
 
 @pytest.mark.parametrize("cutoff", [2, 3])
 def test_index_round_trip_is_exhaustive(cutoff):
-    spec = HilbertSpec(MODES, (cutoff,) * 6)
+    spec = HilbertSpec(MODE_LABELS, (cutoff,) * 6)
     assert spec.dim == (cutoff + 1) ** 6
     for i in range(spec.dim):
         occ = spec.occupation_of(i)
@@ -40,7 +38,7 @@ def test_index_round_trip_is_exhaustive(cutoff):
 
 
 def test_last_mode_varies_fastest():
-    spec = HilbertSpec(MODES, (1, 1, 2, 2, 2, 2))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 2, 2, 2, 2))
     assert spec.index_of((0, 0, 0, 0, 0, 1)) == 1
     assert spec.index_of((1, 0, 0, 0, 0, 0)) == spec.dim // 2
     reshaped = np.arange(spec.dim).reshape(spec.dims)
@@ -48,44 +46,54 @@ def test_last_mode_varies_fastest():
 
 
 def test_accessors():
-    spec = HilbertSpec(MODES, (1, 1, 4, 3, 2, 5))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 4, 3, 2, 5))
     assert spec.axis_of("a3") == 4
     assert spec.cutoff_of("b3") == 5
-    assert spec.labels == MODE_LABELS
+    assert spec.modes == MODE_LABELS
     assert spec.dims == (2, 2, 5, 4, 3, 6)
 
 
-def test_mode_coercion_and_sides():
-    assert mode("a1").slot == 0
-    assert mode("a1").is_left
-    assert mode("b3").is_right
-    assert mode(MODES[2]) is MODES[2]
-    with pytest.raises(ValueError):
-        mode("c9")
+@pytest.mark.parametrize(
+    "labels, bad",
+    [(("a1", "c9"), "c9"), (("a1", "a2", "a2"), "a2"), (("b1", "a1"), "a1")],
+    ids=["unknown", "duplicate", "out-of-order"],
+)
+def test_spec_names_the_bad_mode_label(labels, bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        HilbertSpec(labels, (1,) * len(labels))
+
+
+def test_subspace_names_an_unknown_label(quick_spec):
+    with pytest.raises(ValueError, match="'c9'"):
+        quick_spec.subspace(("c9",))
+
+
+@pytest.mark.parametrize(
+    "pair, bad", [(("a3", "a2"), "a2"), (("a2", "x7"), "x7")], ids=["reversed", "unknown"]
+)
+def test_splitter_names_the_bad_mode_label(pair, bad):
+    with pytest.raises(ValueError, match=repr(bad)):
+        BeamSplitter(pair, 0.6, 0.8)
 
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        HilbertSpec((MODES[1], MODES[0]), (1, 1))
+        HilbertSpec(MODE_LABELS, (0, 1, 2, 2, 2, 2))
     with pytest.raises(ValueError):
-        HilbertSpec((MODES[0], MODES[0]), (1, 1))
+        HilbertSpec(MODE_LABELS, (1, 1, -1, 2, 2, 2))
     with pytest.raises(ValueError):
-        HilbertSpec(MODES, (0, 1, 2, 2, 2, 2))
-    with pytest.raises(ValueError):
-        HilbertSpec(MODES, (1, 1, -1, 2, 2, 2))
-    with pytest.raises(ValueError):
-        HilbertSpec(MODES, (1, 1, 2))
+        HilbertSpec(MODE_LABELS, (1, 1, 2))
 
 
 def test_subspace_sorts_and_carries_cutoffs(quick_spec):
     sub = quick_spec.subspace(("b2", "a2"))
-    assert sub.labels == ("a2", "b2")
+    assert sub.modes == ("a2", "b2")
     assert sub.cutoffs == (2, 2)
     assert quick_spec.contains(sub)
     assert not sub.contains(quick_spec)
     with pytest.raises(ValueError):
         quick_spec.subspace(())
-    other = HilbertSpec(MODES, (1, 1, 3, 2, 2, 2))
+    other = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 2, 2))
     assert not quick_spec.contains(other.subspace(("a2",)))
 
 
@@ -127,7 +135,7 @@ def test_embed_composes(quick_spec):
 
 
 def test_embed_requires_containment(quick_spec):
-    other = HilbertSpec(MODES, (1, 1, 3, 2, 2, 2))
+    other = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 2, 2))
     op = ladder(other, "a2", "raise")
     with pytest.raises(ValueError):
         embed(op, quick_spec)
@@ -144,7 +152,7 @@ _SUBSETS = [("a2",), ("b2", "a3"), ("a2", "b3"), ("a3", "b3"), ("a2", "b2", "a3"
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), labels=st.sampled_from(_SUBSETS))
 def test_apply_matches_embedded_matvec(seed, labels):
-    spec = HilbertSpec(MODES, (1, 1, 2, 2, 2, 2))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 2, 2, 2, 2))
     rng = np.random.default_rng(seed)
     sub = spec.subspace(labels)
     d = sub.dim
@@ -165,7 +173,7 @@ def test_apply_full_space_path(quick_spec):
 
 
 def test_apply_rejects_foreign_cutoffs(quick_spec):
-    other = HilbertSpec(MODES, (1, 1, 3, 2, 2, 2))
+    other = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 2, 2))
     op = ladder(other, "a2", "raise")
     with pytest.raises(ValueError):
         apply(op, vacuum(quick_spec))
@@ -229,7 +237,7 @@ def test_inner_is_conjugate_linear_in_first(quick_spec):
     assert inner(x, y) == pytest.approx(np.conj(inner(y, x)))
     assert inner(x, x).real == pytest.approx(x.norm2)
     with pytest.raises(ValueError):
-        inner(x, vacuum(HilbertSpec(MODES, (1, 1, 1, 1, 1, 1))))
+        inner(x, vacuum(HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 1, 1))))
 
 
 def test_vacuum_and_basis_state(quick_spec):
@@ -325,7 +333,7 @@ def test_product_state_matches_the_kron_chain(quick_spec):
 
 
 def test_one_mode_product_state_leaves_the_callers_vector_alone():
-    spec = HilbertSpec((mode("a3"),), (3,))
+    spec = HilbertSpec(("a3",), (3,))
     vec = np.array([0.5, 0.5j, -0.5, 0.25 + 0.25j])
     kept = vec.copy()
     state = product_state(spec, [(2.0 - 1.0j, {"a3": vec})], scale=0.5)
@@ -334,7 +342,7 @@ def test_one_mode_product_state_leaves_the_callers_vector_alone():
 
 
 # a2, a3 make a 4 x 5 pair, b2, b3 a 3 x 3 pair and a1, b1 a 2 x 2 pair
-_RAGGED = HilbertSpec(MODES, (1, 1, 3, 2, 4, 2))
+_RAGGED = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 4, 2))
 _SPLITTER_PAIRS = [("a2", "a3"), ("b2", "b3"), ("a1", "b1")]
 _RIGHT_PAIRS = [("a2", "b2"), ("a2", "a3"), ("a2", "b3"), ("b2", "a3"), ("b2", "b3"), ("a3", "b3")]
 
@@ -380,8 +388,8 @@ def test_every_operator_kind_equals_the_tensordot_reference(tensordot_apply, pai
     psi = _random_state(_RAGGED, 8)
     operators = [
         random_right_unitary(_RAGGED, pair, 1),
-        *random_kraus(_RAGGED, pair, 2).operators,
-        *occupation_projectors(_RAGGED, pair).projectors,
+        *random_kraus(_RAGGED, pair, 2),
+        *occupation_projectors(_RAGGED, pair),
         *(number_op(_RAGGED, m) for m in pair),
     ]
     for op in operators:

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kalamidas import (
     LEFT_LABELS,
-    MODES,
     DensityOperator,
     HilbertSpec,
     LinearOperator,
@@ -33,7 +32,7 @@ def _random_state(spec, seed, scale=1.0):
 
 
 def _left_pair_spec():
-    return HilbertSpec(MODES[:2], (1, 1))
+    return HilbertSpec(LEFT_LABELS, (1, 1))
 
 
 def _brute_force_reduction(state):
@@ -116,7 +115,7 @@ def test_expectation_guards():
     plain = LinearOperator(left, np.eye(4, dtype=complex))
     with pytest.raises(ValueError):
         expectation(rho, plain)
-    other = random_left_observable(HilbertSpec(MODES[:2], (2, 2)), 1)
+    other = random_left_observable(HilbertSpec(LEFT_LABELS, (2, 2)), 1)
     with pytest.raises(ValueError):
         expectation(rho, other)
 
@@ -167,7 +166,7 @@ def test_trace_distance_extremes():
     assert trace_distance(pure0, pure1) == pytest.approx(1.0)
     assert trace_distance(pure0, pure0) == 0.0
     with pytest.raises(ValueError):
-        trace_distance(pure0, DensityOperator(HilbertSpec(MODES[:2], (2, 2)), np.eye(9, dtype=complex) / 9))
+        trace_distance(pure0, DensityOperator(HilbertSpec(LEFT_LABELS, (2, 2)), np.eye(9, dtype=complex) / 9))
 
 
 def _random_density(seed):
@@ -240,6 +239,6 @@ def test_signaling_gap_guards():
     rho = _random_density(6)
     with pytest.raises(ValueError):
         signaling_gap(rho, rho, trials=0, seed=0)
-    other = DensityOperator(HilbertSpec(MODES[:2], (2, 2)), np.eye(9, dtype=complex) / 9)
+    other = DensityOperator(HilbertSpec(LEFT_LABELS, (2, 2)), np.eye(9, dtype=complex) / 9)
     with pytest.raises(ValueError):
         signaling_gap(rho, other, trials=2, seed=0)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kalamidas import (
-    MODES,
+    MODE_LABELS,
     BeamSplitter,
     CutoffAdequacyWarning,
     ExperimentConfig,
@@ -101,7 +101,7 @@ def test_adequate_cutoff_values():
 
 
 def test_displacement_is_exactly_unitary():
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 12, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 12, 1))
     d = displacement_unitary(spec, "a3", 0.3)
     assert d.unitary
     gram = d.matrix.conj().T @ d.matrix
@@ -109,7 +109,7 @@ def test_displacement_is_exactly_unitary():
 
 
 def test_displacement_adjoint_is_inverse():
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 14, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 14, 1))
     alpha = 0.4 + 0.2j
     d = displacement_unitary(spec, "a3", alpha)
     dback = displacement_unitary(spec, "a3", -alpha)
@@ -119,7 +119,7 @@ def test_displacement_adjoint_is_inverse():
 def test_displaced_vacuum_matches_coherent_series():
     alpha = 1.0
     cutoff = adequate_cutoff(alpha) + 5
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, cutoff, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, cutoff, 1))
     displaced = apply(displacement_unitary(spec, "a3", alpha), vacuum(spec))
     series = coherent_state(spec, "a3", alpha)
     assert np.abs(displaced.amplitudes - series.amplitudes).max() < 1e-9
@@ -144,7 +144,7 @@ def test_coherent_mean_occupation():
 
 def test_coherent_state_leakage_is_poisson_tail():
     alpha = 1.2
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 4, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 4, 1))
     with pytest.warns(CutoffAdequacyWarning):
         state = coherent_state(spec, "a3", alpha)
     a2 = abs(alpha) ** 2
@@ -154,19 +154,19 @@ def test_coherent_state_leakage_is_poisson_tail():
 
 
 def test_adequacy_warning_quiet_cases():
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 1, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 1, 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coherent_state(spec, "a3", 0.0)
         displacement_unitary(spec, "b3", 0.0)
-    big = HilbertSpec(MODES, (1, 1, 1, 1, adequate_cutoff(0.8), 1))
+    big = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, adequate_cutoff(0.8), 1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coherent_state(big, "a3", 0.8)
 
 
 def test_adequacy_warning_fires_for_displacement():
-    spec = HilbertSpec(MODES, (1, 1, 1, 1, 3, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 3, 1))
     with pytest.warns(CutoffAdequacyWarning):
         displacement_unitary(spec, "a3", 1.0)
 
@@ -183,7 +183,7 @@ def test_heisenberg_action_guards(quick_spec):
 def test_splitter_covariance_with_displacement():
     t, r, alpha = 0.8, 0.6, 0.8
     cutoff = adequate_cutoff(alpha) + 3
-    spec = HilbertSpec(MODES, (1, 1, cutoff, 1, cutoff, 1))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, cutoff, 1, cutoff, 1))
     u = beamsplitter_unitary(spec, BeamSplitter(("a2", "a3"), t, r))
     lhs = apply(u, apply(displacement_unitary(spec, "a3", alpha), vacuum(spec)))
     rhs = apply(
@@ -229,7 +229,7 @@ def test_cached_splitter_equals_a_fresh_build(pair, t, r):
     from kalamidas.optics import _splitter_matrix
 
     _splitter_matrix.cache_clear()
-    spec = HilbertSpec(MODES, (1, 1, 3, 2, 4, 2))
+    spec = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 4, 2))
     x, y = pair
     theta = math.atan2(r, t)
     lower_x = ladder(spec, x, "lower").matrix

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 from kalamidas import ExperimentConfig, run_experiment
 from kalamidas.experiment import SQRT_HALF
@@ -20,7 +21,8 @@ ONE_POINT = ["--alphas", "0", "--ts", "0.6", "--phis", "0", "--trials", "3"]
 
 def _run(script, *args):
     return subprocess.run(
-        [sys.executable, str(script), *args], capture_output=True, text=True, timeout=600
+        [sys.executable, str(script), *args],
+        capture_output=True, text=True, timeout=600, env=child_env(),
     )
 
 
@@ -38,11 +40,13 @@ def _run(script, *args):
         (SWEEP, ["--alphas", "", "--ts", "0.6", "--phis", "0"]),
         (SWEEP, ["--alphas", "0", "--ts", " , ", "--phis", "0"]),
         (SWEEP, ["--alphas", "0", "--ts", "0.6", "--phis", ""]),
+        (SCAN, ["--top", "0"]),
+        (SCAN, ["--top", "-1"]),
     ],
     ids=[
         "sweep-t", "sweep-tolerance", "sweep-trials", "sweep-late-point", "scan-t",
         "scan-alpha", "sweep-memory", "scan-memory", "sweep-no-alphas", "sweep-no-ts",
-        "sweep-no-phis",
+        "sweep-no-phis", "scan-top-zero", "scan-top-negative",
     ],
 )
 def test_bad_input_exits_2_before_any_output(script, args):

@@ -18,7 +18,7 @@ import numpy as np
 
 from kalamidas import trace_distance
 from kalamidas.experiment import (
-    ExperimentConfig, check_memory, evolve_and_reduce, selective_ranking,
+    ExperimentConfig, NoOutcomeError, check_memory, evolve_and_reduce, selective_ranking,
 )
 
 
@@ -42,7 +42,11 @@ def main() -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     psi, rho, _ = evolve_and_reduce(config, injected=True)
-    ranked, mixture = selective_ranking(psi, rho)
+    try:
+        ranked, mixture = selective_ranking(psi, rho)
+    except NoOutcomeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     header = f"{'n_a2':>4} {'n_b2':>4} {'probability':>13} {'contrast':>11} {'p*contrast':>12}"
     print(header)

@@ -94,7 +94,10 @@ def selective_outcome(
     p = projected.norm2
     if p < PROBABILITY_FLOOR:
         return None, p
-    return PureState(state.spec, projected.amplitudes / math.sqrt(p)), p
+    conditional = PureState(
+        state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
+    )
+    return conditional, p
 
 
 def occupation_projectors(
@@ -203,18 +206,18 @@ def conditional_left_by_occupation(
     Equivalent to conditioning on each rank-1 occupation projector and
     reducing to the left pair, but computed in a single contraction.
     """
-    sub = state.spec.subspace(modes)
+    spec = state.spec
+    sub = spec.subspace(modes)
     _require_right_modes(sub)
-    left = state.spec.subspace(LEFT_LABELS)
-    left_pos = tuple(state.spec.axis_of(m) for m in left.modes)
-    scan_pos = tuple(state.spec.axis_of(m) for m in sub.modes)
-    rest_pos = tuple(
-        i for i in range(len(state.spec.modes)) if i not in left_pos + scan_pos
-    )
-    tensor = state.amplitudes.reshape(state.spec.dims)
-    tensor = tensor.transpose(left_pos + scan_pos + rest_pos)
-    a = tensor.reshape(left.dim, sub.dim, -1)
-    grams = np.einsum("iko,jko->kij", a, a.conj())
+    left = spec.subspace(LEFT_LABELS)  # the modes of slots 0 and 1
+    # the stored rows as axis 0, then the right modes at their slots less one
+    scan_pos = tuple(spec.axis_of(m) - 1 for m in sub.modes)
+    rest_pos = tuple(i for i in range(1, len(spec.modes) - 1) if i not in scan_pos)
+    n_rows = len(state.stored)
+    tensor = state.stored.reshape((n_rows,) + spec.dims[2:])
+    a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(n_rows, sub.dim, -1)
+    grams = np.zeros((sub.dim, left.dim, left.dim), dtype=np.complex128)
+    grams[:, state.rows, state.rows] = np.einsum("iko,jko->kij", a, a.conj())
     probabilities = np.einsum("kii->k", grams).real.copy()
     occupations = tuple(sub.occupation_of(i) for i in range(sub.dim))
     return OccupationScan(

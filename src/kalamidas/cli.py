@@ -3,7 +3,8 @@
 Runs one experiment configuration and emits the JSON report to stdout or to a
 file. Exit status: 0 when the verdict is pass, 1 when any residual exceeds its
 tolerance (each such check is named on stderr as ``name: residual >
-tolerance``), 2 on usage or configuration errors.
+tolerance``), 2 on usage or configuration errors, including cutoffs so small
+that no outcome of the selective scan clears the probability floor.
 """
 from __future__ import annotations
 
@@ -12,7 +13,9 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .experiment import SQRT_HALF, ExperimentConfig, check_memory, run_experiment
+from .experiment import (
+    SQRT_HALF, ExperimentConfig, NoOutcomeError, check_memory, run_experiment,
+)
 from .hilbert import MODE_LABELS
 
 
@@ -131,7 +134,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    report = run_experiment(config)
+    try:
+        report = run_experiment(config)
+    except NoOutcomeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = report.to_json() + "\n"
     if args.emit == "-":
         sys.stdout.write(text)

@@ -49,6 +49,7 @@ from .hilbert import (
     LinearOperator,
     PureState,
     apply,
+    distance,
     embed,
     ladder,
     product_state,
@@ -199,11 +200,16 @@ class ExperimentConfig:
         return HilbertSpec(MODE_LABELS, self.cutoffs)
 
 
-# Peak resident memory of a run per byte of one state vector, measured with
-# one BLAS thread: 142 MiB for the 14.3 MiB state at alpha = 1 (ratio 9.96)
-# and 350 MiB for the 49.4 MiB state at alpha = 2 (ratio 7.07), the evolved
-# states, the channel battery's branches and the interpreter together.
-_PEAK_PER_STATE_BYTE = 10
+# Resident memory of the interpreter with kalamidas imported: 55.5-55.7 MiB.
+_BASELINE_BYTES = 56 * 2**20
+# Peak resident memory of a run above that baseline and the pair-operator
+# charge below, per byte of one stored state (the left pair's two one-photon
+# rows), measured with one BLAS thread (peak, stored state, ratio):
+# 83.3 MiB, 2.00 MiB, 8.8 at alpha = 0; 137.3 MiB, 7.15 MiB, 6.4 at alpha = 1;
+# 319.4 MiB, 24.7 MiB, 5.6 at alpha = 2; 525.4 MiB, 45.8 MiB, 5.2 at
+# alpha = 2.5: the evolved states, the channel battery's branches and the
+# heap the run's transients leave behind. The largest is kept.
+_PEAK_PER_STATE_BYTE = 8.8
 # Peak traced memory of building one dense operator on a mode pair of
 # dimension d = d_x d_y, per byte of its d^2 complex entries: 9.0 for a
 # splitter (expm), 10.1 for a Kraus family (QR of a 3d x d matrix) and 4.1 for
@@ -213,18 +219,22 @@ _PEAK_PER_PAIR_OPERATOR_BYTE = 10.1
 
 def check_memory(config: ExperimentConfig) -> None:
     """Raise ValueError when the run's estimated peak exceeds physical memory:
-    its states, plus the largest dense operator it builds on a mode pair."""
+    its states, plus the largest dense operator it builds on a mode pair.
+    Every state of a run stores the left pair's two one-photon rows, so a
+    state is charged 2 / (left dimension) of the full amplitude count."""
     spec = config.hilbert_spec()
-    dim = spec.dim
+    state = 2 * spec.dim // spec.left_dim
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
-    need = 16 * (_PEAK_PER_STATE_BYTE * dim + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2)
+    need = _BASELINE_BYTES + 16 * (
+        _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
+    )
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
         raise ValueError(
             f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
-            f"{dim:.3g} amplitudes per state and dense operators on mode pairs "
-            f"of up to {pair:.3g} levels, an estimated {need / 2**30:.3g} GiB "
+            f"{state:.3g} stored amplitudes per state and dense operators on mode "
+            f"pairs of up to {pair:.3g} levels, an estimated {need / 2**30:.3g} GiB "
             f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
             f"lower |alpha| or the cutoffs"
         )
@@ -371,6 +381,11 @@ def no_signaling_rows(
     )
 
 
+class NoOutcomeError(ValueError):
+    """No outcome of the selective scan clears PROBABILITY_FLOOR, so the
+    scan has no outcome to report."""
+
+
 def selective_ranking(
     final: PureState, rho: DensityOperator
 ) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
@@ -378,7 +393,8 @@ def selective_ranking(
     probability, contrast, conditional left state), and the mixture; ``rho``
     is the left state of ``final``. Row 0 is the report's outcome: in scan
     order, a later outcome wins only when its probability times contrast is
-    larger by more than 1e-15. The rest follow by that product, descending."""
+    larger by more than 1e-15. The rest follow by that product, descending.
+    Raises NoOutcomeError when no outcome clears the floor."""
     scan = conditional_left_by_occupation(final, _SCAN_PAIR)
     baseline = DensityOperator(rho.spec, rho.matrix / rho.trace)
     rows = []
@@ -388,6 +404,12 @@ def selective_ranking(
         conditional = scan.conditional(k)
         contrast = trace_distance(conditional, baseline)
         rows.append((scan.occupations[k], float(p), contrast, conditional))
+    if not rows:
+        raise NoOutcomeError(
+            f"no ({', '.join(_SCAN_PAIR)}) outcome has probability above the floor "
+            f"{PROBABILITY_FLOOR:.0e} (the largest is {scan.probabilities.max():.3g} "
+            f"of a state with norm squared {final.norm2:.3g}); raise the cutoffs"
+        )
     score = [p * contrast for _, p, contrast, _ in rows]
     ks = range(len(rows))
     best = functools.reduce(lambda i, j: j if score[j] > score[i] + 1e-15 else i, ks)
@@ -524,9 +546,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Order: Heisenberg checks on the three splitters; the injected, then the
     bare preparation, evolved and reduced (:func:`evolve_and_reduce`); the
+    selective ranking (:func:`selective_ranking`) and mixture, which raises
+    NoOutcomeError before the costlier stages when the scan is empty; the
     structure check; trace distance and gap (:func:`no_signaling_rows`); the
     analytic oracle; invariance under right-side unitary, projective, and Kraus
-    channels; the selective ranking (:func:`selective_ranking`) and mixture.
+    channels.
     """
     spec = config.hilbert_spec()
     heis = heisenberg_residuals(config)
@@ -543,9 +567,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
     # every left state the run produces, for the reduced_invariants check
     reduced = [rho_with, rho_bare]
 
-    structure = float(
-        np.linalg.norm(psi_with.amplitudes - direct_final_state(config).amplitudes)
-    )
+    # before the channel battery, so a scan with no outcome stops the run early
+    ranked, mixture = selective_ranking(psi_with, rho_with)
+    reduced += [row[3] for row in ranked] + [mixture]
+    occupation, probability, contrast, _ = ranked[0]
+    selective = {
+        "outcome": dict(zip(_SCAN_PAIR, occupation)),
+        "probability": probability,
+        "conditional_trace_distance": contrast,
+    }
+
+    structure = distance(psi_with, direct_final_state(config))
 
     oracle = 0.0
     for k in range(config.trials):
@@ -566,15 +598,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
         for k, pair in enumerate(pairs)
     ]
     reduced += after_unitary + [after_projective] + after_kraus
-
-    ranked, mixture = selective_ranking(psi_with, rho_with)
-    reduced += [row[3] for row in ranked] + [mixture]
-    occupation, probability, contrast, _ = ranked[0]
-    selective = {
-        "outcome": dict(zip(_SCAN_PAIR, occupation)),
-        "probability": probability,
-        "conditional_trace_distance": contrast,
-    }
 
     def moved(states: list[DensityOperator]) -> float:
         return max(trace_distance(rho, rho_with) for rho in states)

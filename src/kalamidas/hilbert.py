@@ -9,6 +9,15 @@ complex amplitude vector over occupation-number tuples
 ordering is row-major over the mode list, the occupation of the last mode
 varying fastest, so ``amplitudes.reshape(spec.dims)`` exposes one axis per mode.
 
+A state is its left rows. The left modes lead every space, so the amplitudes
+form a matrix with one row per left basis state, and a :class:`PureState`
+stores only the rows in a slice of the left basis, every other row being
+zero. A state built from product terms whose left factors share one total
+occupation stores that sector: the apparatus keeps one photon on (a1, b1), so
+its states store two rows of four. Right-mode operators act on the stored
+rows only, and so do the norms, inner products and left reductions; the full
+vector is assembled only when ``amplitudes`` is read.
+
 Truncation is explicit and monotone: no operation renormalizes a state. Norm
 squared lost at a cutoff boundary is tracked in the ``leakage`` field of
 :class:`PureState`, so every accuracy claim downstream can be tied to it.
@@ -27,7 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
@@ -90,6 +99,16 @@ class HilbertSpec:
     def dim(self) -> int:
         return math.prod(self.dims)
 
+    @property
+    def left_dims(self) -> tuple[int, ...]:
+        """The dimensions of the left modes this space holds; they lead it."""
+        return self.dims[: sum(m in LEFT_LABELS for m in self.modes)]
+
+    @property
+    def left_dim(self) -> int:
+        """The size of the left basis: 1 when the space holds no left mode."""
+        return math.prod(self.left_dims)
+
     def axis_of(self, m: str) -> int:
         return self.modes.index(m)
 
@@ -129,6 +148,19 @@ def total_occupations(dims: Sequence[int]) -> np.ndarray:
     return np.indices(tuple(dims)).sum(axis=0).ravel()
 
 
+def sector_slices(dims: Sequence[int]) -> tuple[slice, ...]:
+    """The basis indices of each total occupation n = 0, 1, ... of one mode
+    or a pair, as slices. On a pair (d_x, d_y) sector n is n + (d_y - 1) n_x
+    over the n_x the pair admits: a strided run."""
+    totals = total_occupations(dims)
+    out = []
+    for n in range(int(totals.max()) + 1):
+        idx = np.flatnonzero(totals == n)
+        step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
+        out.append(slice(int(idx[0]), int(idx[-1]) + 1, step))
+    return tuple(out)
+
+
 def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
     """A read-only complex128 array: a private copy of a caller's array, or,
     when ``fresh``, the complex128 array itself, which its creator hands over
@@ -141,35 +173,69 @@ def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class PureState:
-    """Amplitude vector over the truncated Fock basis with tracked leakage.
+    """Amplitude vector over the truncated Fock basis with tracked leakage,
+    stored as its left rows (see the module docstring).
 
-    ``leakage`` is the norm squared lost to truncation by prior operations, so
-    a normalized construction satisfies norm2 + leakage = 1.
+    ``rows`` is a slice of the left basis and ``stored`` the read-only matrix
+    of those rows' amplitudes, one row per left basis state over the other
+    modes; the rows outside the slice are zero. ``PureState(spec,
+    amplitudes)`` takes the full vector, all rows; with ``rows`` given,
+    ``amplitudes`` holds those rows only. ``leakage`` is the norm squared lost
+    to truncation by prior operations, so a normalized construction satisfies
+    norm2 + leakage = 1.
 
     The amplitudes are copied unless ``fresh`` is set, which only code that
     just created the array and drops it does (see :func:`apply`).
     """
 
     spec: HilbertSpec
-    amplitudes: np.ndarray
+    rows: slice
+    stored: np.ndarray
     leakage: float = 0.0
-    fresh: InitVar[bool] = False
 
-    def __post_init__(self, fresh: bool) -> None:
-        amps = _readonly(np.ravel(self.amplitudes), fresh)
-        if amps.shape != (self.spec.dim,):
+    def __init__(
+        self,
+        spec: HilbertSpec,
+        amplitudes: np.ndarray,
+        leakage: float = 0.0,
+        fresh: bool = False,
+        *,
+        rows: Optional[slice] = None,
+    ) -> None:
+        left_dim = spec.left_dim
+        rows = slice(0, left_dim) if rows is None else rows
+        kept = range(left_dim)[rows]
+        if kept.step < 0:
+            raise ValueError(f"rows {rows} run backwards")
+        n_rows = len(kept)
+        amps = _readonly(np.ravel(amplitudes), fresh)
+        if amps.shape != (n_rows * (spec.dim // left_dim),):
             raise ValueError(
                 f"amplitude vector of length {amps.shape[0]} does not match "
-                f"dim {self.spec.dim}"
+                f"dim {spec.dim} over {n_rows} of {left_dim} left rows"
             )
-        object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "leakage", max(0.0, float(self.leakage)))
+        object.__setattr__(self, "spec", spec)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "stored", amps.reshape(n_rows, -1))
+        object.__setattr__(self, "leakage", max(0.0, float(leakage)))
+
+    @property
+    def amplitudes(self) -> np.ndarray:
+        """The full amplitude vector, read-only: the stored rows themselves
+        when they are all rows, assembled anew on each access otherwise."""
+        left_dim = self.spec.left_dim
+        if len(self.stored) == left_dim:
+            return self.stored.reshape(-1)
+        out = np.zeros((left_dim, self.stored.shape[1]), dtype=np.complex128)
+        out[self.rows] = self.stored
+        out.setflags(write=False)
+        return out.reshape(-1)
 
     @property
     def norm2(self) -> float:
-        return float(np.vdot(self.amplitudes, self.amplitudes).real)
+        return float(np.vdot(self.stored, self.stored).real)
 
 
 Blocks = tuple[tuple[slice, np.ndarray], ...]
@@ -334,22 +400,45 @@ def product_state(
     """scale * sum_k c_k (tensor product over the modes of f_km), for terms
     ``(c_k, {mode: f_km})``; a mode that a term does not name holds its vacuum.
 
-    Each product is formed before its coefficient multiplies it, and the scale
+    The state stores the left rows its terms' left factors reach: the sector
+    of their one total occupation when they share one, else all rows. Each
+    product is formed before its coefficient multiplies it, and the scale
     multiplies the sum. The norm squared missing from 1 is booked as leakage,
     so a truncated normalized state reports the tail it lost.
     """
-    out = np.zeros(spec.dim, dtype=np.complex128)
+    n_left = len(spec.left_dims)
+    vacua = [np.eye(d, 1, dtype=np.complex128).ravel() for d in spec.dims]
+    factored = []
     for coeff, named in terms:
-        factors = [np.eye(d, 1, dtype=np.complex128).ravel() for d in spec.dims]
+        factors = list(vacua)
         for m, vec in named.items():
-            factors[spec.axis_of(m)] = vec
+            axis = spec.axis_of(m)
+            if np.shape(vec) != (spec.dims[axis],):
+                raise ValueError(
+                    f"factor on mode {m} has shape {np.shape(vec)}, needs "
+                    f"({spec.dims[axis]},)"
+                )
+            factors[axis] = vec
+        # the left factor over the left basis, a new array; 1 x f is f exactly
+        one = np.ones(1, dtype=np.complex128)
+        left = functools.reduce(np.multiply.outer, factors[:n_left], one).reshape(-1)
+        factored.append((coeff, left, factors[n_left:]))
+    left_dim = spec.left_dim
+    reached = np.zeros(left_dim, dtype=bool)
+    for _, left, _ in factored:
+        reached |= left != 0
+    totals = np.unique(total_occupations(spec.left_dims)[reached])
+    rows = sector_slices(spec.left_dims)[totals[0]] if len(totals) == 1 else slice(0, left_dim)
+    out = np.zeros(len(range(left_dim)[rows]) * (spec.dim // left_dim), dtype=np.complex128)
+    for coeff, left, rest in factored:
+        factors = [left[rows]] + rest
         product = functools.reduce(np.multiply.outer, factors).reshape(-1)
-        # scaled in place when the outer products made it; a lone factor is
-        # the caller's own vector
-        out += np.multiply(coeff, product, out=product if len(factors) > 1 else None)
+        out += np.multiply(coeff, product, out=product)  # no caller's array
         del product  # before the next term's product is formed
     out *= scale
-    return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
+    return PureState(
+        spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True, rows=rows
+    )
 
 
 def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
@@ -421,6 +510,11 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
 def apply(op: LinearOperator, state: PureState) -> PureState:
     """Act with an operator on a state, on its modes' tensor axes only.
 
+    The state's tensor is its stored rows as one axis, then the right modes.
+    A right-mode operator acts on that tensor, so the result stores the same
+    rows. A left operator with a block on exactly the stored rows (the left
+    splitter on a one-photon state) acts with that block; any other operator
+    on left modes acts on the full vector, and the result stores all rows.
     With the operator's axes moved first, the rows of each block's slice are
     multiplied by the block into a zeroed buffer, one block at a time, and
     the axes are moved back; rows outside every block stay zero.
@@ -431,30 +525,60 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     is rounding. The result owns its amplitudes, so the new state takes them
     without a copy.
     """
-    if not state.spec.contains(op.spec):
+    spec = state.spec
+    if not spec.contains(op.spec):
         raise ValueError("operator modes/cutoffs do not match the state space")
-    positions = tuple(state.spec.axis_of(m) for m in op.spec.modes)
+    n_left = len(spec.left_dims)
+    left = range(spec.left_dim)
+    rows, blocks, op_dims = state.rows, op.blocks, op.spec.dims
+    n_rows = len(state.stored)
+    on_left = op.spec.modes == spec.modes[:n_left]
+    on_rows = [block for sl, block in blocks if on_left and left[sl] == left[rows]]
+    if on_rows:
+        tensor, positions = state.stored, (0,)
+        blocks, op_dims = ((slice(0, n_rows), on_rows[0]),), (n_rows,)
+    elif any(m in LEFT_LABELS for m in op.spec.modes):
+        rows = slice(0, len(left))
+        tensor = state.amplitudes.reshape(spec.dims)
+        positions = tuple(spec.axis_of(m) for m in op.spec.modes)
+    else:
+        tensor = state.stored.reshape((n_rows,) + spec.dims[n_left:])
+        positions = tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
     first = tuple(range(len(positions)))
-    moved = np.moveaxis(state.amplitudes.reshape(state.spec.dims), positions, first)
+    moved = np.moveaxis(tensor, positions, first)
     rest = moved.shape[len(positions):]
-    op_major = moved.reshape(op.spec.dim, -1)
+    op_major = moved.reshape(math.prod(op_dims), -1)
     out = np.zeros(op_major.shape, dtype=np.complex128)
-    for sl, block in op.blocks:
+    for sl, block in blocks:
         # strided row views: BLAS reads and writes them in place
         np.matmul(block, op_major[sl], out=out[sl])
-    del op_major  # freed before the copy back into slot order
-    out = np.moveaxis(out.reshape(op.spec.dims + rest), first, positions)
+    del tensor, moved, op_major  # freed before the copy back into slot order
+    out = np.moveaxis(out.reshape(op_dims + rest), first, positions)
     new = np.ascontiguousarray(out).reshape(-1)
     leakage = state.leakage
     if op.unitary:
         old_n2 = state.norm2
         new_n2 = float(np.vdot(new, new).real)
         leakage += max(0.0, old_n2 - new_n2)
-    return PureState(state.spec, new, leakage=leakage, fresh=True)
+    return PureState(spec, new, leakage=leakage, fresh=True, rows=rows)
+
+
+def _common_rows(x: PureState, y: PureState) -> tuple[np.ndarray, np.ndarray]:
+    """The amplitudes of two states of one space over the same rows: their
+    stored rows when they store the same ones, else their full vectors."""
+    if x.spec != y.spec:
+        raise ValueError("the two states need matching specs")
+    left = range(x.spec.left_dim)
+    if left[x.rows] == left[y.rows]:
+        return x.stored, y.stored
+    return x.amplitudes, y.amplitudes
 
 
 def inner(x: PureState, y: PureState) -> complex:
     """<x|y>, conjugate-linear in the first argument."""
-    if x.spec != y.spec:
-        raise ValueError("inner product needs matching specs")
-    return complex(np.vdot(x.amplitudes, y.amplitudes))
+    return complex(np.vdot(*_common_rows(x, y)))
+
+
+def distance(x: PureState, y: PureState) -> float:
+    """The norm of x - y."""
+    return float(np.linalg.norm(np.subtract(*_common_rows(x, y))))

@@ -39,7 +39,7 @@ from .hilbert import (
     ladder,
     product_state,
     raising_matrix,
-    total_occupations,
+    sector_slices,
 )
 
 
@@ -128,7 +128,7 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 # bare state's right cutoff 1, and the left pair's throughout, so 2 n_t + 1
 # entries keep every splitter it reuses: 16 serve up to 7 values of t. The
 # blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
-# 1.9 MB at alpha = 4.3, the largest the memory gate admits on 8 GB.
+# 2.9 MB at alpha = 4.93, the largest the memory gate admits on 8 GB.
 @functools.lru_cache(maxsize=16)
 def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
     """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its
@@ -140,13 +140,8 @@ def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
         np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
     )
     out = expm(gen)
-    totals = total_occupations(dims)
     blocks = []
-    for n in range(int(totals.max()) + 1):
-        # n + (d_y - 1) n_x over the n_x the pair admits: a strided run
-        idx = np.flatnonzero(totals == n)
-        step = int(idx[1] - idx[0]) if len(idx) > 1 else 1
-        sl = slice(int(idx[0]), int(idx[-1]) + 1, step)
+    for sl in sector_slices(dims):
         block = out[sl, sl].copy()
         block.setflags(write=False)
         blocks.append((sl, block))

@@ -228,3 +228,24 @@ def test_zero_right_cutoffs_run_without_a_traceback(capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("structure: 2.828e-01 > 1.000e-09")
+
+
+def test_scan_with_no_outcome_above_the_floor_exits_2():
+    # at cutoff 1 on a3 and b3 the alpha = 4 state keeps a norm squared of
+    # 3.7e-12, and no (a2, b2) outcome reaches the 1e-12 floor
+    proc = _run(args=["--alpha-re", "4", "--cutoff", "a3=1", "--cutoff", "b3=1"])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "floor 1e-12" in errors[0]
+
+
+def test_other_errors_inside_the_battery_are_not_exit_2(monkeypatch):
+    def broken(config):
+        raise ValueError("a fault inside the battery")
+
+    monkeypatch.setattr("kalamidas.cli.run_experiment", broken)
+    with pytest.raises(ValueError, match="inside the battery"):
+        main(QUICK_ARGS)

@@ -182,7 +182,7 @@ def test_phase_is_exp_i_phi_n_b1_on_the_phi_zero_preparation(alpha, phi):
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
-@pytest.mark.parametrize("left", [{}, {"a1": 2}], ids=["a1=1", "a1=2"])
+@pytest.mark.parametrize("left", [{}, {"a1": 2}, {"b1": 2}], ids=["a1=1", "a1=2", "b1=2"])
 @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
 @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.4j, 1.0])
 def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, left):

@@ -22,9 +22,10 @@ from kalamidas import (
     occupation_projectors,
     random_kraus,
     random_right_unitary,
+    reduce_left,
     vacuum,
 )
-from kalamidas.hilbert import product_state, total_occupations
+from kalamidas.hilbert import product_state, sector_slices, total_occupations
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -455,3 +456,66 @@ def test_only_a_single_block_is_stored_as_the_matrix():
     assert np.count_nonzero(assembled) <= inside
     dense = LinearOperator(u.spec, assembled, unitary=True)
     assert dense.matrix is dense.blocks[0][1] is assembled
+
+
+@pytest.mark.parametrize("left", [{"a1": 2}, {"b1": 2}], ids=["a1=2", "b1=2"])
+def test_the_stored_rows_act_as_the_full_vector(left):
+    cutoffs = {**dict(zip(MODE_LABELS, (1, 1, 2, 2, 2, 2))), **left}
+    spec = HilbertSpec(MODE_LABELS, tuple(cutoffs.values()))
+    rng = np.random.default_rng(23)
+
+    def vec(m):
+        d = spec.cutoff_of(m) + 1
+        return rng.standard_normal(d) + 1j * rng.standard_normal(d)
+
+    photon = np.array([0.0, 1.0, 0.0])
+    terms = [
+        (0.6, {"a1": photon[: spec.cutoff_of("a1") + 1], "a2": vec("a2"), "b3": vec("b3")}),
+        (0.8j, {"b1": photon[: spec.cutoff_of("b1") + 1], "b2": vec("b2"), "a3": vec("a3")}),
+    ]
+    psi = product_state(spec, terms)
+    one_photon = range(6)[sector_slices(spec.left_dims)[1]]
+    assert range(6)[psi.rows] == one_photon and len(psi.stored) == 2
+    full = PureState(spec, psi.amplitudes)
+    assert len(full.stored) == 6
+    for pair in _RIGHT_PAIRS:
+        dense = [random_right_unitary(spec, pair, 1), *random_kraus(spec, pair, 2)]
+        diagonal = list(occupation_projectors(spec, pair))
+        for op, is_dense in [(a, True) for a in dense] + [(p, False) for p in diagonal]:
+            got, want = apply(op, psi), apply(op, full)
+            assert got.rows == psi.rows
+            assert not np.delete(want.stored, one_photon, axis=0).any()
+            if is_dense:
+                # BLAS rounds the last (columns mod 4) columns of a product
+                # in a tail kernel; at 9 columns per row they fall on stored
+                # rows in one product and not in the other
+                assert np.allclose(got.stored, want.stored[psi.rows], rtol=0, atol=1e-15)
+            else:
+                assert np.array_equal(got.stored, want.stored[psi.rows])
+    # the left splitter acts with its one-photon block and keeps the rows;
+    # any other left operator acts on the full vector and stores all rows
+    u = beamsplitter_unitary(spec, BeamSplitter(("a1", "b1"), 0.6, 0.8))
+    got = apply(u, psi)
+    assert got.rows == psi.rows
+    assert np.array_equal(got.amplitudes, apply(u, full).amplitudes)
+    n = number_op(spec, "b1")
+    assert len(apply(n, psi).stored) == 6
+    assert np.array_equal(apply(n, psi).amplitudes, apply(n, full).amplitudes)
+    assert np.allclose(reduce_left(psi).matrix, reduce_left(full).matrix, rtol=0, atol=1e-15)
+    assert inner(psi, full) == pytest.approx(psi.norm2, abs=1e-15)
+    # a term on another left sector makes the state store every row
+    vacuum_term = (0.1, {"a2": vec("a2")})
+    assert len(product_state(spec, terms + [vacuum_term]).stored) == 6
+
+
+def test_right_unitaries_on_the_default_state_rows_are_bit_identical(evolved_states):
+    # 484 columns per stored row: every column of both products is computed
+    # by the same BLAS kernel, so the stored rows agree bit for bit
+    psi = evolved_states[0]
+    assert len(psi.stored) == 2
+    full = PureState(psi.spec, psi.amplitudes)
+    for k, pair in enumerate(_RIGHT_PAIRS):
+        u = random_right_unitary(psi.spec, pair, (7, k))
+        got, want = apply(u, psi), apply(u, full)
+        assert np.array_equal(got.stored, want.stored[psi.rows])
+        assert not np.delete(want.stored, range(4)[psi.rows], axis=0).any()

@@ -4,12 +4,13 @@ import math
 import runpy
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from conftest import child_env
 
-from kalamidas import ExperimentConfig, run_experiment
+from kalamidas import ExperimentConfig, experiment, run_experiment
 from kalamidas.experiment import SQRT_HALF
 from kalamidas.optics import _splitter_matrix
 
@@ -132,3 +133,26 @@ def test_scan_names_the_reports_selective_outcome():
     assert lines[5].startswith(f"top outcome {first}:")
     outcome = run_experiment(ExperimentConfig(alpha=0.0, trials=3)).selective["outcome"]
     assert (outcome["a2"], outcome["b2"]) == first
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+def test_scan_with_no_outcome_above_the_floor_exits_2(monkeypatch, capsys):
+    # the scan takes no cutoffs, so its state is evolved at the CLI's
+    # undersized alpha = 4 cutoffs, where no outcome reaches the floor; the
+    # default cutoffs are never built, so their memory charge is waived
+    evolve_and_reduce = experiment.evolve_and_reduce
+
+    def undersized(config, injected):
+        cutoffs = {**config.cutoffs_map, "a3": 1, "b3": 1}
+        return evolve_and_reduce(replace(config, cutoffs=cutoffs), injected)
+
+    monkeypatch.setattr(experiment, "evolve_and_reduce", undersized)
+    monkeypatch.setattr(experiment, "check_memory", lambda config: None)
+    monkeypatch.setattr(sys, "argv", [str(SCAN), "--alpha-re", "4"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCAN), run_name="__main__")
+    assert done.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error:") and "floor 1e-12" in err
+    assert len(err.splitlines()) == 1

@@ -43,12 +43,11 @@ from .hilbert import (
     vacuum,
 )
 from .nosignal import (
-    analytic_left_expectation,
+    analytic_left_state,
     expectation,
     random_left_observable,
     reduce_left,
     signaling_gap,
-    spectral_norm,
     trace_distance,
 )
 from .optics import (
@@ -95,12 +94,11 @@ __all__ = [
     "ladder",
     "number_op",
     "vacuum",
-    "analytic_left_expectation",
+    "analytic_left_state",
     "expectation",
     "random_left_observable",
     "reduce_left",
     "signaling_gap",
-    "spectral_norm",
     "trace_distance",
     "BeamSplitter",
     "CutoffAdequacyWarning",

@@ -25,6 +25,7 @@ around 1; at the bare adequacy cutoff that residual sits near 1e-7.
 from __future__ import annotations
 
 import functools
+import json
 import math
 import os
 import warnings
@@ -56,15 +57,7 @@ from .hilbert import (
     raising_matrix,
     total_occupations,
 )
-from .nosignal import (
-    analytic_left_expectation,
-    expectation,
-    random_left_observable,
-    reduce_left,
-    signaling_gap,
-    spectral_norm,
-    trace_distance,
-)
+from .nosignal import analytic_left_state, reduce_left, signaling_gap, trace_distance
 from .optics import (
     BeamSplitter,
     CutoffAdequacyWarning,
@@ -215,28 +208,35 @@ _PEAK_PER_STATE_BYTE = 8.8
 # splitter (expm), 10.1 for a Kraus family (QR of a 3d x d matrix) and 4.1 for
 # a Haar unitary. The largest is charged for every pair a run builds on.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 10.1
+# Peak traced memory of building one stack of normalized observables and
+# searching it, per byte of its trials d^2 complex entries: 1 + 1/d (the
+# eigenvalues and their moduli), 1.25 at the smallest left space, d = 4.
+_PEAK_PER_OBSERVABLE_BYTE = 1.25
 
 
 def check_memory(config: ExperimentConfig) -> None:
     """Raise ValueError when the run's estimated peak exceeds physical memory:
-    its states, plus the largest dense operator it builds on a mode pair.
+    its states, the largest dense operator it builds on a mode pair, and the
+    two observable stacks the signaling gap and the left oracle keep.
     Every state of a run stores the left pair's two one-photon rows, so a
     state is charged 2 / (left dimension) of the full amplitude count."""
     spec = config.hilbert_spec()
     state = 2 * spec.dim // spec.left_dim
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
-    need = _BASELINE_BYTES + 16 * (
+    stacks = 2 * 16 * _PEAK_PER_OBSERVABLE_BYTE * config.trials * spec.left_dim**2
+    need = _BASELINE_BYTES + stacks + 16 * (
         _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
     )
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
         raise ValueError(
-            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} needs "
-            f"{state:.3g} stored amplitudes per state and dense operators on mode "
-            f"pairs of up to {pair:.3g} levels, an estimated {need / 2**30:.3g} GiB "
-            f"at peak, more than the {have / 2**30:.3g} GiB of physical memory; "
-            f"lower |alpha| or the cutoffs"
+            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} with "
+            f"{config.trials} trials needs {state:.3g} stored amplitudes per state, "
+            f"dense operators on mode pairs of up to {pair:.3g} levels and "
+            f"{stacks / 2**30:.3g} GiB of observables, an estimated "
+            f"{need / 2**30:.3g} GiB at peak, more than the {have / 2**30:.3g} GiB "
+            f"of physical memory; lower |alpha|, the cutoffs or the trials"
         )
 
 
@@ -506,39 +506,7 @@ class Report:
             "selective": self.selective,
             "verdict": self.verdict,
         }
-        return _render_json(doc)
-
-
-def _render_json(value, indent: int = 0) -> str:
-    """Deterministic JSON: insertion-ordered keys, floats at 17 significant
-    digits, two-space indentation."""
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        parts = [
-            f'{inner}"{key}": {_render_json(val, indent + 1)}'
-            for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(parts) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        parts = [f"{inner}{_render_json(v, indent + 1)}" for v in value]
-        return "[\n" + ",\n".join(parts) + "\n" + pad + "]"
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return format(float(value), ".17g")
-    if isinstance(value, str):
-        escaped = value.replace("\\", "\\\\").replace('"', '\\"')
-        return f'"{escaped}"'
-    if value is None:
-        return "null"
-    raise TypeError(f"cannot serialize {type(value)!r}")
+        return json.dumps(doc, indent=2)
 
 
 def run_experiment(config: ExperimentConfig) -> Report:
@@ -549,8 +517,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
     selective ranking (:func:`selective_ranking`) and mixture, which raises
     NoOutcomeError before the costlier stages when the scan is empty; the
     structure check; trace distance and gap (:func:`no_signaling_rows`); the
-    analytic oracle; invariance under right-side unitary, projective, and Kraus
-    channels.
+    analytic oracle, the same gap search against :func:`analytic_left_state`;
+    invariance under right-side unitary, projective, and Kraus channels.
     """
     spec = config.hilbert_spec()
     heis = heisenberg_residuals(config)
@@ -579,11 +547,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     structure = distance(psi_with, direct_final_state(config))
 
-    oracle = 0.0
-    for k in range(config.trials):
-        h = random_left_observable(rho_with.spec, (config.seed, 4, k))
-        deviation = abs(expectation(rho_with, h) - analytic_left_expectation(h))
-        oracle = max(oracle, deviation / spectral_norm(h))
+    oracle = signaling_gap(
+        rho_with, analytic_left_state(rho_with.spec), trials=config.trials, seed=(config.seed, 4)
+    )
 
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
     after_unitary = [

@@ -4,17 +4,19 @@ The claim under test is an equality of reduced density operators: whatever
 happens on the right side of the apparatus, the partial trace over the right
 modes leaves the same operator on (a1, b1), so no left observable can detect
 it. This module supplies the partial trace, the observable expectations, the
-trace-distance metric, and a randomized search for any observable whose
-expectation could tell the two preparations apart.
+trace-distance metric, and one randomized search, :func:`signaling_gap`, for
+an observable whose expectation tells two left states apart.
 
-Two code paths evaluate the same physics on purpose. The simulator produces
-the left state by explicit reduction of the evolved six-mode state, while
-:func:`analytic_left_expectation` evaluates the closed-form left expectation
-directly on the two-mode space without touching the simulation, so a shared
-bug cannot fake agreement.
+The search runs against two references. Against the bare preparation's left
+state it asks whether the injection moved anything. Against
+:func:`analytic_left_state`, the closed-form left state built directly on the
+two-mode space without touching the simulation, it asks whether the simulator
+got the state right at all, so a bug shared by both simulated preparations
+cannot fake agreement.
 """
 from __future__ import annotations
 
+import functools
 from typing import Sequence, Union
 
 import numpy as np
@@ -61,30 +63,22 @@ def expectation(rho: DensityOperator, h: LinearOperator) -> float:
     return value.real
 
 
-def analytic_left_expectation(h: LinearOperator) -> float:
-    """Closed-form left expectation for the evolved apparatus state.
+def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
+    """Closed-form left state of the evolved apparatus, (|u><u| + |v><v|)/2.
 
-    Independent of the six-mode simulation: on the bare two-mode space it
-    evaluates the average of <u|h|u> and <v|h|v> with u = (|10> + |01>)/sqrt2
-    and v = (-|10> + |01>)/sqrt2, the two equally likely left states the
-    balanced splitter produces. Every legitimate right-side history leads to
-    the same value.
+    Independent of the six-mode simulation: built on the bare two-mode space
+    from u = (|10> + |01>)/sqrt2 and v = (-|10> + |01>)/sqrt2, the two equally
+    likely left states the balanced splitter produces. Every legitimate
+    right-side history leaves the left pair in this state.
     """
-    if not h.hermitian:
-        raise ValueError("analytic_left_expectation needs a hermitian observable")
-    spec = h.spec
     if spec.modes != LEFT_LABELS:
-        raise ValueError("observable must live on the left pair (a1, b1)")
-    i10 = spec.index_of((1, 0))
-    i01 = spec.index_of((0, 1))
+        raise ValueError("the analytic left state lives on the left pair (a1, b1)")
+    ones = [spec.index_of((1, 0)), spec.index_of((0, 1))]
     u = np.zeros(spec.dim, dtype=np.complex128)
     v = np.zeros(spec.dim, dtype=np.complex128)
-    u[i10] = 1.0 / np.sqrt(2.0)
-    u[i01] = 1.0 / np.sqrt(2.0)
-    v[i10] = -1.0 / np.sqrt(2.0)
-    v[i01] = 1.0 / np.sqrt(2.0)
-    value = 0.5 * (np.vdot(u, h.matrix @ u) + np.vdot(v, h.matrix @ v))
-    return float(value.real)
+    u[ones] = (1.0, 1.0)  # sqrt2 u and sqrt2 v, so the mixture's 1/2 becomes 1/4
+    v[ones] = (-1.0, 1.0)
+    return DensityOperator(spec, 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
 
 
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
@@ -94,13 +88,6 @@ def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     delta = rho.matrix - sigma.matrix
     delta = (delta + delta.conj().T) / 2.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
-
-
-def spectral_norm(h: LinearOperator) -> float:
-    """Largest singular value; for hermitian h the largest |eigenvalue|."""
-    if h.hermitian:
-        return float(np.abs(np.linalg.eigvalsh(h.matrix)).max())
-    return float(np.linalg.norm(h.matrix, 2))
 
 
 def random_left_observable(
@@ -114,27 +101,39 @@ def random_left_observable(
     return LinearOperator(spec, (g + g.conj().T) / 2.0, hermitian=True)
 
 
+# One stack per (spec, seed, trials) a run or a sweep asks for: a verdict
+# uses two streams and a sweep one, at 16 (left dim)^2 bytes per trial.
+@functools.lru_cache(maxsize=16)
+def _observables(spec: HilbertSpec, seed: tuple[int, ...], trials: int) -> np.ndarray:
+    """The read-only (trials, d, d) stack of random_left_observable(spec,
+    (*seed, k)), each divided by its spectral norm."""
+    stack = np.empty((trials, spec.dim, spec.dim), dtype=np.complex128)
+    for k in range(trials):
+        stack[k] = random_left_observable(spec, (*seed, k)).matrix
+    stack /= np.abs(np.linalg.eigvalsh(stack)).max(axis=1)[:, None, None]
+    stack.setflags(write=False)
+    return stack
+
+
 def signaling_gap(
     rho_a: DensityOperator,
     rho_b: DensityOperator,
     *,
     trials: int,
-    seed: int,
+    seed: Union[int, Sequence[int]],
 ) -> float:
     """Largest normalized expectation difference over seeded observables.
 
-    max_k |Tr((rho_a - rho_b) h_k)| / ||h_k|| for `trials` observables drawn
-    from the per-trial streams default_rng([seed, k]); any genuine signaling
-    channel would show up as a gap of order one.
+    max_k |Tr((rho_a - rho_b) H_k)| for `trials` observables H_k, drawn from
+    default_rng((*seed, k)) (seed an int or a tuple prefix) and scaled to
+    spectral norm 1; any genuine signaling channel would show up as a gap of
+    order one.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if rho_a.spec != rho_b.spec:
         raise ValueError("signaling_gap needs matching specs")
+    prefix = tuple(seed) if isinstance(seed, Sequence) else (int(seed),)
+    stack = _observables(rho_a.spec, prefix, trials)
     delta = rho_a.matrix - rho_b.matrix
-    gap = 0.0
-    for k in range(trials):
-        h = random_left_observable(rho_a.spec, (seed, k))
-        value = abs(complex(np.trace(delta @ h.matrix)))
-        gap = max(gap, value / spectral_norm(h))
-    return gap
+    return float(np.abs(np.einsum("ij,kji->k", delta, stack)).max())

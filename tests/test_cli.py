@@ -199,6 +199,18 @@ def test_oversized_pair_operator_exits_2_before_allocating(capsys, monkeypatch):
     assert grown_kb < 16 * 1024
 
 
+def test_oversized_trials_exit_2_before_allocating(capsys, monkeypatch):
+    # 1e10 observables per search would stack 2.6 TB per stream
+    _stop_at_battery(monkeypatch)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    assert main(["--alpha-re", "0", "--trials", "10000000000"]) == 2
+    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "10000000000 trials" in err
+    assert grown_kb < 16 * 1024
+
+
 def test_alpha_two_passes_the_memory_check(monkeypatch):
     _stop_at_battery(monkeypatch)
     with pytest.raises(_BatteryReached):

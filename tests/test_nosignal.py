@@ -11,7 +11,7 @@ from kalamidas import (
     HilbertSpec,
     LinearOperator,
     PureState,
-    analytic_left_expectation,
+    analytic_left_state,
     embed,
     expectation,
     ladder,
@@ -19,7 +19,6 @@ from kalamidas import (
     random_left_observable,
     reduce_left,
     signaling_gap,
-    spectral_norm,
     trace_distance,
 )
 
@@ -133,30 +132,42 @@ def test_expectation_rejects_imaginary_residue():
         expectation(rho, h)
 
 
-def _left_number(label):
-    left = _left_pair_spec()
-    return embed(number_op(left, label), left)
-
-
 def test_analytic_anchors():
-    left = _left_pair_spec()
-    assert analytic_left_expectation(_left_number("a1")) == pytest.approx(0.5)
-    total = LinearOperator(
-        left, _left_number("a1").matrix + _left_number("b1").matrix, hermitian=True
-    )
-    assert analytic_left_expectation(total) == pytest.approx(1.0)
-    up_a = embed(ladder(left, "a1", "raise"), left).matrix
-    up_b = embed(ladder(left, "b1", "raise"), left).matrix
-    hop = LinearOperator(left, up_a @ up_b.conj().T + up_b @ up_a.conj().T, hermitian=True)
-    assert analytic_left_expectation(hop) == pytest.approx(0.0, abs=1e-15)
+    """The closed-form left state gives one photon split evenly between a1 and
+    b1 with no coherence between them, on the minimal left space and on one
+    with a spare b1 level."""
+    for cutoffs in ((1, 1), (1, 2)):
+        left = HilbertSpec(LEFT_LABELS, cutoffs)
+        sigma = analytic_left_state(left).validate(atol=1e-15)
+        n_a1 = embed(number_op(left, "a1"), left)
+        total = LinearOperator(
+            left, n_a1.matrix + embed(number_op(left, "b1"), left).matrix, hermitian=True
+        )
+        up_a = embed(ladder(left, "a1", "raise"), left).matrix
+        up_b = embed(ladder(left, "b1", "raise"), left).matrix
+        hop = LinearOperator(left, up_a @ up_b.conj().T + up_b @ up_a.conj().T, hermitian=True)
+        assert expectation(sigma, n_a1) == pytest.approx(0.5, abs=1e-15)
+        assert expectation(sigma, total) == pytest.approx(1.0, abs=1e-15)
+        assert expectation(sigma, hop) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_analytic_guards(quick_spec):
-    with pytest.raises(ValueError):
-        analytic_left_expectation(LinearOperator(_left_pair_spec(), np.eye(4, dtype=complex)))
-    wrong_space = random_left_observable(quick_spec.subspace(("a2", "b2")), 2)
-    with pytest.raises(ValueError):
-        analytic_left_expectation(wrong_space)
+    with pytest.raises(ValueError, match="left pair"):
+        analytic_left_state(quick_spec.subspace(("a2", "b2")))
+    with pytest.raises(ValueError, match="left pair"):
+        analytic_left_state(quick_spec)
+
+
+def test_oracle_is_not_fooled_by_a_wrong_left_state():
+    """The photon sitting in a1 for certain is the kind of left state a
+    broken simulator would produce; its gap from the closed form is of order
+    one."""
+    left = _left_pair_spec()
+    in_a1 = np.zeros((left.dim, left.dim), dtype=complex)
+    in_a1[left.index_of((1, 0)), left.index_of((1, 0))] = 1.0
+    wrong = DensityOperator(left, in_a1)
+    assert signaling_gap(wrong, analytic_left_state(left), trials=25, seed=(0, 4)) > 0.1
+    assert trace_distance(wrong, analytic_left_state(left)) == pytest.approx(0.5)
 
 
 def test_trace_distance_extremes():
@@ -188,17 +199,6 @@ def test_trace_distance_is_a_metric(sa, sb, sc):
     assert dab <= 1.0 + 1e-12
 
 
-def test_spectral_norm_paths():
-    left = _left_pair_spec()
-    h = random_left_observable(left, 55)
-    assert spectral_norm(h) == pytest.approx(
-        float(np.abs(np.linalg.eigvalsh(h.matrix)).max())
-    )
-    rng = np.random.default_rng(56)
-    g = LinearOperator(left, rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-    assert spectral_norm(g) == pytest.approx(float(np.linalg.norm(g.matrix, 2)))
-
-
 def test_random_left_observable_is_exactly_hermitian():
     left = _left_pair_spec()
     h1 = random_left_observable(left, 77)
@@ -222,10 +222,13 @@ def test_signaling_gap_matches_manual_search():
     delta = rho_a.matrix - rho_b.matrix
     manual = 0.0
     for k in range(3):
-        h = random_left_observable(rho_a.spec, (9, k))
-        manual = max(manual, abs(np.trace(delta @ h.matrix)) / spectral_norm(h))
+        rng = np.random.default_rng((9, k))
+        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+        h = (g + g.conj().T) / 2.0
+        manual = max(manual, abs(np.trace(delta @ h)) / np.linalg.norm(h, 2))
     assert got == pytest.approx(manual, abs=1e-15)
     assert got == signaling_gap(rho_a, rho_b, trials=3, seed=9)
+    assert got == signaling_gap(rho_a, rho_b, trials=3, seed=(9,))
 
 
 def test_signaling_gap_detects_genuinely_different_states():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import ExperimentConfig, experiment, run_experiment
+from kalamidas import ExperimentConfig, experiment, nosignal, run_experiment
 from kalamidas.experiment import SQRT_HALF
 from kalamidas.optics import _splitter_matrix
 
@@ -37,6 +37,7 @@ def _run(script, *args):
         (SCAN, ["--t", "1.5"]),
         (SCAN, ["--alpha-re", "nan"]),
         (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),
+        (SWEEP, ["--alphas", "0", "--ts", "0.6", "--phis", "0", "--trials", "10000000000"]),
         (SCAN, ["--alpha-re", "50"]),
         (SWEEP, ["--alphas", "", "--ts", "0.6", "--phis", "0"]),
         (SWEEP, ["--alphas", "0", "--ts", " , ", "--phis", "0"]),
@@ -46,7 +47,7 @@ def _run(script, *args):
     ],
     ids=[
         "sweep-t", "sweep-tolerance", "sweep-trials", "sweep-late-point", "scan-t",
-        "scan-alpha", "sweep-memory", "scan-memory", "sweep-no-alphas", "sweep-no-ts",
+        "scan-alpha", "sweep-memory", "sweep-trials-memory", "scan-memory", "sweep-no-alphas", "sweep-no-ts",
         "sweep-no-phis", "scan-top-zero", "scan-top-negative",
     ],
 )
@@ -122,6 +123,28 @@ def test_sweep_builds_each_splitter_once(monkeypatch, capsys):
     assert done.value.code == 0
     assert "no signaling observed" in capsys.readouterr().out
     assert _splitter_matrix.cache_info().misses == len(keys)
+
+
+def test_sweep_draws_each_observable_once(monkeypatch, capsys):
+    """Every point of a sweep searches the same seeded observables, so one
+    pass over 2 alpha x 2 t x 3 phi at 25 trials draws 25, not 12 x 25."""
+    draw = nosignal.random_left_observable
+    seeds = []
+
+    def counted(spec, seed):
+        seeds.append(seed)
+        return draw(spec, seed)
+
+    phis = ",".join(map(str, (0.0, math.pi / 3, math.pi)))
+    argv = ["--alphas", "0,0.5", "--ts", "0.6,0.9", "--phis", phis, "--trials", "25"]
+    monkeypatch.setattr(nosignal, "random_left_observable", counted)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+    nosignal._observables.cache_clear()
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert done.value.code == 0
+    assert "no signaling observed" in capsys.readouterr().out
+    assert seeds == [(0, k) for k in range(25)]
 
 
 def test_scan_names_the_reports_selective_outcome():

@@ -57,7 +57,13 @@ from .hilbert import (
     raising_matrix,
     total_occupations,
 )
-from .nosignal import analytic_left_state, reduce_left, signaling_gap, trace_distance
+from .nosignal import (
+    STACKS_KEPT,
+    analytic_left_state,
+    reduce_left,
+    signaling_gap,
+    trace_distance,
+)
 from .optics import (
     BeamSplitter,
     CutoffAdequacyWarning,
@@ -211,19 +217,21 @@ _PEAK_PER_PAIR_OPERATOR_BYTE = 10.1
 # Peak traced memory of building one stack of normalized observables and
 # searching it, per byte of its trials d^2 complex entries: 1 + 1/d (the
 # eigenvalues and their moduli), 1.25 at the smallest left space, d = 4.
+# The gate charges the STACKS_KEPT stacks the cache holds plus this for the
+# one being built: a process that moves on to a new seed holds all three.
 _PEAK_PER_OBSERVABLE_BYTE = 1.25
 
 
 def check_memory(config: ExperimentConfig) -> None:
     """Raise ValueError when the run's estimated peak exceeds physical memory:
     its states, the largest dense operator it builds on a mode pair, and the
-    two observable stacks the signaling gap and the left oracle keep.
+    observable stacks the signaling gap and the left oracle keep and build.
     Every state of a run stores the left pair's two one-photon rows, so a
     state is charged 2 / (left dimension) of the full amplitude count."""
     spec = config.hilbert_spec()
     state = 2 * spec.dim // spec.left_dim
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
-    stacks = 2 * 16 * _PEAK_PER_OBSERVABLE_BYTE * config.trials * spec.left_dim**2
+    stacks = (STACKS_KEPT + _PEAK_PER_OBSERVABLE_BYTE) * 16 * config.trials * spec.left_dim**2
     need = _BASELINE_BYTES + stacks + 16 * (
         _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
     )

@@ -101,9 +101,12 @@ def random_left_observable(
     return LinearOperator(spec, (g + g.conj().T) / 2.0, hermitian=True)
 
 
-# One stack per (spec, seed, trials) a run or a sweep asks for: a verdict
-# uses two streams and a sweep one, at 16 (left dim)^2 bytes per trial.
-@functools.lru_cache(maxsize=16)
+# Stacks kept: a verdict searches two streams and a sweep one, each stack
+# 16 (left dim)^2 bytes per trial; experiment.check_memory charges them.
+STACKS_KEPT = 2
+
+
+@functools.lru_cache(maxsize=STACKS_KEPT)
 def _observables(spec: HilbertSpec, seed: tuple[int, ...], trials: int) -> np.ndarray:
     """The read-only (trials, d, d) stack of random_left_observable(spec,
     (*seed, k)), each divided by its spectral norm."""

@@ -231,6 +231,19 @@ def test_signaling_gap_matches_manual_search():
     assert got == signaling_gap(rho_a, rho_b, trials=3, seed=(9,))
 
 
+def test_signaling_gap_keeps_only_a_verdicts_two_stacks():
+    from kalamidas import nosignal
+
+    rho_a = _random_density(4)
+    rho_b = _random_density(5)
+    nosignal._observables.cache_clear()
+    for seed in (7, (7, 4), 8, (8, 4), (8, 4), 8):
+        signaling_gap(rho_a, rho_b, trials=3, seed=seed)
+    info = nosignal._observables.cache_info()
+    assert nosignal.STACKS_KEPT == 2
+    assert (info.currsize, info.misses, info.hits) == (2, 4, 2)
+
+
 def test_signaling_gap_detects_genuinely_different_states():
     left = _left_pair_spec()
     pure0 = DensityOperator(left, np.diag([1.0, 0, 0, 0]).astype(complex))

@@ -16,17 +16,18 @@ the one operation that does move the left reduced state, which is why it
 cannot be used for signaling without classically communicating the outcome;
 the occupation scan makes the effect measurable outcome by outcome.
 
-Seeded generators provide reproducible Haar-style unitaries and complete Kraus
-families. All randomness flows through numpy's default_rng (PCG64); the same
-seed yields the same operator.
+Seeded generators provide reproducible Haar-random unitaries and complete
+Kraus families, both read-only views of one Haar isometry per seed. All
+randomness flows through numpy's default_rng (PCG64); the same seed yields
+the same operator.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence, Union
 
 import numpy as np
+from scipy.linalg import qr
 
 from .hilbert import (
     LEFT_LABELS,
@@ -125,13 +126,32 @@ def occupation_projectors(
     )
 
 
-def _haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    z = (rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))
-    z /= math.sqrt(2.0)
-    q, r = np.linalg.qr(z)
-    phases = np.diag(r).copy()
-    phases /= np.abs(phases)
-    return q * phases
+def _haar_isometry(
+    spec: HilbertSpec,
+    modes: Sequence[str],
+    seed: Union[int, Sequence[int]],
+    k: int,
+) -> tuple[HilbertSpec, np.ndarray]:
+    """The right-mode subspace on ``modes`` and a seeded Haar-random
+    (k d) x d isometry on it, read-only.
+
+    The complex Gaussian is drawn in place, real part then imaginary part, and
+    factored by QR in its own buffer; multiplying each column of Q by the
+    phase of R's diagonal entry makes Q Haar distributed (Mezzadri, Notices
+    AMS 54, 592 (2007)).
+    """
+    sub = spec.subspace(modes)
+    _require_right_modes(sub)
+    rng = np.random.default_rng(seed)
+    # Fortran order, so LAPACK factors the draw without copying it
+    z = np.empty((k * sub.dim, sub.dim), dtype=np.complex128, order="F")
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
+    q, r = qr(z, mode="economic", overwrite_a=True)
+    phases = np.diagonal(r)
+    q *= phases / np.abs(phases)
+    q.setflags(write=False)
+    return sub, q
 
 
 def random_right_unitary(
@@ -139,11 +159,10 @@ def random_right_unitary(
     modes: Sequence[str],
     seed: Union[int, Sequence[int]],
 ) -> LinearOperator:
-    """Seeded Haar-style unitary on a right-mode subspace."""
-    sub = spec.subspace(modes)
-    _require_right_modes(sub)
-    rng = np.random.default_rng(seed)
-    return LinearOperator(sub, _haar_unitary(sub.dim, rng), unitary=True)
+    """Seeded Haar-random unitary on a right-mode subspace: the k = 1 case
+    of :func:`random_kraus`."""
+    sub, q = _haar_isometry(spec, modes, seed, 1)
+    return LinearOperator(sub, q, unitary=True)
 
 
 def random_kraus(
@@ -154,57 +173,29 @@ def random_kraus(
 ) -> tuple[LinearOperator, ...]:
     """Seeded Kraus family of k operators, complete by construction.
 
-    The stacked operators form the economic QR factor of a (k d) x d Gaussian
-    matrix, an isometry, so sum A+ A = I holds to rounding.
+    The operators are the k row blocks of one Haar-random (k d) x d
+    isometry, read-only views of its buffer, so sum A+ A = I holds to
+    rounding.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sub = spec.subspace(modes)
-    _require_right_modes(sub)
+    sub, q = _haar_isometry(spec, modes, seed, k)
     d = sub.dim
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((k * d, d)) + 1j * rng.standard_normal((k * d, d))
-    q, _ = np.linalg.qr(z)
-    return tuple(LinearOperator(sub, q[i * d : (i + 1) * d, :]) for i in range(k))
-
-
-@dataclass(frozen=True)
-class OccupationScan:
-    """Left reduced states conditioned on each occupation outcome of a scan.
-
-    grams[k] is the UNNORMALIZED conditional left matrix for outcome k, so
-    probabilities[k] = trace(grams[k]) and summing every gram (null outcomes
-    included) reproduces the unconditional reduced state exactly.
-    """
-
-    left_spec: HilbertSpec
-    occupations: tuple[tuple[int, ...], ...]
-    probabilities: np.ndarray
-    grams: np.ndarray
-    leakage: float
-
-    def conditional(self, k: int) -> DensityOperator:
-        p = float(self.probabilities[k])
-        if p < PROBABILITY_FLOOR:
-            raise ValueError(
-                f"outcome {self.occupations[k]} has probability {p:.3e}, "
-                f"below the floor {PROBABILITY_FLOOR:.1e}"
-            )
-        return DensityOperator(self.left_spec, self.grams[k] / p)
-
-    def mixture(self) -> DensityOperator:
-        return DensityOperator(
-            self.left_spec, self.grams.sum(axis=0), leakage=self.leakage
-        )
+    return tuple(LinearOperator(sub, q[i * d : (i + 1) * d]) for i in range(k))
 
 
 def conditional_left_by_occupation(
     state: PureState, modes: Sequence[str]
-) -> OccupationScan:
-    """Scan every occupation outcome of the given right modes at once.
+) -> tuple[list[tuple[tuple[int, ...], float, DensityOperator]], DensityOperator]:
+    """Condition on every occupation outcome of the given right modes at once.
 
-    Equivalent to conditioning on each rank-1 occupation projector and
-    reducing to the left pair, but computed in a single contraction.
+    Returns (outcomes, mixture). ``outcomes`` lists (occupation, probability,
+    conditional left state) in scan order for every outcome at or above
+    PROBABILITY_FLOOR. ``mixture`` sums every outcome's unnormalized left
+    matrix, sub-floor ones included, so it reproduces the unconditional
+    reduced state and carries the state's leakage. Equivalent to
+    :func:`selective_outcome` on each rank-1 occupation projector followed by
+    the left reduction, but computed in a single contraction.
     """
     spec = state.spec
     sub = spec.subspace(modes)
@@ -218,12 +209,9 @@ def conditional_left_by_occupation(
     a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(n_rows, sub.dim, -1)
     grams = np.zeros((sub.dim, left.dim, left.dim), dtype=np.complex128)
     grams[:, state.rows, state.rows] = np.einsum("iko,jko->kij", a, a.conj())
-    probabilities = np.einsum("kii->k", grams).real.copy()
-    occupations = tuple(sub.occupation_of(i) for i in range(sub.dim))
-    return OccupationScan(
-        left_spec=left,
-        occupations=occupations,
-        probabilities=probabilities,
-        grams=grams,
-        leakage=state.leakage,
-    )
+    outcomes = [
+        (sub.occupation_of(k), float(p), DensityOperator(left, grams[k] / p))
+        for k, p in enumerate(np.einsum("kii->k", grams).real)
+        if p >= PROBABILITY_FLOOR
+    ]
+    return outcomes, DensityOperator(left, grams.sum(axis=0), leakage=state.leakage)

@@ -51,8 +51,6 @@ from .hilbert import (
     PureState,
     apply,
     distance,
-    embed,
-    ladder,
     product_state,
     raising_matrix,
     total_occupations,
@@ -199,21 +197,23 @@ class ExperimentConfig:
         return HilbertSpec(MODE_LABELS, self.cutoffs)
 
 
-# Resident memory of the interpreter with kalamidas imported: 55.5-55.7 MiB.
+# Resident memory of the interpreter with kalamidas imported: 55.5-55.6 MiB
+# with its bytecode cached, 57.2 MiB when it is compiled at import.
 _BASELINE_BYTES = 56 * 2**20
-# Peak resident memory of a run above that baseline and the pair-operator
-# charge below, per byte of one stored state (the left pair's two one-photon
-# rows), measured with one BLAS thread (peak, stored state, ratio):
-# 83.3 MiB, 2.00 MiB, 8.8 at alpha = 0; 137.3 MiB, 7.15 MiB, 6.4 at alpha = 1;
-# 319.4 MiB, 24.7 MiB, 5.6 at alpha = 2; 525.4 MiB, 45.8 MiB, 5.2 at
-# alpha = 2.5: the evolved states, the channel battery's branches and the
+# Peak resident memory of a run above 55.5 MiB, the pair-operator charge and
+# the observable stacks below, per byte of one stored state (the left pair's
+# two one-photon rows), measured with one BLAS thread (peak, stored state,
+# ratio): 75.0 MiB, 2.00 MiB, 5.2 at alpha = 0; 107.0 MiB, 7.15 MiB, 2.7 at
+# alpha = 1; 211.8 MiB, 24.7 MiB, 1.8 at alpha = 2; 342.5 MiB, 45.8 MiB, 1.8
+# at alpha = 2.5: the evolved states, the channel battery's branches and the
 # heap the run's transients leave behind. The largest is kept.
-_PEAK_PER_STATE_BYTE = 8.8
+_PEAK_PER_STATE_BYTE = 5.3
 # Peak traced memory of building one dense operator on a mode pair of
-# dimension d = d_x d_y, per byte of its d^2 complex entries: 9.0 for a
-# splitter (expm), 10.1 for a Kraus family (QR of a 3d x d matrix) and 4.1 for
-# a Haar unitary. The largest is charged for every pair a run builds on.
-_PEAK_PER_PAIR_OPERATOR_BYTE = 10.1
+# dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
+# and 2: 9.0 for a splitter (expm), 4.5 for a Kraus family (its 3d x d draw
+# and the real part drawn into it) and 2.1 for a Haar unitary. The largest
+# is charged for every pair a run builds on.
+_PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 # Peak traced memory of building one stack of normalized observables and
 # searching it, per byte of its trials d^2 complex entries: 1 + 1/d (the
 # eigenvalues and their moduli), 1.25 at the smallest left space, d = 4.
@@ -397,32 +397,26 @@ class NoOutcomeError(ValueError):
 def selective_ranking(
     final: PureState, rho: DensityOperator
 ) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
-    """Every (a2, b2) outcome above PROBABILITY_FLOOR as (occupation,
+    """Every (a2, b2) outcome at or above PROBABILITY_FLOOR as (occupation,
     probability, contrast, conditional left state), and the mixture; ``rho``
     is the left state of ``final``. Row 0 is the report's outcome: in scan
     order, a later outcome wins only when its probability times contrast is
     larger by more than 1e-15. The rest follow by that product, descending.
     Raises NoOutcomeError when no outcome clears the floor."""
-    scan = conditional_left_by_occupation(final, _SCAN_PAIR)
-    baseline = DensityOperator(rho.spec, rho.matrix / rho.trace)
-    rows = []
-    for k, p in enumerate(scan.probabilities):
-        if p < PROBABILITY_FLOOR:
-            continue
-        conditional = scan.conditional(k)
-        contrast = trace_distance(conditional, baseline)
-        rows.append((scan.occupations[k], float(p), contrast, conditional))
-    if not rows:
+    outcomes, mixture = conditional_left_by_occupation(final, _SCAN_PAIR)
+    if not outcomes:
         raise NoOutcomeError(
             f"no ({', '.join(_SCAN_PAIR)}) outcome has probability above the floor "
-            f"{PROBABILITY_FLOOR:.0e} (the largest is {scan.probabilities.max():.3g} "
-            f"of a state with norm squared {final.norm2:.3g}); raise the cutoffs"
+            f"{PROBABILITY_FLOOR:.0e} in a state with norm squared {final.norm2:.3g}; "
+            f"raise the cutoffs"
         )
+    baseline = DensityOperator(rho.spec, rho.matrix / rho.trace)
+    rows = [(occ, p, trace_distance(cond, baseline), cond) for occ, p, cond in outcomes]
     score = [p * contrast for _, p, contrast, _ in rows]
     ks = range(len(rows))
     best = functools.reduce(lambda i, j: j if score[j] > score[i] + 1e-15 else i, ks)
     order = sorted(ks, key=lambda i: (i != best, -score[i]))  # stable: ties keep scan order
-    return [rows[i] for i in order], scan.mixture()
+    return [rows[i] for i in order], mixture
 
 
 def direct_final_state(config: ExperimentConfig) -> PureState:
@@ -461,9 +455,9 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
     for name, bs in (("left_pair", left), ("arm_a", arm_a), ("arm_b", arm_b)):
         u = beamsplitter_unitary(spec, bs)
         sub = u.spec
-        x, y = bs.mode_pair
-        rx = embed(ladder(spec, x, "raise"), sub)
-        ry = embed(ladder(spec, y, "raise"), sub)
+        d_x, d_y = sub.dims  # the pair in mode order, x first
+        rx = LinearOperator(sub, np.kron(raising_matrix(d_x), np.eye(d_y)))
+        ry = LinearOperator(sub, np.kron(np.eye(d_x), raising_matrix(d_y)))
         targets = (
             (rx, bs.t * rx.matrix + bs.r * ry.matrix),
             (ry, -bs.r * rx.matrix + bs.t * ry.matrix),

@@ -128,7 +128,7 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 # bare state's right cutoff 1, and the left pair's throughout, so 2 n_t + 1
 # entries keep every splitter it reuses: 16 serve up to 7 values of t. The
 # blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
-# 2.9 MB at alpha = 4.93, the largest the memory gate admits on 8 GB.
+# 3.8 MB at alpha = 5.33, the largest the memory gate admits on 8 GB.
 @functools.lru_cache(maxsize=16)
 def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
     """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its

@@ -217,11 +217,11 @@ def test_selective_outcome_contrast_and_mixture(default_report, evolved_states):
     assert default_report.residuals["selective_mixture"] <= MIXTURE_TOL
 
     psi_with, _ = evolved_states
-    scan = conditional_left_by_occupation(psi_with, ("a2", "b2"))
-    k = scan.occupations.index((0, 0))
-    diag = np.diag(scan.conditional(k).matrix).real
+    outcomes, mixture = conditional_left_by_occupation(psi_with, ("a2", "b2"))
+    (conditional,) = [cond for occ, _, cond in outcomes if occ == (0, 0)]
+    diag = np.diag(conditional.matrix).real
     assert np.abs(diag - np.array(FROZEN_CONDITIONAL_DIAG)).max() < 1e-9
-    mixture_residual = trace_distance(scan.mixture(), reduce_left(psi_with))
+    mixture_residual = trace_distance(mixture, reduce_left(psi_with))
     assert mixture_residual <= MIXTURE_TOL
     print(
         f"PASS selective: outcome (0, 0) with probability "

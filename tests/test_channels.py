@@ -140,9 +140,17 @@ def test_random_kraus_seeded_and_guarded(small_spec):
     assert len(f1) == 4
     assert all(np.array_equal(a.matrix, b.matrix) for a, b in zip(f1, f2))
     assert completeness_defect(f1) < 1e-10
+    # read-only views of one isometry; the blocks' rows are disjoint, so each
+    # is checked against the buffer they share
+    base = f1[0].matrix.base
+    assert all(not a.matrix.flags.writeable for a in f1)
+    assert all(np.shares_memory(a.matrix, base) for a in f1)
     (single,) = random_kraus(small_spec, ("b2", "b3"), seed=5, k=1)
     gram = single.matrix.conj().T @ single.matrix
     assert np.abs(gram - np.eye(single.spec.dim)).max() < 1e-12
+    # one draw: the unitary is the one-operator family of the same seed
+    u = random_right_unitary(small_spec, ("b2", "b3"), seed=5)
+    assert np.array_equal(u.matrix, single.matrix)
     with pytest.raises(ValueError):
         random_kraus(small_spec, ("b2", "b3"), seed=5, k=0)
 
@@ -177,31 +185,38 @@ def test_selective_outcome_null_below_floor(quick_spec):
 
 def test_scan_matches_projector_by_projector_conditioning(quick_spec):
     psi = _random_state(quick_spec, 17)
-    scan = conditional_left_by_occupation(psi, ("a2", "b2"))
+    outcomes, _ = conditional_left_by_occupation(psi, ("a2", "b2"))
+    scanned = {occ: (prob, cond) for occ, prob, cond in outcomes}
+    assert len(scanned) == len(outcomes)
     family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
     sub = quick_spec.subspace(("a2", "b2"))
+    order = []
     for k, p in enumerate(family):
-        assert scan.occupations[k] == sub.occupation_of(k)
+        occ = sub.occupation_of(k)
         cond, prob = selective_outcome(psi, p)
-        assert scan.probabilities[k] == pytest.approx(prob, abs=1e-13)
+        # an outcome is listed exactly when selective_outcome conditions on it
+        assert (occ in scanned) == (cond is not None)
         if cond is not None:
-            direct = reduce_left(cond)
-            assert trace_distance(scan.conditional(k), direct) < 1e-12
+            order.append(occ)
+            assert scanned[occ][0] == pytest.approx(prob, abs=1e-13)
+            assert trace_distance(scanned[occ][1], reduce_left(cond)) < 1e-12
+    assert [occ for occ, _, _ in outcomes] == order  # scan order
 
 
 def test_scan_mixture_restores_unconditional_state(quick_spec):
     psi = _random_state(quick_spec, 19)
-    scan = conditional_left_by_occupation(psi, ("a2", "b2"))
-    assert np.abs(scan.mixture().matrix - reduce_left(psi).matrix).max() < 1e-14
+    _, mixture = conditional_left_by_occupation(psi, ("a2", "b2"))
+    assert np.abs(mixture.matrix - reduce_left(psi).matrix).max() < 1e-14
 
 
 def test_scan_keeps_subfloor_mass_in_the_mixture(quick_spec):
     psi = vacuum(quick_spec)
-    scan = conditional_left_by_occupation(psi, ("a2", "b2"))
-    assert scan.probabilities[0] == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        scan.conditional(1)
-    assert scan.mixture().trace == pytest.approx(1.0, abs=1e-14)
+    outcomes, mixture = conditional_left_by_occupation(psi, ("a2", "b2"))
+    assert len(outcomes) == 1
+    occ, prob, _ = outcomes[0]
+    assert occ == (0, 0)
+    assert prob == pytest.approx(1.0)
+    assert mixture.trace == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scan_carries_leakage(quick_spec):
@@ -209,10 +224,10 @@ def test_scan_carries_leakage(quick_spec):
     amps = rng.standard_normal(quick_spec.dim) + 1j * rng.standard_normal(quick_spec.dim)
     amps *= 0.9 / np.linalg.norm(amps)
     state = PureState(quick_spec, amps, leakage=1.0 - 0.81)
-    scan = conditional_left_by_occupation(state, ("a2", "b2"))
-    assert scan.leakage == pytest.approx(state.leakage)
-    assert scan.mixture().trace == pytest.approx(0.81, abs=1e-12)
-    assert max(scan.mixture().invariant_residuals().values()) < 1e-10
+    _, mixture = conditional_left_by_occupation(state, ("a2", "b2"))
+    assert mixture.leakage == pytest.approx(state.leakage)
+    assert mixture.trace == pytest.approx(0.81, abs=1e-12)
+    assert max(mixture.invariant_residuals().values()) < 1e-10
 
 
 def test_scan_rejects_left_modes(quick_spec):

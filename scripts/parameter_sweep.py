@@ -1,10 +1,11 @@
 """Sweep the apparatus over amplitudes, transmissivities, and phases, and
 tabulate the left-side trace distance and signaling gap at each point.
 
-Each (alpha, t) evolves its injected preparation through the arm splitters
-once and serves every phase from that left state
-(experiment.left_states_over_phases); the bare preparation is built at
-right cutoff 1, where it is exact.
+Each (alpha, t) and preparation takes its left state from four arm-pair
+vectors, each sent through its arm splitter, and serves every phase from
+that left state with a 4 x 4 rotation (experiment.left_states_over_phases);
+no six-mode state is built. The bare preparation is the same computation at
+alpha = 0.
 
 Example:
     python scripts/parameter_sweep.py --alphas 0,0.5,1 --ts 0.6,0.9 --trials 25

@@ -29,7 +29,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
 
 import numpy as np
@@ -43,6 +43,7 @@ from .channels import (
     random_right_unitary,
 )
 from .hilbert import (
+    LEFT_LABELS,
     MODE_LABELS,
     RIGHT_LABELS,
     DensityOperator,
@@ -51,6 +52,7 @@ from .hilbert import (
     PureState,
     apply,
     distance,
+    inner,
     product_state,
     raising_matrix,
     total_occupations,
@@ -248,6 +250,15 @@ def check_memory(config: ExperimentConfig) -> None:
         )
 
 
+def _mode_factor(spec: HilbertSpec, m: str, alpha: complex, photon: bool = False) -> np.ndarray:
+    """The truncated coherent series of amplitude alpha on mode m, raised
+    once when ``photon``: the box projection of (m+)^photon |alpha>, since
+    raising the truncated series only drops the component above the cutoff."""
+    d = spec.cutoff_of(m) + 1
+    vec = coherent_series(alpha, d)
+    return raising_matrix(d) @ vec if photon else vec
+
+
 def _photon_pairs(
     spec: HilbertSpec,
     amplitudes: Mapping[str, complex],
@@ -257,14 +268,12 @@ def _photon_pairs(
     """scale * sum_k c_k x_k+ y_k+ acting on coherent states of the given
     amplitudes (vacuum on the other modes), for pairs (x_k, y_k, c_k).
 
-    Every factor is the box projection of its ideal single-mode vector:
-    raising the truncated series only drops the component above the cutoff.
+    Every factor is the box projection of its ideal single-mode vector
+    (:func:`_mode_factor`).
     """
 
     def factor(m: str, photon: bool = False) -> np.ndarray:
-        d = spec.cutoff_of(m) + 1
-        vec = coherent_series(amplitudes.get(m, 0.0), d)
-        return raising_matrix(d) @ vec if photon else vec
+        return _mode_factor(spec, m, amplitudes.get(m, 0.0), photon)
 
     background = {m: factor(m) for m in amplitudes}
     terms = [(c, {**background, x: factor(x, True), y: factor(y, True)}) for x, y, c in pairs]
@@ -284,6 +293,13 @@ def initial_state_bare(config: ExperimentConfig) -> PureState:
 
 def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
     """The photon superposition with coherent amplitude alpha on a3 and b3."""
+    _warn_if_inadequate(config)
+    return _prepared_state(config, config.alpha)
+
+
+def _warn_if_inadequate(config: ExperimentConfig) -> None:
+    """Warn, for the caller of the caller, when a right-mode cutoff is below
+    the adequacy rule for the config's alpha."""
     if config.adequacy_warning:
         low = [
             label
@@ -295,9 +311,8 @@ def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
             f"({config.required_cutoff}) for |alpha| = {abs(config.alpha):.4g}; "
             f"tolerances are scaled by the resulting leakage",
             CutoffAdequacyWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    return _prepared_state(config, config.alpha)
 
 
 def _splitters(config: ExperimentConfig) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
@@ -309,19 +324,13 @@ def _splitters(config: ExperimentConfig) -> tuple[BeamSplitter, BeamSplitter, Be
     )
 
 
-def _arm_unitaries(spec: HilbertSpec, config: ExperimentConfig) -> tuple[LinearOperator, ...]:
-    """The two arm splitters in the order they are applied; they act on
-    disjoint pairs and commute."""
-    _, arm_a, arm_b = _splitters(config)
-    return beamsplitter_unitary(spec, arm_b), beamsplitter_unitary(spec, arm_a)
-
-
 def evolve(state: PureState, config: ExperimentConfig) -> PureState:
-    """Send a prepared state through the apparatus: arm splitters first
-    (:func:`_arm_unitaries`), then the left splitter."""
-    left = _splitters(config)[0]
-    for u in (*_arm_unitaries(state.spec, config), beamsplitter_unitary(state.spec, left)):
-        state = apply(u, state)
+    """Send a prepared state through the apparatus: the arm splitters first
+    (b, then a; they act on disjoint pairs and commute), then the left
+    splitter."""
+    left, arm_a, arm_b = _splitters(config)
+    for bs in (arm_b, arm_a, left):
+        state = apply(beamsplitter_unitary(state.spec, bs), state)
     return state
 
 
@@ -339,36 +348,61 @@ def left_states_over_phases(
     config: ExperimentConfig, phis: Sequence[float], injected: bool
 ) -> list[DensityOperator]:
     """The left state of the injected or bare preparation at each phase in
-    ``phis``, from one arm evolution: what :func:`evolve_and_reduce` gives
-    at that phase, up to rounding.
+    ``phis``: what :func:`evolve_and_reduce` gives at that phase, up to
+    rounding, built from arm-pair vectors without a six-mode state.
+
+    At phi = 0 the preparation is
+    (1/sqrt2)[|10> v1a v0b + |01> v0a v1b] over (left pair, arm a, arm b),
+    where on each arm pair (x, y) v0 = |0> |alpha> and v1 = x+|0> |alpha>,
+    with alpha = 0 for the bare preparation. Each arm splitter acts on its
+    own pair and takes v0, v1 to q0, q1, so on the one-photon rows the left
+    state is rho(10,10) = |q1a|^2 |q0b|^2 / 2, rho(01,01) = |q0a|^2 |q1b|^2 / 2
+    and rho(10,01) = <q0a|q1a> <q1b|q0b> / 2, each arm at its own cutoffs.
+    Its leakage is the preparation's tail plus the loss the arm splitters
+    booked: one minus that trace with each norm squared replaced by one
+    minus its pair vector's leakage.
 
     The phase enters as e^{i phi n_b1} on the phi = 0 preparation, since the
     b-term holds the only b1 photon, and it and the left splitter act on
-    (a1, b1) only, so both commute with the partial trace. The phi = 0
-    preparation goes through the arm splitters and is reduced once to
-    rho_arms; each phase then costs K rho_arms K+ with K = U_left e^{i phi n_b1}
-    on the left pair. The bare preparation holds one photon on the right, so
-    it is built at right cutoffs of at most 1 (the config's own left
-    cutoffs), which loses nothing. Each left state carries the preparation's
-    leakage plus the loss the arm splitters booked; the left rotation books
-    none.
+    (a1, b1) only, so both commute with the partial trace: each phase costs
+    K rho K+ with K = U_left e^{i phi n_b1} on the left pair, which books no
+    leakage.
     """
-    base = replace(config, phi=0.0)
+    alpha = config.alpha if injected else 0.0
     if injected:
-        state = initial_state_with_coherent(base)
-    else:
-        cutoffs = base.cutoffs_map
-        cutoffs.update({m: min(cutoffs[m], 1) for m in RIGHT_LABELS})
-        state = initial_state_bare(replace(base, cutoffs=cutoffs))
-    for u in _arm_unitaries(state.spec, base):
-        state = apply(u, state)  # the preparation is freed after the first
-    rho = reduce_left(state)
-    left = beamsplitter_unitary(rho.spec, _splitters(base)[0]).matrix
-    n_b1 = np.indices(rho.spec.dims)[rho.spec.axis_of("b1")].ravel()
+        _warn_if_inadequate(config)
+    spec = config.hilbert_spec()
+    left_bs, *arm_bs = _splitters(config)
+    arms = []  # (q0, q1) per arm
+    for bs in arm_bs:
+        x, y = bs.mode_pair
+        pair = spec.subspace(bs.mode_pair)
+        u = beamsplitter_unitary(pair, bs)
+        coherent = _mode_factor(pair, y, alpha)
+        prepared = [
+            product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
+            for photon in (False, True)
+        ]
+        arms.append([apply(u, v) for v in prepared])
+    (q0a, q1a), (q0b, q1b) = arms
+    left = spec.subspace(LEFT_LABELS)
+    i10, i01 = left.index_of((1, 0)), left.index_of((0, 1))
+    rho = np.zeros((left.dim, left.dim), dtype=np.complex128)
+    rho[i10, i10] = 0.5 * q1a.norm2 * q0b.norm2
+    rho[i01, i01] = 0.5 * q0a.norm2 * q1b.norm2
+    rho[i10, i01] = 0.5 * inner(q0a, q1a) * inner(q1b, q0b)
+    rho[i01, i10] = np.conj(rho[i10, i01])
+
+    def kept(q: PureState) -> float:
+        return 1.0 - q.leakage
+
+    leakage = 1.0 - 0.5 * (kept(q1a) * kept(q0b) + kept(q0a) * kept(q1b))
+    u_left = beamsplitter_unitary(left, left_bs).matrix
+    n_b1 = np.indices(left.dims)[left.axis_of("b1")].ravel()
     out = []
     for phi in phis:
-        k = left * np.exp(1j * phi * n_b1)  # U_left times the diagonal phase
-        out.append(DensityOperator(rho.spec, k @ rho.matrix @ k.conj().T, leakage=rho.leakage))
+        k = u_left * np.exp(1j * phi * n_b1)  # U_left times the diagonal phase
+        out.append(DensityOperator(left, k @ rho @ k.conj().T, leakage=leakage))
     return out
 
 
@@ -379,8 +413,9 @@ def no_signaling_rows(
     tolerance). Their one tolerance is the base plus the larger leakage of the
     two left states. From :func:`evolve_and_reduce` that is the run's
     largest, since evolution only adds leakage; from
-    :func:`left_states_over_phases` it leaves out the left splitter's booked
-    loss, a rounding-level term."""
+    :func:`left_states_over_phases` it is what the arm-pair vectors lost (the
+    preparation's tail and the arm splitters' booked loss) and leaves out the
+    left splitter's booked loss, a rounding-level term."""
     gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
     tolerance = config.tolerance + max(rho_with.leakage, rho_bare.leakage)
     return (

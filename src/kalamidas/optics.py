@@ -124,9 +124,9 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
     )
 
 
-# A sweep uses per (alpha, t) an arm splitter at full cutoffs and one at the
-# bare state's right cutoff 1, and the left pair's throughout, so 2 n_t + 1
-# entries keep every splitter it reuses: 16 serve up to 7 values of t. The
+# A sweep uses per (alpha, t) one arm splitter, which both arms and both
+# preparations share, and the left pair's throughout, so 16 entries keep
+# every splitter of a grid of up to 15 (alpha, t) points across passes. The
 # blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
 # 3.8 MB at alpha = 5.33, the largest the memory gate admits on 8 GB.
 @functools.lru_cache(maxsize=16)

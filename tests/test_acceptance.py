@@ -57,7 +57,7 @@ CONTRAST_FLOOR = 0.01
 
 
 def test_no_signaling_across_parameter_grid():
-    """Every phase of an (alpha, t) comes from one arm evolution
+    """Every phase of an (alpha, t) comes from its arm-pair vectors
     (left_states_over_phases); for each alpha one point is also evolved the
     direct way, in full, and must agree with it."""
     alphas = [0.0, 0.5, 1.0, 1.0 + 0.5j]

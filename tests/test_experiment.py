@@ -182,11 +182,19 @@ def test_phase_is_exp_i_phi_n_b1_on_the_phi_zero_preparation(alpha, phi):
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
-@pytest.mark.parametrize("left", [{}, {"a1": 2}, {"b1": 2}], ids=["a1=1", "a1=2", "b1=2"])
+@pytest.mark.parametrize(
+    "cutoffs",
+    [{}, {"a1": 2}, {"b1": 2}, {"b2": 5, "a3": 6}, {"a3": 0}],
+    ids=["a1=1", "a1=2", "b1=2", "b2=5,a3=6", "a3=0"],
+)
 @pytest.mark.parametrize("t", [0.0, 0.6, 1.0])
 @pytest.mark.parametrize("alpha", [0.0, 0.3 + 0.4j, 1.0])
-def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, left):
-    config = ExperimentConfig(alpha=alpha, t=t, cutoffs={**STAGE_RIGHT, **left})
+def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, cutoffs):
+    """The left states from arm-pair vectors against the full six-mode
+    evolution: at left cutoffs above 1, on arms of different dimensions
+    (so their splitters differ) and on an arm whose coherent factor is only
+    its vacuum amplitude (a3=0, a large clipped tail)."""
+    config = ExperimentConfig(alpha=alpha, t=t, cutoffs={**STAGE_RIGHT, **cutoffs})
     phis = [0.0, 2.5, -1.0]
     for injected in (True, False):
         states = left_states_over_phases(config, phis, injected)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import ExperimentConfig, experiment, nosignal, run_experiment
+from kalamidas import MODE_LABELS, ExperimentConfig, experiment, hilbert, nosignal, run_experiment
 from kalamidas.experiment import SQRT_HALF
 from kalamidas.optics import _splitter_matrix
 
@@ -18,6 +18,7 @@ SCRIPTS = Path(__file__).parents[1] / "scripts"
 SWEEP = SCRIPTS / "parameter_sweep.py"
 SCAN = SCRIPTS / "selective_scan.py"
 ONE_POINT = ["--alphas", "0", "--ts", "0.6", "--phis", "0", "--trials", "3"]
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _run(script, *args):
@@ -106,16 +107,15 @@ def test_sweep_repeated_phi_prints_identical_rows():
 
 
 def test_sweep_builds_each_splitter_once(monkeypatch, capsys):
-    """Per (alpha, t) the sweep needs an arm splitter at full cutoffs and one
-    at the bare state's right cutoff 1; the left pair's is shared by all. The
-    cache must build each exactly once over the pass."""
+    """Per (alpha, t) the sweep needs the arm splitter at the config's
+    cutoffs, which both preparations share; the left pair's is shared by
+    all. The cache must build each exactly once over the pass."""
     keys = {((2, 2), math.atan2(SQRT_HALF, SQRT_HALF))}
     for alpha in GRID["alphas"]:
         for t in GRID["ts"]:
             config = ExperimentConfig(alpha=alpha, t=t)
-            theta = math.atan2(config.r, config.t)
             arm = config.cutoffs_map["a2"] + 1, config.cutoffs_map["a3"] + 1
-            keys |= {(arm, theta), ((2, 2), theta)}
+            keys.add((arm, math.atan2(config.r, config.t)))
     monkeypatch.setattr(sys, "argv", [str(SWEEP), *GRID_ARGS, "--trials", "3"])
     _splitter_matrix.cache_clear()
     with pytest.raises(SystemExit) as done:
@@ -145,6 +145,42 @@ def test_sweep_draws_each_observable_once(monkeypatch, capsys):
     assert done.value.code == 0
     assert "no signaling observed" in capsys.readouterr().out
     assert seeds == [(0, k) for k in range(25)]
+
+
+def test_sweep_builds_no_six_mode_state(monkeypatch, capsys):
+    """A sweep pass takes its left states from arm-pair vectors: no state
+    over all six modes is constructed (the full evolution builds 24 on this
+    grid of 2 alpha x 2 t x 3 phi)."""
+    init = hilbert.PureState.__init__
+    modes = []
+
+    def recorded(self, spec, *args, **kwargs):
+        modes.append(spec.modes)
+        init(self, spec, *args, **kwargs)
+
+    phis = ",".join(map(str, (0.0, math.pi / 3, math.pi)))
+    argv = ["--alphas", "0,0.5", "--ts", "0.6,0.9", "--phis", phis, "--trials", "25"]
+    monkeypatch.setattr(hilbert.PureState, "__init__", recorded)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert done.value.code == 0
+    assert "no signaling observed" in capsys.readouterr().out
+    assert modes  # the pair vectors are states too
+    assert MODE_LABELS not in modes
+
+
+def test_sweep_table_does_not_depend_on_the_blas_thread_count():
+    """The default sweep prints the same bytes at one and at two BLAS threads."""
+    tables = []
+    for threads in ("1", "2"):
+        env = {**child_env(), **dict.fromkeys(BLAS_THREADS, threads)}
+        proc = subprocess.run(
+            [sys.executable, str(SWEEP)], capture_output=True, text=True, timeout=600, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        tables.append(proc.stdout)
+    assert tables[0] == tables[1]
 
 
 def test_scan_names_the_reports_selective_outcome():

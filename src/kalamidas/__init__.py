@@ -13,7 +13,6 @@ from .channels import (
     occupation_projectors,
     random_kraus,
     random_right_unitary,
-    selective_outcome,
 )
 from .experiment import (
     ExperimentConfig,
@@ -34,17 +33,10 @@ from .hilbert import (
     LinearOperator,
     PureState,
     apply,
-    basis_state,
-    embed,
-    identity,
     inner,
-    ladder,
-    number_op,
-    vacuum,
 )
 from .nosignal import (
     analytic_left_state,
-    expectation,
     random_left_observable,
     reduce_left,
     signaling_gap,
@@ -56,8 +48,6 @@ from .optics import (
     adequate_cutoff,
     beamsplitter_unitary,
     coherent_series,
-    coherent_state,
-    displacement_unitary,
     heisenberg_action,
 )
 
@@ -70,7 +60,6 @@ __all__ = [
     "occupation_projectors",
     "random_kraus",
     "random_right_unitary",
-    "selective_outcome",
     "ExperimentConfig",
     "Report",
     "default_cutoffs",
@@ -87,15 +76,8 @@ __all__ = [
     "LinearOperator",
     "PureState",
     "apply",
-    "basis_state",
-    "embed",
-    "identity",
     "inner",
-    "ladder",
-    "number_op",
-    "vacuum",
     "analytic_left_state",
-    "expectation",
     "random_left_observable",
     "reduce_left",
     "signaling_gap",
@@ -105,8 +87,6 @@ __all__ = [
     "adequate_cutoff",
     "beamsplitter_unitary",
     "coherent_series",
-    "coherent_state",
-    "displacement_unitary",
     "heisenberg_action",
     "__version__",
 ]

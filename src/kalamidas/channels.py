@@ -5,16 +5,16 @@ non-selective projective measurements (rho -> sum_k P_k rho P_k), and
 non-selective generalized measurements given by a Kraus family
 (rho -> sum_k A_k rho A_k+). None of them can change the left reduced state;
 the experiment driver measures exactly that. A channel is its operators: a
-tuple of LinearOperator on one right-mode subspace, which
-:func:`completeness_defect` measures against sum_k A_k+ A_k = I. All three
-run through :func:`nonselective_left`, which applies each operator to a pure
-state and sums the left reductions of the branches, so no density operator
-on the full space is ever built.
+tuple of LinearOperator on one right-mode subspace, complete when
+sum_k A_k+ A_k = I. All three run through :func:`nonselective_left`, which
+applies each operator to a pure state and sums the left reductions of the
+branches, so no density operator on the full space is ever built.
 
-Selective conditioning on a single recorded outcome is also implemented. It is
-the one operation that does move the left reduced state, which is why it
-cannot be used for signaling without classically communicating the outcome;
-the occupation scan makes the effect measurable outcome by outcome.
+Selective conditioning on a recorded outcome is the one operation that does
+move the left reduced state, which is why it cannot be used for signaling
+without classically communicating the outcome. The occupation scan,
+:func:`conditional_left_by_occupation`, conditions on every occupation
+outcome at once and makes the effect measurable outcome by outcome.
 
 Seeded generators provide reproducible Haar-random unitaries and complete
 Kraus families, both read-only views of one Haar isometry per seed. All
@@ -23,7 +23,6 @@ the same operator.
 """
 from __future__ import annotations
 
-import math
 from typing import Sequence, Union
 
 import numpy as np
@@ -51,16 +50,6 @@ def _require_right_modes(spec: HilbertSpec) -> None:
         raise ValueError(f"operation must act on right modes only, got {bad}")
 
 
-def completeness_defect(operators: Sequence[LinearOperator]) -> float:
-    """max |sum_k A_k+ A_k - I| over the entries: zero for a projector family
-    or a complete Kraus family, up to rounding."""
-    dim = operators[0].spec.dim
-    acc = np.zeros((dim, dim), dtype=np.complex128)
-    for a in operators:
-        acc += a.matrix.conj().T @ a.matrix
-    return float(np.abs(acc - np.eye(dim)).max())
-
-
 def nonselective_left(
     state: PureState, operators: Sequence[LinearOperator]
 ) -> DensityOperator:
@@ -69,9 +58,8 @@ def nonselective_left(
     Each branch A_k |psi> is reduced on its own and the left Gram matrices are
     summed, one branch at a time. The operators must act on right modes only;
     that they form a channel (one unitary, a projector family or a complete
-    Kraus family) is the caller's to ensure, and :func:`completeness_defect`
-    measures it. Such a channel preserves the trace, so the output carries the
-    input state's leakage.
+    Kraus family) is the caller's to ensure. Such a channel preserves the
+    trace, so the output carries the input state's leakage.
     """
     if not operators:
         raise ValueError("nonselective_left needs at least one operator")
@@ -83,46 +71,17 @@ def nonselective_left(
     return DensityOperator(left, out, leakage=state.leakage)
 
 
-def selective_outcome(
-    state: PureState, projector: LinearOperator
-) -> tuple[Union[PureState, None], float]:
-    """Condition a pure state on one projective outcome.
-
-    Returns (normalized conditional state, probability). When the probability
-    falls below PROBABILITY_FLOOR the outcome is null: (None, probability).
-    """
-    projected = apply(projector, state)
-    p = projected.norm2
-    if p < PROBABILITY_FLOOR:
-        return None, p
-    conditional = PureState(
-        state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
-    )
-    return conditional, p
-
-
 def occupation_projectors(
-    spec: HilbertSpec,
-    modes: Sequence[str] = RIGHT_LABELS,
-    group: str = "total",
+    spec: HilbertSpec, modes: Sequence[str] = RIGHT_LABELS
 ) -> tuple[LinearOperator, ...]:
-    """Diagonal projectors onto occupation classes of the given right modes.
-
-    group="total" merges occupation tuples by their total photon number, which
-    keeps the family size linear in the cutoff sum; group="tuple" returns one
-    rank-1 projector per occupation tuple.
-    """
+    """Diagonal projectors onto the total photon number of the given right
+    modes, one per total, so the family size is linear in the cutoff sum."""
     sub = spec.subspace(modes)
     _require_right_modes(sub)
-    if group == "total":
-        keys = total_occupations(sub.dims)
-    elif group == "tuple":
-        keys = np.arange(sub.dim)
-    else:
-        raise ValueError(f"group must be 'total' or 'tuple', got {group!r}")
+    totals = total_occupations(sub.dims)
     return tuple(
-        LinearOperator(sub, blocks=diagonal_blocks(keys == key), hermitian=True)
-        for key in np.unique(keys)
+        LinearOperator(sub, blocks=diagonal_blocks(totals == n), hermitian=True)
+        for n in np.unique(totals)
     )
 
 
@@ -193,9 +152,9 @@ def conditional_left_by_occupation(
     conditional left state) in scan order for every outcome at or above
     PROBABILITY_FLOOR. ``mixture`` sums every outcome's unnormalized left
     matrix, sub-floor ones included, so it reproduces the unconditional
-    reduced state and carries the state's leakage. Equivalent to
-    :func:`selective_outcome` on each rank-1 occupation projector followed by
-    the left reduction, but computed in a single contraction.
+    reduced state and carries the state's leakage. Equivalent to projecting
+    on each occupation tuple, normalizing and reducing to the left pair, but
+    computed in a single contraction.
     """
     spec = state.spec
     sub = spec.subspace(modes)

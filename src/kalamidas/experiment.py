@@ -594,7 +594,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         for k, pair in enumerate(pairs)
     ]
     after_projective = nonselective_left(
-        psi_with, occupation_projectors(spec, _SCAN_PAIR, group="total")
+        psi_with, occupation_projectors(spec, _SCAN_PAIR)
     )
     after_kraus = [
         nonselective_left(psi_with, random_kraus(spec, pair, (config.seed, 3, k), k=3))

@@ -1,4 +1,4 @@
-"""Truncated multimode Fock space: basis indexing, ladder operators, state algebra.
+"""Truncated multimode Fock space: basis indexing, operators, state algebra.
 
 The simulator works on six optical modes named a1, b1, a2, b2, a3, b3. The pair
 (a1, b1) is the left side of the apparatus, the quartet (a2, b2, a3, b3) the
@@ -29,8 +29,9 @@ is one block, a beam splitter one block per total-occupation sector of its
 pair, and a diagonal operator its nonzero entries as 1 x 1 blocks.
 :func:`apply` acts with a subset operator directly on the matching tensor axes
 of the state, one block at a time, which keeps the cost linear in the state
-size. :func:`embed` materializes the full matrix and is only economical at
-small cutoffs.
+size. No run calls :func:`embed`, which materializes the full matrix: it is
+the independent dense cross-check of :func:`apply`, and the benchmark's
+tracer times it.
 """
 from __future__ import annotations
 
@@ -317,13 +318,6 @@ class LinearOperator:
         out.setflags(write=False)
         return out
 
-    def adjoint(self) -> "LinearOperator":
-        """The conjugate transpose, block by block, with the same flags."""
-        return LinearOperator(
-            self.spec, blocks=tuple((sl, block.conj().T) for sl, block in self.blocks),
-            hermitian=self.hermitian, unitary=self.unitary,
-        )
-
 
 def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
     """A diagonal matrix as blocks: each nonzero entry a 1 x 1 block."""
@@ -367,29 +361,6 @@ class DensityOperator:
         negative = float(max(0.0, -eigs.min()))
         trace = float(abs(np.trace(m).real - (1.0 - self.leakage)))
         return {"hermiticity": herm, "negativity": negative, "trace": trace}
-
-    def validate(self, atol: float = 1e-10) -> "DensityOperator":
-        """Raise unless the density-operator invariants hold within atol."""
-        for name, value in self.invariant_residuals().items():
-            if value > atol:
-                raise ValueError(
-                    f"density operator violates {name} by {value:.3e} (> {atol:.1e})"
-                )
-        return self
-
-
-def vacuum(spec: HilbertSpec) -> PureState:
-    """The all-modes-empty state |0...0>."""
-    amps = np.zeros(spec.dim, dtype=np.complex128)
-    amps[0] = 1.0
-    return PureState(spec, amps, leakage=0.0)
-
-
-def basis_state(spec: HilbertSpec, occupation: Sequence[int]) -> PureState:
-    """The Fock basis state with the given occupation tuple."""
-    amps = np.zeros(spec.dim, dtype=np.complex128)
-    amps[spec.index_of(occupation)] = 1.0
-    return PureState(spec, amps, leakage=0.0)
 
 
 def product_state(
@@ -441,37 +412,9 @@ def product_state(
     )
 
 
-def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
-    """Creation ("raise") or annihilation ("lower") operator for one mode.
-
-    Returned on the single-mode subspace; use :func:`apply` to act on a state
-    of the containing space, or :func:`embed` for the full matrix. Raising
-    from the cutoff maps to the zero vector.
-    """
-    sub = spec.subspace((m,))
-    up = raising_matrix(sub.dim)
-    if kind == "raise":
-        return LinearOperator(sub, up)
-    if kind == "lower":
-        return LinearOperator(sub, up.conj().T)
-    raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
-
-
 def raising_matrix(d: int) -> np.ndarray:
     """The creation operator on one mode of dimension d, as a d x d matrix."""
     return np.diag(np.sqrt(np.arange(1, d, dtype=np.float64)), -1).astype(np.complex128)
-
-
-def number_op(spec: HilbertSpec, m: str) -> LinearOperator:
-    """Occupation-number operator for one mode, on its single-mode subspace."""
-    sub = spec.subspace((m,))
-    return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)), hermitian=True)
-
-
-def identity(spec: HilbertSpec) -> LinearOperator:
-    return LinearOperator(
-        spec, np.eye(spec.dim, dtype=np.complex128), hermitian=True, unitary=True
-    )
 
 
 def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:

@@ -1,11 +1,13 @@
-"""Left-side physics: reduction, expectations, and the signaling-gap search.
+"""Left-side physics: reduction, the trace distance, and the signaling-gap search.
 
 The claim under test is an equality of reduced density operators: whatever
 happens on the right side of the apparatus, the partial trace over the right
 modes leaves the same operator on (a1, b1), so no left observable can detect
-it. This module supplies the partial trace, the observable expectations, the
-trace-distance metric, and one randomized search, :func:`signaling_gap`, for
-an observable whose expectation tells two left states apart.
+it. This module supplies the partial trace, the trace-distance metric, and
+one randomized search, :func:`signaling_gap`, for an observable whose
+expectation tells two left states apart. No run calls :func:`expectation`,
+Tr(rho h) for one observable: the tests check the search against it, and the
+benchmark's tracer times it.
 
 The search runs against two references. Against the bare preparation's left
 state it asks whether the injection moved anything. Against

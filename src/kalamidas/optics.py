@@ -15,10 +15,11 @@ whose total occupation exceeds the smaller cutoff, not as norm loss.
 
 Displacement operators are likewise matrix exponentials of the exact
 anti-hermitian generator alpha a+ - conj(alpha) a, hence exactly unitary; no
-state of a run is built with them. Coherent STATES are product states of the
-truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!), so their missing Poisson
-tail is visible as leakage. The cutoff-adequacy rule below keeps that tail below
-1e-12 for |alpha| <= 2.
+state of a run is built with them, and they serve the tests as the reference
+the coherent series is checked against. A run injects coherent states as
+product states of the truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!),
+so their missing Poisson tail is visible as leakage. The cutoff-adequacy rule
+below keeps that tail below 1e-12 for |alpha| <= 2.
 """
 from __future__ import annotations
 
@@ -34,10 +35,7 @@ from .hilbert import (
     Blocks,
     HilbertSpec,
     LinearOperator,
-    PureState,
     check_mode_order,
-    ladder,
-    product_state,
     raising_matrix,
     sector_slices,
 )
@@ -170,9 +168,10 @@ def displacement_unitary(spec: HilbertSpec, m: str, alpha: complex) -> LinearOpe
     """
     a = complex(alpha)
     _check_adequacy(spec, m, a)
-    low = ladder(spec, m, "lower")
-    gen = a * low.matrix.conj().T - np.conj(a) * low.matrix
-    return LinearOperator(low.spec, expm(gen), unitary=True)
+    sub = spec.subspace((m,))
+    up = raising_matrix(sub.dim)
+    gen = a * up - np.conj(a) * up.conj().T
+    return LinearOperator(sub, expm(gen), unitary=True)
 
 
 def coherent_series(alpha: complex, dim: int) -> np.ndarray:
@@ -183,14 +182,3 @@ def coherent_series(alpha: complex, dim: int) -> np.ndarray:
         out[n] = out[n - 1] * alpha / math.sqrt(n)
     return out
 
-
-def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:
-    """|alpha> on one mode, vacuum elsewhere, from the truncated series.
-
-    The missing Poisson tail appears as leakage, so norm2 + leakage = 1 up to
-    rounding. Within the adequacy rule this state agrees with the displaced
-    vacuum to well below 1e-9.
-    """
-    a = complex(alpha)
-    _check_adequacy(spec, m, a)
-    return product_state(spec, [(1.0, {m: coherent_series(a, spec.cutoff_of(m) + 1)})])

@@ -1,0 +1,137 @@
+"""Reference helpers that only the tests use.
+
+Basis states, single-mode operators and the rank-1 occupation projectors,
+plus the plain forms of what the package computes in a fused way or not at
+all: conditioning on one projector at a time, the completeness of an
+operator family, the adjoint, and the density-operator checks that raise.
+Each is written independently of the code it checks, on dense matrices or
+one projector at a time, so a test that compares the two compares two
+routes to one answer.
+"""
+import math
+from typing import Optional, Sequence
+
+import numpy as np
+
+from kalamidas import optics
+from kalamidas.channels import PROBABILITY_FLOOR
+from kalamidas.hilbert import (
+    DensityOperator,
+    HilbertSpec,
+    LinearOperator,
+    PureState,
+    apply,
+    diagonal_blocks,
+    product_state,
+    raising_matrix,
+)
+
+
+def vacuum(spec: HilbertSpec) -> PureState:
+    """The all-modes-empty state |0...0>."""
+    amps = np.zeros(spec.dim, dtype=np.complex128)
+    amps[0] = 1.0
+    return PureState(spec, amps, leakage=0.0)
+
+
+def basis_state(spec: HilbertSpec, occupation: Sequence[int]) -> PureState:
+    """The Fock basis state with the given occupation tuple."""
+    amps = np.zeros(spec.dim, dtype=np.complex128)
+    amps[spec.index_of(occupation)] = 1.0
+    return PureState(spec, amps, leakage=0.0)
+
+
+def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
+    """Creation ("raise") or annihilation ("lower") operator for one mode.
+
+    Returned on the single-mode subspace; ``apply`` acts with it on a state
+    of the containing space, ``embed`` gives the full matrix. Raising from
+    the cutoff maps to the zero vector.
+    """
+    sub = spec.subspace((m,))
+    up = raising_matrix(sub.dim)
+    if kind == "raise":
+        return LinearOperator(sub, up)
+    if kind == "lower":
+        return LinearOperator(sub, up.conj().T)
+    raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
+
+
+def number_op(spec: HilbertSpec, m: str) -> LinearOperator:
+    """Occupation-number operator for one mode, on its single-mode subspace."""
+    sub = spec.subspace((m,))
+    return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)), hermitian=True)
+
+
+def identity(spec: HilbertSpec) -> LinearOperator:
+    return LinearOperator(
+        spec, np.eye(spec.dim, dtype=np.complex128), hermitian=True, unitary=True
+    )
+
+
+def adjoint(op: LinearOperator) -> LinearOperator:
+    """The conjugate transpose, block by block, with the same flags."""
+    return LinearOperator(
+        op.spec, blocks=tuple((sl, block.conj().T) for sl, block in op.blocks),
+        hermitian=op.hermitian, unitary=op.unitary,
+    )
+
+
+def validate(rho: DensityOperator, atol: float = 1e-10) -> DensityOperator:
+    """Raise unless the density-operator invariants hold within atol."""
+    for name, value in rho.invariant_residuals().items():
+        if value > atol:
+            raise ValueError(
+                f"density operator violates {name} by {value:.3e} (> {atol:.1e})"
+            )
+    return rho
+
+
+def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:
+    """|alpha> on one mode, vacuum elsewhere, from the truncated series.
+
+    Warns as the package does when the mode's cutoff is below the adequacy
+    rule. The missing Poisson tail appears as leakage, so norm2 + leakage = 1
+    up to rounding.
+    """
+    a = complex(alpha)
+    optics._check_adequacy(spec, m, a)
+    return product_state(spec, [(1.0, {m: optics.coherent_series(a, spec.cutoff_of(m) + 1)})])
+
+
+def tuple_projectors(spec: HilbertSpec, modes: Sequence[str]) -> tuple[LinearOperator, ...]:
+    """One rank-1 diagonal projector per occupation tuple of the given modes,
+    in basis order."""
+    sub = spec.subspace(modes)
+    return tuple(
+        LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim) == k), hermitian=True)
+        for k in range(sub.dim)
+    )
+
+
+def completeness_defect(operators: Sequence[LinearOperator]) -> float:
+    """max |sum_k A_k+ A_k - I| over the entries: zero for a projector family
+    or a complete Kraus family, up to rounding."""
+    dim = operators[0].spec.dim
+    acc = np.zeros((dim, dim), dtype=np.complex128)
+    for a in operators:
+        acc += a.matrix.conj().T @ a.matrix
+    return float(np.abs(acc - np.eye(dim)).max())
+
+
+def selective_outcome(
+    state: PureState, projector: LinearOperator
+) -> tuple[Optional[PureState], float]:
+    """Condition a pure state on one projective outcome.
+
+    Returns (normalized conditional state, probability). When the probability
+    falls below PROBABILITY_FLOOR the outcome is null: (None, probability).
+    """
+    projected = apply(projector, state)
+    p = projected.norm2
+    if p < PROBABILITY_FLOOR:
+        return None, p
+    conditional = PureState(
+        state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
+    )
+    return conditional, p

@@ -19,14 +19,13 @@ from kalamidas import (
     BeamSplitter,
     DensityOperator,
     ExperimentConfig,
+    LinearOperator,
     apply,
     analytic_left_state,
     beamsplitter_unitary,
     conditional_left_by_occupation,
     direct_final_state,
-    displacement_unitary,
     evolve,
-    expectation,
     heisenberg_residuals,
     initial_state_bare,
     initial_state_with_coherent,
@@ -36,10 +35,13 @@ from kalamidas import (
     reduce_left,
     signaling_gap,
     trace_distance,
-    vacuum,
 )
-from kalamidas.channels import completeness_defect
 from kalamidas.experiment import _RIGHT_PAIRS, SQRT_HALF, left_states_over_phases
+from kalamidas.hilbert import embed
+from kalamidas.nosignal import expectation
+from kalamidas.optics import displacement_unitary
+
+from fock import completeness_defect, number_op, vacuum, validate
 
 FROZEN_SELECTIVE_PROBABILITY = 0.27590958087858186
 FROZEN_SELECTIVE_CONTRAST = 1.0 / 6.0
@@ -71,8 +73,8 @@ def test_no_signaling_across_parameter_grid():
             with_states = left_states_over_phases(config, phis, injected=True)
             bare_states = left_states_over_phases(config, phis, injected=False)
             for phi, rho_with, rho_bare in zip(phis, with_states, bare_states):
-                rho_with.validate(atol=HYGIENE_TOL)
-                rho_bare.validate(atol=HYGIENE_TOL)
+                validate(rho_with, atol=HYGIENE_TOL)
+                validate(rho_bare, atol=HYGIENE_TOL)
                 td = trace_distance(rho_with, rho_bare)
                 gap = signaling_gap(rho_with, rho_bare, trials=100, seed=config.seed)
                 assert td <= NO_SIGNALING_TOL, f"trace distance {td:.3e} at {alpha=}, {t=}, {phi=}"
@@ -129,8 +131,6 @@ def test_left_expectation_matches_analytic_oracle(reduced_pair):
     assert worst <= ORACLE_TOL
     gap = signaling_gap(rho_with, sigma, trials=100, seed=11)
     assert gap <= ORACLE_TOL
-
-    from kalamidas import LinearOperator, embed, number_op
 
     left = rho_with.spec
     n_a1 = embed(number_op(left, "a1"), left)
@@ -251,7 +251,7 @@ def test_numerical_hygiene(default_config, default_report, reduced_pair):
     assert completeness <= HYGIENE_TOL
 
     # hermitian idempotents summing to I, hence pairwise orthogonal
-    projectors = occupation_projectors(spec, ("a2", "b2"), group="total")
+    projectors = occupation_projectors(spec, ("a2", "b2"))
     projection = completeness_defect(projectors)
     total = np.zeros((projectors[0].spec.dim,) * 2, dtype=np.complex128)
     for p in projectors:
@@ -264,8 +264,8 @@ def test_numerical_hygiene(default_config, default_report, reduced_pair):
     assert projection <= HYGIENE_TOL
 
     rho_with, rho_bare = reduced_pair
-    rho_with.validate(atol=HYGIENE_TOL)
-    rho_bare.validate(atol=HYGIENE_TOL)
+    validate(rho_with, atol=HYGIENE_TOL)
+    validate(rho_bare, atol=HYGIENE_TOL)
     assert default_report.residuals["reduced_invariants"] <= HYGIENE_TOL
     worst = max(
         unitarity, bs_unitarity, completeness, projection,

@@ -12,18 +12,16 @@ from kalamidas import (
     PureState,
     apply,
     conditional_left_by_occupation,
-    embed,
-    identity,
     nonselective_left,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
     reduce_left,
-    selective_outcome,
     trace_distance,
-    vacuum,
 )
-from kalamidas.channels import completeness_defect
+from kalamidas.hilbert import embed
+
+from fock import completeness_defect, identity, selective_outcome, tuple_projectors, vacuum
 
 
 def _random_state(spec, seed):
@@ -52,7 +50,7 @@ def _assert_projector_family(projectors, atol=1e-10):
 
 
 def test_occupation_projectors_total_group(small_spec):
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
+    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     _assert_projector_family(family)
     assert len(family) == 5
     for i, p in enumerate(family):
@@ -61,7 +59,7 @@ def test_occupation_projectors_total_group(small_spec):
 
 
 def test_occupation_projectors_tuple_group(quick_spec):
-    family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
+    family = tuple_projectors(quick_spec, ("a2", "b2"))
     _assert_projector_family(family)
     assert len(family) == quick_spec.subspace(("a2", "b2")).dim
     for p in family:
@@ -70,14 +68,12 @@ def test_occupation_projectors_tuple_group(quick_spec):
 
 def test_occupation_projectors_guards(quick_spec):
     with pytest.raises(ValueError):
-        occupation_projectors(quick_spec, ("a2", "b2"), group="parity")
-    with pytest.raises(ValueError):
         occupation_projectors(quick_spec, ("a1", "b1"))
 
 
 def test_projective_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 5)
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
+    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     after = nonselective_left(psi, family)
     dense = _dense_nonselective_left(psi, family)
     assert np.abs(after.matrix - dense).max() < 1e-14
@@ -96,7 +92,7 @@ def test_kraus_channel_preserves_left_state(small_spec):
 
 
 def test_projectors_are_a_kraus_special_case(small_spec):
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"), group="total")
+    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     assert completeness_defect(family) < 1e-14
 
 
@@ -164,7 +160,7 @@ def test_completeness_defect_sees_an_incomplete_family(small_spec):
 
 def test_selective_outcome_probabilities(quick_spec):
     psi = _random_state(quick_spec, 13)
-    family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
+    family = tuple_projectors(quick_spec, ("a2", "b2"))
     total = 0.0
     for p in family:
         cond, prob = selective_outcome(psi, p)
@@ -176,7 +172,7 @@ def test_selective_outcome_probabilities(quick_spec):
 
 def test_selective_outcome_null_below_floor(quick_spec):
     psi = vacuum(quick_spec)
-    family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
+    family = tuple_projectors(quick_spec, ("a2", "b2"))
     occupied = family[1]
     cond, prob = selective_outcome(psi, occupied)
     assert cond is None
@@ -188,7 +184,7 @@ def test_scan_matches_projector_by_projector_conditioning(quick_spec):
     outcomes, _ = conditional_left_by_occupation(psi, ("a2", "b2"))
     scanned = {occ: (prob, cond) for occ, prob, cond in outcomes}
     assert len(scanned) == len(outcomes)
-    family = occupation_projectors(quick_spec, ("a2", "b2"), group="tuple")
+    family = tuple_projectors(quick_spec, ("a2", "b2"))
     sub = quick_spec.subspace(("a2", "b2"))
     order = []
     for k, p in enumerate(family):
@@ -253,7 +249,7 @@ def test_projector_masks_equal_the_dense_product(
 ):
     spec = request.getfixturevalue(spec_name)
     psi = _random_state(spec, 5)
-    family = occupation_projectors(spec, modes, group=group)
+    family = (occupation_projectors if group == "total" else tuple_projectors)(spec, modes)
     for p in family:
         assert all(block.shape == (1, 1) for _, block in p.blocks)
         assert np.array_equal(apply(p, psi).amplitudes, tensordot_apply(p, psi))

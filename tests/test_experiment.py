@@ -21,12 +21,12 @@ from kalamidas import (
     initial_state_bare,
     initial_state_with_coherent,
     inner,
-    ladder,
-    number_op,
     run_experiment,
 )
 from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
+
+from fock import ladder, number_op
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
 

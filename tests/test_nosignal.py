@@ -12,15 +12,15 @@ from kalamidas import (
     LinearOperator,
     PureState,
     analytic_left_state,
-    embed,
-    expectation,
-    ladder,
-    number_op,
     random_left_observable,
     reduce_left,
     signaling_gap,
     trace_distance,
 )
+from kalamidas.hilbert import embed
+from kalamidas.nosignal import expectation
+
+from fock import ladder, number_op, validate
 
 
 def _random_state(spec, seed, scale=1.0):
@@ -138,7 +138,7 @@ def test_analytic_anchors():
     with a spare b1 level."""
     for cutoffs in ((1, 1), (1, 2)):
         left = HilbertSpec(LEFT_LABELS, cutoffs)
-        sigma = analytic_left_state(left).validate(atol=1e-15)
+        sigma = validate(analytic_left_state(left), atol=1e-15)
         n_a1 = embed(number_op(left, "a1"), left)
         total = LinearOperator(
             left, n_a1.matrix + embed(number_op(left, "b1"), left).matrix, hermitian=True

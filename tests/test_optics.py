@@ -16,17 +16,14 @@ from kalamidas import (
     HilbertSpec,
     adequate_cutoff,
     apply,
-    basis_state,
     beamsplitter_unitary,
     coherent_series,
-    coherent_state,
-    displacement_unitary,
-    embed,
     heisenberg_action,
-    ladder,
-    number_op,
-    vacuum,
 )
+from kalamidas.hilbert import embed
+from kalamidas.optics import displacement_unitary
+
+from fock import basis_state, coherent_state, ladder, number_op, vacuum
 
 SQRT_HALF = math.sqrt(0.5)
 

@@ -1,26 +1,43 @@
-"""The public surface: the names the package exports and the names the
-benchmark's tracer wraps. The tracer only warns when a name it wraps is
-missing, and its per-layer figures then read 0, so a rename would go unseen
-without this check."""
+"""The public surface: the names the package exports, the names the
+benchmark's tracer wraps, and the rule that the package holds only what its
+front-ends run.
+
+The tracer only warns when a name it wraps is missing, and its per-layer
+figures then read 0, so a rename would go unseen without these checks; its
+count hooks read attributes of the package's objects, so a traced run is made
+here too. A public function or class that only the tests call belongs in the
+tests' helper module, ``fock``, not in the package."""
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
 import kalamidas
+import kalamidas.cli
+import kalamidas.experiment
 
-TRACER = Path(__file__).parents[1] / "benchmark" / "tracer.py"
+REPO = Path(__file__).parents[1]
+TRACER = REPO / "benchmark" / "tracer.py"
+PACKAGE = REPO / "src" / "kalamidas"
+SCRIPTS = REPO / "scripts"
+
+TOY_ARGS = [
+    "--alpha-re", "0",
+    "--cutoff", "a2=3", "--cutoff", "b2=3", "--cutoff", "a3=3", "--cutoff", "b3=3",
+    "--trials", "3",
+]
 
 
-def _traced():
+def _tracer():
     spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TRACED
+    return module
 
 
 def test_every_traced_name_resolves():
     missing = []
-    for module_name, names in _traced().items():
+    for module_name, names in _tracer().TRACED.items():
         module = importlib.import_module(f"kalamidas.{module_name}")
         for name in names:
             owner = module
@@ -35,3 +52,58 @@ def test_all_lists_existing_names_once():
     names = kalamidas.__all__
     assert len(names) == len(set(names))
     assert [name for name in names if not hasattr(kalamidas, name)] == []
+
+
+def _names_in(node):
+    """Every name a piece of code reads: bare names and attributes."""
+    return {
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, (ast.Name, ast.Attribute))
+    }
+
+
+def test_every_public_definition_is_run_by_the_package_or_a_script():
+    """A public top-level function or class of a package module must be read
+    by another top-level statement of the package (``__init__`` aside) or by
+    a script, or be wrapped by the tracer. Imports do not count as reads."""
+    modules = {
+        path.stem: ast.parse(path.read_text(encoding="utf-8"))
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    statements = [(stmt, _names_in(stmt)) for tree in modules.values() for stmt in tree.body]
+    for path in sorted(SCRIPTS.glob("*.py")):
+        statements.append((None, _names_in(ast.parse(path.read_text(encoding="utf-8")))))
+    traced = {
+        (module, name.partition(".")[0])
+        for module, names in _tracer().TRACED.items()
+        for name in names
+    }
+    unused = [
+        f"{module}.{stmt.name}"
+        for module, tree in modules.items()
+        for stmt in tree.body
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+        and (module, stmt.name) not in traced
+        and not any(stmt.name in names for other, names in statements if other is not stmt)
+    ]
+    assert unused == []
+
+
+def test_the_tracer_runs_against_the_package(tmp_path):
+    tracer = _tracer()
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    status = kalamidas.cli.main(TOY_ARGS + ["--emit", str(plain)])
+    config = kalamidas.ExperimentConfig(
+        alpha=0.0, cutoffs={"a2": 3, "b2": 3, "a3": 3, "b3": 3}, trials=3
+    )
+    recorder = tracer.Tracer()
+    with recorder.installed(0):
+        assert kalamidas.cli.main(TOY_ARGS + ["--emit", str(traced)]) == status
+        kalamidas.experiment.left_states_over_phases(config, [0.0, 1.0], True)
+    metrics = recorder.metrics()
+    assert metrics["cli.main.calls"] == 1
+    assert {name: metrics[name] for name in tracer.COUNT_NAMES if metrics[name] <= 0} == {}
+    assert traced.read_bytes() == plain.read_bytes()

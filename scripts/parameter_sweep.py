@@ -77,7 +77,8 @@ def main() -> int:
             )
     print("-" * len(header))
     print(f"worst trace distance {worst_td:.3e}, worst gap {worst_gap:.3e}")
-    rule = f"their tolerance, base {args.tolerance:.0e} + leakage"
+    # repr is the shortest spelling that reads back as the same float
+    rule = f"their tolerance, base {args.tolerance!r} + leakage"
     if failures:
         print(f"{failures} point(s) exceeded {rule}")
         return 1

@@ -196,7 +196,15 @@ class ExperimentConfig:
         return any(self.cutoffs_map[label] < needed for label in RIGHT_LABELS)
 
     def hilbert_spec(self) -> HilbertSpec:
-        return HilbertSpec(MODE_LABELS, self.cutoffs)
+        return _full_spec(self.cutoffs)
+
+
+@functools.lru_cache(maxsize=16)
+def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
+    """The six-mode space at these cutoffs: one spec object per cutoffs, so
+    its sizes and subspaces are computed once for every config that shares
+    them. The spec holds labels and cutoffs, never an amplitude."""
+    return HilbertSpec(MODE_LABELS, cutoffs)
 
 
 # Resident memory of the interpreter with kalamidas imported: 55.5-55.6 MiB
@@ -377,7 +385,7 @@ def left_states_over_phases(
     for bs in arm_bs:
         x, y = bs.mode_pair
         pair = spec.subspace(bs.mode_pair)
-        u = beamsplitter_unitary(pair, bs)
+        u = beamsplitter_unitary(spec, bs)  # its space is `pair` itself, memoized
         coherent = _mode_factor(pair, y, alpha)
         prepared = [
             product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
@@ -397,7 +405,7 @@ def left_states_over_phases(
         return 1.0 - q.leakage
 
     leakage = 1.0 - 0.5 * (kept(q1a) * kept(q0b) + kept(q0a) * kept(q1b))
-    u_left = beamsplitter_unitary(left, left_bs).matrix
+    u_left = beamsplitter_unitary(spec, left_bs).matrix  # its space is `left` itself
     n_b1 = np.indices(left.dims)[left.axis_of("b1")].ravel()
     out = []
     for phi in phis:

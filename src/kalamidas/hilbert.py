@@ -32,6 +32,13 @@ of the state, one block at a time, which keeps the cost linear in the state
 size. No run calls :func:`embed`, which materializes the full matrix: it is
 the independent dense cross-check of :func:`apply`, and the benchmark's
 tracer times it.
+
+What depends only on mode labels and cutoffs is built once. A spec computes
+its sizes on first access and keeps them; :meth:`HilbertSpec.subspace` is
+memoized by (modes, cutoffs, wanted labels) and :func:`sector_slices` by a
+mode's or a pair's dimensions. Their entries are specs and slices, never an
+array over a whole space, and a request that raises is refused again on
+every call.
 """
 from __future__ import annotations
 
@@ -92,20 +99,22 @@ class HilbertSpec:
             if m in LEFT_LABELS and c < 1:
                 raise ValueError(f"left mode {m} needs cutoff >= 1")
 
-    @property
+    # The sizes are computed on first access and kept in the instance, which
+    # is immutable; cached_property writes past the frozen __setattr__.
+    @functools.cached_property
     def dims(self) -> tuple[int, ...]:
         return tuple(c + 1 for c in self.cutoffs)
 
-    @property
+    @functools.cached_property
     def dim(self) -> int:
         return math.prod(self.dims)
 
-    @property
+    @functools.cached_property
     def left_dims(self) -> tuple[int, ...]:
         """The dimensions of the left modes this space holds; they lead it."""
         return self.dims[: sum(m in LEFT_LABELS for m in self.modes)]
 
-    @property
+    @functools.cached_property
     def left_dim(self) -> int:
         """The size of the left basis: 1 when the space holds no left mode."""
         return math.prod(self.left_dims)
@@ -126,14 +135,7 @@ class HilbertSpec:
 
     def subspace(self, labels: Iterable[str]) -> "HilbertSpec":
         """The subspace spanned by the given modes, cutoffs carried over."""
-        wanted = tuple(labels)
-        if not wanted:
-            raise ValueError("empty subspace")
-        missing = [m for m in wanted if m not in self.modes]
-        if missing:
-            raise ValueError(f"modes not in this space: {missing}")
-        wanted = sorted(wanted, key=self.modes.index)
-        return HilbertSpec(wanted, tuple(self.cutoff_of(m) for m in wanted))
+        return _subspace(self.modes, self.cutoffs, tuple(labels))
 
     def contains(self, other: "HilbertSpec") -> bool:
         """True when every mode of `other` appears here with the same cutoff."""
@@ -141,6 +143,24 @@ class HilbertSpec:
             m in self.modes and self.cutoff_of(m) == c
             for m, c in zip(other.modes, other.cutoffs)
         )
+
+
+# A run asks for the same few subspaces (the left pair, the arm pairs, the
+# right modes) of the same few spaces over and over; each key is a handful of
+# labels and cutoffs, and so is each entry.
+@functools.lru_cache(maxsize=128)
+def _subspace(
+    modes: tuple[str, ...], cutoffs: tuple[int, ...], wanted: tuple[str, ...]
+) -> HilbertSpec:
+    """:meth:`HilbertSpec.subspace` of the space (modes, cutoffs). A call that
+    raises caches nothing, so a bad request raises again every time."""
+    if not wanted:
+        raise ValueError("empty subspace")
+    missing = [m for m in wanted if m not in modes]
+    if missing:
+        raise ValueError(f"modes not in this space: {missing}")
+    ordered = sorted(wanted, key=modes.index)
+    return HilbertSpec(ordered, tuple(cutoffs[modes.index(m)] for m in ordered))
 
 
 def total_occupations(dims: Sequence[int]) -> np.ndarray:
@@ -153,6 +173,14 @@ def sector_slices(dims: Sequence[int]) -> tuple[slice, ...]:
     """The basis indices of each total occupation n = 0, 1, ... of one mode
     or a pair, as slices. On a pair (d_x, d_y) sector n is n + (d_y - 1) n_x
     over the n_x the pair admits: a strided run."""
+    return _sector_slices(tuple(int(d) for d in dims))
+
+
+# Keyed by one mode's or one pair's dimensions: the left pair's, which every
+# product state reads, and each arm pair's, read once per splitter build.
+# An entry is one slice per total, never a table over a whole space.
+@functools.lru_cache(maxsize=32)
+def _sector_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     totals = total_occupations(dims)
     out = []
     for n in range(int(totals.max()) + 1):

@@ -1,4 +1,7 @@
 """Basis bookkeeping, operator embedding, and leakage accounting."""
+import math
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,7 +22,13 @@ from kalamidas import (
     random_right_unitary,
     reduce_left,
 )
-from kalamidas.hilbert import embed, product_state, sector_slices, total_occupations
+from kalamidas.hilbert import (
+    LEFT_LABELS,
+    embed,
+    product_state,
+    sector_slices,
+    total_occupations,
+)
 
 from fock import adjoint, basis_state, identity, ladder, number_op, vacuum, validate
 
@@ -92,6 +101,57 @@ def test_subspace_sorts_and_carries_cutoffs(quick_spec):
         quick_spec.subspace(())
     other = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 2, 2))
     assert not quick_spec.contains(other.subspace(("a2",)))
+
+
+_CUTOFFS = st.tuples(*[st.integers(1, 6)] * 2, *[st.integers(0, 6)] * 4)
+_LABEL_LISTS = st.lists(st.sampled_from(MODE_LABELS), min_size=1, max_size=6, unique=True)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cutoffs=_CUTOFFS, space=_LABEL_LISTS, data=st.data())
+def test_kept_sizes_and_memoized_subspaces_equal_fresh_computations(cutoffs, space, data):
+    full = HilbertSpec(MODE_LABELS, cutoffs)
+    spec = full.subspace(space)
+    labels = data.draw(st.lists(st.sampled_from(spec.modes), min_size=1, unique=True))
+    sub = spec.subspace(tuple(labels))
+    assert spec.subspace(list(labels)) == sub
+    assert spec.subspace(m for m in labels) == sub
+    ordered = tuple(m for m in MODE_LABELS if m in labels)
+    assert sub.modes == ordered
+    assert sub.cutoffs == tuple(cutoffs[MODE_LABELS.index(m)] for m in ordered)
+    for s in (full, spec, sub, HilbertSpec(sub.modes, sub.cutoffs)):
+        dims = tuple(c + 1 for c in s.cutoffs)
+        left_dims = tuple(d for m, d in zip(s.modes, dims) if m in LEFT_LABELS)
+        for _ in range(2):  # computed on the first access, then kept
+            assert s.dims == dims
+            assert s.dim == math.prod(dims)
+            assert s.left_dims == left_dims
+            assert s.left_dim == math.prod(left_dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(cutoffs=_CUTOFFS, space=_LABEL_LISTS, data=st.data())
+def test_a_bad_subspace_request_raises_the_same_error_on_every_call(cutoffs, space, data):
+    spec = HilbertSpec(MODE_LABELS, cutoffs).subspace(space)
+    label = data.draw(st.sampled_from(spec.modes))
+    unknown = data.draw(st.sampled_from(["c9", "x7", "A1", "a4", ""]))
+    bad = [
+        ((), "empty subspace"),
+        ((label, unknown), f"modes not in this space: {[unknown]}"),
+        ((label, label), f"mode {label!r} listed after {label!r}"),
+    ]
+    absent = [m for m in MODE_LABELS if m not in spec.modes]
+    if absent:
+        missing = data.draw(st.sampled_from(absent))
+        bad.append(((missing, label), f"modes not in this space: {[missing]}"))
+    for labels, message in bad:
+        seen = set()
+        for make in (tuple, list, iter, tuple):  # the last asks again after a failure
+            with pytest.raises(ValueError, match=re.escape(message)) as err:
+                spec.subspace(make(labels))
+            seen.add(str(err.value))
+        assert len(seen) == 1
+    assert spec.subspace((label,)).modes == (label,)  # a good request still answers
 
 
 def test_ladder_matrix_entries(quick_spec):

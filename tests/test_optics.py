@@ -271,3 +271,41 @@ def test_cache_hit_splitter_allocates_no_dense_matrix():
         tracemalloc.stop()
     assert u.spec.dim == 484
     assert peak < dense
+
+
+def test_a_kept_splitter_operator_never_outlives_its_blocks(quick_spec):
+    from kalamidas import optics
+
+    bs = BeamSplitter(("a2", "a3"), 0.8, 0.6)
+    first = beamsplitter_unitary(quick_spec, bs)
+    assert beamsplitter_unitary(quick_spec, bs) is first  # its blocks are still cached
+    optics._splitter_matrix.cache_clear()
+    rebuilt = beamsplitter_unitary(quick_spec, bs)
+    entry = optics._splitter_matrix((3, 3), math.atan2(0.6, 0.8))  # a cache hit
+    assert optics._splitter_matrix.cache_info().misses == 1
+    assert rebuilt is not first
+    assert len(rebuilt.blocks) == len(entry)
+    for (sl, block), (entry_sl, entry_block) in zip(rebuilt.blocks, entry):
+        assert sl == entry_sl and block is entry_block
+
+
+def test_kept_splitter_operators_are_bounded_like_the_block_cache(quick_spec):
+    from kalamidas import optics
+
+    kept = optics._splitter_matrix.cache_info().maxsize
+    assert kept == 16
+    specs = (quick_spec, HilbertSpec(MODE_LABELS, (1, 1, 2, 3, 2, 2)))
+    last = None
+    for k in range(kept + 5):  # more (pair space, theta) than either cache keeps
+        t = 0.5 + k / 100
+        bs = BeamSplitter(("a2", "a3"), t, math.sqrt(1 - t * t))
+        last = beamsplitter_unitary(specs[k % 2], bs), specs[k % 2], bs
+    assert len(optics._SPLITTER_OPERATORS) == kept
+    u, spec, bs = last
+    assert beamsplitter_unitary(spec, bs) is u
+    # every kept operator wraps the blocks the block cache still holds
+    for (sub, theta), (blocks, op) in list(optics._SPLITTER_OPERATORS.items()):
+        misses = optics._splitter_matrix.cache_info().misses
+        assert optics._splitter_matrix(sub.dims, theta) is blocks
+        assert optics._splitter_matrix.cache_info().misses == misses
+        assert op.spec == sub and all(b is c for (_, b), (_, c) in zip(op.blocks, blocks))

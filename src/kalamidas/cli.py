@@ -62,7 +62,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance", type=float, default=1e-9,
-        help="base tolerance before leakage scaling (default 1e-9)",
+        help="base tolerance; only structure adds 2 sqrt(leakage) to it (default 1e-9)",
     )
     parser.add_argument(
         "--emit", default="-", metavar="PATH",

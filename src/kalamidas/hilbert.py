@@ -171,8 +171,10 @@ def total_occupations(dims: Sequence[int]) -> np.ndarray:
 
 def sector_slices(dims: Sequence[int]) -> tuple[slice, ...]:
     """The basis indices of each total occupation n = 0, 1, ... of one mode
-    or a pair, as slices. On a pair (d_x, d_y) sector n is n + (d_y - 1) n_x
-    over the n_x the pair admits: a strided run."""
+    or a pair, as slices (ValueError for more modes). On a pair (d_x, d_y)
+    sector n is n + (d_y - 1) n_x over the n_x the pair admits: a strided run."""
+    if len(dims) > 2:
+        raise ValueError(f"sector slices need one mode or a pair, got dims {tuple(dims)}")
     return _sector_slices(tuple(int(d) for d in dims))
 
 

@@ -83,6 +83,12 @@ def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
     return DensityOperator(spec, 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
 
 
+def normalized(rho: DensityOperator) -> DensityOperator:
+    """rho / Tr rho, the left state the no-signaling checks compare: a
+    renormalized truncated state is itself a legitimate preparation."""
+    return DensityOperator(rho.spec, rho.matrix / rho.trace)
+
+
 def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
     """(1/2) sum |eigenvalues(rho - sigma)|; zero iff the states are equal."""
     if rho.spec != sigma.spec:

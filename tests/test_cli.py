@@ -10,6 +10,7 @@ import pytest
 from conftest import child_env
 
 from kalamidas.cli import main
+from kalamidas.experiment import SQRT_HALF
 
 CLI = [sys.executable, "-m", "kalamidas"]
 QUICK_ARGS = [
@@ -104,6 +105,16 @@ def test_failing_checks_are_named_on_stderr(capsys):
     ]
     assert main(QUICK_ARGS) == 0
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("t", [SQRT_HALF, 0.6, 0.8], ids=["t=sqrt_half", "t=0.6", "t=0.8"])
+def test_left_oracle_fails_a_tolerance_of_1e_30_at_every_t(t, capsys):
+    """The oracle compares the normalized left state with the analytic one,
+    whose distance is rounding-level but not zero at the toy cutoffs, and is
+    held to the base tolerance alone, so 1e-30 fails it whatever t is."""
+    assert main(QUICK_ARGS + ["--t", repr(t), "--tolerance", "1e-30"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert [line for line in err if line.startswith("left_oracle: ")]
 
 
 def _declared_script_help():

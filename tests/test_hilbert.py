@@ -416,6 +416,17 @@ def test_total_occupations_match_the_occupation_tuples():
         assert total_occupations(spec.dims).tolist() == expected
 
 
+def test_sector_slices_hold_each_total_of_a_mode_or_pair_and_refuse_more_modes():
+    """Three or more modes have sectors that are not one strided run: (2, 2, 2)
+    holds total 1 at indices 1, 2 and 4, which no slice picks out."""
+    for dims in ((3,), (2, 5), (4, 3), (3, 3)):
+        totals = total_occupations(dims)
+        got = [list(range(len(totals))[sl]) for sl in sector_slices(dims)]
+        assert got == [np.flatnonzero(totals == n).tolist() for n in range(totals.max() + 1)]
+    with pytest.raises(ValueError, match="one mode or a pair"):
+        sector_slices((2, 2, 2))
+
+
 @pytest.mark.parametrize("pair", _SPLITTER_PAIRS)
 @pytest.mark.parametrize("t,r", [(0.6, 0.8), (0.8, -0.6)])
 def test_sector_apply_equals_the_dense_apply(tensordot_apply, pair, t, r):

@@ -67,7 +67,7 @@ def test_one_point_sweep_prints_its_table():
     assert lines[2].split()[:3] == ["0.000", "0.6000", "0.0000"]
     assert lines[2].endswith("pass")
     assert lines[-1] == (
-        "all points within their tolerance, base 1e-09 + leakage: no signaling observed"
+        "all points within the tolerance 1e-09 on normalized left states: no signaling observed"
     )
 
 
@@ -82,7 +82,7 @@ def test_sweep_summary_prints_the_base_tolerance_as_given(tolerance, printed, mo
         runpy.run_path(str(SWEEP), run_name="__main__")
     assert done.value.code == 0
     summary = capsys.readouterr().out.splitlines()[-1]
-    assert f"their tolerance, base {printed} + leakage" in summary
+    assert f"the tolerance {printed} on normalized left states" in summary
     assert float(printed) == float(tolerance)
 
 
@@ -198,6 +198,26 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
     keys = [key(op) for op in first]
     assert len(keys) == len(set(keys)) == len(wanted) == 9
     assert set(keys) == wanted
+
+
+def test_an_alpha_0_group_builds_its_left_states_once(monkeypatch, capsys):
+    """At alpha = 0 the bare preparation is the injected one, so the group's
+    left states serve as both; every other group builds both."""
+    build = experiment.left_states_over_phases
+    calls = []
+
+    def counted(config, phis, injected):
+        calls.append((config.alpha, config.t, injected))
+        return build(config, phis, injected)
+
+    argv = ["--alphas", "0,0.5", "--ts", "0.6", "--phis", "0,1", "--trials", "3"]
+    monkeypatch.setattr(experiment, "left_states_over_phases", counted)
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert done.value.code == 0
+    assert "no signaling observed" in capsys.readouterr().out
+    assert calls == [(0, 0.6, True), (0.5, 0.6, True), (0.5, 0.6, False)]
 
 
 def test_sweep_draws_each_observable_once(monkeypatch, capsys):

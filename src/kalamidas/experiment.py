@@ -48,14 +48,12 @@ from .hilbert import (
     RIGHT_LABELS,
     DensityOperator,
     HilbertSpec,
-    LinearOperator,
     PureState,
     apply,
     distance,
     inner,
     product_state,
     raising_matrix,
-    total_occupations,
 )
 from .nosignal import (
     STACKS_KEPT,
@@ -71,7 +69,6 @@ from .optics import (
     adequate_cutoff,
     beamsplitter_unitary,
     coherent_series,
-    heisenberg_action,
 )
 
 SQRT_HALF = math.sqrt(0.5)
@@ -477,33 +474,30 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
     """Worst deviation of U x+ U+ from its stated linear form, per splitter.
 
     Restricted to the exactly-representable sectors: input pair states whose
-    total occupation stays strictly below the smaller cutoff, output states at
-    or below it. There the truncated generator matches the ideal one, so the
-    residuals are rounding-level regardless of alpha. A pair with a cutoff of
-    0 has no such input state, and its residual is 0.
+    total occupation n stays strictly below the smaller cutoff, output states
+    at or below it. There the truncated generator matches the ideal one, so
+    the residuals are rounding-level regardless of alpha. Each such n is
+    checked on its own: with X and Y the blocks of x+ and y+ from sector n to
+    sector n + 1, U's blocks U_n give U_{n+1} X U_n+, compared with
+    t X + r Y, and U_{n+1} Y U_n+, compared with -r X + t Y. A pair with a
+    cutoff of 0 has no such sector, and its residual is 0.
     """
     spec = config.hilbert_spec()
     left, arm_a, arm_b = _splitters(config)
     out = {}
     for name, bs in (("left_pair", left), ("arm_a", arm_a), ("arm_b", arm_b)):
         u = beamsplitter_unitary(spec, bs)
-        sub = u.spec
-        d_x, d_y = sub.dims  # the pair in mode order, x first
-        rx = LinearOperator(sub, np.kron(raising_matrix(d_x), np.eye(d_y)))
-        ry = LinearOperator(sub, np.kron(np.eye(d_x), raising_matrix(d_y)))
-        targets = (
-            (rx, bs.t * rx.matrix + bs.r * ry.matrix),
-            (ry, -bs.r * rx.matrix + bs.t * ry.matrix),
-        )
-        totals = total_occupations(sub.dims)
-        mmin = min(sub.cutoffs)
-        rows = totals <= mmin
-        cols = totals <= mmin - 1
+        blocks = [block for _, block in u.blocks]  # by total, in sector_slices order
         worst = 0.0
-        for op, target in targets:
-            acted = heisenberg_action(u, op).matrix
-            delta = np.abs(acted - target)[np.ix_(rows, cols)]
-            worst = max(worst, float(delta.max(initial=0.0)))
+        for n in range(min(u.spec.cutoffs)):
+            k = np.arange(n + 1)  # n_x in sector n; sector n + 1 holds n_x = 0..n+1
+            x = np.zeros((n + 2, n + 1))
+            x[k + 1, k] = np.sqrt(k + 1)
+            y = np.zeros((n + 2, n + 1))
+            y[k, k] = np.sqrt(n - k + 1)
+            for op, target in ((x, bs.t * x + bs.r * y), (y, -bs.r * x + bs.t * y)):
+                acted = blocks[n + 1] @ op @ blocks[n].conj().T
+                worst = max(worst, float(np.abs(acted - target).max()))
         out[name] = worst
     return out
 

@@ -107,27 +107,23 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
     With t = 1, r = 0 this is the identity. The generator commutes with the
     pair's total photon number, so every complete total-occupation sector is
     rotated exactly, and the unitary is block-diagonal by that number: the
-    operator is one block per total, which :func:`apply` multiplies one at a
-    time.
+    operator is one block per total, in :func:`sector_slices` order, which
+    :func:`apply` multiplies one at a time.
 
     The blocks depend only on the pair's dimensions and on theta, not on
     which modes the pair holds, so they are built once per (dimensions,
     theta) and kept in a small cache: both arm splitters of a configuration,
-    every phase and every call of one run share one build. The validated
-    operator over them is kept per (pair space, theta), and is handed out
-    again only while the block cache still returns the blocks it wraps.
+    every phase and every call of one run share one build. The cache entry
+    also keeps the validated operator over its blocks for each pair space
+    that asked for it, so a request hands out the same operator for as long
+    as the entry lives.
     """
     sub = spec.subspace(bs.mode_pair)
-    theta = math.atan2(bs.r, bs.t)
-    blocks = _splitter_matrix(sub.dims, theta)
-    key = (sub, theta)
-    kept = _SPLITTER_OPERATORS.pop(key, None)
-    if kept is None or kept[0] is not blocks:
-        kept = blocks, LinearOperator(sub, blocks=blocks, unitary=True)
-    _SPLITTER_OPERATORS[key] = kept  # now the most recently used
-    if len(_SPLITTER_OPERATORS) > _SPLITTERS_KEPT:
-        del _SPLITTER_OPERATORS[next(iter(_SPLITTER_OPERATORS))]
-    return kept[1]
+    blocks, operators = _splitter_matrix(sub.dims, math.atan2(bs.r, bs.t))
+    op = operators.get(sub)
+    if op is None:
+        op = operators[sub] = LinearOperator(sub, blocks=blocks, unitary=True)
+    return op
 
 
 # A sweep uses per (alpha, t) one arm splitter, which both arms and both
@@ -135,24 +131,15 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 # every splitter of a grid of up to 15 (alpha, t) points across passes. The
 # blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
 # 3.8 MB at alpha = 5.33, the largest the memory gate admits on 8 GB.
-#
-# The operators over those blocks, one per (pair space, theta), are kept in
-# least-recently-used order with as many entries. Every request touches its
-# blocks' entry and then its operator's, so the blocks of a kept operator are
-# among the most recent 16 block entries: the operators hold no block set
-# the block cache has dropped, and every entry of a grid of up to 7
-# (alpha, t) points (both arms and the left pair) survives across passes.
-# After _splitter_matrix.cache_clear() the rebuilt blocks are new objects, so
-# an operator over the old ones is rebuilt on its next request.
-_SPLITTERS_KEPT = 16
-_SPLITTER_OPERATORS: dict[tuple[HilbertSpec, float], tuple[Blocks, LinearOperator]] = {}
-
-
-@functools.lru_cache(maxsize=_SPLITTERS_KEPT)
-def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
+@functools.lru_cache(maxsize=16)
+def _splitter_matrix(
+    dims: tuple[int, int], theta: float
+) -> tuple[Blocks, dict[HilbertSpec, LinearOperator]]:
     """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its
-    read-only blocks per total occupation. Raises ValueError when the matrix
-    has a nonzero entry outside those blocks, which the blocks would drop."""
+    read-only blocks per total occupation, with the operators over them per
+    pair space, which :func:`beamsplitter_unitary` adds. Raises ValueError
+    when the matrix has a nonzero entry outside those blocks, which the
+    blocks would drop."""
     lower_x = raising_matrix(dims[0]).conj().T
     lower_y = raising_matrix(dims[1]).conj().T
     gen = theta * (
@@ -167,7 +154,7 @@ def _splitter_matrix(dims: tuple[int, int], theta: float) -> Blocks:
         out[sl, sl] = 0  # what the blocks leave must be zero
     if out.any():
         raise ValueError("the splitter matrix has nonzero entries outside its sectors")
-    return tuple(blocks)
+    return tuple(blocks), {}
 
 
 def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:

@@ -398,6 +398,30 @@ def test_flipped_arm_b_reflectivity_fails_only_the_splitter_checks(monkeypatch):
         assert report.tolerances[name] == report.config.tolerance
 
 
+def test_the_heisenberg_check_reads_the_sectors_up_to_the_smaller_cutoff(monkeypatch):
+    """Arm a with one sector block negated: the block of total m, the
+    smaller cutoff, is the last output sector the check reads, so it fails
+    there; the block of total m + 1 lies outside the exactly-representable
+    sectors, so every Heisenberg residual stays at rounding level."""
+    config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=5)
+    stated = experiment.beamsplitter_unitary
+    m = min(QUICK.values())
+    residuals = {}
+    for shift in (0, 1):
+
+        def negated(spec, bs):
+            u = stated(spec, bs)
+            if bs.mode_pair != ("a2", "a3"):
+                return u
+            blocks = tuple((sl, -b if n == m + shift else b) for n, (sl, b) in enumerate(u.blocks))
+            return LinearOperator(u.spec, blocks=blocks, unitary=True)
+
+        monkeypatch.setattr(experiment, "beamsplitter_unitary", negated)
+        residuals[shift] = heisenberg_residuals(config)
+    assert residuals[0]["arm_a"] > 1.0
+    assert max(residuals[1].values()) < 1e-12
+
+
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
 def test_nx_diagonal_arm_splitters_still_pass(monkeypatch):
     """A known hole, pinned so that closing it shows. Arm splitters cut to

@@ -19,6 +19,7 @@ from kalamidas import (
     beamsplitter_unitary,
     coherent_series,
     heisenberg_action,
+    heisenberg_residuals,
 )
 from kalamidas.hilbert import embed
 from kalamidas.optics import displacement_unitary
@@ -56,6 +57,48 @@ def test_heisenberg_relation_on_exact_sectors(quick_spec, t, r):
     acted_y = heisenberg_action(u, ry).matrix
     assert np.abs(acted_x - (t * rx.matrix + r * ry.matrix))[sector].max() < 1e-10
     assert np.abs(acted_y - (-r * rx.matrix + t * ry.matrix))[sector].max() < 1e-10
+
+
+def _dense_heisenberg_residual(spec, bs):
+    """The worst entry of U x+ U+ - (t x+ + r y+) and of U y+ U+ - (-r x+ + t y+)
+    over the exactly-representable sectors, from dense pair-space matrices."""
+    u = beamsplitter_unitary(spec, bs)
+    sub = u.spec
+    rx = embed(ladder(spec, bs.mode_pair[0], "raise"), sub)
+    ry = embed(ladder(spec, bs.mode_pair[1], "raise"), sub)
+    totals = np.array([sum(sub.occupation_of(i)) for i in range(sub.dim)])
+    sector = np.ix_(totals <= min(sub.cutoffs), totals <= min(sub.cutoffs) - 1)
+    targets = (
+        (rx, bs.t * rx.matrix + bs.r * ry.matrix),
+        (ry, -bs.r * rx.matrix + bs.t * ry.matrix),
+    )
+    worst = 0.0
+    for op, target in targets:
+        delta = np.abs(heisenberg_action(u, op).matrix - target)[sector]
+        worst = max(worst, float(delta.max(initial=0.0)))
+    return worst
+
+
+@pytest.mark.parametrize("t", [0.0, 0.6, SQRT_HALF, 1.0])
+@pytest.mark.parametrize(
+    "cutoffs",
+    [{m: 3 for m in ("a2", "b2", "a3", "b3")}, (1, 1, 3, 2, 4, 2), {"a3": 0, "b3": 0}],
+    ids=["quick", "ragged", "a3=b3=0"],
+)
+def test_heisenberg_residuals_match_the_dense_reference(cutoffs, t):
+    config = ExperimentConfig(alpha=0.0, t=t, cutoffs=cutoffs)
+    spec = config.hilbert_spec()
+    splitters = {
+        "left_pair": BeamSplitter(("a1", "b1"), SQRT_HALF, SQRT_HALF),
+        "arm_a": BeamSplitter(("a2", "a3"), config.t, config.r),
+        "arm_b": BeamSplitter(("b2", "b3"), config.t, config.r),
+    }
+    res = heisenberg_residuals(config)
+    assert set(res) == set(splitters)
+    for name, bs in splitters.items():
+        assert abs(res[name] - _dense_heisenberg_residual(spec, bs)) <= 1e-14
+    if min(spec.cutoff_of("a3"), spec.cutoff_of("b3")) == 0:
+        assert res["arm_a"] == res["arm_b"] == 0
 
 
 def test_splitter_is_exactly_unitary(quick_spec):
@@ -273,19 +316,34 @@ def test_cache_hit_splitter_allocates_no_dense_matrix():
     assert peak < dense
 
 
+def test_cached_heisenberg_residuals_allocate_no_dense_matrix():
+    config = ExperimentConfig(alpha=1.0)
+    heisenberg_residuals(config)  # builds, or finds, the cached splitters
+    dense = 16 * config.hilbert_spec().subspace(("a2", "a3")).dim ** 2  # 484 x 484
+    tracemalloc.start()
+    try:
+        heisenberg_residuals(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert dense == 16 * 484**2
+    assert peak < dense
+
+
 def test_a_kept_splitter_operator_never_outlives_its_blocks(quick_spec):
     from kalamidas import optics
 
     bs = BeamSplitter(("a2", "a3"), 0.8, 0.6)
     first = beamsplitter_unitary(quick_spec, bs)
-    assert beamsplitter_unitary(quick_spec, bs) is first  # its blocks are still cached
+    assert beamsplitter_unitary(quick_spec, bs) is first  # its entry is still cached
     optics._splitter_matrix.cache_clear()
     rebuilt = beamsplitter_unitary(quick_spec, bs)
-    entry = optics._splitter_matrix((3, 3), math.atan2(0.6, 0.8))  # a cache hit
+    blocks, operators = optics._splitter_matrix((3, 3), math.atan2(0.6, 0.8))  # a cache hit
     assert optics._splitter_matrix.cache_info().misses == 1
     assert rebuilt is not first
-    assert len(rebuilt.blocks) == len(entry)
-    for (sl, block), (entry_sl, entry_block) in zip(rebuilt.blocks, entry):
+    assert list(operators) == [rebuilt.spec] and operators[rebuilt.spec] is rebuilt
+    assert len(rebuilt.blocks) == len(blocks)
+    for (sl, block), (entry_sl, entry_block) in zip(rebuilt.blocks, blocks):
         assert sl == entry_sl and block is entry_block
 
 
@@ -295,17 +353,21 @@ def test_kept_splitter_operators_are_bounded_like_the_block_cache(quick_spec):
     kept = optics._splitter_matrix.cache_info().maxsize
     assert kept == 16
     specs = (quick_spec, HilbertSpec(MODE_LABELS, (1, 1, 2, 3, 2, 2)))
-    last = None
-    for k in range(kept + 5):  # more (pair space, theta) than either cache keeps
+    made = []
+    for k in range(kept + 5):  # more (pair space, theta) than the cache keeps
         t = 0.5 + k / 100
         bs = BeamSplitter(("a2", "a3"), t, math.sqrt(1 - t * t))
-        last = beamsplitter_unitary(specs[k % 2], bs), specs[k % 2], bs
-    assert len(optics._SPLITTER_OPERATORS) == kept
-    u, spec, bs = last
-    assert beamsplitter_unitary(spec, bs) is u
-    # every kept operator wraps the blocks the block cache still holds
-    for (sub, theta), (blocks, op) in list(optics._SPLITTER_OPERATORS.items()):
-        misses = optics._splitter_matrix.cache_info().misses
-        assert optics._splitter_matrix(sub.dims, theta) is blocks
-        assert optics._splitter_matrix.cache_info().misses == misses
-        assert op.spec == sub and all(b is c for (_, b), (_, c) in zip(op.blocks, blocks))
+        made.append((beamsplitter_unitary(specs[k % 2], bs), specs[k % 2], bs))
+    assert optics._splitter_matrix.cache_info().currsize == kept
+    # the latest come back as they were, each kept by its entry over its blocks
+    misses = optics._splitter_matrix.cache_info().misses
+    for u, spec, bs in made[-kept:]:
+        assert beamsplitter_unitary(spec, bs) is u
+        blocks, operators = optics._splitter_matrix(u.spec.dims, math.atan2(bs.r, bs.t))
+        assert operators[u.spec] is u
+        assert all(b is c for (_, b), (_, c) in zip(u.blocks, blocks))
+    assert optics._splitter_matrix.cache_info().misses == misses
+    # an evicted entry took its operator with it
+    u, spec, bs = made[0]
+    assert beamsplitter_unitary(spec, bs) is not u
+    assert optics._splitter_matrix.cache_info().misses == misses + 1

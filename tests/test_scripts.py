@@ -173,7 +173,7 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
 
     monkeypatch.setattr(hilbert.LinearOperator, "__init__", recorded)
     monkeypatch.setattr(sys, "argv", [str(SWEEP), *BENCHMARK_GRID_ARGS, "--trials", "25"])
-    _splitter_matrix.cache_clear()  # so no operator kept from earlier wraps current blocks
+    _splitter_matrix.cache_clear()  # so the first pass builds every splitter and its operator
     per_pass = []
     for _ in range(2):
         built.clear()
@@ -188,12 +188,15 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
     assert _splitter_matrix.cache_info().misses == 5
 
     def key(op):
-        """The wanted (pair space, theta) whose cached blocks the operator wraps."""
-        (found,) = [
-            (sub, theta) for sub, theta in wanted
-            if sub == op.spec and op.blocks[0][1] is _splitter_matrix(sub.dims, theta)[0][1]
-        ]
-        return found
+        """The wanted (pair space, theta) whose cache entry keeps the operator
+        over its blocks."""
+        found = []
+        for sub, theta in wanted:
+            blocks, operators = _splitter_matrix(sub.dims, theta)
+            if operators.get(sub) is op and op.blocks[0][1] is blocks[0][1]:
+                found.append((sub, theta))
+        (only,) = found
+        return only
 
     keys = [key(op) for op in first]
     assert len(keys) == len(set(keys)) == len(wanted) == 9

@@ -37,10 +37,9 @@ import numpy as np
 from .channels import (
     PROBABILITY_FLOOR,
     conditional_left_by_occupation,
+    haar_channels_left,
     nonselective_left,
     occupation_projectors,
-    random_kraus,
-    random_right_unitary,
 )
 from .hilbert import (
     LEFT_LABELS,
@@ -210,17 +209,21 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
 _BASELINE_BYTES = 56 * 2**20
 # Peak resident memory of a run above 55.5 MiB, the pair-operator charge and
 # the observable stacks below, per byte of one stored state (the left pair's
-# two one-photon rows), measured with one BLAS thread (peak, stored state,
-# ratio): 75.0 MiB, 2.00 MiB, 5.2 at alpha = 0; 107.0 MiB, 7.15 MiB, 2.7 at
-# alpha = 1; 211.8 MiB, 24.7 MiB, 1.8 at alpha = 2; 342.5 MiB, 45.8 MiB, 1.8
-# at alpha = 2.5: the evolved states, the channel battery's branches and the
-# heap the run's transients leave behind. The largest is kept.
+# two one-photon rows), measured with one BLAS thread and the bytecode cached
+# (peak, stored state, ratio): 74.6 MiB, 2.00 MiB, 5.0 at alpha = 0;
+# 107.1 MiB, 7.15 MiB, 2.7 at alpha = 1; 189.6 MiB, 24.7 MiB, 0.9 at
+# alpha = 2; 296.4 MiB, 45.8 MiB, 0.75 at alpha = 2.5: the evolved states,
+# the channel battery's chunks and the heap the run's transients leave
+# behind. An earlier build, whose applies copied whole states, peaked at 5.2,
+# 2.7, 1.8 and 1.8; the largest is kept.
 _PEAK_PER_STATE_BYTE = 5.3
 # Peak traced memory of building one dense operator on a mode pair of
 # dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
-# and 2: 9.0 for a splitter (expm), 4.5 for a Kraus family (its 3d x d draw
-# and the real part drawn into it) and 2.1 for a Haar unitary. The largest
-# is charged for every pair a run builds on.
+# and 2: 9.0 for a splitter (expm), 3.1 for a Kraus family (its 3d x d
+# buffer and one chunk of rows of its Gaussian), 1.1 for a Haar unitary,
+# and 6.0 for the channel battery's two alternating 3d x d buffers (7.2 at
+# alpha = 1 and 7.7 at alpha = 0 with the chunks it applies them in). The
+# largest is charged for every pair a run builds on.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 # Peak traced memory of building one stack of normalized observables and
 # searching it, per byte of its trials d^2 complex entries: 1 + 1/d (the
@@ -344,10 +347,13 @@ def evolve_and_reduce(
     config: ExperimentConfig, injected: bool
 ) -> tuple[PureState, DensityOperator, float]:
     """One preparation, injected or bare, evolved and reduced: (final state,
-    its left state, the prepared state's leakage)."""
-    prepared = (initial_state_with_coherent if injected else initial_state_bare)(config)
-    final = evolve(prepared, config)
-    return final, reduce_left(final), prepared.leakage
+    its left state, the prepared state's leakage). Only the leakage of the
+    prepared state is kept, so it is freed once the first splitter has acted,
+    and it and the evolved state are never both alive."""
+    prepared = [(initial_state_with_coherent if injected else initial_state_bare)(config)]
+    leakage = prepared[0].leakage
+    final = evolve(prepared.pop(), config)  # evolve holds the only reference
+    return final, reduce_left(final), leakage
 
 
 def left_states_over_phases(
@@ -548,8 +554,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
     structure check; trace distance and gap (:func:`no_signaling_rows`); the
     analytic oracle, the same gap search against :func:`analytic_left_state`;
     invariance under right-side unitary, projective, and Kraus channels.
+
+    The channel battery starts one worker thread and joins it before it
+    returns (:func:`channels.haar_channels_left`): the worker draws each Haar
+    isometry while this thread applies the one before, and every residual
+    is that of drawing and applying one channel after another.
     """
-    spec = config.hilbert_spec()
     heis = heisenberg_residuals(config)
 
     psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
@@ -581,18 +591,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
         trials=config.trials, seed=(config.seed, 4),
     )
 
+    # one worker draws the Haar isometries ahead of their applies
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
-    after_unitary = [
-        nonselective_left(psi_with, (random_right_unitary(spec, pair, (config.seed, 2, k)),))
-        for k, pair in enumerate(pairs)
-    ]
-    after_projective = nonselective_left(
-        psi_with, occupation_projectors(spec, _SCAN_PAIR)
+    after_haar = haar_channels_left(
+        psi_with,
+        [(pair, (config.seed, 2, k), 1) for k, pair in enumerate(pairs)]
+        + [(pair, (config.seed, 3, k), 3) for k, pair in enumerate(pairs)],
     )
-    after_kraus = [
-        nonselective_left(psi_with, random_kraus(spec, pair, (config.seed, 3, k), k=3))
-        for k, pair in enumerate(pairs)
-    ]
+    after_unitary, after_kraus = after_haar[:_CHANNEL_TRIALS], after_haar[_CHANNEL_TRIALS:]
+    after_projective = nonselective_left(
+        psi_with, occupation_projectors(config.hilbert_spec(), _SCAN_PAIR)
+    )
     reduced += after_unitary + [after_projective] + after_kraus
 
     def moved(states: list[DensityOperator]) -> float:

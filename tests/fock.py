@@ -12,6 +12,7 @@ import math
 from typing import Optional, Sequence
 
 import numpy as np
+import scipy.linalg
 
 from kalamidas import optics
 from kalamidas.channels import PROBABILITY_FLOOR
@@ -135,3 +136,38 @@ def selective_outcome(
         state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
     )
     return conditional, p
+
+
+def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:
+    """The (k dim) x dim Haar isometry as the package first built it: the
+    whole real part drawn, then the whole imaginary part, into a
+    Fortran-ordered buffer, ``scipy.linalg.qr(..., mode="economic")`` in that
+    buffer, each column of Q times the phase of R's diagonal entry."""
+    rng = np.random.default_rng(seed)
+    z = np.empty((k * dim, dim), dtype=np.complex128, order="F")
+    z.real = rng.standard_normal(z.shape)
+    z.imag = rng.standard_normal(z.shape)
+    q, r = scipy.linalg.qr(z, mode="economic", overwrite_a=True)
+    phases = np.diagonal(r)
+    q *= phases / np.abs(phases)
+    return q
+
+
+def whole_product_apply(op: LinearOperator, state: PureState) -> np.ndarray:
+    """The stored rows of ``apply(op, state)`` for an operator on right
+    modes, as one product per block over every column: the state copied
+    into operator-major order, each block's rows multiplied into a zeroed
+    buffer, and the axes moved back."""
+    spec = state.spec
+    n_left = len(spec.left_dims)
+    n_rows = len(state.stored)
+    tensor = state.stored.reshape((n_rows,) + spec.dims[n_left:])
+    positions = tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
+    first = tuple(range(len(positions)))
+    moved = np.moveaxis(tensor, positions, first)
+    op_major = moved.reshape(op.spec.dim, -1)
+    out = np.zeros(op_major.shape, dtype=np.complex128)
+    for sl, block in op.blocks:
+        np.matmul(block, op_major[sl], out=out[sl])
+    out = np.moveaxis(out.reshape(op.spec.dims + moved.shape[len(positions):]), first, positions)
+    return np.ascontiguousarray(out).reshape(n_rows, -1)

@@ -11,6 +11,7 @@ from kalamidas import (
     LinearOperator,
     PureState,
     apply,
+    HilbertSpec,
     conditional_left_by_occupation,
     nonselective_left,
     occupation_projectors,
@@ -19,9 +20,17 @@ from kalamidas import (
     reduce_left,
     trace_distance,
 )
+from kalamidas.channels import haar_channels_left
 from kalamidas.hilbert import embed
 
-from fock import completeness_defect, identity, selective_outcome, tuple_projectors, vacuum
+from fock import (
+    completeness_defect,
+    haar_isometry_reference,
+    identity,
+    selective_outcome,
+    tuple_projectors,
+    vacuum,
+)
 
 
 def _random_state(spec, seed):
@@ -266,3 +275,53 @@ def test_occupation_projectors_allocate_no_dense_matrix():
         tracemalloc.stop()
     assert len(family) == 43
     assert peak < dense
+
+
+@pytest.mark.parametrize("cutoff", [21, 15], ids=["d=484", "d=256"])
+def test_haar_draws_keep_the_bits_of_the_whole_buffer_qr(cutoff):
+    """The Gaussian is drawn a chunk of rows at a time and factored by
+    geqrf/ungqr in place; every bit equals the whole draw factored by
+    scipy.linalg.qr, at the pair dimensions of the alpha = 1 and alpha = 0
+    defaults (484^2, 1452 x 484, 256^2, 768 x 256)."""
+    spec = HilbertSpec(("a2", "b2"), (cutoff, cutoff))
+    d = spec.dim
+    u = random_right_unitary(spec, ("a2", "b2"), (0, 2, 7))
+    assert np.array_equal(u.matrix, haar_isometry_reference(d, 1, (0, 2, 7)))
+    family = random_kraus(spec, ("a2", "b2"), (0, 3, 7), k=3)
+    want = haar_isometry_reference(d, 3, (0, 3, 7))
+    assert np.array_equal(np.vstack([a.matrix for a in family]), want)
+
+
+def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec):
+    psi = _random_state(quick_spec, 41)
+    pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
+    draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
+    draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
+    got = haar_channels_left(psi, draws)
+    want = [
+        nonselective_left(psi, (random_right_unitary(quick_spec, modes, seed),)
+                          if k == 1 else random_kraus(quick_spec, modes, seed, k))
+        for modes, seed, k in draws
+    ]
+    assert len(got) == len(want)
+    for rho, ref in zip(got, want):
+        assert np.array_equal(rho.matrix, ref.matrix)
+        assert rho.leakage == ref.leakage
+    assert haar_channels_left(psi, []) == []
+
+
+def test_nonselective_left_reads_only_the_projectors_rows(evolved_states):
+    """Each total-occupation projector holds a few 1 x 1 blocks; the channel
+    reads those rows of the alpha = 1 state and builds no branch, so all 43
+    together trace less than one stored state."""
+    psi = evolved_states[0]
+    family = occupation_projectors(psi.spec, ("a2", "b2"))
+    assert len(family) == 43
+    tracemalloc.start()
+    try:
+        after = nonselective_left(psi, family)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < psi.stored.nbytes
+    assert np.abs(after.matrix - reduce_left(psi).matrix).max() < 1e-15

@@ -1,6 +1,8 @@
 """Configuration handling, state construction, evolution, and the report."""
 import json
 import math
+import threading
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -22,9 +24,14 @@ from kalamidas import (
     initial_state_bare,
     initial_state_with_coherent,
     inner,
+    nonselective_left,
+    occupation_projectors,
+    random_kraus,
+    random_right_unitary,
     run_experiment,
+    trace_distance,
 )
-from kalamidas import experiment
+from kalamidas import channels, experiment, hilbert
 from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
 
@@ -511,3 +518,89 @@ def test_undersized_run_warns_once_at_config_level():
     adequacy = [w for w in caught if issubclass(w.category, CutoffAdequacyWarning)]
     assert len(adequacy) == 1
     assert "right-mode cutoffs" in str(adequacy[0].message)
+
+
+def test_evolve_and_reduce_holds_at_most_two_states_at_once(evolved_states):
+    """Only the prepared state's leakage is kept, so the prepared and the
+    evolved state are never both alive: at alpha = 1 the peak stays below
+    three stored states and one chunk of the apply kernel."""
+    config = ExperimentConfig()
+    state = evolved_states[0].stored.nbytes
+    evolve_and_reduce(config, injected=True)  # splitters cached
+    tracemalloc.start()
+    try:
+        evolve_and_reduce(config, injected=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * state + 16 * hilbert._CHUNK_AMPLITUDES
+
+
+def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(monkeypatch):
+    """The worker thread changes no bit: every left matrix and channel
+    residual of the run equals the serial recomputation through the public
+    draws and nonselective_left."""
+    config = ExperimentConfig(alpha=0.0, trials=3)
+    recorded = []
+
+    def recording(state, operators):
+        rho = nonselective_left(state, operators)
+        recorded.append(rho)
+        return rho
+
+    monkeypatch.setattr(channels, "nonselective_left", recording)
+    monkeypatch.setattr(experiment, "nonselective_left", recording)
+    report = run_experiment(config)
+    monkeypatch.undo()
+
+    spec = config.hilbert_spec()
+    psi, rho, _ = evolve_and_reduce(config, injected=True)
+    right_pairs = experiment._RIGHT_PAIRS
+    pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
+    unitaries = [
+        nonselective_left(psi, (random_right_unitary(spec, pair, (config.seed, 2, k)),))
+        for k, pair in enumerate(pairs)
+    ]
+    kraus = [
+        nonselective_left(psi, random_kraus(spec, pair, (config.seed, 3, k), k=3))
+        for k, pair in enumerate(pairs)
+    ]
+    projective = nonselective_left(psi, occupation_projectors(spec, ("a2", "b2")))
+    serial = unitaries + kraus + [projective]
+    assert len(recorded) == len(serial)
+    for got, want in zip(recorded, serial):
+        assert np.array_equal(got.matrix, want.matrix)
+
+    def moved(states):
+        return max(trace_distance(s, rho) for s in states)
+
+    assert report.residuals["channel_unitary"] == moved(unitaries)
+    assert report.residuals["channel_kraus"] == moved(kraus)
+    assert report.residuals["channel_projective"] == trace_distance(projective, rho)
+
+
+class _DrawFailed(RuntimeError):
+    pass
+
+
+@pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
+def test_a_failing_draw_reraises_and_the_worker_is_joined(monkeypatch, fail):
+    config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
+    run_experiment(config)  # any thread a first run starts for good is running now
+    draw = channels._haar_isometry
+    failure = _DrawFailed("draw 5 failed")
+
+    def failing(z, seed):
+        if fail and seed == (config.seed, 2, 5):
+            raise failure
+        return draw(z, seed)
+
+    monkeypatch.setattr(channels, "_haar_isometry", failing)
+    before = threading.active_count()
+    if fail:
+        with pytest.raises(_DrawFailed) as raised:
+            run_experiment(config)
+        assert raised.value is failure
+    else:
+        assert run_experiment(config).verdict == "pass"
+    assert threading.active_count() == before

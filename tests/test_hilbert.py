@@ -24,13 +24,24 @@ from kalamidas import (
 )
 from kalamidas.hilbert import (
     LEFT_LABELS,
+    _chunks,
+    applied_gram,
     embed,
     product_state,
     sector_slices,
     total_occupations,
 )
 
-from fock import adjoint, basis_state, identity, ladder, number_op, vacuum, validate
+from fock import (
+    adjoint,
+    basis_state,
+    identity,
+    ladder,
+    number_op,
+    vacuum,
+    validate,
+    whole_product_apply,
+)
 
 
 @pytest.mark.parametrize("cutoff", [2, 3])
@@ -586,3 +597,43 @@ def test_right_unitaries_on_the_default_state_rows_are_bit_identical(evolved_sta
         got, want = apply(u, psi), apply(u, full)
         assert np.array_equal(got.stored, want.stored[psi.rows])
         assert not np.delete(want.stored, range(4)[psi.rows], axis=0).any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
+    width=st.integers(1, 200),
+)
+def test_chunks_cut_the_flattened_index_in_order_at_multiples_of_4(shape, width):
+    flat = np.arange(math.prod(shape)).reshape(shape)
+    pieces = [flat[chunk].ravel() for chunk in _chunks(shape, width)]
+    assert np.array_equal(np.concatenate(pieces), flat.ravel())
+    assert all(len(piece) % 4 == 0 for piece in pieces[:-1])
+    if len(pieces) > 1:
+        assert max(len(piece) for piece in pieces) < width + 4 * math.prod(shape[1:])
+
+
+def test_chunked_apply_keeps_the_bits_of_one_whole_product(evolved_states):
+    """At the alpha = 1 default every operator acts on the stored rows in
+    chunks of a few hundred columns; each column's bits are those of one
+    product over all columns."""
+    psi = evolved_states[0]
+    spec = psi.spec
+    operators = [
+        beamsplitter_unitary(spec, BeamSplitter(("a2", "a3"), 0.6, 0.8)),
+        beamsplitter_unitary(spec, BeamSplitter(("b2", "b3"), 0.6, 0.8)),
+        random_right_unitary(spec, ("a2", "b3"), 4),
+        *occupation_projectors(spec, ("b2", "a3"))[5:7],
+    ]
+    for op in operators:
+        assert np.array_equal(apply(op, psi).stored, whole_product_apply(op, psi))
+
+
+@pytest.mark.parametrize("pair", _RIGHT_PAIRS)
+def test_applied_gram_is_the_left_gram_of_the_branch(pair):
+    psi = _random_state(_RAGGED, 12)
+    for op in [random_right_unitary(_RAGGED, pair, 3), *occupation_projectors(_RAGGED, pair)]:
+        want = reduce_left(apply(op, psi)).matrix
+        assert np.allclose(applied_gram(op, psi), want, rtol=0, atol=1e-15)
+    with pytest.raises(ValueError, match="right modes"):
+        applied_gram(beamsplitter_unitary(_RAGGED, BeamSplitter(("a1", "b1"), 0.6, 0.8)), psi)

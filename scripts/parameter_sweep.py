@@ -6,10 +6,13 @@ vectors, each sent through its arm splitter, and serves every phase from
 that left state with a 4 x 4 rotation (experiment.left_states_over_phases);
 no six-mode state is built. The bare preparation is the same computation at
 alpha = 0, so an alpha = 0 group builds its left states once. Each point
-compares the two left states, normalized to unit trace, against --tolerance.
+compares the two left states, normalized to unit trace, against --tolerance:
+the gap is the trace norm of their difference, twice the trace distance.
+--trials and --seed are validated and otherwise ignored, since a sweep draws
+nothing.
 
 Example:
-    python scripts/parameter_sweep.py --alphas 0,0.5,1 --ts 0.6,0.9 --trials 25
+    python scripts/parameter_sweep.py --alphas 0,0.5,1 --ts 0.6,0.9
 """
 import argparse
 import math
@@ -29,8 +32,12 @@ def main() -> int:
     parser.add_argument("--alphas", type=_floats, default=[0.0, 0.5, 1.0])
     parser.add_argument("--ts", type=_floats, default=[0.6, math.sqrt(0.5), 0.9])
     parser.add_argument("--phis", type=_floats, default=[0.0, math.pi / 3, math.pi])
-    parser.add_argument("--trials", type=int, default=25)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--trials", type=int, default=25, help="validated (>= 1) and ignored: the gap is exact",
+    )
+    parser.add_argument(
+        "--seed", type=int, default=0, help="validated (>= 0) and ignored: a sweep draws nothing",
+    )
     parser.add_argument("--tolerance", type=float, default=1e-9)
     args = parser.parse_args()
 

@@ -37,7 +37,6 @@ from .hilbert import (
 )
 from .nosignal import (
     analytic_left_state,
-    random_left_observable,
     reduce_left,
     signaling_gap,
     trace_distance,
@@ -78,7 +77,6 @@ __all__ = [
     "apply",
     "inner",
     "analytic_left_state",
-    "random_left_observable",
     "reduce_left",
     "signaling_gap",
     "trace_distance",

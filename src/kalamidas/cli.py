@@ -54,11 +54,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--seed", type=int, default=0,
-        help="base seed for every randomized battery (default 0)",
+        help="seed of the channel battery's Haar draws (default 0)",
     )
     parser.add_argument(
         "--trials", type=int, default=100,
-        help="observables drawn for the gap and oracle checks (default 100)",
+        help=(
+            "accepted, validated (>= 1) and echoed in the report, but ignored: "
+            "the gap and oracle rows are exact (default 100)"
+        ),
     )
     parser.add_argument(
         "--tolerance", type=float, default=1e-9,

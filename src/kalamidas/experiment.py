@@ -55,7 +55,6 @@ from .hilbert import (
     raising_matrix,
 )
 from .nosignal import (
-    STACKS_KEPT,
     analytic_left_state,
     normalized,
     reduce_left,
@@ -104,7 +103,8 @@ class ExperimentConfig:
     ``cutoffs`` may be None (defaults for this alpha), a partial mapping of
     mode label to cutoff that overrides the defaults, or a tuple of all six
     cutoffs in mode order; it is normalized to the six-entry tuple.
-    r is derived as +sqrt(1 - t^2).
+    r is derived as +sqrt(1 - t^2). ``trials`` must be >= 1 and is echoed in
+    the report, but no stage reads it: the no-signaling rows are exact.
     """
 
     alpha: complex = 1.0
@@ -207,9 +207,9 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
 # Resident memory of the interpreter with kalamidas imported: 55.5-55.6 MiB
 # with its bytecode cached, 57.2 MiB when it is compiled at import.
 _BASELINE_BYTES = 56 * 2**20
-# Peak resident memory of a run above 55.5 MiB, the pair-operator charge and
-# the observable stacks below, per byte of one stored state (the left pair's
-# two one-photon rows), measured with one BLAS thread and the bytecode cached
+# Peak resident memory of a run above 55.5 MiB and the pair-operator charge
+# below, per byte of one stored state (the left pair's two one-photon rows),
+# measured with one BLAS thread and the bytecode cached
 # (peak, stored state, ratio): 74.6 MiB, 2.00 MiB, 5.0 at alpha = 0;
 # 107.1 MiB, 7.15 MiB, 2.7 at alpha = 1; 189.6 MiB, 24.7 MiB, 0.9 at
 # alpha = 2; 296.4 MiB, 45.8 MiB, 0.75 at alpha = 2.5: the evolved states,
@@ -225,37 +225,28 @@ _PEAK_PER_STATE_BYTE = 5.3
 # alpha = 1 and 7.7 at alpha = 0 with the chunks it applies them in). The
 # largest is charged for every pair a run builds on.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
-# Peak traced memory of building one stack of normalized observables and
-# searching it, per byte of its trials d^2 complex entries: 1 + 1/d (the
-# eigenvalues and their moduli), 1.25 at the smallest left space, d = 4.
-# The gate charges the STACKS_KEPT stacks the cache holds plus this for the
-# one being built: a process that moves on to a new seed holds all three.
-_PEAK_PER_OBSERVABLE_BYTE = 1.25
 
 
 def check_memory(config: ExperimentConfig) -> None:
     """Raise ValueError when the run's estimated peak exceeds physical memory:
-    its states, the largest dense operator it builds on a mode pair, and the
-    observable stacks the signaling gap and the left oracle keep and build.
+    its states and the largest dense operator it builds on a mode pair.
     Every state of a run stores the left pair's two one-photon rows, so a
     state is charged 2 / (left dimension) of the full amplitude count."""
     spec = config.hilbert_spec()
     state = 2 * spec.dim // spec.left_dim
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
-    stacks = (STACKS_KEPT + _PEAK_PER_OBSERVABLE_BYTE) * 16 * config.trials * spec.left_dim**2
-    need = _BASELINE_BYTES + stacks + 16 * (
+    need = _BASELINE_BYTES + 16 * (
         _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
     )
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
         raise ValueError(
-            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} with "
-            f"{config.trials} trials needs {state:.3g} stored amplitudes per state, "
-            f"dense operators on mode pairs of up to {pair:.3g} levels and "
-            f"{stacks / 2**30:.3g} GiB of observables, an estimated "
+            f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} "
+            f"needs {state:.3g} stored amplitudes per state and dense operators "
+            f"on mode pairs of up to {pair:.3g} levels, an estimated "
             f"{need / 2**30:.3g} GiB at peak, more than the {have / 2**30:.3g} GiB "
-            f"of physical memory; lower |alpha|, the cutoffs or the trials"
+            f"of physical memory; lower |alpha| or the cutoffs"
         )
 
 
@@ -416,12 +407,12 @@ def no_signaling_rows(
 ) -> tuple[tuple[str, float, float], ...]:
     """The trace_distance and signaling_gap check rows (name, residual,
     tolerance): the two left states, each normalized, against the base
-    tolerance."""
+    tolerance. The gap is the trace norm of their difference, twice the
+    trace distance."""
     rho_with, rho_bare = normalized(rho_with), normalized(rho_bare)
-    gap = signaling_gap(rho_with, rho_bare, trials=config.trials, seed=config.seed)
     return (
         ("trace_distance", trace_distance(rho_with, rho_bare), config.tolerance),
-        ("signaling_gap", gap, config.tolerance),
+        ("signaling_gap", signaling_gap(rho_with, rho_bare), config.tolerance),
     )
 
 
@@ -552,8 +543,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
     selective ranking (:func:`selective_ranking`) and mixture, which raises
     NoOutcomeError before the costlier stages when the scan is empty; the
     structure check; trace distance and gap (:func:`no_signaling_rows`); the
-    analytic oracle, the same gap search against :func:`analytic_left_state`;
+    analytic oracle, the trace distance from :func:`analytic_left_state`;
     invariance under right-side unitary, projective, and Kraus channels.
+    ``config.seed`` seeds only the channel battery's Haar draws, and
+    ``config.trials`` is read by no stage.
 
     The channel battery starts one worker thread and joins it before it
     returns (:func:`channels.haar_channels_left`): the worker draws each Haar
@@ -586,10 +579,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     structure = distance(psi_with, direct_final_state(config))
 
-    oracle = signaling_gap(
-        normalized(rho_with), analytic_left_state(rho_with.spec),
-        trials=config.trials, seed=(config.seed, 4),
-    )
+    oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
 
     # one worker draws the Haar isometries ahead of their applies
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]

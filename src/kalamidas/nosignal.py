@@ -1,24 +1,24 @@
-"""Left-side physics: reduction, the trace distance, and the signaling-gap search.
+"""Left-side physics: reduction, the trace distance, and the signaling gap.
 
 The claim under test is an equality of reduced density operators: whatever
 happens on the right side of the apparatus, the partial trace over the right
 modes leaves the same operator on (a1, b1), so no left observable can detect
-it. This module supplies the partial trace, the trace-distance metric, and
-one randomized search, :func:`signaling_gap`, for an observable whose
-expectation tells two left states apart. No run calls :func:`expectation`,
-Tr(rho h) for one observable: the tests check the search against it, and the
-benchmark's tracer times it.
+it. This module supplies the partial trace and the trace distance, which
+tests that equality exactly, and :func:`signaling_gap`, the trace norm of
+the difference: the largest expectation difference any left observable of
+spectral norm 1 can show. No run calls :func:`expectation`, Tr(rho h) for
+one observable, or :func:`random_left_observable`: the tests check the gap
+against them, and the benchmark's tracer times them.
 
-The search runs against two references. Against the bare preparation's left
-state it asks whether the injection moved anything. Against
-:func:`analytic_left_state`, the closed-form left state built directly on the
-two-mode space without touching the simulation, it asks whether the simulator
-got the state right at all, so a bug shared by both simulated preparations
-cannot fake agreement.
+The left states are compared with two references. Against the bare
+preparation's left state the comparison asks whether the injection moved
+anything. Against :func:`analytic_left_state`, the closed-form left state
+built directly on the two-mode space without touching the simulation, it
+asks whether the simulator got the state right at all, so a bug shared by
+both simulated preparations cannot fake agreement.
 """
 from __future__ import annotations
 
-import functools
 from typing import Sequence, Union
 
 import numpy as np
@@ -109,42 +109,10 @@ def random_left_observable(
     return LinearOperator(spec, (g + g.conj().T) / 2.0, hermitian=True)
 
 
-# Stacks kept: a verdict searches two streams and a sweep one, each stack
-# 16 (left dim)^2 bytes per trial; experiment.check_memory charges them.
-STACKS_KEPT = 2
-
-
-@functools.lru_cache(maxsize=STACKS_KEPT)
-def _observables(spec: HilbertSpec, seed: tuple[int, ...], trials: int) -> np.ndarray:
-    """The read-only (trials, d, d) stack of random_left_observable(spec,
-    (*seed, k)), each divided by its spectral norm."""
-    stack = np.empty((trials, spec.dim, spec.dim), dtype=np.complex128)
-    for k in range(trials):
-        stack[k] = random_left_observable(spec, (*seed, k)).matrix
-    stack /= np.abs(np.linalg.eigvalsh(stack)).max(axis=1)[:, None, None]
-    stack.setflags(write=False)
-    return stack
-
-
-def signaling_gap(
-    rho_a: DensityOperator,
-    rho_b: DensityOperator,
-    *,
-    trials: int,
-    seed: Union[int, Sequence[int]],
-) -> float:
-    """Largest normalized expectation difference over seeded observables.
-
-    max_k |Tr((rho_a - rho_b) H_k)| for `trials` observables H_k, drawn from
-    default_rng((*seed, k)) (seed an int or a tuple prefix) and scaled to
-    spectral norm 1; any genuine signaling channel would show up as a gap of
-    order one.
-    """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
-    if rho_a.spec != rho_b.spec:
-        raise ValueError("signaling_gap needs matching specs")
-    prefix = tuple(seed) if isinstance(seed, Sequence) else (int(seed),)
-    stack = _observables(rho_a.spec, prefix, trials)
-    delta = rho_a.matrix - rho_b.matrix
-    return float(np.abs(np.einsum("ij,kji->k", delta, stack)).max())
+def signaling_gap(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
+    """||rho_a - rho_b||_1, twice the trace distance: the largest
+    expectation difference |Tr((rho_a - rho_b) H)| over every left
+    observable H of spectral norm 1, reached by H = sign(rho_a - rho_b)
+    (Helstrom 1976). Any genuine signaling channel shows as a gap of order
+    one."""
+    return 2.0 * trace_distance(rho_a, rho_b)

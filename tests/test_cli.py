@@ -1,6 +1,7 @@
 """Command line contract: flags, exit codes, emission, determinism."""
 import json
 import resource
+import runpy
 import shutil
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas.cli import main
+from kalamidas.cli import build_parser, main
 from kalamidas.experiment import SQRT_HALF
 
 CLI = [sys.executable, "-m", "kalamidas"]
@@ -19,6 +20,7 @@ QUICK_ARGS = [
     "--trials", "3",
 ]
 REPO = Path(__file__).parents[1]
+SWEEP = REPO / "scripts" / "parameter_sweep.py"
 
 # What an installed console-script wrapper does: load the entry point, then
 # exit with the return value of calling it on the process arguments.
@@ -117,6 +119,25 @@ def test_left_oracle_fails_a_tolerance_of_1e_30_at_every_t(t, capsys):
     assert [line for line in err if line.startswith("left_oracle: ")]
 
 
+def test_readme_cli_table_lists_the_parsers_flags():
+    """The flags in README's ``## CLI reference`` table, in order, are the
+    parser's option strings, ``-h``/``--help`` aside."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI reference\n", 1)[1].split("\n## ", 1)[0]
+    table = [
+        line.split("|")[1].strip().strip("`")
+        for line in section.splitlines()
+        if line.startswith("| `-")
+    ]
+    flags = [
+        option
+        for action in build_parser()._actions
+        for option in action.option_strings
+        if option not in ("-h", "--help")
+    ]
+    assert table == flags
+
+
 def _declared_script_help():
     """Run ``kalamidas --help`` through the entry point that pyproject.toml
     declares, loaded from this source tree."""
@@ -211,15 +232,44 @@ def test_oversized_pair_operator_exits_2_before_allocating(capsys, monkeypatch):
 
 
 def test_oversized_trials_exit_2_before_allocating(capsys, monkeypatch):
-    # 1e10 observables per search would stack 2.6 TB per stream
+    """An oversized --trials neither trips nor masks the memory gate: on a
+    point too large to hold, 1e10 trials exit 2 before allocating, with the
+    error of the same point at --trials 3, which names no trials."""
     _stop_at_battery(monkeypatch)
-    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    assert main(["--alpha-re", "0", "--trials", "10000000000"]) == 2
-    grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
-    err = capsys.readouterr().err
-    assert err.startswith("error:")
-    assert "10000000000 trials" in err
-    assert grown_kb < 16 * 1024
+    errors = []
+    for trials in ("3", "10000000000"):
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+        assert main(["--alpha-re", "50", "--trials", trials]) == 2
+        grown_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+        errors.append(capsys.readouterr().err)
+        assert grown_kb < 16 * 1024
+    assert errors[0].startswith("error:")
+    assert "trials" not in errors[0]
+    assert errors[1] == errors[0]
+
+
+def test_trials_is_validated_and_otherwise_ignored(tmp_path, capsys, monkeypatch):
+    """No stage reads --trials: at 1e10 the toy config writes the report of
+    --trials 3 with only config.trials changed, and the sweep prints the same
+    table; fewer than one trial is still a usage error."""
+    few, many = tmp_path / "few.json", tmp_path / "many.json"
+    assert main(QUICK_ARGS + ["--emit", str(few)]) == 0
+    assert main(QUICK_ARGS + ["--trials", "10000000000", "--emit", str(many)]) == 0
+    assert json.loads(many.read_text())["config"]["trials"] == 10**10
+    assert many.read_bytes().replace(b'"trials": 10000000000', b'"trials": 3') == few.read_bytes()
+    capsys.readouterr()
+    assert main(QUICK_ARGS + ["--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
+    tables = []
+    for trials in ("3", "10000000000"):
+        argv = ["--alphas", "0,0.5", "--ts", "0.6", "--phis", "0,1", "--trials", trials]
+        monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SWEEP), run_name="__main__")
+        assert done.value.code == 0
+        tables.append(capsys.readouterr().out)
+    assert tables[0] == tables[1]
 
 
 def test_alpha_two_passes_the_memory_check(monkeypatch):

@@ -1,5 +1,5 @@
 """Left reduction against a brute-force oracle, expectations, metric checks,
-and the randomized gap search."""
+and the signaling gap as the exact trace norm."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,13 +12,12 @@ from kalamidas import (
     LinearOperator,
     PureState,
     analytic_left_state,
-    random_left_observable,
     reduce_left,
     signaling_gap,
     trace_distance,
 )
 from kalamidas.hilbert import embed
-from kalamidas.nosignal import expectation
+from kalamidas.nosignal import expectation, random_left_observable
 
 from fock import ladder, number_op, validate
 
@@ -166,7 +165,7 @@ def test_oracle_is_not_fooled_by_a_wrong_left_state():
     in_a1 = np.zeros((left.dim, left.dim), dtype=complex)
     in_a1[left.index_of((1, 0)), left.index_of((1, 0))] = 1.0
     wrong = DensityOperator(left, in_a1)
-    assert signaling_gap(wrong, analytic_left_state(left), trials=25, seed=(0, 4)) > 0.1
+    assert signaling_gap(wrong, analytic_left_state(left)) == pytest.approx(1.0)
     assert trace_distance(wrong, analytic_left_state(left)) == pytest.approx(0.5)
 
 
@@ -212,49 +211,44 @@ def test_random_left_observable_is_exactly_hermitian():
 
 def test_signaling_gap_zero_for_identical_states():
     rho = _random_density(3)
-    assert signaling_gap(rho, rho, trials=10, seed=0) == 0.0
+    assert signaling_gap(rho, rho) == 0.0
 
 
-def test_signaling_gap_matches_manual_search():
+def test_signaling_gap_is_the_trace_norm():
+    """The gap is Tr(delta sign(delta)), the expectation difference that the
+    best observable of spectral norm 1 shows, and twice the trace distance."""
     rho_a = _random_density(4)
     rho_b = _random_density(5)
-    got = signaling_gap(rho_a, rho_b, trials=3, seed=9)
     delta = rho_a.matrix - rho_b.matrix
-    manual = 0.0
-    for k in range(3):
-        rng = np.random.default_rng((9, k))
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        h = (g + g.conj().T) / 2.0
-        manual = max(manual, abs(np.trace(delta @ h)) / np.linalg.norm(h, 2))
-    assert got == pytest.approx(manual, abs=1e-15)
-    assert got == signaling_gap(rho_a, rho_b, trials=3, seed=9)
-    assert got == signaling_gap(rho_a, rho_b, trials=3, seed=(9,))
+    w, v = np.linalg.eigh(delta)
+    best = (v * np.sign(w)) @ v.conj().T
+    got = signaling_gap(rho_a, rho_b)
+    assert got == pytest.approx(np.trace(delta @ best).real, abs=1e-15)
+    assert got == 2.0 * trace_distance(rho_a, rho_b)
 
 
-def test_signaling_gap_keeps_only_a_verdicts_two_stacks():
-    from kalamidas import nosignal
-
+def test_signaling_gap_bounds_every_normalized_observable():
     rho_a = _random_density(4)
     rho_b = _random_density(5)
-    nosignal._observables.cache_clear()
-    for seed in (7, (7, 4), 8, (8, 4), (8, 4), 8):
-        signaling_gap(rho_a, rho_b, trials=3, seed=seed)
-    info = nosignal._observables.cache_info()
-    assert nosignal.STACKS_KEPT == 2
-    assert (info.currsize, info.misses, info.hits) == (2, 4, 2)
+    gap = signaling_gap(rho_a, rho_b)
+    left = rho_a.spec
+    worst = 0.0
+    for k in range(100):
+        h = random_left_observable(left, (9, k))
+        h = LinearOperator(left, h.matrix / np.linalg.norm(h.matrix, 2), hermitian=True)
+        worst = max(worst, abs(expectation(rho_a, h) - expectation(rho_b, h)))
+    assert 0.0 < worst <= gap + 1e-15
 
 
 def test_signaling_gap_detects_genuinely_different_states():
     left = _left_pair_spec()
     pure0 = DensityOperator(left, np.diag([1.0, 0, 0, 0]).astype(complex))
     pure1 = DensityOperator(left, np.diag([0, 1.0, 0, 0]).astype(complex))
-    assert signaling_gap(pure0, pure1, trials=25, seed=1) > 0.1
+    assert signaling_gap(pure0, pure1) == pytest.approx(2.0)
 
 
 def test_signaling_gap_guards():
     rho = _random_density(6)
-    with pytest.raises(ValueError):
-        signaling_gap(rho, rho, trials=0, seed=0)
     other = DensityOperator(HilbertSpec(LEFT_LABELS, (2, 2)), np.eye(9, dtype=complex) / 9)
     with pytest.raises(ValueError):
-        signaling_gap(rho, other, trials=2, seed=0)
+        signaling_gap(rho, other)

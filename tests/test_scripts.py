@@ -10,7 +10,9 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import MODE_LABELS, ExperimentConfig, experiment, hilbert, nosignal, run_experiment
+from kalamidas import (
+    MODE_LABELS, ExperimentConfig, cli, experiment, hilbert, nosignal, run_experiment,
+)
 from kalamidas.experiment import SQRT_HALF
 from kalamidas.optics import _splitter_matrix
 
@@ -38,7 +40,7 @@ def _run(script, *args):
         (SCAN, ["--t", "1.5"]),
         (SCAN, ["--alpha-re", "nan"]),
         (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),
-        (SWEEP, ["--alphas", "0", "--ts", "0.6", "--phis", "0", "--trials", "10000000000"]),
+        (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0", "--trials", "10000000000"]),
         (SCAN, ["--alpha-re", "50"]),
         (SWEEP, ["--alphas", "", "--ts", "0.6", "--phis", "0"]),
         (SWEEP, ["--alphas", "0", "--ts", " , ", "--phis", "0"]),
@@ -183,8 +185,7 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
         assert "no signaling observed" in capsys.readouterr().out
         per_pass.append(list(built))
     first, second = per_pass
-    assert second == []  # nor any other operator: the observables are cached too
-    first = [op for op in first if op.unitary]  # the observables drawn are hermitian
+    assert second == []  # nor any other operator
     assert _splitter_matrix.cache_info().misses == 5
 
     def key(op):
@@ -223,26 +224,29 @@ def test_an_alpha_0_group_builds_its_left_states_once(monkeypatch, capsys):
     assert calls == [(0, 0.6, True), (0.5, 0.6, True), (0.5, 0.6, False)]
 
 
-def test_sweep_draws_each_observable_once(monkeypatch, capsys):
-    """Every point of a sweep searches the same seeded observables, so one
-    pass over 2 alpha x 2 t x 3 phi at 25 trials draws 25, not 12 x 25."""
+def test_no_run_draws_a_left_observable(monkeypatch, capsys, tmp_path):
+    """The gap and oracle rows are exact, so neither a CLI verdict nor a
+    sweep pass over 2 alpha x 2 t x 3 phi draws a random observable."""
     draw = nosignal.random_left_observable
-    seeds = []
+    draws = []
 
     def counted(spec, seed):
-        seeds.append(seed)
+        draws.append(seed)
         return draw(spec, seed)
 
-    phis = ",".join(map(str, (0.0, math.pi / 3, math.pi)))
-    argv = ["--alphas", "0,0.5", "--ts", "0.6,0.9", "--phis", phis, "--trials", "25"]
     monkeypatch.setattr(nosignal, "random_left_observable", counted)
+    toy = ["--alpha-re", "0", "--seed", "8191"] + [
+        arg for m in ("a2", "b2", "a3", "b3") for arg in ("--cutoff", f"{m}=3")
+    ]
+    assert cli.main(toy + ["--emit", str(tmp_path / "r.json")]) == 0
+    phis = ",".join(map(str, (0.0, math.pi / 3, math.pi)))
+    argv = ["--alphas", "0,0.5", "--ts", "0.6,0.9", "--phis", phis, "--seed", "8191"]
     monkeypatch.setattr(sys, "argv", [str(SWEEP), *argv])
-    nosignal._observables.cache_clear()
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(SWEEP), run_name="__main__")
     assert done.value.code == 0
     assert "no signaling observed" in capsys.readouterr().out
-    assert seeds == [(0, k) for k in range(25)]
+    assert draws == []
 
 
 def test_sweep_builds_no_six_mode_state(monkeypatch, capsys):

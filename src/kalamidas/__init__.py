@@ -9,7 +9,6 @@ or generalized measurements without record) moves the left reduced state.
 from .channels import (
     PROBABILITY_FLOOR,
     conditional_left_by_occupation,
-    nonselective_left,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
@@ -55,7 +54,6 @@ __version__ = "0.1.0"
 __all__ = [
     "PROBABILITY_FLOOR",
     "conditional_left_by_occupation",
-    "nonselective_left",
     "occupation_projectors",
     "random_kraus",
     "random_right_unitary",

@@ -6,10 +6,13 @@ non-selective generalized measurements given by a Kraus family
 (rho -> sum_k A_k rho A_k+). None of them can change the left reduced state;
 the experiment driver measures exactly that. A channel is its operators: a
 tuple of LinearOperator on one right-mode subspace, complete when
-sum_k A_k+ A_k = I. All three run through :func:`nonselective_left`, which
-sums the left Gram matrix of each branch A_k |psi> chunk by chunk as the
-operator acts (:func:`hilbert.applied_gram`), so neither a branch nor a
-density operator on the full space is ever built.
+sum_k A_k+ A_k = I.
+
+All three run through :func:`channel_gram` on a state given as its
+branches, sum_i |e_i> c_i Fa_i Fb_i with one vector per arm pair, (a2, a3)
+and (b2, b3): the apparatus before its left splitter. A channel on a right
+pair acts on the right factor of each branch alone, so no six-mode state is
+built.
 
 Selective conditioning on a recorded outcome is the one operation that does
 move the left reduced state, which is why it cannot be used for signaling
@@ -21,9 +24,9 @@ Seeded generators provide reproducible Haar-random unitaries and complete
 Kraus families, both read-only views of one Haar isometry per seed, drawn
 and factored by LAPACK's QR in its own buffer. All randomness flows through
 numpy's default_rng (PCG64); the same seed yields the same operator.
-:func:`haar_channels_left` runs a battery of such channels on one state
-with a worker thread that draws the next isometry while the calling thread
-applies the current one; its results are those of the serial loop.
+:func:`haar_channels_left` runs a battery of such channels on one set of
+branches with a worker thread that draws the next isometry while the calling
+thread contracts the current one; its results are those of the serial loop.
 """
 from __future__ import annotations
 
@@ -39,44 +42,97 @@ from .hilbert import (
     HilbertSpec,
     LinearOperator,
     PureState,
-    applied_gram,
     diagonal_blocks,
     total_occupations,
 )
 
+# One branch of a state: (coefficient, arm a vector, arm b vector).
+Branch = tuple[complex, PureState, PureState]
+
 PROBABILITY_FLOOR = 1e-12
 
 
-def _require_right_modes(spec: HilbertSpec) -> None:
-    bad = [m for m in spec.modes if m not in RIGHT_LABELS]
+def _right(sub: HilbertSpec) -> HilbertSpec:
+    """``sub``, once it is checked to hold right modes only."""
+    bad = [m for m in sub.modes if m not in RIGHT_LABELS]
     if bad:
         raise ValueError(f"operation must act on right modes only, got {bad}")
+    return sub
 
 
-def nonselective_left(
-    state: PureState, operators: Sequence[LinearOperator]
-) -> DensityOperator:
-    """Left reduction of sum_k A_k |psi><psi| A_k+, the outcomes discarded.
+# Rows of a channel's operators contracted at a time: 64 rows of a 484-level
+# pair are 0.47 MiB, where one operator on it is 3.6 MiB.
+_GRAM_ROWS = 64
 
-    Each branch A_k |psi> contributes the Gram matrix of its stored rows,
-    summed chunk by chunk as the operator acts (:func:`hilbert.applied_gram`),
-    so no branch is built; only the rows inside an operator's blocks are
-    read. The operators must act on right modes only; that they form a
-    channel (one unitary, a projector family or a complete Kraus family) is
-    the caller's to ensure. Such a channel preserves the trace, so the output
-    carries the input state's leakage.
+
+def _marginal(f: PureState, g: PureState, mode: str) -> np.ndarray:
+    """The one-mode marginal of |f><g| on ``mode``, for two vectors of one
+    arm pair: the partial trace over the pair's other mode."""
+    axis = f.spec.axis_of(mode)
+    x, y = (np.moveaxis(v.stored.reshape(v.spec.dims), axis, 0) for v in (f, g))
+    return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
+
+
+def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]) -> np.ndarray:
+    """The left Gram matrix of sum_K K |psi><psi| K+ for operators K on one
+    right pair and |psi> = sum_i |e_i> c_i Fa_i Fb_i given as its branches
+    (c_i, Fa_i, Fb_i): entry (i, j) is c_i conj(c_j) sum_K Tr(K sigma_ij K+),
+    sigma_ij the pair's marginal of |Fa_i Fb_i><Fa_j Fb_j|.
+
+    On an arm's own pair K acts on that arm's vectors, and the other arm
+    gives its overlap. Across the arms sigma_ij = A_ij (x) B_ij, a one-mode
+    marginal from each arm, and a chunk K of operator rows, shaped
+    (rows, d_x, d_y), adds vdot(K, A_ij^T K B_ij). Dense and 1 x 1 blocks
+    alike are scattered into chunks of _GRAM_ROWS rows, so no temporary
+    exceeds one chunk. That the operators form a channel is the caller's to
+    ensure.
     """
     if not operators:
-        raise ValueError("nonselective_left needs at least one operator")
-    n_rows = len(state.stored)
-    gram = np.zeros((n_rows, n_rows), dtype=np.complex128)
-    for a in operators:
-        _require_right_modes(a.spec)
-        gram += applied_gram(a, state)
-    left = state.spec.subspace(LEFT_LABELS)
-    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
-    out[state.rows, state.rows] = gram
-    return DensityOperator(left, out, leakage=state.leakage)
+        raise ValueError("channel_gram needs at least one operator")
+    pair = _right(operators[0].spec)
+    arms = [[fa for _, fa, _ in branches], [fb for _, _, fb in branches]]
+    owners = [next((arm for arm in arms if m in arm[0].spec.modes), None) for m in pair.modes]
+    if len(owners) != 2 or None in owners or any(op.spec != pair for op in operators):
+        raise ValueError(f"channel_gram needs operators on one right pair, got {pair.modes}")
+    n = len(branches)
+    acc = np.zeros((n, n), dtype=np.complex128)
+    if owners[0] is owners[1]:  # the arm's own pair
+        vectors = np.array([f.stored.reshape(-1) for f in owners[0]]).T
+        other = arms[1] if owners[0] is arms[0] else arms[0]
+        overlaps = np.array([[np.vdot(g.stored, f.stored) for g in other] for f in other])
+
+        def contract(rows: np.ndarray) -> None:
+            w = rows @ vectors
+            acc[...] += w.T @ w.conj()
+
+    else:  # the upper triangle; the rest is its conjugate
+        upper = list(zip(*np.triu_indices(n)))
+        marginals = [[_marginal(arm[i], arm[j], m) for arm, m in zip(owners, pair.modes)]
+                     for i, j in upper]
+        overlaps = 1.0
+
+        def contract(rows: np.ndarray) -> None:
+            k = rows.reshape((len(rows),) + pair.dims)
+            for (i, j), (x, y) in zip(upper, marginals):
+                acc[i, j] += np.vdot(k, x.T @ (k @ y))
+
+    chunk = np.zeros((_GRAM_ROWS, pair.dim), dtype=np.complex128)
+    filled = 0
+    for op in operators:
+        for sl, block in op.blocks:
+            for start in range(0, len(block), _GRAM_ROWS):
+                rows = block[start : start + _GRAM_ROWS]
+                if filled + len(rows) > _GRAM_ROWS:
+                    contract(chunk[:filled])
+                    chunk[:filled] = 0.0
+                    filled = 0
+                chunk[filled : filled + len(rows), sl] = rows
+                filled += len(rows)
+    contract(chunk[:filled])
+    if owners[0] is not owners[1]:
+        acc += np.triu(acc, 1).conj().T
+    coeffs = np.array([c for c, _, _ in branches], dtype=np.complex128)
+    return np.outer(coeffs, coeffs.conj()) * acc * overlaps
 
 
 def occupation_projectors(
@@ -84,8 +140,7 @@ def occupation_projectors(
 ) -> tuple[LinearOperator, ...]:
     """Diagonal projectors onto the total photon number of the given right
     modes, one per total, so the family size is linear in the cutoff sum."""
-    sub = spec.subspace(modes)
-    _require_right_modes(sub)
+    sub = _right(spec.subspace(modes))
     totals = total_occupations(sub.dims)
     return tuple(
         LinearOperator(sub, blocks=diagonal_blocks(totals == n), hermitian=True)
@@ -96,12 +151,6 @@ def occupation_projectors(
 # Rows of the Gaussian drawn per call: a 64 x 484 real chunk is 0.24 MiB,
 # where drawing the whole real part at once would take half the buffer again.
 _DRAW_ROWS = 64
-
-
-def _right_subspace(spec: HilbertSpec, modes: Sequence[str]) -> HilbertSpec:
-    sub = spec.subspace(modes)
-    _require_right_modes(sub)
-    return sub
 
 
 def _isometry_buffer(sub: HilbertSpec, k: int) -> np.ndarray:
@@ -155,7 +204,7 @@ def random_right_unitary(
 ) -> LinearOperator:
     """Seeded Haar-random unitary on a right-mode subspace: the k = 1 case
     of :func:`random_kraus`."""
-    sub = _right_subspace(spec, modes)
+    sub = _right(spec.subspace(modes))
     return LinearOperator(sub, _haar_isometry(_isometry_buffer(sub, 1), seed), unitary=True)
 
 
@@ -173,7 +222,7 @@ def random_kraus(
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    sub = _right_subspace(spec, modes)
+    sub = _right(spec.subspace(modes))
     return _row_blocks(sub, _haar_isometry(_isometry_buffer(sub, k), seed))
 
 
@@ -184,16 +233,18 @@ def _row_blocks(sub: HilbertSpec, q: np.ndarray) -> tuple[LinearOperator, ...]:
 
 
 def haar_channels_left(
-    state: PureState, draws: Sequence[tuple[Sequence[str], Union[int, Sequence[int]], int]]
-) -> list[DensityOperator]:
-    """:func:`nonselective_left` of ``state`` through each seeded Haar
-    channel of ``draws``, in order: for (modes, seed, k), the family
-    ``random_kraus(state.spec, modes, seed, k)``; for k = 1 its one operator
-    is the unitary ``random_right_unitary`` draws from that seed. The results
-    are those of drawing and applying one channel after another.
+    spec: HilbertSpec,
+    branches: Sequence[Branch],
+    draws: Sequence[tuple[Sequence[str], Union[int, Sequence[int]], int]],
+) -> list[np.ndarray]:
+    """:func:`channel_gram` of ``branches`` through each seeded Haar channel
+    of ``draws``, in order: for (modes, seed, k), the family
+    ``random_kraus(spec, modes, seed, k)``; for k = 1 its one operator is the
+    unitary ``random_right_unitary`` draws from that seed. The results are
+    those of drawing and contracting one channel after another.
 
     The isometries depend on their seeds alone, so one worker thread draws
-    the next while this thread applies the current one. This thread
+    the next while this thread contracts the current one. This thread
     allocates two buffers, each sized for the largest draw, and the draws
     alternate between them: the worker only fills and factors a buffer
     (:func:`_haar_isometry`), and a channel's operators are views of it that
@@ -202,7 +253,7 @@ def haar_channels_left(
     """
     from concurrent.futures import ThreadPoolExecutor  # imported by verdicts only
 
-    subs = [_right_subspace(state.spec, modes) for modes, _, _ in draws]
+    subs = [_right(spec.subspace(modes)) for modes, _, _ in draws]
     sizes = [k * sub.dim**2 for sub, (_, _, k) in zip(subs, draws)]
     buffers = [np.empty(max(sizes, default=0), dtype=np.complex128) for _ in draws[:2]]
 
@@ -218,7 +269,7 @@ def haar_channels_left(
             channel = _row_blocks(sub, ahead.result())
             if i + 1 < len(draws):
                 ahead = start(i + 1)  # into the other buffer
-            out.append(nonselective_left(state, channel))
+            out.append(channel_gram(channel, branches))
     return out
 
 
@@ -236,8 +287,7 @@ def conditional_left_by_occupation(
     computed in a single contraction.
     """
     spec = state.spec
-    sub = spec.subspace(modes)
-    _require_right_modes(sub)
+    sub = _right(spec.subspace(modes))
     left = spec.subspace(LEFT_LABELS)  # the modes of slots 0 and 1
     # the stored rows as axis 0, then the right modes at their slots less one
     scan_pos = tuple(spec.axis_of(m) - 1 for m in sub.modes)

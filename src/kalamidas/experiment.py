@@ -15,7 +15,8 @@ direct construction it compares the evolved state with is the box projection
 of the ideal output, and that residual measures the simulator's own
 truncation error. Its tolerance grows as 2 sqrt(leakage); the no-signaling
 and oracle checks hold normalized left states to the base tolerance alone;
-invariance checks under right-side channels are exact, with fixed tolerances.
+invariance checks under right-side channels, run on arm-pair vectors, are
+exact, with fixed tolerances.
 
 Default per-mode cutoffs take the adequacy rule plus a margin of
 DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the evolved state agrees
@@ -36,9 +37,10 @@ import numpy as np
 
 from .channels import (
     PROBABILITY_FLOOR,
+    Branch,
+    channel_gram,
     conditional_left_by_occupation,
     haar_channels_left,
-    nonselective_left,
     occupation_projectors,
 )
 from .hilbert import (
@@ -209,20 +211,18 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
 _BASELINE_BYTES = 56 * 2**20
 # Peak resident memory of a run above 55.5 MiB and the pair-operator charge
 # below, per byte of one stored state (the left pair's two one-photon rows),
-# measured with one BLAS thread and the bytecode cached
-# (peak, stored state, ratio): 74.6 MiB, 2.00 MiB, 5.0 at alpha = 0;
-# 107.1 MiB, 7.15 MiB, 2.7 at alpha = 1; 189.6 MiB, 24.7 MiB, 0.9 at
-# alpha = 2; 296.4 MiB, 45.8 MiB, 0.75 at alpha = 2.5: the evolved states,
-# the channel battery's chunks and the heap the run's transients leave
-# behind. An earlier build, whose applies copied whole states, peaked at 5.2,
-# 2.7, 1.8 and 1.8; the largest is kept.
+# with one BLAS thread and the bytecode cached (peak, stored state, ratio):
+# 73.8 MiB, 2.00 MiB, 4.6 at alpha = 0; 101.1 MiB, 7.15 MiB, 1.9 at alpha = 1;
+# 175.6 MiB, 24.7 MiB, 0.35 at alpha = 2: the evolved states, the splitters'
+# chunks and the heap that transients leave; the channel battery reads no
+# state. Earlier builds read up to 5.2, and the largest is kept.
 _PEAK_PER_STATE_BYTE = 5.3
 # Peak traced memory of building one dense operator on a mode pair of
 # dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
 # and 2: 9.0 for a splitter (expm), 3.1 for a Kraus family (its 3d x d
-# buffer and one chunk of rows of its Gaussian), 1.1 for a Haar unitary,
-# and 6.0 for the channel battery's two alternating 3d x d buffers (7.2 at
-# alpha = 1 and 7.7 at alpha = 0 with the chunks it applies them in). The
+# buffer and one chunk of rows of its Gaussian), 1.1 for a Haar unitary, and
+# for the channel battery (its two alternating 3d x d buffers and the 64-row
+# chunks it contracts them in) 7.0, 6.5 and 6.3 at alpha = 0, 1 and 2. The
 # largest is charged for every pair a run builds on.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 
@@ -347,6 +347,25 @@ def evolve_and_reduce(
     return final, reduce_left(final), leakage
 
 
+def _arm_vectors(config: ExperimentConfig, alpha: complex) -> tuple[tuple[PureState, ...], ...]:
+    """(q0, q1) on each arm pair, arm a then arm b: on the pair (x, y),
+    v0 = |0> |alpha> and v1 = x+|0> |alpha> sent through the arm's splitter,
+    each arm at its own cutoffs."""
+    spec = config.hilbert_spec()
+    arms = []
+    for bs in _splitters(config)[1:]:
+        x, y = bs.mode_pair
+        pair = spec.subspace(bs.mode_pair)
+        u = beamsplitter_unitary(spec, bs)  # its space is `pair` itself, memoized
+        coherent = _mode_factor(pair, y, alpha)
+        prepared = [
+            product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
+            for photon in (False, True)
+        ]
+        arms.append(tuple(apply(u, v) for v in prepared))
+    return tuple(arms)
+
+
 def left_states_over_phases(
     config: ExperimentConfig, phis: Sequence[float], injected: bool
 ) -> list[DensityOperator]:
@@ -356,11 +375,10 @@ def left_states_over_phases(
 
     At phi = 0 the preparation is
     (1/sqrt2)[|10> v1a v0b + |01> v0a v1b] over (left pair, arm a, arm b),
-    where on each arm pair (x, y) v0 = |0> |alpha> and v1 = x+|0> |alpha>,
-    with alpha = 0 for the bare preparation. Each arm splitter acts on its
-    own pair and takes v0, v1 to q0, q1, so on the one-photon rows the left
+    with alpha = 0 for the bare preparation. Each arm splitter takes v0, v1
+    to q0, q1 (:func:`_arm_vectors`), so on the one-photon rows the left
     state is rho(10,10) = |q1a|^2 |q0b|^2 / 2, rho(01,01) = |q0a|^2 |q1b|^2 / 2
-    and rho(10,01) = <q0a|q1a> <q1b|q0b> / 2, each arm at its own cutoffs.
+    and rho(10,01) = <q0a|q1a> <q1b|q0b> / 2.
 
     The phase enters as e^{i phi n_b1} on the phi = 0 preparation, since the
     b-term holds the only b1 photon, and it and the left splitter act on
@@ -368,31 +386,17 @@ def left_states_over_phases(
     K rho K+ with K = U_left e^{i phi n_b1} on the left pair. Each state's
     leakage is one minus its trace.
     """
-    alpha = config.alpha if injected else 0.0
     if injected:
         _warn_if_inadequate(config)
-    spec = config.hilbert_spec()
-    left_bs, *arm_bs = _splitters(config)
-    arms = []  # (q0, q1) per arm
-    for bs in arm_bs:
-        x, y = bs.mode_pair
-        pair = spec.subspace(bs.mode_pair)
-        u = beamsplitter_unitary(spec, bs)  # its space is `pair` itself, memoized
-        coherent = _mode_factor(pair, y, alpha)
-        prepared = [
-            product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
-            for photon in (False, True)
-        ]
-        arms.append([apply(u, v) for v in prepared])
-    (q0a, q1a), (q0b, q1b) = arms
-    left = spec.subspace(LEFT_LABELS)
+    (q0a, q1a), (q0b, q1b) = _arm_vectors(config, config.alpha if injected else 0.0)
+    left = config.hilbert_spec().subspace(LEFT_LABELS)
     i10, i01 = left.index_of((1, 0)), left.index_of((0, 1))
     rho = np.zeros((left.dim, left.dim), dtype=np.complex128)
     rho[i10, i10] = 0.5 * q1a.norm2 * q0b.norm2
     rho[i01, i01] = 0.5 * q0a.norm2 * q1b.norm2
     rho[i10, i01] = 0.5 * inner(q0a, q1a) * inner(q1b, q0b)
     rho[i01, i10] = np.conj(rho[i10, i01])
-    u_left = beamsplitter_unitary(spec, left_bs).matrix  # its space is `left` itself
+    u_left = beamsplitter_unitary(left, _splitters(config)[0]).matrix
     n_b1 = np.indices(left.dims)[left.axis_of("b1")].ravel()
     out = []
     for phi in phis:
@@ -400,6 +404,28 @@ def left_states_over_phases(
         m = k @ rho @ k.conj().T
         out.append(DensityOperator(left, m, leakage=1.0 - np.trace(m).real))
     return out
+
+
+def _channel_branches(config: ExperimentConfig) -> list[Branch]:
+    """The injected preparation's two one-photon branches after the arm
+    splitters, before the left splitter, as (coefficient, arm a vector,
+    arm b vector), in the order of the left basis: |01>, then |10>."""
+    (q0a, q1a), (q0b, q1b) = _arm_vectors(config, config.alpha)
+    return [(SQRT_HALF * np.exp(1j * config.phi), q0a, q1b), (SQRT_HALF, q1a, q0b)]
+
+
+def _channel_lefts(
+    config: ExperimentConfig, grams: Sequence[np.ndarray], leakage: float
+) -> list[DensityOperator]:
+    """The left states of :func:`channels.channel_gram` results for
+    :func:`_channel_branches`: with U the left splitter's one-photon block,
+    U G U+ on the one-photon rows, each state carrying ``leakage``."""
+    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
+    rows, block = u.blocks[1]  # by total, in sector_slices order
+    out = [np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128) for _ in grams]
+    for m, gram in zip(out, grams):
+        m[rows, rows] = block @ gram @ block.conj().T
+    return [DensityOperator(u.spec, m, leakage=leakage) for m in out]
 
 
 def no_signaling_rows(
@@ -548,10 +574,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ``config.seed`` seeds only the channel battery's Haar draws, and
     ``config.trials`` is read by no stage.
 
-    The channel battery starts one worker thread and joins it before it
-    returns (:func:`channels.haar_channels_left`): the worker draws each Haar
-    isometry while this thread applies the one before, and every residual
-    is that of drawing and applying one channel after another.
+    The channels act on the injected preparation's arm-pair vectors
+    (:func:`_channel_branches`, :func:`channels.channel_gram`), not on the
+    evolved state, and each channel row compares the result with the
+    evolved state's left state: the rows also fail when the arm-vector route
+    and the six-mode route disagree. The battery starts one worker thread
+    and joins it before it returns (:func:`channels.haar_channels_left`):
+    the worker draws each Haar isometry while this thread contracts the one
+    before, and every residual is that of drawing and contracting one
+    channel after another.
     """
     heis = heisenberg_residuals(config)
 
@@ -581,18 +612,20 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
 
-    # one worker draws the Haar isometries ahead of their applies
+    # the channels act on the arm vectors; one worker draws the Haar
+    # isometries ahead of their contractions
+    branches = _channel_branches(config)
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
-    after_haar = haar_channels_left(
-        psi_with,
+    grams = haar_channels_left(
+        config.hilbert_spec(),
+        branches,
         [(pair, (config.seed, 2, k), 1) for k, pair in enumerate(pairs)]
         + [(pair, (config.seed, 3, k), 3) for k, pair in enumerate(pairs)],
     )
-    after_unitary, after_kraus = after_haar[:_CHANNEL_TRIALS], after_haar[_CHANNEL_TRIALS:]
-    after_projective = nonselective_left(
-        psi_with, occupation_projectors(config.hilbert_spec(), _SCAN_PAIR)
-    )
-    reduced += after_unitary + [after_projective] + after_kraus
+    grams.append(channel_gram(occupation_projectors(config.hilbert_spec(), _SCAN_PAIR), branches))
+    after = _channel_lefts(config, grams, psi_with.leakage)
+    reduced += after
+    unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
 
     def moved(states: list[DensityOperator]) -> float:
         return max(trace_distance(rho, rho_with) for rho in states)
@@ -603,9 +636,9 @@ def run_experiment(config: ExperimentConfig) -> Report:
         ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
         *no_signaling_rows(config, rho_with, rho_bare),
         ("left_oracle", oracle, base),
-        ("channel_unitary", moved(after_unitary), _EXACT_CHECK_TOL),
-        ("channel_projective", trace_distance(after_projective, rho_with), _EXACT_CHECK_TOL),
-        ("channel_kraus", moved(after_kraus), _EXACT_CHECK_TOL),
+        ("channel_unitary", moved(unitary), _EXACT_CHECK_TOL),
+        ("channel_projective", moved(projective), _EXACT_CHECK_TOL),
+        ("channel_kraus", moved(kraus), _EXACT_CHECK_TOL),
         ("selective_mixture", trace_distance(mixture, rho_with), _EXACT_CHECK_TOL),
         (
             "reduced_invariants",

@@ -29,12 +29,11 @@ is one block, a beam splitter one block per total-occupation sector of its
 pair, and a diagonal operator its nonzero entries as 1 x 1 blocks.
 :func:`apply` acts with a subset operator directly on the matching tensor axes
 of the state, one block at a time, which keeps the cost linear in the state
-size. It and :func:`applied_gram`, the left Gram matrix of the result
-without the result, share one kernel that works through the other axes a
-chunk of a few hundred columns at a time, so neither holds a full-size
-temporary. No run calls :func:`embed`, which materializes the full matrix:
-it is the independent dense cross-check of :func:`apply`, and the
-benchmark's tracer times it.
+size. Its kernel works through the other axes a chunk of a few hundred
+columns at a time, so it holds no full-size temporary besides its result.
+No run calls :func:`embed`, which materializes the full matrix: it is the
+independent dense cross-check of :func:`apply`, and the benchmark's tracer
+times it.
 
 What depends only on mode labels and cutoffs is built once. A spec computes
 its sizes on first access and keeps them; :meth:`HilbertSpec.subspace` is
@@ -48,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -338,13 +337,6 @@ class LinearOperator:
         object.__setattr__(self, "hermitian", hermitian)
         object.__setattr__(self, "unitary", unitary)
 
-    @functools.cached_property
-    def covers_basis(self) -> bool:
-        """True when every basis row lies in a block (a dense operator, a
-        splitter), so no row of the operator is zero by construction; kept
-        after the first access, as the blocks never change."""
-        return sum(block.shape[0] for _, block in self.blocks) == self.spec.dim
-
     @property
     def matrix(self) -> np.ndarray:
         """The dense matrix, read-only: a single block over the whole basis as
@@ -529,87 +521,34 @@ def _chunks(shape: tuple[int, ...], width: int) -> list[tuple]:
 
 
 def _block_products(
-    tensor: np.ndarray,
-    positions: tuple[int, ...],
-    blocks: Blocks,
-    covered: bool,
-    out: Optional[np.ndarray] = None,
-) -> Iterator[np.ndarray]:
+    tensor: np.ndarray, positions: tuple[int, ...], blocks: Blocks, out: np.ndarray
+) -> None:
     """The one way an operator acts: its blocks on the ``positions`` axes of
-    ``tensor``, one chunk of the other axes at a time.
-
-    Axis 0 of ``tensor`` is carried whole into every chunk and multiplied
-    index by index; the other free axes are cut by :func:`_chunks`. For each
-    chunk, when ``covered`` (every basis row lies in a block, see
-    :attr:`LinearOperator.covers_basis`), the chunk is copied in
-    operator-major order once and each block multiplies its rows; otherwise
-    only the rows inside each block are read, block by block. Yields, per
-    chunk and block, the products as a (tensor.shape[0], rows, columns)
-    buffer that the next step overwrites; when ``out`` (a zeroed array of the
-    tensor's shape) is given, they are also written into it, and rows outside
-    every block stay untouched.
-    """
+    ``tensor``, written into ``out``, an array of the tensor's shape. Each
+    chunk of the other axes (:func:`_chunks`) is copied once in
+    operator-major order, each block multiplies its rows of the copy, the
+    rows outside every block are zeroed, and the products go to the chunk's
+    place in ``out``."""
     k = len(positions)
-    free = tuple(i for i in range(1, tensor.ndim) if i not in positions)
-    order = (0,) + positions + free
-    moved = tensor.transpose(order)
-    target = None if out is None else out.transpose(order)
-    n_lead, op_shape = moved.shape[0], moved.shape[1 : k + 1]
-    op_dim = math.prod(op_shape)
-    width = max(_CHUNK_COLUMNS, _CHUNK_AMPLITUDES // (n_lead * op_dim))
-    chunks = _chunks(moved.shape[k + 1 :], width)
-    widest = moved[(slice(None),) * (k + 1) + chunks[0]].size // (n_lead * op_dim)
-    height = op_dim if covered else max((block.shape[0] for _, block in blocks), default=0)
-    room = n_lead * height * widest
+    free = tuple(i for i in range(tensor.ndim) if i not in positions)
+    order = positions + free
+    moved, target = tensor.transpose(order), out.transpose(order)
+    op_dim = math.prod(moved.shape[:k])
+    chunks = _chunks(moved.shape[k:], max(_CHUNK_COLUMNS, _CHUNK_AMPLITUDES // op_dim))
+    room = moved[(slice(None),) * k + chunks[0]].size
     gathered = np.empty(room, dtype=np.complex128)
     products = np.empty(room, dtype=np.complex128)
-    if not covered:  # each block's rows as index tuples into a chunk
-        block_rows = [
-            [(slice(None),) + np.unravel_index(f, op_shape) for f in range(op_dim)[sl]]
-            for sl, _ in blocks
-        ]
-
-    def buffers(rows: int, cols: int) -> tuple[np.ndarray, np.ndarray]:
-        size = n_lead * rows * cols
-        return (gathered[:size].reshape(n_lead, rows, cols),
-                products[:size].reshape(n_lead, rows, cols))
-
     for chunk in chunks:
-        where = (slice(None),) * (k + 1) + chunk
+        where = (slice(None),) * k + chunk
         src = moved[where]
-        cols = src.size // (n_lead * op_dim)
-        if covered:
-            x, y = buffers(op_dim, cols)
-            x.reshape(src.shape)[...] = src
-            for xi, yi in zip(x, y):  # one product per index of axis 0
-                for sl, block in blocks:
-                    # strided row views: BLAS reads and writes them in place
-                    np.matmul(block, xi[sl], out=yi[sl])
-            if target is not None:
-                target[where] = y.reshape(src.shape)
-            yield y
-            continue
-        row_shape = src.shape[:1] + src.shape[k + 1 :]
-        for (_, block), rows in zip(blocks, block_rows):
-            x, y = buffers(len(rows), cols)
-            for i, row in enumerate(rows):
-                x[:, i].reshape(row_shape)[...] = src[row]
-            for xi, yi in zip(x, y):
-                np.matmul(block, xi, out=yi)
-            if target is not None:
-                dst = target[where]
-                for i, row in enumerate(rows):
-                    dst[row] = y[:, i].reshape(row_shape)
-            yield y
-
-
-def _right_axes(op: LinearOperator, state: PureState) -> tuple[np.ndarray, tuple[int, ...]]:
-    """The state's tensor, its stored rows as axis 0 and then the right
-    modes, and the axes of the right-mode operator's modes in it."""
-    spec = state.spec
-    n_left = len(spec.left_dims)
-    tensor = state.stored.reshape((len(state.stored),) + spec.dims[n_left:])
-    return tensor, tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
+        x = gathered[: src.size].reshape(op_dim, -1)
+        y = products[: src.size].reshape(op_dim, -1)
+        x.reshape(src.shape)[...] = src
+        y.fill(0.0)  # the rows outside every block
+        for sl, block in blocks:
+            # strided row views: BLAS reads and writes them in place
+            np.matmul(block, x[sl], out=y[sl])
+        target[where] = y.reshape(src.shape)
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
@@ -623,7 +562,7 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     The blocks act chunk by chunk over the other axes
     (:func:`_block_products`) and are written straight into the result, so
     a state cut into several chunks needs no full-size temporary; rows
-    outside every block stay zero. The chunks keep the bits of one product
+    outside every block are zero. The chunks keep the bits of one product
     over all columns.
 
     After a unitary-flagged operator any norm squared the state lost is added
@@ -638,23 +577,20 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     n_left = len(spec.left_dims)
     left = range(spec.left_dim)
     rows, blocks = state.rows, op.blocks
-    n_rows = len(state.stored)
     on_left = op.spec.modes == spec.modes[:n_left]
     on_rows = [block for sl, block in blocks if on_left and left[sl] == left[rows]]
     if on_rows:
         tensor, positions = state.stored, (0,)
-        blocks = ((slice(0, n_rows), on_rows[0]),)
+        blocks = ((slice(0, len(state.stored)), on_rows[0]),)
     elif any(m in LEFT_LABELS for m in op.spec.modes):
         rows = slice(0, len(left))
         tensor = state.amplitudes.reshape(spec.dims)
         positions = tuple(spec.axis_of(m) for m in op.spec.modes)
-    else:
-        tensor, positions = _right_axes(op, state)
-    covered = bool(on_rows) or op.covers_basis
-    new = np.zeros((1,) + tensor.shape, dtype=np.complex128)
-    axes = tuple(p + 1 for p in positions)  # behind the new axis 0
-    for _ in _block_products(tensor[None], axes, blocks, covered, out=new):
-        pass  # the kernel writes each chunk into new
+    else:  # the stored rows as axis 0, then the right modes
+        tensor = state.stored.reshape((len(state.stored),) + spec.dims[n_left:])
+        positions = tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
+    new = np.empty(tensor.shape, dtype=np.complex128)
+    _block_products(tensor, positions, blocks, out=new)
     new = new.reshape(-1)
     leakage = state.leakage
     if op.unitary:
@@ -662,25 +598,6 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
         new_n2 = float(np.vdot(new, new).real)
         leakage += max(0.0, old_n2 - new_n2)
     return PureState(spec, new, leakage=leakage, fresh=True, rows=rows)
-
-
-def applied_gram(op: LinearOperator, state: PureState) -> np.ndarray:
-    """The Gram matrix of the stored rows of ``apply(op, state)``, for an
-    operator on right modes only: entry (i, j) is the inner product of the
-    branch's rows j and i over the right modes. It is summed chunk by chunk
-    from :func:`_block_products`, with the stored rows carried whole in each
-    chunk, so the branch itself is never built."""
-    if not state.spec.contains(op.spec):
-        raise ValueError("operator modes/cutoffs do not match the state space")
-    if any(m in LEFT_LABELS for m in op.spec.modes):
-        raise ValueError(f"applied_gram needs an operator on right modes, got {op.spec.modes}")
-    tensor, positions = _right_axes(op, state)
-    n_rows = len(tensor)
-    gram = np.zeros((n_rows, n_rows), dtype=np.complex128)
-    for y in _block_products(tensor, positions, op.blocks, op.covers_basis):
-        x = y.reshape(n_rows, -1)
-        gram += x @ x.conj().T
-    return gram
 
 
 def _common_rows(x: PureState, y: PureState) -> tuple[np.ndarray, np.ndarray]:

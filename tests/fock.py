@@ -2,8 +2,9 @@
 
 Basis states, single-mode operators and the rank-1 occupation projectors,
 plus the plain forms of what the package computes in a fused way or not at
-all: conditioning on one projector at a time, the completeness of an
-operator family, the adjoint, and the density-operator checks that raise.
+all: conditioning on one projector at a time, a channel's left state from
+the six-mode state, the completeness of an operator family, the adjoint, and
+the density-operator checks that raise.
 Each is written independently of the code it checks, on dense matrices or
 one projector at a time, so a test that compares the two compares two
 routes to one answer.
@@ -17,6 +18,8 @@ import scipy.linalg
 from kalamidas import optics
 from kalamidas.channels import PROBABILITY_FLOOR
 from kalamidas.hilbert import (
+    LEFT_LABELS,
+    RIGHT_LABELS,
     DensityOperator,
     HilbertSpec,
     LinearOperator,
@@ -136,6 +139,33 @@ def selective_outcome(
         state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
     )
     return conditional, p
+
+
+def nonselective_left(
+    state: PureState, operators: Sequence[LinearOperator]
+) -> DensityOperator:
+    """Left reduction of sum_k A_k |psi><psi| A_k+, the outcomes discarded:
+    the six-mode reference for ``channels.channel_gram``.
+
+    Each branch A_k |psi> is built by ``apply`` and contributes the Gram
+    matrix of its stored rows. The operators must act on right modes only;
+    that they form a channel is the caller's to ensure. Such a channel
+    preserves the trace, so the output carries the input state's leakage.
+    """
+    if not operators:
+        raise ValueError("nonselective_left needs at least one operator")
+    n_rows = len(state.stored)
+    gram = np.zeros((n_rows, n_rows), dtype=np.complex128)
+    for a in operators:
+        bad = [m for m in a.spec.modes if m not in RIGHT_LABELS]
+        if bad:
+            raise ValueError(f"operation must act on right modes only, got {bad}")
+        branch = apply(a, state).stored
+        gram += branch @ branch.conj().T
+    left = state.spec.subspace(LEFT_LABELS)
+    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
+    out[state.rows, state.rows] = gram
+    return DensityOperator(left, out, leakage=state.leakage)
 
 
 def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:

@@ -13,20 +13,23 @@ from kalamidas import (
     apply,
     HilbertSpec,
     conditional_left_by_occupation,
-    nonselective_left,
+    evolve,
+    initial_state_with_coherent,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
     reduce_left,
     trace_distance,
 )
-from kalamidas.channels import haar_channels_left
+from kalamidas.channels import channel_gram, haar_channels_left
+from kalamidas.experiment import _RIGHT_PAIRS, _channel_branches, _channel_lefts
 from kalamidas.hilbert import embed
 
 from fock import (
     completeness_defect,
     haar_isometry_reference,
     identity,
+    nonselective_left,
     selective_outcome,
     tuple_projectors,
     vacuum,
@@ -293,35 +296,87 @@ def test_haar_draws_keep_the_bits_of_the_whole_buffer_qr(cutoff):
 
 
 def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec):
-    psi = _random_state(quick_spec, 41)
+    """The worker thread changes no bit: each Gram matrix equals
+    channel_gram of the family drawn on its own."""
+    config = ExperimentConfig(alpha=0.6, phi=0.9, cutoffs=quick_spec.cutoffs)
+    branches = _channel_branches(config)
     pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
     draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
     draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
-    got = haar_channels_left(psi, draws)
+    got = haar_channels_left(quick_spec, branches, draws)
     want = [
-        nonselective_left(psi, (random_right_unitary(quick_spec, modes, seed),)
-                          if k == 1 else random_kraus(quick_spec, modes, seed, k))
+        channel_gram((random_right_unitary(quick_spec, modes, seed),)
+                     if k == 1 else random_kraus(quick_spec, modes, seed, k), branches)
         for modes, seed, k in draws
     ]
     assert len(got) == len(want)
-    for rho, ref in zip(got, want):
-        assert np.array_equal(rho.matrix, ref.matrix)
-        assert rho.leakage == ref.leakage
-    assert haar_channels_left(psi, []) == []
+    for gram, ref in zip(got, want):
+        assert np.array_equal(gram, ref)
+    assert haar_channels_left(quick_spec, branches, []) == []
 
 
-def test_nonselective_left_reads_only_the_projectors_rows(evolved_states):
-    """Each total-occupation projector holds a few 1 x 1 blocks; the channel
-    reads those rows of the alpha = 1 state and builds no branch, so all 43
-    together trace less than one stored state."""
-    psi = evolved_states[0]
-    family = occupation_projectors(psi.spec, ("a2", "b2"))
-    assert len(family) == 43
+_REFERENCE_CONFIGS = {
+    "quick": dict(alpha=1.0, phi=0.7, cutoffs=(1, 1, 2, 2, 2, 2)),
+    "ragged": dict(alpha=0.5 + 0.3j, phi=2.0, t=0.6, cutoffs=(1, 1, 3, 2, 4, 2)),
+    "b1=2": dict(alpha=0.5, phi=1.3, t=0.3, cutoffs=(1, 2, 3, 3, 3, 3)),
+    "a3=0": dict(alpha=0.5, phi=-1.0, t=0.8, cutoffs=(1, 1, 3, 3, 0, 3)),
+    "t=0": dict(alpha=0.7, phi=1.0, t=0.0, cutoffs=(1, 1, 2, 2, 2, 2)),
+    "t=1": dict(alpha=1.0, phi=0.4, t=1.0, cutoffs=(1, 1, 3, 2, 4, 2)),
+}
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize("name", list(_REFERENCE_CONFIGS))
+def test_channel_gram_equals_the_six_mode_reference(name):
+    """The left state from the arm vectors' Gram matrix equals the six-mode
+    reduction of every branch of the evolved state, for a Haar unitary and a
+    Kraus family on each right pair and occupation projectors on a pair
+    across the arms and on an arm's own pair."""
+    config = ExperimentConfig(**_REFERENCE_CONFIGS[name])
+    spec = config.hilbert_spec()
+    psi = evolve(initial_state_with_coherent(config), config)
+    if name == "b1=2":
+        assert psi.rows == slice(1, 4, 2)
+    branches = _channel_branches(config)
+    families = [
+        family
+        for k, pair in enumerate(_RIGHT_PAIRS)
+        for family in ((random_right_unitary(spec, pair, k),), random_kraus(spec, pair, k, k=3))
+    ]
+    families += [occupation_projectors(spec, pair) for pair in [("a2", "b2"), ("a2", "a3")]]
+    for family in families:
+        (got,) = _channel_lefts(config, [channel_gram(family, branches)], psi.leakage)
+        want = nonselective_left(psi, family)
+        assert np.abs(got.matrix - want.matrix).max() <= 1e-14
+        assert got.leakage == want.leakage
+
+
+def test_channel_gram_refuses_operators_off_a_right_pair(quick_spec):
+    branches = _channel_branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs))
+    single = random_right_unitary(quick_spec, ("a2",), 1)
+    left = identity(quick_spec.subspace(("a1", "b1")))
+    wide = random_right_unitary(quick_spec, ("a2", "b2", "a3"), 1)
+    for family in [(single,), (left,), (wide,)]:
+        with pytest.raises(ValueError, match="right"):
+            channel_gram(family, branches)
+    with pytest.raises(ValueError, match="at least one"):
+        channel_gram((), branches)
+
+
+def test_a_cross_pair_kraus_family_is_contracted_a_chunk_of_rows_at_a_time():
+    """At the alpha = 1 default one operator on (a2, b2) is 3.6 MiB and one
+    stored state 7.2 MiB. The contraction allocates no temporary above one
+    64-row chunk (0.47 MiB): the peak is the chunk, the two products made
+    from it and small arrays."""
+    config = ExperimentConfig()
+    branches = _channel_branches(config)
+    family = random_kraus(config.hilbert_spec(), ("a2", "b2"), (0, 3, 0), k=3)
+    chunk = 64 * 16 * family[0].spec.dim
+    assert chunk < 2**20
     tracemalloc.start()
     try:
-        after = nonselective_left(psi, family)
+        channel_gram(family, branches)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < psi.stored.nbytes
-    assert np.abs(after.matrix - reduce_left(psi).matrix).max() < 1e-15
+    assert peak < 3 * chunk + 2**17

@@ -24,7 +24,6 @@ from kalamidas import (
     initial_state_bare,
     initial_state_with_coherent,
     inner,
-    nonselective_left,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
@@ -32,6 +31,7 @@ from kalamidas import (
     trace_distance,
 )
 from kalamidas import channels, experiment, hilbert
+from kalamidas.channels import channel_gram
 from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
 
@@ -430,19 +430,26 @@ def test_the_heisenberg_check_reads_the_sectors_up_to_the_smaller_cutoff(monkeyp
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
-def test_nx_diagonal_arm_splitters_still_pass(monkeypatch):
-    """A known hole, pinned so that closing it shows. Arm splitters cut to
-    their n_x-diagonal entries move no photon at all and lose 0.65 of the
-    norm. Each arm still sends its photon and its vacuum vector to orthogonal
-    vectors, with the same weights in both arms, so the normalized left state
-    does not move; and the structure tolerance, base + 2 sqrt(booked loss),
-    is wide enough to hold the distorted state. A check on the norm that
-    unitary-flagged applies lose must catch this fault; this test then
-    asserts its failure."""
+def test_nx_diagonal_arm_splitters_fail_the_channel_rows(monkeypatch):
+    """Arm splitters cut to their n_x-diagonal entries move no photon at all
+    and lose 0.65 of the norm. Each arm still sends its photon and its
+    vacuum vector to orthogonal vectors, with the same weights in both arms,
+    so the normalized left state does not move; and the structure tolerance,
+    base + 2 sqrt(booked loss), is wide enough to hold the distorted state.
+    The fault is caught across the two routes: the channel rows contract the
+    arm vectors, which the true splitters build outside evolve, and compare
+    them with the six-mode state's left state, which carries the loss. A
+    loss that both routes share (in apply, say) would pass here and still
+    widen structure, until a check on the norm that unitary-flagged applies
+    lose lands."""
     monkeypatch.setattr(experiment, "evolve", _evolve_with_banded_arms(0))
     report = run_experiment(ExperimentConfig(**FAULTY))
     assert report.leakage["final_with_coherent"] > 0.5
-    assert report.verdict == "pass"
+    failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
+    channel_rows = {"channel_unitary", "channel_projective", "channel_kraus"}
+    assert failing == channel_rows | {"reduced_invariants"}
+    assert min(report.residuals[name] for name in failing) > 0.3
+    assert report.verdict == "fail"
 
 
 def test_report_is_identical_when_every_splitter_comes_from_the_cache():
@@ -537,46 +544,48 @@ def test_evolve_and_reduce_holds_at_most_two_states_at_once(evolved_states):
 
 
 def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(monkeypatch):
-    """The worker thread changes no bit: every left matrix and channel
+    """The worker thread changes no bit: every Gram matrix and channel
     residual of the run equals the serial recomputation through the public
-    draws and nonselective_left."""
+    draws and channel_gram."""
     config = ExperimentConfig(alpha=0.0, trials=3)
     recorded = []
 
-    def recording(state, operators):
-        rho = nonselective_left(state, operators)
-        recorded.append(rho)
-        return rho
+    def recording(operators, branches):
+        gram = channel_gram(operators, branches)
+        recorded.append(gram)
+        return gram
 
-    monkeypatch.setattr(channels, "nonselective_left", recording)
-    monkeypatch.setattr(experiment, "nonselective_left", recording)
+    monkeypatch.setattr(channels, "channel_gram", recording)
+    monkeypatch.setattr(experiment, "channel_gram", recording)
     report = run_experiment(config)
     monkeypatch.undo()
 
     spec = config.hilbert_spec()
     psi, rho, _ = evolve_and_reduce(config, injected=True)
+    branches = experiment._channel_branches(config)
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
     unitaries = [
-        nonselective_left(psi, (random_right_unitary(spec, pair, (config.seed, 2, k)),))
+        channel_gram((random_right_unitary(spec, pair, (config.seed, 2, k)),), branches)
         for k, pair in enumerate(pairs)
     ]
     kraus = [
-        nonselective_left(psi, random_kraus(spec, pair, (config.seed, 3, k), k=3))
+        channel_gram(random_kraus(spec, pair, (config.seed, 3, k), k=3), branches)
         for k, pair in enumerate(pairs)
     ]
-    projective = nonselective_left(psi, occupation_projectors(spec, ("a2", "b2")))
+    projective = channel_gram(occupation_projectors(spec, ("a2", "b2")), branches)
     serial = unitaries + kraus + [projective]
     assert len(recorded) == len(serial)
     for got, want in zip(recorded, serial):
-        assert np.array_equal(got.matrix, want.matrix)
+        assert np.array_equal(got, want)
 
-    def moved(states):
-        return max(trace_distance(s, rho) for s in states)
+    def moved(grams):
+        lefts = experiment._channel_lefts(config, grams, psi.leakage)
+        return max(trace_distance(left, rho) for left in lefts)
 
     assert report.residuals["channel_unitary"] == moved(unitaries)
     assert report.residuals["channel_kraus"] == moved(kraus)
-    assert report.residuals["channel_projective"] == trace_distance(projective, rho)
+    assert report.residuals["channel_projective"] == moved([projective])
 
 
 class _DrawFailed(RuntimeError):

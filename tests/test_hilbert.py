@@ -25,7 +25,6 @@ from kalamidas import (
 from kalamidas.hilbert import (
     LEFT_LABELS,
     _chunks,
-    applied_gram,
     embed,
     product_state,
     sector_slices,
@@ -627,13 +626,3 @@ def test_chunked_apply_keeps_the_bits_of_one_whole_product(evolved_states):
     ]
     for op in operators:
         assert np.array_equal(apply(op, psi).stored, whole_product_apply(op, psi))
-
-
-@pytest.mark.parametrize("pair", _RIGHT_PAIRS)
-def test_applied_gram_is_the_left_gram_of_the_branch(pair):
-    psi = _random_state(_RAGGED, 12)
-    for op in [random_right_unitary(_RAGGED, pair, 3), *occupation_projectors(_RAGGED, pair)]:
-        want = reduce_left(apply(op, psi)).matrix
-        assert np.allclose(applied_gram(op, psi), want, rtol=0, atol=1e-15)
-    with pytest.raises(ValueError, match="right modes"):
-        applied_gram(beamsplitter_unitary(_RAGGED, BeamSplitter(("a1", "b1"), 0.6, 0.8)), psi)

@@ -5,7 +5,10 @@ This is the flip side of the no-signaling verdict: conditioning on a recorded
 right-side outcome does move the left state (nonzero contrast), but the
 probability-weighted mixture of all conditionals restores the unconditional
 state, so nothing is transmitted until the record itself travels. The first
-row is the report's selective outcome.
+row is the report's selective outcome. No six-mode state is built: the scan
+and the unconditional state each come from the arm-pair vectors by their own
+route, and the last line is the distance between the scan's mixture and
+that state.
 
 Example:
     python scripts/selective_scan.py --alpha-re 1 --top 8
@@ -18,7 +21,7 @@ import numpy as np
 
 from kalamidas import trace_distance
 from kalamidas.experiment import (
-    ExperimentConfig, NoOutcomeError, check_memory, evolve_and_reduce, selective_ranking,
+    ExperimentConfig, NoOutcomeError, check_memory, left_states_over_phases, selective_ranking,
 )
 
 
@@ -41,12 +44,12 @@ def main() -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    psi, rho, _ = evolve_and_reduce(config, injected=True)
     try:
-        ranked, mixture = selective_ranking(psi, rho)
+        ranked, mixture = selective_ranking(config)
     except NoOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    (rho,) = left_states_over_phases(config, [config.phi], injected=True)
 
     header = f"{'n_a2':>4} {'n_b2':>4} {'probability':>13} {'contrast':>11} {'p*contrast':>12}"
     print(header)

@@ -17,8 +17,8 @@ built.
 Selective conditioning on a recorded outcome is the one operation that does
 move the left reduced state, which is why it cannot be used for signaling
 without classically communicating the outcome. The occupation scan,
-:func:`conditional_left_by_occupation`, conditions on every occupation
-outcome at once and makes the effect measurable outcome by outcome.
+:func:`conditional_left_by_occupation`, conditions the same branches on
+every outcome of one mode of each arm at once.
 
 Seeded generators provide reproducible Haar-random unitaries and complete
 Kraus families, both read-only views of one Haar isometry per seed, drawn
@@ -36,9 +36,8 @@ import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .hilbert import (
-    LEFT_LABELS,
+    MODE_LABELS,
     RIGHT_LABELS,
-    DensityOperator,
     HilbertSpec,
     LinearOperator,
     PureState,
@@ -274,32 +273,29 @@ def haar_channels_left(
 
 
 def conditional_left_by_occupation(
-    state: PureState, modes: Sequence[str]
-) -> tuple[list[tuple[tuple[int, ...], float, DensityOperator]], DensityOperator]:
-    """Condition on every occupation outcome of the given right modes at once.
+    branches: Sequence[Branch], modes: Sequence[str]
+) -> tuple[list[tuple[tuple[int, ...], float, np.ndarray]], np.ndarray]:
+    """Condition the branches (c_i, Fa_i, Fb_i) of :func:`channel_gram` on
+    every occupation outcome of one mode of each arm at once.
 
     Returns (outcomes, mixture). ``outcomes`` lists (occupation, probability,
-    conditional left state) in scan order for every outcome at or above
-    PROBABILITY_FLOOR. ``mixture`` sums every outcome's unnormalized left
-    matrix, sub-floor ones included, so it reproduces the unconditional
-    reduced state and carries the state's leakage. Equivalent to projecting
-    on each occupation tuple, normalizing and reducing to the left pair, but
-    computed in a single contraction.
+    conditional Gram matrix of trace 1) in scan order (``modes`` in mode
+    order, the last fastest) for every outcome at or above
+    PROBABILITY_FLOOR; outcome (n, m) has the Gram entry
+    c_i conj(c_j) A_ij[n, n] B_ij[m, m], A and B the one-mode marginals of
+    each arm. ``mixture`` sums every outcome's Gram matrix, sub-floor ones
+    included: the Gram matrix of the whole state.
     """
-    spec = state.spec
-    sub = _right(spec.subspace(modes))
-    left = spec.subspace(LEFT_LABELS)  # the modes of slots 0 and 1
-    # the stored rows as axis 0, then the right modes at their slots less one
-    scan_pos = tuple(spec.axis_of(m) - 1 for m in sub.modes)
-    rest_pos = tuple(i for i in range(1, len(spec.modes) - 1) if i not in scan_pos)
-    n_rows = len(state.stored)
-    tensor = state.stored.reshape((n_rows,) + spec.dims[2:])
-    a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(n_rows, sub.dim, -1)
-    grams = np.zeros((sub.dim, left.dim, left.dim), dtype=np.complex128)
-    grams[:, state.rows, state.rows] = np.einsum("iko,jko->kij", a, a.conj())
-    outcomes = [
-        (sub.occupation_of(k), float(p), DensityOperator(left, grams[k] / p))
-        for k, p in enumerate(np.einsum("kii->k", grams).real)
-        if p >= PROBABILITY_FLOOR
-    ]
-    return outcomes, DensityOperator(left, grams.sum(axis=0), leakage=state.leakage)
+    arms = [[fa for _, fa, _ in branches], [fb for _, _, fb in branches]]
+    ordered = sorted(modes, key=MODE_LABELS.index)
+    owners = [next((arm for arm in arms if m in arm[0].spec.modes), None) for m in ordered]
+    if len(owners) != 2 or None in owners or owners[0] is owners[1]:
+        raise ValueError(f"the scan needs one mode of each arm, got {tuple(modes)}")
+    diagonals = [np.array([[np.diagonal(_marginal(f, g, m)) for g in arm] for f in arm])
+                 for arm, m in zip(owners, ordered)]
+    coeffs = np.array([c for c, _, _ in branches], dtype=np.complex128)
+    grams = np.einsum("ijx,ijy->xyij", *diagonals) * np.outer(coeffs, coeffs.conj())
+    p = np.einsum("xyii->xy", grams).real
+    kept = map(tuple, np.argwhere(p >= PROBABILITY_FLOOR).tolist())  # in scan order
+    outcomes = [(k, float(p[k]), grams[k] / p[k]) for k in kept]
+    return outcomes, grams.sum(axis=(0, 1))

@@ -29,6 +29,7 @@ import functools
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence, Union
@@ -298,20 +299,21 @@ def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
 
 
 def _warn_if_inadequate(config: ExperimentConfig) -> None:
-    """Warn, for the caller of the caller, when a right-mode cutoff is below
-    the adequacy rule for the config's alpha."""
+    """Warn when a right-mode cutoff is below the adequacy rule for the
+    config's alpha, attributed to the first calling frame outside this
+    package."""
     if config.adequacy_warning:
-        low = [
-            label
-            for label in RIGHT_LABELS
-            if config.cutoffs_map[label] < config.required_cutoff
-        ]
+        package = os.path.dirname(__file__) + os.sep
+        frame, level = sys._getframe(1), 2  # the caller is level 2
+        while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+            frame, level = frame.f_back, level + 1
+        low = [m for m in RIGHT_LABELS if config.cutoffs_map[m] < config.required_cutoff]
         warnings.warn(
             f"right-mode cutoffs {low} are below the adequacy rule "
             f"({config.required_cutoff}) for |alpha| = {abs(config.alpha):.4g}; "
             f"the structure tolerance is scaled by the resulting leakage",
             CutoffAdequacyWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -448,28 +450,32 @@ class NoOutcomeError(ValueError):
 
 
 def selective_ranking(
-    final: PureState, rho: DensityOperator
+    config: ExperimentConfig,
 ) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
     """Every (a2, b2) outcome at or above PROBABILITY_FLOOR as (occupation,
-    probability, contrast, conditional left state), and the mixture; ``rho``
-    is the left state of ``final``. Row 0 is the report's outcome: in scan
-    order, a later outcome wins only when its probability times contrast is
-    larger by more than 1e-15. The rest follow by that product, descending.
-    Raises NoOutcomeError when no outcome clears the floor."""
-    outcomes, mixture = conditional_left_by_occupation(final, _SCAN_PAIR)
+    probability, contrast, conditional left state), and the mixture of every
+    outcome (leakage one minus its trace), from the arm-pair vectors of
+    :func:`_channel_branches`. The contrast is the trace distance from the
+    normalized mixture. One rule orders the rows: probability times
+    contrast, rounded to 15 decimals, descending, ties in scan order; row 0
+    is the report's outcome. Raises NoOutcomeError when no outcome clears
+    the floor."""
+    outcomes, gram = conditional_left_by_occupation(_channel_branches(config), _SCAN_PAIR)
+    norm2 = float(np.trace(gram).real)
     if not outcomes:
         raise NoOutcomeError(
             f"no ({', '.join(_SCAN_PAIR)}) outcome has probability above the floor "
-            f"{PROBABILITY_FLOOR:.0e} in a state with norm squared {final.norm2:.3g}; "
-            f"raise the cutoffs"
+            f"{PROBABILITY_FLOOR:.0e} in a state with norm squared {norm2:.3g}; raise the cutoffs"
         )
-    baseline = normalized(rho)
-    rows = [(occ, p, trace_distance(cond, baseline), cond) for occ, p, cond in outcomes]
-    score = [p * contrast for _, p, contrast, _ in rows]
-    ks = range(len(rows))
-    best = functools.reduce(lambda i, j: j if score[j] > score[i] + 1e-15 else i, ks)
-    order = sorted(ks, key=lambda i: (i != best, -score[i]))  # stable: ties keep scan order
-    return [rows[i] for i in order], mixture
+    *conditionals, baseline = _channel_lefts(
+        config, [cond for _, _, cond in outcomes] + [gram / norm2], 0.0
+    )
+    (mixture,) = _channel_lefts(config, [gram], 1.0 - norm2)
+    rows = [
+        (occ, p, trace_distance(cond, baseline), cond)
+        for (occ, p, _), cond in zip(outcomes, conditionals)
+    ]
+    return sorted(rows, key=lambda row: -round(row[1] * row[2], 15)), mixture
 
 
 def direct_final_state(config: ExperimentConfig) -> PureState:
@@ -564,27 +570,35 @@ class Report:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
-    Order: Heisenberg checks on the three splitters; the injected, then the
-    bare preparation, evolved and reduced (:func:`evolve_and_reduce`); the
-    selective ranking (:func:`selective_ranking`) and mixture, which raises
-    NoOutcomeError before the costlier stages when the scan is empty; the
-    structure check; trace distance and gap (:func:`no_signaling_rows`); the
-    analytic oracle, the trace distance from :func:`analytic_left_state`;
-    invariance under right-side unitary, projective, and Kraus channels.
-    ``config.seed`` seeds only the channel battery's Haar draws, and
-    ``config.trials`` is read by no stage.
+    Order: Heisenberg checks on the three splitters; the selective ranking
+    and mixture (:func:`selective_ranking`), which raises NoOutcomeError
+    before any six-mode state is built when the scan is empty; the injected,
+    then the bare preparation, evolved and reduced
+    (:func:`evolve_and_reduce`); the structure check; trace distance and gap
+    (:func:`no_signaling_rows`); the analytic oracle, the trace distance from
+    :func:`analytic_left_state`; invariance under right-side unitary,
+    projective, and Kraus channels. ``config.seed`` seeds only the channel
+    battery's Haar draws, and ``config.trials`` is read by no stage.
 
-    The channels act on the injected preparation's arm-pair vectors
-    (:func:`_channel_branches`, :func:`channels.channel_gram`), not on the
-    evolved state, and each channel row compares the result with the
-    evolved state's left state: the rows also fail when the arm-vector route
-    and the six-mode route disagree. The battery starts one worker thread
-    and joins it before it returns (:func:`channels.haar_channels_left`):
-    the worker draws each Haar isometry while this thread contracts the one
-    before, and every residual is that of drawing and contracting one
-    channel after another.
+    The scan and the channels act on the injected preparation's arm-pair
+    vectors (:func:`_channel_branches`), not on the evolved state, and the
+    selective mixture and each channel row compare the result with the
+    evolved state's left state: those rows also fail when the arm-vector
+    route and the six-mode route disagree. The battery's one worker thread
+    (:func:`channels.haar_channels_left`) is joined before it returns, and
+    every residual is that of drawing and contracting one channel after
+    another.
     """
     heis = heisenberg_residuals(config)
+
+    # before any six-mode state, so a scan with no outcome stops the run early
+    ranked, mixture = selective_ranking(config)
+    occupation, probability, contrast, _ = ranked[0]
+    selective = {
+        "outcome": dict(zip(_SCAN_PAIR, occupation)),
+        "probability": probability,
+        "conditional_trace_distance": contrast,
+    }
 
     psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
     rho_bare, leak_bare = evolve_and_reduce(config, injected=False)[1:]
@@ -596,17 +610,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
     }
     leak_max = max(leakage.values())
     # every left state the run produces, for the reduced_invariants check
-    reduced = [rho_with, rho_bare]
-
-    # before the channel battery, so a scan with no outcome stops the run early
-    ranked, mixture = selective_ranking(psi_with, rho_with)
-    reduced += [row[3] for row in ranked] + [mixture]
-    occupation, probability, contrast, _ = ranked[0]
-    selective = {
-        "outcome": dict(zip(_SCAN_PAIR, occupation)),
-        "probability": probability,
-        "conditional_trace_distance": contrast,
-    }
+    reduced = [rho_with, rho_bare] + [row[3] for row in ranked] + [mixture]
 
     structure = distance(psi_with, direct_final_state(config))
 

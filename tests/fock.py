@@ -2,9 +2,9 @@
 
 Basis states, single-mode operators and the rank-1 occupation projectors,
 plus the plain forms of what the package computes in a fused way or not at
-all: conditioning on one projector at a time, a channel's left state from
-the six-mode state, the completeness of an operator family, the adjoint, and
-the density-operator checks that raise.
+all: conditioning on one projector at a time, the occupation scan and a
+channel's left state from the six-mode state, the completeness of an
+operator family, the adjoint, and the density-operator checks that raise.
 Each is written independently of the code it checks, on dense matrices or
 one projector at a time, so a test that compares the two compares two
 routes to one answer.
@@ -166,6 +166,42 @@ def nonselective_left(
     out = np.zeros((left.dim, left.dim), dtype=np.complex128)
     out[state.rows, state.rows] = gram
     return DensityOperator(left, out, leakage=state.leakage)
+
+
+def conditional_left_by_occupation(
+    state: PureState, modes: Sequence[str]
+) -> tuple[list[tuple[tuple[int, ...], float, DensityOperator]], DensityOperator]:
+    """Condition on every occupation outcome of the given right modes at once:
+    the six-mode reference for ``channels.conditional_left_by_occupation``.
+
+    Returns (outcomes, mixture). ``outcomes`` lists (occupation, probability,
+    conditional left state) in scan order for every outcome at or above
+    PROBABILITY_FLOOR. ``mixture`` sums every outcome's unnormalized left
+    matrix, sub-floor ones included, so it reproduces the unconditional
+    reduced state and carries the state's leakage. Equivalent to projecting
+    on each occupation tuple, normalizing and reducing to the left pair, but
+    computed in a single contraction.
+    """
+    spec = state.spec
+    bad = [m for m in modes if m not in RIGHT_LABELS]
+    if bad:
+        raise ValueError(f"operation must act on right modes only, got {bad}")
+    sub = spec.subspace(modes)
+    left = spec.subspace(LEFT_LABELS)  # the modes of slots 0 and 1
+    # the stored rows as axis 0, then the right modes at their slots less one
+    scan_pos = tuple(spec.axis_of(m) - 1 for m in sub.modes)
+    rest_pos = tuple(i for i in range(1, len(spec.modes) - 1) if i not in scan_pos)
+    n_rows = len(state.stored)
+    tensor = state.stored.reshape((n_rows,) + spec.dims[2:])
+    a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(n_rows, sub.dim, -1)
+    grams = np.zeros((sub.dim, left.dim, left.dim), dtype=np.complex128)
+    grams[:, state.rows, state.rows] = np.einsum("iko,jko->kij", a, a.conj())
+    outcomes = [
+        (sub.occupation_of(k), float(p), DensityOperator(left, grams[k] / p))
+        for k, p in enumerate(np.einsum("kii->k", grams).real)
+        if p >= PROBABILITY_FLOOR
+    ]
+    return outcomes, DensityOperator(left, grams.sum(axis=0), leakage=state.leakage)
 
 
 def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:

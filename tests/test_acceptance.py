@@ -23,7 +23,6 @@ from kalamidas import (
     apply,
     analytic_left_state,
     beamsplitter_unitary,
-    conditional_left_by_occupation,
     direct_final_state,
     evolve,
     heisenberg_residuals,
@@ -40,7 +39,9 @@ from kalamidas.hilbert import embed
 from kalamidas.nosignal import expectation, random_left_observable
 from kalamidas.optics import displacement_unitary
 
-from fock import completeness_defect, number_op, vacuum, validate
+from fock import (
+    completeness_defect, conditional_left_by_occupation, number_op, vacuum, validate,
+)
 
 FROZEN_SELECTIVE_PROBABILITY = 0.27590958087858186
 FROZEN_SELECTIVE_CONTRAST = 1.0 / 6.0

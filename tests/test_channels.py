@@ -22,9 +22,13 @@ from kalamidas import (
     trace_distance,
 )
 from kalamidas.channels import channel_gram, haar_channels_left
-from kalamidas.experiment import _RIGHT_PAIRS, _channel_branches, _channel_lefts
+from kalamidas.experiment import (
+    _RIGHT_PAIRS, _channel_branches, _channel_lefts, selective_ranking,
+)
 from kalamidas.hilbert import embed
+from kalamidas.nosignal import normalized
 
+import fock
 from fock import (
     completeness_defect,
     haar_isometry_reference,
@@ -193,7 +197,7 @@ def test_selective_outcome_null_below_floor(quick_spec):
 
 def test_scan_matches_projector_by_projector_conditioning(quick_spec):
     psi = _random_state(quick_spec, 17)
-    outcomes, _ = conditional_left_by_occupation(psi, ("a2", "b2"))
+    outcomes, _ = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
     scanned = {occ: (prob, cond) for occ, prob, cond in outcomes}
     assert len(scanned) == len(outcomes)
     family = tuple_projectors(quick_spec, ("a2", "b2"))
@@ -213,13 +217,13 @@ def test_scan_matches_projector_by_projector_conditioning(quick_spec):
 
 def test_scan_mixture_restores_unconditional_state(quick_spec):
     psi = _random_state(quick_spec, 19)
-    _, mixture = conditional_left_by_occupation(psi, ("a2", "b2"))
+    _, mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
     assert np.abs(mixture.matrix - reduce_left(psi).matrix).max() < 1e-14
 
 
 def test_scan_keeps_subfloor_mass_in_the_mixture(quick_spec):
     psi = vacuum(quick_spec)
-    outcomes, mixture = conditional_left_by_occupation(psi, ("a2", "b2"))
+    outcomes, mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
     assert len(outcomes) == 1
     occ, prob, _ = outcomes[0]
     assert occ == (0, 0)
@@ -232,7 +236,7 @@ def test_scan_carries_leakage(quick_spec):
     amps = rng.standard_normal(quick_spec.dim) + 1j * rng.standard_normal(quick_spec.dim)
     amps *= 0.9 / np.linalg.norm(amps)
     state = PureState(quick_spec, amps, leakage=1.0 - 0.81)
-    _, mixture = conditional_left_by_occupation(state, ("a2", "b2"))
+    _, mixture = fock.conditional_left_by_occupation(state, ("a2", "b2"))
     assert mixture.leakage == pytest.approx(state.leakage)
     assert mixture.trace == pytest.approx(0.81, abs=1e-12)
     assert max(mixture.invariant_residuals().values()) < 1e-10
@@ -241,7 +245,7 @@ def test_scan_carries_leakage(quick_spec):
 def test_scan_rejects_left_modes(quick_spec):
     psi = _random_state(quick_spec, 29)
     with pytest.raises(ValueError):
-        conditional_left_by_occupation(psi, ("a1", "a2"))
+        fock.conditional_left_by_occupation(psi, ("a1", "a2"))
 
 
 def test_channel_invariance_under_embedded_unitary_composition(small_spec):
@@ -380,3 +384,49 @@ def test_a_cross_pair_kraus_family_is_contracted_a_chunk_of_rows_at_a_time():
     finally:
         tracemalloc.stop()
     assert peak < 3 * chunk + 2**17
+
+
+_SCAN_CONFIGS = {
+    **_REFERENCE_CONFIGS,
+    "alpha=0": dict(alpha=0.0),
+    "alpha=0.5": dict(alpha=0.5),
+    "alpha=1": dict(),
+}
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize("name", list(_SCAN_CONFIGS))
+def test_branch_scan_equals_the_six_mode_reference(name, request):
+    """The scan of the arm-pair vectors lists the outcomes of the six-mode
+    scan of the evolved state, in scan order, with the same probabilities,
+    conditional left states and mixture, and the selective ranking orders
+    them as the reference does under the same rule."""
+    config = ExperimentConfig(**_SCAN_CONFIGS[name])
+    if name == "alpha=1":
+        psi = request.getfixturevalue("evolved_states")[0]
+    else:
+        psi = evolve(initial_state_with_coherent(config), config)
+    if name == "b1=2":
+        assert psi.rows == slice(1, 4, 2)
+    outcomes, gram = conditional_left_by_occupation(_channel_branches(config), ("a2", "b2"))
+    want, want_mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
+    assert [occ for occ, _, _ in outcomes] == [occ for occ, _, _ in want]
+    conditionals = _channel_lefts(config, [cond for _, _, cond in outcomes], 0.0)
+    for (_, p, cond), got, (_, p_ref, ref) in zip(outcomes, conditionals, want):
+        assert abs(p - p_ref) <= 1e-14
+        assert np.trace(cond).real == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(got.matrix - ref.matrix).max() <= 1e-13
+    (mixture,) = _channel_lefts(config, [gram], 0.0)
+    assert np.abs(mixture.matrix - want_mixture.matrix).max() <= 1e-13
+
+    baseline = normalized(want_mixture)
+    scores = [(occ, p * trace_distance(ref, baseline)) for occ, p, ref in want]
+    ranked = sorted(scores, key=lambda row: -round(row[1], 15))
+    assert [row[0] for row in selective_ranking(config)[0]] == [occ for occ, _ in ranked]
+
+
+@pytest.mark.parametrize("modes", [("a2", "a3"), ("a1", "b2"), ("a2",)])
+def test_branch_scan_needs_one_mode_of_each_arm(quick_spec, modes):
+    branches = _channel_branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs))
+    with pytest.raises(ValueError, match="one mode of each arm"):
+        conditional_left_by_occupation(branches, modes)

@@ -315,6 +315,27 @@ def test_scan_with_no_outcome_above_the_floor_exits_2():
     assert "floor 1e-12" in errors[0]
 
 
+def test_scan_with_no_outcome_exits_2_before_any_six_mode_state(capsys, monkeypatch):
+    """The scan runs on the arm-pair vectors right after the Heisenberg
+    checks, so a run whose scan is empty stops before it evolves a state."""
+    def no_evolve(state, config):
+        raise AssertionError("a six-mode state was evolved")
+
+    monkeypatch.setattr("kalamidas.experiment.evolve", no_evolve)
+    assert main(["--alpha-re", "4", "--cutoff", "a3=1", "--cutoff", "b3=1"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "floor 1e-12" in err
+
+
+def test_adequacy_warning_names_no_file_of_the_package():
+    proc = _run(args=["--alpha-re", "0.5", "--cutoff", "a3=0"])
+    assert "CutoffAdequacyWarning" in proc.stderr
+    assert str(REPO / "src" / "kalamidas") not in proc.stderr
+    assert "experiment.py" not in proc.stderr
+
+
 def test_other_errors_inside_the_battery_are_not_exit_2(monkeypatch):
     def broken(config):
         raise ValueError("a fault inside the battery")

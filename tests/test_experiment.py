@@ -430,24 +430,27 @@ def test_the_heisenberg_check_reads_the_sectors_up_to_the_smaller_cutoff(monkeyp
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
-def test_nx_diagonal_arm_splitters_fail_the_channel_rows(monkeypatch):
+def test_nx_diagonal_arm_splitters_fail_the_arm_vector_rows(monkeypatch):
     """Arm splitters cut to their n_x-diagonal entries move no photon at all
     and lose 0.65 of the norm. Each arm still sends its photon and its
     vacuum vector to orthogonal vectors, with the same weights in both arms,
     so the normalized left state does not move; and the structure tolerance,
     base + 2 sqrt(booked loss), is wide enough to hold the distorted state.
-    The fault is caught across the two routes: the channel rows contract the
-    arm vectors, which the true splitters build outside evolve, and compare
-    them with the six-mode state's left state, which carries the loss. A
-    loss that both routes share (in apply, say) would pass here and still
-    widen structure, until a check on the norm that unitary-flagged applies
-    lose lands."""
+    The fault is caught across the two routes: the selective scan and the
+    channel battery contract the arm vectors, which the true splitters build
+    outside evolve, and the selective mixture and channel rows compare them
+    with the six-mode state's left state, which carries the loss. A loss
+    that both routes share (in apply, say) would pass here and still widen
+    structure, until a check on the norm that unitary-flagged applies lose
+    lands."""
     monkeypatch.setattr(experiment, "evolve", _evolve_with_banded_arms(0))
     report = run_experiment(ExperimentConfig(**FAULTY))
     assert report.leakage["final_with_coherent"] > 0.5
     failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
-    channel_rows = {"channel_unitary", "channel_projective", "channel_kraus"}
-    assert failing == channel_rows | {"reduced_invariants"}
+    arm_vector_rows = {
+        "channel_unitary", "channel_projective", "channel_kraus", "selective_mixture",
+    }
+    assert failing == arm_vector_rows | {"reduced_invariants"}
     assert min(report.residuals[name] for name in failing) > 0.3
     assert report.verdict == "fail"
 
@@ -525,6 +528,22 @@ def test_undersized_run_warns_once_at_config_level():
     adequacy = [w for w in caught if issubclass(w.category, CutoffAdequacyWarning)]
     assert len(adequacy) == 1
     assert "right-mode cutoffs" in str(adequacy[0].message)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        run_experiment,
+        initial_state_with_coherent,
+        lambda config: left_states_over_phases(config, [0.0], injected=True),
+    ],
+    ids=["run_experiment", "initial_state_with_coherent", "left_states_over_phases"],
+)
+def test_adequacy_warning_is_attributed_to_the_calling_code(call):
+    config = ExperimentConfig(alpha=1.0, cutoffs={m: 3 for m in ("a2", "b2", "a3", "b3")})
+    with pytest.warns(CutoffAdequacyWarning) as caught:
+        call(config)
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_evolve_and_reduce_holds_at_most_two_states_at_once(evolved_states):

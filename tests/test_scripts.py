@@ -4,7 +4,6 @@ import math
 import runpy
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -296,19 +295,16 @@ def test_scan_names_the_reports_selective_outcome():
     assert (outcome["a2"], outcome["b2"]) == first
 
 
-@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
 def test_scan_with_no_outcome_above_the_floor_exits_2(monkeypatch, capsys):
-    # the scan takes no cutoffs, so its state is evolved at the CLI's
-    # undersized alpha = 4 cutoffs, where no outcome reaches the floor; the
-    # default cutoffs are never built, so their memory charge is waived
-    evolve_and_reduce = experiment.evolve_and_reduce
+    # the scan takes no cutoffs, so the defaults it reads are undersized on
+    # a3 and b3 to those of the CLI's alpha = 4 run, where no outcome reaches
+    # the floor
+    default_cutoffs = experiment.default_cutoffs
 
-    def undersized(config, injected):
-        cutoffs = {**config.cutoffs_map, "a3": 1, "b3": 1}
-        return evolve_and_reduce(replace(config, cutoffs=cutoffs), injected)
+    def undersized(alpha):
+        return {**default_cutoffs(alpha), "a3": 1, "b3": 1}
 
-    monkeypatch.setattr(experiment, "evolve_and_reduce", undersized)
-    monkeypatch.setattr(experiment, "check_memory", lambda config: None)
+    monkeypatch.setattr(experiment, "default_cutoffs", undersized)
     monkeypatch.setattr(sys, "argv", [str(SCAN), "--alpha-re", "4"])
     with pytest.raises(SystemExit) as done:
         runpy.run_path(str(SCAN), run_name="__main__")
@@ -317,3 +313,16 @@ def test_scan_with_no_outcome_above_the_floor_exits_2(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error:") and "floor 1e-12" in err
     assert len(err.splitlines()) == 1
+
+
+def test_scan_builds_no_six_mode_state(monkeypatch, capsys):
+    def refused(*args):
+        raise AssertionError("a six-mode state was built")
+
+    monkeypatch.setattr(experiment, "evolve", refused)
+    monkeypatch.setattr(experiment, "initial_state_with_coherent", refused)
+    monkeypatch.setattr(sys, "argv", [str(SCAN), "--alpha-re", "1", "--top", "3"])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SCAN), run_name="__main__")
+    assert done.value.code == 0
+    assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["0", "0"]

@@ -1,11 +1,13 @@
 """Sweep the apparatus over amplitudes, transmissivities, and phases, and
 tabulate the left-side trace distance and signaling gap at each point.
 
-Each (alpha, t) and preparation takes its left state from four arm-pair
-vectors, each sent through its arm splitter, and serves every phase from
-that left state with a 4 x 4 rotation (experiment.left_states_over_phases);
-no six-mode state is built. The bare preparation is the same computation at
-alpha = 0, so an alpha = 0 group builds its left states once. Each point
+Each (alpha, t) and preparation builds its two branches from four arm-pair
+vectors, each sent through its arm splitter, and their 2 x 2 Gram matrix
+once; every phase rescales that Gram matrix and places it on the left pair
+with the left splitter (experiment.left_states_over_phases). No six-mode
+state is built, and the memory gate charges only the largest splitter
+build. The bare preparation is the same computation at alpha = 0, so an
+alpha = 0 group builds its left states once. Each point
 compares the two left states, normalized to unit trace, against --tolerance:
 the gap is the trace norm of their difference, twice the trace distance.
 --trials and --seed are validated and otherwise ignored, since a sweep draws
@@ -19,7 +21,7 @@ import math
 import sys
 
 from kalamidas.experiment import (
-    ExperimentConfig, check_memory, left_states_over_phases, no_signaling_rows,
+    ExperimentConfig, check_pair_memory, left_states_over_phases, no_signaling_rows,
 )
 
 
@@ -60,7 +62,7 @@ def main() -> int:
         ]
         for group in groups:
             for config in group:
-                check_memory(config)
+                check_pair_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,10 +5,12 @@ This is the flip side of the no-signaling verdict: conditioning on a recorded
 right-side outcome does move the left state (nonzero contrast), but the
 probability-weighted mixture of all conditionals restores the unconditional
 state, so nothing is transmitted until the record itself travels. The first
-row is the report's selective outcome. No six-mode state is built: the scan
-and the unconditional state each come from the arm-pair vectors by their own
-route, and the last line is the distance between the scan's mixture and
-that state.
+row is the report's selective outcome. No six-mode state is built, and the
+memory gate charges only the largest splitter build. The scan reads the
+diagonals of the arms' one-mode marginals, the unconditional state the
+overlaps of the arm-pair vectors (experiment.left_states_over_phases), and
+the left splitter places both; the last line is the distance between the
+scan's mixture and that state.
 
 Example:
     python scripts/selective_scan.py --alpha-re 1 --top 8
@@ -21,7 +23,11 @@ import numpy as np
 
 from kalamidas import trace_distance
 from kalamidas.experiment import (
-    ExperimentConfig, NoOutcomeError, check_memory, left_states_over_phases, selective_ranking,
+    ExperimentConfig,
+    NoOutcomeError,
+    check_pair_memory,
+    left_states_over_phases,
+    selective_ranking,
 )
 
 
@@ -40,7 +46,7 @@ def main() -> int:
         config = ExperimentConfig(
             alpha=complex(args.alpha_re, args.alpha_im), phi=args.phi, t=args.t
         )
-        check_memory(config)
+        check_pair_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

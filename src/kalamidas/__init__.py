@@ -2,9 +2,11 @@
 
 A single photon is split between a left pair of modes and a right pair, and
 coherent states may be injected on two auxiliary right modes. The package
-evolves the full six-mode state, reduces it to the left pair, and verifies
-numerically that nothing done on the right (injection, unitaries, projective
-or generalized measurements without record) moves the left reduced state.
+verifies numerically that nothing done on the right (injection, unitaries,
+projective or generalized measurements without record) moves the left
+reduced state: a verdict's structure, no-signaling and oracle rows from the
+evolved six-mode state, its channel rows and scan and both scripts from the
+2 x 2 Gram matrix of two branches of arm-pair vectors.
 """
 from .channels import (
     PROBABILITY_FLOOR,
@@ -32,7 +34,6 @@ from .hilbert import (
     LinearOperator,
     PureState,
     apply,
-    inner,
 )
 from .nosignal import (
     analytic_left_state,
@@ -73,7 +74,6 @@ __all__ = [
     "LinearOperator",
     "PureState",
     "apply",
-    "inner",
     "analytic_left_state",
     "reduce_left",
     "signaling_gap",

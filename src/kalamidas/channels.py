@@ -12,7 +12,7 @@ All three run through :func:`channel_gram` on a state given as its
 branches, sum_i |e_i> c_i Fa_i Fb_i with one vector per arm pair, (a2, a3)
 and (b2, b3): the apparatus before its left splitter. A channel on a right
 pair acts on the right factor of each branch alone, so no six-mode state is
-built.
+built; with no channel, the left Gram matrix is :func:`branch_gram`.
 
 Selective conditioning on a recorded outcome is the one operation that does
 move the left reduced state, which is why it cannot be used for signaling
@@ -64,6 +64,29 @@ def _right(sub: HilbertSpec) -> HilbertSpec:
 _GRAM_ROWS = 64
 
 
+def _owners(branches: Sequence[Branch], modes: Sequence[str]) -> list:
+    """For each mode, 1 or 2 when a branch's arm a or b vector holds it, else None."""
+    return [next((k for k in (1, 2) if m in branches[0][k].spec.modes), None) for m in modes]
+
+
+def _overlaps(branches: Sequence[Branch], k: int) -> np.ndarray:
+    """Entry (i, j) is <f_j|f_i> over the arm vectors f at place k."""
+    return np.array([[np.vdot(g[k].stored, f[k].stored) for g in branches] for f in branches])
+
+
+def _coefficients(branches: Sequence[Branch]) -> np.ndarray:
+    """Entry (i, j) is c_i conj(c_j) over the branches' coefficients c."""
+    coeffs = np.array([c for c, _, _ in branches], dtype=np.complex128)
+    return np.outer(coeffs, coeffs.conj())
+
+
+def branch_gram(branches: Sequence[Branch]) -> np.ndarray:
+    """The left Gram matrix of the branches (c_i, Fa_i, Fb_i) of
+    :func:`channel_gram`, which no right-side channel changes: entry (i, j)
+    is c_i conj(c_j) <Fa_j|Fa_i> <Fb_j|Fb_i>."""
+    return _coefficients(branches) * _overlaps(branches, 1) * _overlaps(branches, 2)
+
+
 def _marginal(f: PureState, g: PureState, mode: str) -> np.ndarray:
     """The one-mode marginal of |f><g| on ``mode``, for two vectors of one
     arm pair: the partial trace over the pair's other mode."""
@@ -89,16 +112,14 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
     if not operators:
         raise ValueError("channel_gram needs at least one operator")
     pair = _right(operators[0].spec)
-    arms = [[fa for _, fa, _ in branches], [fb for _, _, fb in branches]]
-    owners = [next((arm for arm in arms if m in arm[0].spec.modes), None) for m in pair.modes]
+    owners = _owners(branches, pair.modes)
     if len(owners) != 2 or None in owners or any(op.spec != pair for op in operators):
         raise ValueError(f"channel_gram needs operators on one right pair, got {pair.modes}")
     n = len(branches)
     acc = np.zeros((n, n), dtype=np.complex128)
-    if owners[0] is owners[1]:  # the arm's own pair
-        vectors = np.array([f.stored.reshape(-1) for f in owners[0]]).T
-        other = arms[1] if owners[0] is arms[0] else arms[0]
-        overlaps = np.array([[np.vdot(g.stored, f.stored) for g in other] for f in other])
+    if owners[0] == owners[1]:  # the arm's own pair
+        vectors = np.array([f[owners[0]].stored.reshape(-1) for f in branches]).T
+        overlaps = _overlaps(branches, 3 - owners[0])  # the other arm's
 
         def contract(rows: np.ndarray) -> None:
             w = rows @ vectors
@@ -106,8 +127,8 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
 
     else:  # the upper triangle; the rest is its conjugate
         upper = list(zip(*np.triu_indices(n)))
-        marginals = [[_marginal(arm[i], arm[j], m) for arm, m in zip(owners, pair.modes)]
-                     for i, j in upper]
+        marginals = [[_marginal(branches[i][k], branches[j][k], m)
+                      for k, m in zip(owners, pair.modes)] for i, j in upper]
         overlaps = 1.0
 
         def contract(rows: np.ndarray) -> None:
@@ -128,10 +149,9 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
                 chunk[filled : filled + len(rows), sl] = rows
                 filled += len(rows)
     contract(chunk[:filled])
-    if owners[0] is not owners[1]:
+    if owners[0] != owners[1]:
         acc += np.triu(acc, 1).conj().T
-    coeffs = np.array([c for c, _, _ in branches], dtype=np.complex128)
-    return np.outer(coeffs, coeffs.conj()) * acc * overlaps
+    return _coefficients(branches) * acc * overlaps
 
 
 def occupation_projectors(
@@ -284,17 +304,15 @@ def conditional_left_by_occupation(
     PROBABILITY_FLOOR; outcome (n, m) has the Gram entry
     c_i conj(c_j) A_ij[n, n] B_ij[m, m], A and B the one-mode marginals of
     each arm. ``mixture`` sums every outcome's Gram matrix, sub-floor ones
-    included: the Gram matrix of the whole state.
+    included: :func:`branch_gram` up to rounding.
     """
-    arms = [[fa for _, fa, _ in branches], [fb for _, _, fb in branches]]
     ordered = sorted(modes, key=MODE_LABELS.index)
-    owners = [next((arm for arm in arms if m in arm[0].spec.modes), None) for m in ordered]
-    if len(owners) != 2 or None in owners or owners[0] is owners[1]:
+    owners = _owners(branches, ordered)
+    if len(owners) != 2 or None in owners or owners[0] == owners[1]:
         raise ValueError(f"the scan needs one mode of each arm, got {tuple(modes)}")
-    diagonals = [np.array([[np.diagonal(_marginal(f, g, m)) for g in arm] for f in arm])
-                 for arm, m in zip(owners, ordered)]
-    coeffs = np.array([c for c, _, _ in branches], dtype=np.complex128)
-    grams = np.einsum("ijx,ijy->xyij", *diagonals) * np.outer(coeffs, coeffs.conj())
+    diagonals = [np.array([[np.diagonal(_marginal(f[k], g[k], m)) for g in branches]
+                           for f in branches]) for k, m in zip(owners, ordered)]
+    grams = np.einsum("ijx,ijy->xyij", *diagonals) * _coefficients(branches)
     p = np.einsum("xyii->xy", grams).real
     kept = map(tuple, np.argwhere(p >= PROBABILITY_FLOOR).tolist())  # in scan order
     outcomes = [(k, float(p[k]), grams[k] / p[k]) for k in kept]

@@ -39,13 +39,13 @@ import numpy as np
 from .channels import (
     PROBABILITY_FLOOR,
     Branch,
+    branch_gram,
     channel_gram,
     conditional_left_by_occupation,
     haar_channels_left,
     occupation_projectors,
 )
 from .hilbert import (
-    LEFT_LABELS,
     MODE_LABELS,
     RIGHT_LABELS,
     DensityOperator,
@@ -53,7 +53,6 @@ from .hilbert import (
     PureState,
     apply,
     distance,
-    inner,
     product_state,
     raising_matrix,
 )
@@ -228,13 +227,23 @@ _PEAK_PER_STATE_BYTE = 5.3
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 
 
+def check_pair_memory(config: ExperimentConfig) -> None:
+    """Raise ValueError when the largest dense operator a run builds on a
+    mode pair would take more than physical memory at peak: the whole charge
+    of the sweep and the scan, which build no six-mode state."""
+    _check_peak(config, 0)
+
+
 def check_memory(config: ExperimentConfig) -> None:
-    """Raise ValueError when the run's estimated peak exceeds physical memory:
-    its states and the largest dense operator it builds on a mode pair.
-    Every state of a run stores the left pair's two one-photon rows, so a
-    state is charged 2 / (left dimension) of the full amplitude count."""
+    """:func:`check_pair_memory` with a verdict's six-mode states charged
+    too. Every state of a run stores the left pair's two one-photon rows, so
+    a state is charged 2 / (left dimension) of the full amplitude count."""
     spec = config.hilbert_spec()
-    state = 2 * spec.dim // spec.left_dim
+    _check_peak(config, 2 * spec.dim // spec.left_dim)
+
+
+def _check_peak(config: ExperimentConfig, state: int) -> None:
+    spec = config.hilbert_spec()
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
     need = _BASELINE_BYTES + 16 * (
         _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
@@ -242,12 +251,12 @@ def check_memory(config: ExperimentConfig) -> None:
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
+        states = f"{state:.3g} stored amplitudes per state and " if state else ""
         raise ValueError(
             f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} "
-            f"needs {state:.3g} stored amplitudes per state and dense operators "
-            f"on mode pairs of up to {pair:.3g} levels, an estimated "
-            f"{need / 2**30:.3g} GiB at peak, more than the {have / 2**30:.3g} GiB "
-            f"of physical memory; lower |alpha| or the cutoffs"
+            f"needs {states}dense operators on mode pairs of up to {pair:.3g} levels, "
+            f"an estimated {need / 2**30:.3g} GiB at peak, more than the "
+            f"{have / 2**30:.3g} GiB of physical memory; lower |alpha| or the cutoffs"
         )
 
 
@@ -349,10 +358,12 @@ def evolve_and_reduce(
     return final, reduce_left(final), leakage
 
 
-def _arm_vectors(config: ExperimentConfig, alpha: complex) -> tuple[tuple[PureState, ...], ...]:
-    """(q0, q1) on each arm pair, arm a then arm b: on the pair (x, y),
-    v0 = |0> |alpha> and v1 = x+|0> |alpha> sent through the arm's splitter,
-    each arm at its own cutoffs."""
+def _branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Branch]:
+    """The two one-photon branches before the left splitter, in the order of
+    the left basis: (e^{i phi} / sqrt2, q0a, q1b) on |01>, (1 / sqrt2, q1a,
+    q0b) on |10>. On each arm pair (x, y), v0 = |0> |alpha> and
+    v1 = x+|0> |alpha> go through the arm's splitter, at the arm's own
+    cutoffs, to q0 and q1."""
     spec = config.hilbert_spec()
     arms = []
     for bs in _splitters(config)[1:]:
@@ -364,8 +375,23 @@ def _arm_vectors(config: ExperimentConfig, alpha: complex) -> tuple[tuple[PureSt
             product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
             for photon in (False, True)
         ]
-        arms.append(tuple(apply(u, v) for v in prepared))
-    return tuple(arms)
+        arms.append([apply(u, v) for v in prepared])
+    (q0a, q1a), (q0b, q1b) = arms
+    return [(SQRT_HALF * np.exp(1j * phi), q0a, q1b), (SQRT_HALF, q1a, q0b)]
+
+
+def _left_states(
+    config: ExperimentConfig, grams: Sequence[np.ndarray], leakages: Sequence[float]
+) -> list[DensityOperator]:
+    """The left states of Gram matrices over :func:`_branches`, one leakage
+    each: with U the left splitter's one-photon block, U G U+ on the
+    one-photon rows."""
+    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
+    rows, block = u.blocks[1]  # by total, in sector_slices order
+    out = [np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128) for _ in grams]
+    for m, gram in zip(out, grams):
+        m[rows, rows] = block @ gram @ block.conj().T
+    return [DensityOperator(u.spec, m, leakage=x) for m, x in zip(out, leakages, strict=True)]
 
 
 def left_states_over_phases(
@@ -375,59 +401,19 @@ def left_states_over_phases(
     ``phis``: what :func:`evolve_and_reduce` gives at that phase, up to
     rounding, built from arm-pair vectors without a six-mode state.
 
-    At phi = 0 the preparation is
-    (1/sqrt2)[|10> v1a v0b + |01> v0a v1b] over (left pair, arm a, arm b),
-    with alpha = 0 for the bare preparation. Each arm splitter takes v0, v1
-    to q0, q1 (:func:`_arm_vectors`), so on the one-photon rows the left
-    state is rho(10,10) = |q1a|^2 |q0b|^2 / 2, rho(01,01) = |q0a|^2 |q1b|^2 / 2
-    and rho(10,01) = <q0a|q1a> <q1b|q0b> / 2.
-
-    The phase enters as e^{i phi n_b1} on the phi = 0 preparation, since the
-    b-term holds the only b1 photon, and it and the left splitter act on
-    (a1, b1) only, so both commute with the partial trace: each phase costs
-    K rho K+ with K = U_left e^{i phi n_b1} on the left pair. Each state's
-    leakage is one minus its trace.
+    The branches (:func:`_branches`, alpha = 0 for the bare preparation) and
+    their Gram matrix G (:func:`channels.branch_gram`) are built once, at
+    phi = 0. A phase multiplies the |01> coefficient by e^{i phi}, so it
+    gives G times c c+ entrywise, c = (e^{i phi}, 1), placed as the channel
+    rows' and the scan's are (:func:`_left_states`), with leakage one minus
+    its trace.
     """
     if injected:
         _warn_if_inadequate(config)
-    (q0a, q1a), (q0b, q1b) = _arm_vectors(config, config.alpha if injected else 0.0)
-    left = config.hilbert_spec().subspace(LEFT_LABELS)
-    i10, i01 = left.index_of((1, 0)), left.index_of((0, 1))
-    rho = np.zeros((left.dim, left.dim), dtype=np.complex128)
-    rho[i10, i10] = 0.5 * q1a.norm2 * q0b.norm2
-    rho[i01, i01] = 0.5 * q0a.norm2 * q1b.norm2
-    rho[i10, i01] = 0.5 * inner(q0a, q1a) * inner(q1b, q0b)
-    rho[i01, i10] = np.conj(rho[i10, i01])
-    u_left = beamsplitter_unitary(left, _splitters(config)[0]).matrix
-    n_b1 = np.indices(left.dims)[left.axis_of("b1")].ravel()
-    out = []
-    for phi in phis:
-        k = u_left * np.exp(1j * phi * n_b1)  # U_left times the diagonal phase
-        m = k @ rho @ k.conj().T
-        out.append(DensityOperator(left, m, leakage=1.0 - np.trace(m).real))
-    return out
-
-
-def _channel_branches(config: ExperimentConfig) -> list[Branch]:
-    """The injected preparation's two one-photon branches after the arm
-    splitters, before the left splitter, as (coefficient, arm a vector,
-    arm b vector), in the order of the left basis: |01>, then |10>."""
-    (q0a, q1a), (q0b, q1b) = _arm_vectors(config, config.alpha)
-    return [(SQRT_HALF * np.exp(1j * config.phi), q0a, q1b), (SQRT_HALF, q1a, q0b)]
-
-
-def _channel_lefts(
-    config: ExperimentConfig, grams: Sequence[np.ndarray], leakage: float
-) -> list[DensityOperator]:
-    """The left states of :func:`channels.channel_gram` results for
-    :func:`_channel_branches`: with U the left splitter's one-photon block,
-    U G U+ on the one-photon rows, each state carrying ``leakage``."""
-    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
-    rows, block = u.blocks[1]  # by total, in sector_slices order
-    out = [np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128) for _ in grams]
-    for m, gram in zip(out, grams):
-        m[rows, rows] = block @ gram @ block.conj().T
-    return [DensityOperator(u.spec, m, leakage=leakage) for m in out]
+    gram = branch_gram(_branches(config, config.alpha if injected else 0.0, 0.0))
+    phases = [np.array([np.exp(1j * phi), 1.0]) for phi in phis]
+    grams = [gram * np.outer(c, c.conj()) for c in phases]
+    return _left_states(config, grams, [1.0 - np.trace(g).real for g in grams])
 
 
 def no_signaling_rows(
@@ -455,22 +441,23 @@ def selective_ranking(
     """Every (a2, b2) outcome at or above PROBABILITY_FLOOR as (occupation,
     probability, contrast, conditional left state), and the mixture of every
     outcome (leakage one minus its trace), from the arm-pair vectors of
-    :func:`_channel_branches`. The contrast is the trace distance from the
+    :func:`_branches`. The contrast is the trace distance from the
     normalized mixture. One rule orders the rows: probability times
     contrast, rounded to 15 decimals, descending, ties in scan order; row 0
     is the report's outcome. Raises NoOutcomeError when no outcome clears
     the floor."""
-    outcomes, gram = conditional_left_by_occupation(_channel_branches(config), _SCAN_PAIR)
+    branches = _branches(config, config.alpha, config.phi)
+    outcomes, gram = conditional_left_by_occupation(branches, _SCAN_PAIR)
     norm2 = float(np.trace(gram).real)
     if not outcomes:
         raise NoOutcomeError(
             f"no ({', '.join(_SCAN_PAIR)}) outcome has probability above the floor "
             f"{PROBABILITY_FLOOR:.0e} in a state with norm squared {norm2:.3g}; raise the cutoffs"
         )
-    *conditionals, baseline = _channel_lefts(
-        config, [cond for _, _, cond in outcomes] + [gram / norm2], 0.0
+    grams = [cond for _, _, cond in outcomes] + [gram / norm2, gram]
+    *conditionals, baseline, mixture = _left_states(
+        config, grams, [0.0] * (len(grams) - 1) + [1.0 - norm2]
     )
-    (mixture,) = _channel_lefts(config, [gram], 1.0 - norm2)
     rows = [
         (occ, p, trace_distance(cond, baseline), cond)
         for (occ, p, _), cond in zip(outcomes, conditionals)
@@ -580,14 +567,17 @@ def run_experiment(config: ExperimentConfig) -> Report:
     projective, and Kraus channels. ``config.seed`` seeds only the channel
     battery's Haar draws, and ``config.trials`` is read by no stage.
 
-    The scan and the channels act on the injected preparation's arm-pair
-    vectors (:func:`_channel_branches`), not on the evolved state, and the
+    The scan and the channels act on the injected preparation's branches,
+    its arm-pair vectors (:func:`_branches`), not on the evolved state, and
+    their Gram matrices are placed on the left pair by :func:`_left_states`,
+    as the sweep's left states are (:func:`left_states_over_phases`). The
     selective mixture and each channel row compare the result with the
     evolved state's left state: those rows also fail when the arm-vector
-    route and the six-mode route disagree. The battery's one worker thread
-    (:func:`channels.haar_channels_left`) is joined before it returns, and
-    every residual is that of drawing and contracting one channel after
-    another.
+    route and the six-mode route disagree. The no-signaling rows, the
+    structure check and the oracle read the six-mode states. The battery's
+    one worker thread (:func:`channels.haar_channels_left`) is joined before
+    it returns, and every residual is that of drawing and contracting one
+    channel after another.
     """
     heis = heisenberg_residuals(config)
 
@@ -618,7 +608,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     # the channels act on the arm vectors; one worker draws the Haar
     # isometries ahead of their contractions
-    branches = _channel_branches(config)
+    branches = _branches(config, config.alpha, config.phi)
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
     grams = haar_channels_left(
         config.hilbert_spec(),
@@ -627,7 +617,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         + [(pair, (config.seed, 3, k), 3) for k, pair in enumerate(pairs)],
     )
     grams.append(channel_gram(occupation_projectors(config.hilbert_spec(), _SCAN_PAIR), branches))
-    after = _channel_lefts(config, grams, psi_with.leakage)
+    after = _left_states(config, grams, [psi_with.leakage] * len(grams))
     reduced += after
     unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
 

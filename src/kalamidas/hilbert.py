@@ -15,7 +15,7 @@ stores only the rows in a slice of the left basis, every other row being
 zero. A state built from product terms whose left factors share one total
 occupation stores that sector: the apparatus keeps one photon on (a1, b1), so
 its states store two rows of four. Right-mode operators act on the stored
-rows only, and so do the norms, inner products and left reductions; the full
+rows only, and so do the norms, distances and left reductions; the full
 vector is assembled only when ``amplitudes`` is read.
 
 Truncation is explicit and monotone: no operation renormalizes a state. Norm
@@ -600,22 +600,12 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     return PureState(spec, new, leakage=leakage, fresh=True, rows=rows)
 
 
-def _common_rows(x: PureState, y: PureState) -> tuple[np.ndarray, np.ndarray]:
-    """The amplitudes of two states of one space over the same rows: their
-    stored rows when they store the same ones, else their full vectors."""
+def distance(x: PureState, y: PureState) -> float:
+    """The norm of x - y, over their stored rows when they store the same
+    ones, else over their full vectors."""
     if x.spec != y.spec:
         raise ValueError("the two states need matching specs")
     left = range(x.spec.left_dim)
     if left[x.rows] == left[y.rows]:
-        return x.stored, y.stored
-    return x.amplitudes, y.amplitudes
-
-
-def inner(x: PureState, y: PureState) -> complex:
-    """<x|y>, conjugate-linear in the first argument."""
-    return complex(np.vdot(*_common_rows(x, y)))
-
-
-def distance(x: PureState, y: PureState) -> float:
-    """The norm of x - y."""
-    return float(np.linalg.norm(np.subtract(*_common_rows(x, y))))
+        return float(np.linalg.norm(x.stored - y.stored))
+    return float(np.linalg.norm(x.amplitudes - y.amplitudes))

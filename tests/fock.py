@@ -1,13 +1,13 @@
 """Reference helpers that only the tests use.
 
-Basis states, single-mode operators and the rank-1 occupation projectors,
-plus the plain forms of what the package computes in a fused way or not at
-all: conditioning on one projector at a time, the occupation scan and a
-channel's left state from the six-mode state, the completeness of an
-operator family, the adjoint, and the density-operator checks that raise.
-Each is written independently of the code it checks, on dense matrices or
-one projector at a time, so a test that compares the two compares two
-routes to one answer.
+Basis states, the inner product, single-mode operators and the rank-1
+occupation projectors, plus the plain forms of what the package computes in
+a fused way or not at all: conditioning on one projector at a time, the
+occupation scan and a channel's left state from the six-mode state, the
+completeness of an operator family, the adjoint, and the density-operator
+checks that raise. Each is written independently of the code it checks, on
+dense matrices or one projector at a time, so a test that compares the two
+compares two routes to one answer.
 """
 import math
 from typing import Optional, Sequence
@@ -36,6 +36,13 @@ def vacuum(spec: HilbertSpec) -> PureState:
     amps = np.zeros(spec.dim, dtype=np.complex128)
     amps[0] = 1.0
     return PureState(spec, amps, leakage=0.0)
+
+
+def inner(x: PureState, y: PureState) -> complex:
+    """<x|y>, conjugate-linear in the first argument, over the full vectors."""
+    if x.spec != y.spec:
+        raise ValueError("the two states need matching specs")
+    return complex(np.vdot(x.amplitudes, y.amplitudes))
 
 
 def basis_state(spec: HilbertSpec, occupation: Sequence[int]) -> PureState:

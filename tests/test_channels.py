@@ -21,10 +21,8 @@ from kalamidas import (
     reduce_left,
     trace_distance,
 )
-from kalamidas.channels import channel_gram, haar_channels_left
-from kalamidas.experiment import (
-    _RIGHT_PAIRS, _channel_branches, _channel_lefts, selective_ranking,
-)
+from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
+from kalamidas.experiment import _RIGHT_PAIRS, _branches, _left_states, selective_ranking
 from kalamidas.hilbert import embed
 from kalamidas.nosignal import normalized
 
@@ -303,7 +301,7 @@ def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec
     """The worker thread changes no bit: each Gram matrix equals
     channel_gram of the family drawn on its own."""
     config = ExperimentConfig(alpha=0.6, phi=0.9, cutoffs=quick_spec.cutoffs)
-    branches = _channel_branches(config)
+    branches = _branches(config, config.alpha, config.phi)
     pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
     draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
     draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
@@ -341,7 +339,7 @@ def test_channel_gram_equals_the_six_mode_reference(name):
     psi = evolve(initial_state_with_coherent(config), config)
     if name == "b1=2":
         assert psi.rows == slice(1, 4, 2)
-    branches = _channel_branches(config)
+    branches = _branches(config, config.alpha, config.phi)
     families = [
         family
         for k, pair in enumerate(_RIGHT_PAIRS)
@@ -349,14 +347,14 @@ def test_channel_gram_equals_the_six_mode_reference(name):
     ]
     families += [occupation_projectors(spec, pair) for pair in [("a2", "b2"), ("a2", "a3")]]
     for family in families:
-        (got,) = _channel_lefts(config, [channel_gram(family, branches)], psi.leakage)
+        (got,) = _left_states(config, [channel_gram(family, branches)], [psi.leakage])
         want = nonselective_left(psi, family)
         assert np.abs(got.matrix - want.matrix).max() <= 1e-14
         assert got.leakage == want.leakage
 
 
 def test_channel_gram_refuses_operators_off_a_right_pair(quick_spec):
-    branches = _channel_branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs))
+    branches = _branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
     single = random_right_unitary(quick_spec, ("a2",), 1)
     left = identity(quick_spec.subspace(("a1", "b1")))
     wide = random_right_unitary(quick_spec, ("a2", "b2", "a3"), 1)
@@ -373,7 +371,7 @@ def test_a_cross_pair_kraus_family_is_contracted_a_chunk_of_rows_at_a_time():
     64-row chunk (0.47 MiB): the peak is the chunk, the two products made
     from it and small arrays."""
     config = ExperimentConfig()
-    branches = _channel_branches(config)
+    branches = _branches(config, config.alpha, config.phi)
     family = random_kraus(config.hilbert_spec(), ("a2", "b2"), (0, 3, 0), k=3)
     chunk = 64 * 16 * family[0].spec.dim
     assert chunk < 2**20
@@ -408,15 +406,16 @@ def test_branch_scan_equals_the_six_mode_reference(name, request):
         psi = evolve(initial_state_with_coherent(config), config)
     if name == "b1=2":
         assert psi.rows == slice(1, 4, 2)
-    outcomes, gram = conditional_left_by_occupation(_channel_branches(config), ("a2", "b2"))
+    branches = _branches(config, config.alpha, config.phi)
+    outcomes, gram = conditional_left_by_occupation(branches, ("a2", "b2"))
     want, want_mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
     assert [occ for occ, _, _ in outcomes] == [occ for occ, _, _ in want]
-    conditionals = _channel_lefts(config, [cond for _, _, cond in outcomes], 0.0)
+    conditionals = _left_states(config, [cond for _, _, cond in outcomes], [0.0] * len(outcomes))
     for (_, p, cond), got, (_, p_ref, ref) in zip(outcomes, conditionals, want):
         assert abs(p - p_ref) <= 1e-14
         assert np.trace(cond).real == pytest.approx(1.0, abs=1e-14)
         assert np.abs(got.matrix - ref.matrix).max() <= 1e-13
-    (mixture,) = _channel_lefts(config, [gram], 0.0)
+    (mixture,) = _left_states(config, [gram], [0.0])
     assert np.abs(mixture.matrix - want_mixture.matrix).max() <= 1e-13
 
     baseline = normalized(want_mixture)
@@ -425,8 +424,17 @@ def test_branch_scan_equals_the_six_mode_reference(name, request):
     assert [row[0] for row in selective_ranking(config)[0]] == [occ for occ, _ in ranked]
 
 
+def test_branch_gram_is_the_scan_mixture():
+    """The Gram matrix of the branches themselves is the sum of the scan's
+    outcome Gram matrices, every outcome included."""
+    config = ExperimentConfig(**_REFERENCE_CONFIGS["quick"])
+    branches = _branches(config, config.alpha, config.phi)
+    _, mixture = conditional_left_by_occupation(branches, ("a2", "b2"))
+    assert np.abs(branch_gram(branches) - mixture).max() <= 1e-15
+
+
 @pytest.mark.parametrize("modes", [("a2", "a3"), ("a1", "b2"), ("a2",)])
 def test_branch_scan_needs_one_mode_of_each_arm(quick_spec, modes):
-    branches = _channel_branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs))
+    branches = _branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
     with pytest.raises(ValueError, match="one mode of each arm"):
         conditional_left_by_occupation(branches, modes)

@@ -23,7 +23,6 @@ from kalamidas import (
     heisenberg_residuals,
     initial_state_bare,
     initial_state_with_coherent,
-    inner,
     occupation_projectors,
     random_kraus,
     random_right_unitary,
@@ -35,7 +34,7 @@ from kalamidas.channels import channel_gram
 from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
 
-from fock import ladder, number_op
+from fock import inner, ladder, number_op
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
 
@@ -213,6 +212,34 @@ def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, cutoffs):
             assert rho.spec == direct.spec
             assert np.abs(rho.matrix - direct.matrix).max() <= 1e-13
             assert abs(rho.leakage - direct.leakage) <= 1e-13
+
+
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeypatch):
+    """The arm vectors, their Gram matrix and the left splitter's block are
+    built once per call of left_states_over_phases: both preparations of a
+    group make the same applies, Gram matrices and splitter requests for one
+    phase as for five."""
+    config = ExperimentConfig(alpha=0.5, t=0.6, cutoffs=QUICK)
+    calls = []
+
+    def counted(name, f):
+        def wrapper(*args):
+            calls.append(name)
+            return f(*args)
+
+        monkeypatch.setattr(experiment, name, wrapper)
+
+    for name in ("apply", "branch_gram", "beamsplitter_unitary"):
+        counted(name, getattr(experiment, name))
+    counts = []
+    for phis in ([0.0], [0.0, 0.5, 1.0, 2.0, -3.0]):
+        calls.clear()
+        for injected in (True, False):
+            assert len(left_states_over_phases(config, phis, injected)) == len(phis)
+        counts.append(sorted(calls))
+    assert counts[0] == counts[1]
+    assert counts[0].count("apply") == 8 and counts[0].count("branch_gram") == 2
 
 
 def test_photon_arm_occupation_closed_form():
@@ -581,7 +608,7 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
 
     spec = config.hilbert_spec()
     psi, rho, _ = evolve_and_reduce(config, injected=True)
-    branches = experiment._channel_branches(config)
+    branches = experiment._branches(config, config.alpha, config.phi)
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
     unitaries = [
@@ -599,7 +626,7 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
         assert np.array_equal(got, want)
 
     def moved(grams):
-        lefts = experiment._channel_lefts(config, grams, psi.leakage)
+        lefts = experiment._left_states(config, grams, [psi.leakage] * len(grams))
         return max(trace_distance(left, rho) for left in lefts)
 
     assert report.residuals["channel_unitary"] == moved(unitaries)

@@ -5,8 +5,8 @@ front-ends run.
 The tracer only warns when a name it wraps is missing, and its per-layer
 figures then read 0, so a rename would go unseen without these checks; its
 count hooks read attributes of the package's objects, so a traced run is made
-here too. A public function or class that only the tests call belongs in the
-tests' helper module, ``fock``, not in the package."""
+here too. A function or class, public or private, that only the tests call
+belongs in the tests' helper module, ``fock``, not in the package."""
 import ast
 import importlib
 import importlib.util
@@ -63,10 +63,11 @@ def _names_in(node):
     }
 
 
-def test_every_public_definition_is_run_by_the_package_or_a_script():
-    """A public top-level function or class of a package module must be read
-    by another top-level statement of the package (``__init__`` aside) or by
-    a script, or be wrapped by the tracer. Imports do not count as reads."""
+def _unread(private):
+    """The top-level functions and classes of the package modules, public or
+    private, that no other top-level statement of the package (``__init__``
+    aside) or of a script reads and the tracer does not wrap. Imports do not
+    count as reads."""
     modules = {
         path.stem: ast.parse(path.read_text(encoding="utf-8"))
         for path in sorted(PACKAGE.glob("*.py"))
@@ -80,16 +81,28 @@ def test_every_public_definition_is_run_by_the_package_or_a_script():
         for module, names in _tracer().TRACED.items()
         for name in names
     }
-    unused = [
+    return [
         f"{module}.{stmt.name}"
         for module, tree in modules.items()
         for stmt in tree.body
         if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))
-        and not stmt.name.startswith("_")
+        and stmt.name.startswith("_") == private
         and (module, stmt.name) not in traced
         and not any(stmt.name in names for other, names in statements if other is not stmt)
     ]
-    assert unused == []
+
+
+def test_every_public_definition_is_run_by_the_package_or_a_script():
+    """A public top-level function or class of a package module must be read
+    by another top-level statement of the package or by a script, or be
+    wrapped by the tracer."""
+    assert _unread(private=False) == []
+
+
+def test_every_private_definition_is_read_by_the_package_or_a_script():
+    """A private top-level helper that only the tests read, such as an old
+    name kept for them, belongs in the tests, not in the package."""
+    assert _unread(private=True) == []
 
 
 def test_the_tracer_runs_against_the_package(tmp_path):

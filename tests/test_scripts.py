@@ -1,6 +1,7 @@
 """The scripts' command lines: bad input is refused with exit 2 before any
 output, a valid sweep prints its table, and the scan ranks as the report does."""
 import math
+import os
 import runpy
 import subprocess
 import sys
@@ -272,16 +273,25 @@ def test_sweep_builds_no_six_mode_state(monkeypatch, capsys):
 
 
 def test_sweep_table_does_not_depend_on_the_blas_thread_count():
-    """The default sweep prints the same bytes at one and at two BLAS threads."""
-    tables = []
-    for threads in ("1", "2"):
-        env = {**child_env(), **dict.fromkeys(BLAS_THREADS, threads)}
-        proc = subprocess.run(
-            [sys.executable, str(SWEEP)], capture_output=True, text=True, timeout=600, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        tables.append(proc.stdout)
-    assert tables[0] == tables[1]
+    """The default sweep, alpha = 2 sweep rows and the scan at alpha = 1
+    print the same bytes at one and at two BLAS threads. The alpha = 2 row at
+    phi = pi/3 tells vdot overlaps from a matrix product's, which BLAS may
+    split across threads."""
+    runs = [
+        [str(SWEEP)],
+        [str(SWEEP), "--alphas", "2", "--ts", "0.9", "--phis", "0,1.0471975511965976"],
+        [str(SCAN), "--alpha-re", "1", "--top", "1000"],
+    ]
+    for args in runs:
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**child_env(), **dict.fromkeys(BLAS_THREADS, threads)}
+            proc = subprocess.run(
+                [sys.executable, *args], capture_output=True, text=True, timeout=600, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1], args
 
 
 def test_scan_names_the_reports_selective_outcome():
@@ -326,3 +336,56 @@ def test_scan_builds_no_six_mode_state(monkeypatch, capsys):
         runpy.run_path(str(SCAN), run_name="__main__")
     assert done.value.code == 0
     assert capsys.readouterr().out.splitlines()[2].split()[:2] == ["0", "0"]
+
+
+class _Admitted(Exception):
+    """Raised in place of the first stage after a script's memory gate."""
+
+
+def _physical_memory(monkeypatch, gib):
+    """Make os.sysconf report ``gib`` GiB of physical memory."""
+    sysconf = os.sysconf
+    pages = round(gib * 2**30 / sysconf("SC_PAGE_SIZE"))
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+
+
+def test_the_scripts_charge_no_six_mode_state(monkeypatch, capsys):
+    """On 7.84 GiB at alpha = 5.5 (cutoffs 73) the scripts, which build no
+    six-mode state, are admitted on their largest splitter build, while the
+    CLI is refused on its states plus that build. Nothing past the gates
+    runs. Refused at alpha = 50, the scripts' error names no amplitudes."""
+    def admitted(*args, **kwargs):
+        raise _Admitted
+
+    monkeypatch.setattr(experiment, "left_states_over_phases", admitted)
+    monkeypatch.setattr(experiment, "selective_ranking", admitted)
+    monkeypatch.setattr(cli, "run_experiment", admitted)
+    _physical_memory(monkeypatch, 7.84)
+    assert ExperimentConfig(alpha=5.5).cutoffs_map["a2"] == 73
+    for script, argv in [
+        (SWEEP, ["--alphas", "5.5", "--ts", "0.6", "--phis", "0"]),
+        (SCAN, ["--alpha-re", "5.5"]),
+    ]:
+        monkeypatch.setattr(sys, "argv", [str(script), *argv])
+        with pytest.raises(_Admitted):
+            runpy.run_path(str(script), run_name="__main__")
+    capsys.readouterr()
+
+    assert cli.main(["--alpha-re", "5.5"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "stored amplitudes per state" in err
+    assert "GiB of physical memory" in err
+
+    for script, argv in [
+        (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),
+        (SCAN, ["--alpha-re", "50"]),
+    ]:
+        monkeypatch.setattr(sys, "argv", [str(script), *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(script), run_name="__main__")
+        assert done.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error:") and "mode pairs" in err
+        assert "amplitudes" not in err

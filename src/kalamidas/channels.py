@@ -25,12 +25,17 @@ Kraus families, both read-only views of one Haar isometry per seed, drawn
 and factored by LAPACK's QR in its own buffer. All randomness flows through
 numpy's default_rng (PCG64); the same seed yields the same operator.
 :func:`haar_channels_left` runs a battery of such channels on one set of
-branches with a worker thread that draws the next isometry while the calling
-thread contracts the current one; its results are those of the serial loop.
+branches on two lanes, the calling thread and one helper, each drawing and
+contracting whole channels at one BLAS thread; its results are those of the
+serial loop.
 """
 from __future__ import annotations
 
-from typing import Sequence, Union
+import functools
+import importlib
+import threading
+from contextlib import contextmanager
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
@@ -251,6 +256,52 @@ def _row_blocks(sub: HilbertSpec, q: np.ndarray) -> tuple[LinearOperator, ...]:
     return tuple(LinearOperator(sub, q[i : i + d]) for i in range(0, len(q), d))
 
 
+# Each OpenBLAS library in the process, as a module that links it and the
+# library's thread-count getter and setter: numpy's 64-bit-integer build and
+# the one SciPy's LAPACK (the Haar draws' QR) calls.
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._flapack", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple[tuple, bool]:
+    """The (getter, setter) pairs of :data:`_OPENBLAS` that this process's
+    libraries export, and whether every library exports them; found through
+    ``ctypes`` once per process."""
+    import ctypes  # imported by verdicts only
+
+    found = []
+    for module, get, put in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            getter, setter = getattr(lib, get), getattr(lib, put)
+        except (ImportError, OSError, AttributeError):  # another BLAS build
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        found.append((getter, setter))
+    return tuple(found), len(found) == len(_OPENBLAS)
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Run the block with every OpenBLAS library at one thread, and restore
+    each one's previous count after it. Yields whether every library could
+    be set; a library without the setter runs at its own count."""
+    controls, complete = _blas_thread_controls()
+    before = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield complete
+    finally:
+        for (_, setter), count in zip(controls, before):
+            setter(count)
+
+
 def haar_channels_left(
     spec: HilbertSpec,
     branches: Sequence[Branch],
@@ -260,35 +311,55 @@ def haar_channels_left(
     of ``draws``, in order: for (modes, seed, k), the family
     ``random_kraus(spec, modes, seed, k)``; for k = 1 its one operator is the
     unitary ``random_right_unitary`` draws from that seed. The results are
-    those of drawing and contracting one channel after another.
+    those of drawing and contracting one channel after another at one BLAS
+    thread.
 
-    The isometries depend on their seeds alone, so one worker thread draws
-    the next while this thread contracts the current one. This thread
-    allocates two buffers, each sized for the largest draw, and the draws
-    alternate between them: the worker only fills and factors a buffer
-    (:func:`_haar_isometry`), and a channel's operators are views of it that
-    are dropped before the buffer is drawn into again. The worker is started
-    and joined here, and a draw that raises re-raises here.
+    The isometries depend on their seeds alone, so two lanes, this thread
+    and one helper thread, run the draws side by side. Each lane owns one of
+    two buffers, both allocated here and sized for the largest draw, and
+    takes the next undone draw: it fills and factors its buffer
+    (:func:`_haar_isometry`), contracts the channel's operators, views of the
+    buffer, and stores the Gram matrix at the draw's place. The lanes run at
+    one BLAS thread (:func:`_one_blas_thread`), where a result does not
+    depend on which lane computed it or on what the other lane runs. The
+    first error stops both lanes; the helper is joined here and the error
+    re-raised.
     """
-    from concurrent.futures import ThreadPoolExecutor  # imported by verdicts only
-
+    if not draws:
+        return []
     subs = [_right(spec.subspace(modes)) for modes, _, _ in draws]
     sizes = [k * sub.dim**2 for sub, (_, _, k) in zip(subs, draws)]
-    buffers = [np.empty(max(sizes, default=0), dtype=np.complex128) for _ in draws[:2]]
+    buffers = [np.empty(max(sizes), dtype=np.complex128) for _ in draws[:2]]
+    out: list = [None] * len(draws)
+    undone = iter(range(len(draws)))
+    failed: list[BaseException] = []
+    lock = threading.Lock()
 
-    def start(i: int):
-        sub, (_, seed, k) = subs[i], draws[i]
-        z = buffers[i % 2][: sizes[i]].reshape((k * sub.dim, sub.dim), order="F")
-        return worker.submit(_haar_isometry, z, seed)
+    def take() -> Optional[int]:
+        with lock:
+            return None if failed else next(undone, None)
 
-    out = []
-    with ThreadPoolExecutor(max_workers=1) as worker:
-        ahead = start(0) if draws else None
-        for i, sub in enumerate(subs):
-            channel = _row_blocks(sub, ahead.result())
-            if i + 1 < len(draws):
-                ahead = start(i + 1)  # into the other buffer
-            out.append(channel_gram(channel, branches))
+    def lane(buffer: np.ndarray) -> None:
+        try:
+            while (i := take()) is not None:
+                sub, (_, seed, k) = subs[i], draws[i]
+                z = buffer[: sizes[i]].reshape((k * sub.dim, sub.dim), order="F")
+                out[i] = channel_gram(_row_blocks(sub, _haar_isometry(z, seed)), branches)
+        except BaseException as exc:  # re-raised on the calling thread
+            with lock:
+                failed.append(exc)
+
+    helpers = [threading.Thread(target=lane, args=(b,)) for b in buffers[1:]]
+    with _one_blas_thread():
+        for helper in helpers:
+            helper.start()
+        try:
+            lane(buffers[0])
+        finally:
+            for helper in helpers:
+                helper.join()
+    if failed:
+        raise failed[0]
     return out
 
 

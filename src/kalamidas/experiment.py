@@ -221,9 +221,10 @@ _PEAK_PER_STATE_BYTE = 5.3
 # dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
 # and 2: 9.0 for a splitter (expm), 3.1 for a Kraus family (its 3d x d
 # buffer and one chunk of rows of its Gaussian), 1.1 for a Haar unitary, and
-# for the channel battery (its two alternating 3d x d buffers and the 64-row
-# chunks it contracts them in) 7.0, 6.5 and 6.3 at alpha = 0, 1 and 2. The
-# largest is charged for every pair a run builds on.
+# for the channel battery (the two lanes' 3d x d buffers and the 64-row
+# chunks each lane contracts its buffer in, both lanes at once) up to 7.6,
+# 6.8 and 6.4 at alpha = 0, 1 and 2. The largest is charged for every pair a
+# run builds on.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 
 
@@ -436,17 +437,18 @@ class NoOutcomeError(ValueError):
 
 
 def selective_ranking(
-    config: ExperimentConfig,
+    config: ExperimentConfig, branches: Optional[Sequence[Branch]] = None
 ) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
     """Every (a2, b2) outcome at or above PROBABILITY_FLOOR as (occupation,
     probability, contrast, conditional left state), and the mixture of every
     outcome (leakage one minus its trace), from the arm-pair vectors of
-    :func:`_branches`. The contrast is the trace distance from the
-    normalized mixture. One rule orders the rows: probability times
-    contrast, rounded to 15 decimals, descending, ties in scan order; row 0
-    is the report's outcome. Raises NoOutcomeError when no outcome clears
-    the floor."""
-    branches = _branches(config, config.alpha, config.phi)
+    :func:`_branches`, built here unless ``branches`` gives them. The
+    contrast is the trace distance from the normalized mixture. One rule
+    orders the rows: probability times contrast, rounded to 15 decimals,
+    descending, ties in scan order; row 0 is the report's outcome. Raises
+    NoOutcomeError when no outcome clears the floor."""
+    if branches is None:
+        branches = _branches(config, config.alpha, config.phi)
     outcomes, gram = conditional_left_by_occupation(branches, _SCAN_PAIR)
     norm2 = float(np.trace(gram).real)
     if not outcomes:
@@ -568,21 +570,24 @@ def run_experiment(config: ExperimentConfig) -> Report:
     battery's Haar draws, and ``config.trials`` is read by no stage.
 
     The scan and the channels act on the injected preparation's branches,
-    its arm-pair vectors (:func:`_branches`), not on the evolved state, and
-    their Gram matrices are placed on the left pair by :func:`_left_states`,
-    as the sweep's left states are (:func:`left_states_over_phases`). The
+    its arm-pair vectors (:func:`_branches`, built once for both), not on
+    the evolved state, and their Gram matrices are placed on the left pair
+    by :func:`_left_states`, as the sweep's left states are
+    (:func:`left_states_over_phases`). The
     selective mixture and each channel row compare the result with the
     evolved state's left state: those rows also fail when the arm-vector
     route and the six-mode route disagree. The no-signaling rows, the
-    structure check and the oracle read the six-mode states. The battery's
-    one worker thread (:func:`channels.haar_channels_left`) is joined before
-    it returns, and every residual is that of drawing and contracting one
-    channel after another.
+    structure check and the oracle read the six-mode states. The battery
+    runs on two lanes at one BLAS thread
+    (:func:`channels.haar_channels_left`), whose helper thread is joined
+    before it returns, and every channel residual is that of drawing and
+    contracting one channel after another at one BLAS thread.
     """
     heis = heisenberg_residuals(config)
 
     # before any six-mode state, so a scan with no outcome stops the run early
-    ranked, mixture = selective_ranking(config)
+    branches = _branches(config, config.alpha, config.phi)
+    ranked, mixture = selective_ranking(config, branches)
     occupation, probability, contrast, _ = ranked[0]
     selective = {
         "outcome": dict(zip(_SCAN_PAIR, occupation)),
@@ -606,9 +611,6 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
 
-    # the channels act on the arm vectors; one worker draws the Haar
-    # isometries ahead of their contractions
-    branches = _branches(config, config.alpha, config.phi)
     pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
     grams = haar_channels_left(
         config.hilbert_spec(),

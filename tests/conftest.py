@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from kalamidas import channels
 from kalamidas import (
     ExperimentConfig,
     MODE_LABELS,
@@ -77,3 +78,21 @@ def tensordot_apply():
         return np.ascontiguousarray(np.moveaxis(out, tuple(range(k)), positions)).reshape(-1)
 
     return contract
+
+
+@pytest.fixture()
+def blas_thread_counts():
+    """A function that reads numpy's and SciPy's OpenBLAS thread counts.
+    Both are set to two threads for the test, so that a count pinned to one
+    and not restored shows, and are put back after it."""
+    controls, complete = channels._blas_thread_controls()
+    if not complete:
+        pytest.skip("an OpenBLAS library here exports no thread-count setter")
+    before = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(2)
+    try:
+        yield lambda: [getter() for getter, _ in controls]
+    finally:
+        for (_, setter), count in zip(controls, before):
+            setter(count)

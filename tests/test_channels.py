@@ -1,5 +1,6 @@
 """Right-side operations: operator families, invariance of the left reduction,
 selective conditioning, and the occupation scan."""
+import sys
 import tracemalloc
 
 import numpy as np
@@ -21,6 +22,7 @@ from kalamidas import (
     reduce_left,
     trace_distance,
 )
+from kalamidas import channels
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
 from kalamidas.experiment import _RIGHT_PAIRS, _branches, _left_states, selective_ranking
 from kalamidas.hilbert import embed
@@ -298,23 +300,71 @@ def test_haar_draws_keep_the_bits_of_the_whole_buffer_qr(cutoff):
 
 
 def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec):
-    """The worker thread changes no bit: each Gram matrix equals
-    channel_gram of the family drawn on its own."""
+    """The two lanes change no bit: each Gram matrix equals channel_gram
+    of the family drawn on its own at one BLAS thread, in draw order."""
     config = ExperimentConfig(alpha=0.6, phi=0.9, cutoffs=quick_spec.cutoffs)
     branches = _branches(config, config.alpha, config.phi)
     pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
     draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
     draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
     got = haar_channels_left(quick_spec, branches, draws)
-    want = [
-        channel_gram((random_right_unitary(quick_spec, modes, seed),)
-                     if k == 1 else random_kraus(quick_spec, modes, seed, k), branches)
-        for modes, seed, k in draws
-    ]
+    with channels._one_blas_thread():
+        want = [
+            channel_gram((random_right_unitary(quick_spec, modes, seed),)
+                         if k == 1 else random_kraus(quick_spec, modes, seed, k), branches)
+            for modes, seed, k in draws
+        ]
     assert len(got) == len(want)
     for gram, ref in zip(got, want):
         assert np.array_equal(gram, ref)
     assert haar_channels_left(quick_spec, branches, []) == []
+
+
+def test_the_lanes_take_every_draw_once_under_fast_thread_switches(quick_spec, monkeypatch):
+    """With the interpreter switching threads every microsecond, the two
+    lanes draw each seed exactly once and store each result at its draw's
+    place."""
+    config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
+    branches = _branches(config, 0.0, 0.0)
+    draws = [(("a2", "b3"), (5, 2, k), 1) for k in range(256)]
+    seeds = []
+    draw = channels._haar_isometry
+
+    def recording(z, seed):
+        seeds.append(seed)
+        return draw(z, seed)
+
+    monkeypatch.setattr(channels, "_haar_isometry", recording)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = haar_channels_left(quick_spec, branches, draws)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(seeds) == [seed for _, seed, _ in draws]
+    monkeypatch.undo()
+    with channels._one_blas_thread():
+        want = [channel_gram((random_right_unitary(quick_spec, m, seed),), branches)
+                for m, seed, _ in draws]
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_haar_channels_left_runs_at_one_blas_thread_and_restores_the_counts(
+    quick_spec, blas_thread_counts, monkeypatch
+):
+    during = []
+    draw = channels._haar_isometry
+
+    def recording(z, seed):
+        during.append(blas_thread_counts())
+        return draw(z, seed)
+
+    monkeypatch.setattr(channels, "_haar_isometry", recording)
+    config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
+    draws = [(("a2", "b2"), (0, 2, k), 1) for k in range(4)]
+    haar_channels_left(quick_spec, _branches(config, 0.0, 0.0), draws)
+    assert during == [[1, 1]] * len(draws)
+    assert blas_thread_counts() == [2, 2]
 
 
 _REFERENCE_CONFIGS = {

@@ -10,10 +10,12 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
+from kalamidas import channels, cli
 from kalamidas.cli import build_parser, main
-from kalamidas.experiment import SQRT_HALF
+from kalamidas.experiment import SQRT_HALF, run_experiment
 
 CLI = [sys.executable, "-m", "kalamidas"]
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 QUICK_ARGS = [
     "--alpha-re", "0",
     "--cutoff", "a2=3", "--cutoff", "b2=3", "--cutoff", "a3=3", "--cutoff", "b3=3",
@@ -84,6 +86,45 @@ def test_repeated_runs_are_byte_identical():
     second = _run("--seed", "7")
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
+
+
+@pytest.mark.parametrize("args", [["--alpha-re", "0"], QUICK_ARGS], ids=["alpha=0", "toy"])
+def test_the_report_does_not_depend_on_the_blas_thread_count(args):
+    """The CLI runs the experiment at one BLAS thread whatever the
+    environment sets, so one and two threads print the same bytes; at
+    alpha = 0 the Haar draws' QR rounds differently at two threads."""
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**child_env(), **dict.fromkeys(BLAS_THREADS, threads)}
+        proc = subprocess.run(CLI + args, capture_output=True, text=True, timeout=600, env=env)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
+
+
+def test_main_runs_at_one_blas_thread_and_restores_the_counts(
+    blas_thread_counts, monkeypatch, capsys
+):
+    during = []
+
+    def recording(config):
+        during.append(blas_thread_counts())
+        return run_experiment(config)
+
+    monkeypatch.setattr(cli, "run_experiment", recording)
+    assert main(QUICK_ARGS) == 0
+    capsys.readouterr()
+    assert during == [[1, 1]]
+    assert blas_thread_counts() == [2, 2]
+
+
+def test_a_missing_blas_thread_setter_is_named_once_and_the_run_goes_on(monkeypatch, capsys):
+    monkeypatch.setattr(channels, "_blas_thread_controls", lambda: ((), False))
+    assert main(QUICK_ARGS) == 0
+    captured = capsys.readouterr()
+    assert json.loads(captured.out)["verdict"] == "pass"
+    assert captured.err.count("BLAS thread count") == 1
 
 
 def test_forced_failure_exits_1():

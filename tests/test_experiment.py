@@ -30,7 +30,7 @@ from kalamidas import (
     trace_distance,
 )
 from kalamidas import channels, experiment, hilbert
-from kalamidas.channels import channel_gram
+from kalamidas.channels import channel_gram, haar_channels_left
 from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
 from kalamidas.optics import BeamSplitter
 
@@ -240,6 +240,21 @@ def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeyp
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert counts[0].count("apply") == 8 and counts[0].count("branch_gram") == 2
+
+
+def test_a_verdict_builds_its_branches_once(monkeypatch):
+    """The selective scan and the channel battery share one set of branches."""
+    config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
+    calls = []
+    build = experiment._branches
+
+    def counted(*args):
+        calls.append(args)
+        return build(*args)
+
+    monkeypatch.setattr(experiment, "_branches", counted)
+    run_experiment(config)
+    assert calls == [(config, config.alpha, config.phi)]
 
 
 def test_photon_arm_occupation_closed_form():
@@ -590,18 +605,25 @@ def test_evolve_and_reduce_holds_at_most_two_states_at_once(evolved_states):
 
 
 def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(monkeypatch):
-    """The worker thread changes no bit: every Gram matrix and channel
-    residual of the run equals the serial recomputation through the public
-    draws and channel_gram."""
+    """The two lanes change no bit: every Gram matrix and channel residual
+    of the run equals the serial recomputation through the public draws and
+    channel_gram. The lanes finish draws out of order, so the battery's
+    Gram matrices are read off its returned list, one per draw index, not
+    in call order."""
     config = ExperimentConfig(alpha=0.0, trials=3)
     recorded = []
 
-    def recording(operators, branches):
+    def battery(*args):
+        grams = haar_channels_left(*args)
+        recorded.extend(grams)
+        return grams
+
+    def recording(operators, branches):  # the projective row, on this thread
         gram = channel_gram(operators, branches)
         recorded.append(gram)
         return gram
 
-    monkeypatch.setattr(channels, "channel_gram", recording)
+    monkeypatch.setattr(experiment, "haar_channels_left", battery)
     monkeypatch.setattr(experiment, "channel_gram", recording)
     report = run_experiment(config)
     monkeypatch.undo()
@@ -611,14 +633,15 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
     branches = experiment._branches(config, config.alpha, config.phi)
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
-    unitaries = [
-        channel_gram((random_right_unitary(spec, pair, (config.seed, 2, k)),), branches)
-        for k, pair in enumerate(pairs)
-    ]
-    kraus = [
-        channel_gram(random_kraus(spec, pair, (config.seed, 3, k), k=3), branches)
-        for k, pair in enumerate(pairs)
-    ]
+    with channels._one_blas_thread():  # as the battery runs
+        unitaries = [
+            channel_gram((random_right_unitary(spec, pair, (config.seed, 2, k)),), branches)
+            for k, pair in enumerate(pairs)
+        ]
+        kraus = [
+            channel_gram(random_kraus(spec, pair, (config.seed, 3, k), k=3), branches)
+            for k, pair in enumerate(pairs)
+        ]
     projective = channel_gram(occupation_projectors(spec, ("a2", "b2")), branches)
     serial = unitaries + kraus + [projective]
     assert len(recorded) == len(serial)
@@ -640,13 +663,21 @@ class _DrawFailed(RuntimeError):
 
 @pytest.mark.parametrize("fail", [False, True], ids=["passing", "failing"])
 def test_a_failing_draw_reraises_and_the_worker_is_joined(monkeypatch, fail):
+    """Every draw from the unitary of index 5 on fails. A failing draw
+    waits until the other lane has taken a failing draw too, so each of the
+    two lanes raises: the run re-raises the failure's own object, and the
+    helper lane has been joined."""
     config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
     run_experiment(config)  # any thread a first run starts for good is running now
     draw = channels._haar_isometry
-    failure = _DrawFailed("draw 5 failed")
+    failure = _DrawFailed("draw failed")
+    both_lanes = threading.Barrier(2, timeout=60)
+    failing_threads = set()
 
     def failing(z, seed):
-        if fail and seed == (config.seed, 2, 5):
+        if fail and seed >= (config.seed, 2, 5):
+            failing_threads.add(threading.get_ident())
+            both_lanes.wait()
             raise failure
         return draw(z, seed)
 
@@ -656,6 +687,7 @@ def test_a_failing_draw_reraises_and_the_worker_is_joined(monkeypatch, fail):
         with pytest.raises(_DrawFailed) as raised:
             run_experiment(config)
         assert raised.value is failure
+        assert len(failing_threads) == 2
     else:
         assert run_experiment(config).verdict == "pass"
     assert threading.active_count() == before

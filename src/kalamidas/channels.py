@@ -26,16 +26,14 @@ and factored by LAPACK's QR in its own buffer. All randomness flows through
 numpy's default_rng (PCG64); the same seed yields the same operator.
 :func:`haar_channels_left` runs a battery of such channels on one set of
 branches on two lanes, the calling thread and one helper, each drawing and
-contracting whole channels at one BLAS thread; its results are those of the
+contracting whole channels; called at one BLAS thread, as
+:func:`experiment.run_experiment` calls it, its results are those of the
 serial loop.
 """
 from __future__ import annotations
 
-import functools
-import importlib
 import threading
-from contextlib import contextmanager
-from typing import Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 from scipy.linalg.lapack import zgeqrf, zungqr
@@ -256,52 +254,6 @@ def _row_blocks(sub: HilbertSpec, q: np.ndarray) -> tuple[LinearOperator, ...]:
     return tuple(LinearOperator(sub, q[i : i + d]) for i in range(0, len(q), d))
 
 
-# Each OpenBLAS library in the process, as a module that links it and the
-# library's thread-count getter and setter: numpy's 64-bit-integer build and
-# the one SciPy's LAPACK (the Haar draws' QR) calls.
-_OPENBLAS = (
-    ("numpy._core._multiarray_umath",
-     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-    ("scipy.linalg._flapack", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
-)
-
-
-@functools.cache
-def _blas_thread_controls() -> tuple[tuple, bool]:
-    """The (getter, setter) pairs of :data:`_OPENBLAS` that this process's
-    libraries export, and whether every library exports them; found through
-    ``ctypes`` once per process."""
-    import ctypes  # imported by verdicts only
-
-    found = []
-    for module, get, put in _OPENBLAS:
-        try:
-            lib = ctypes.CDLL(importlib.import_module(module).__file__)
-            getter, setter = getattr(lib, get), getattr(lib, put)
-        except (ImportError, OSError, AttributeError):  # another BLAS build
-            continue
-        getter.argtypes, getter.restype = [], ctypes.c_int
-        setter.argtypes, setter.restype = [ctypes.c_int], None
-        found.append((getter, setter))
-    return tuple(found), len(found) == len(_OPENBLAS)
-
-
-@contextmanager
-def _one_blas_thread() -> Iterator[bool]:
-    """Run the block with every OpenBLAS library at one thread, and restore
-    each one's previous count after it. Yields whether every library could
-    be set; a library without the setter runs at its own count."""
-    controls, complete = _blas_thread_controls()
-    before = [getter() for getter, _ in controls]
-    for _, setter in controls:
-        setter(1)
-    try:
-        yield complete
-    finally:
-        for (_, setter), count in zip(controls, before):
-            setter(count)
-
-
 def haar_channels_left(
     spec: HilbertSpec,
     branches: Sequence[Branch],
@@ -310,20 +262,20 @@ def haar_channels_left(
     """:func:`channel_gram` of ``branches`` through each seeded Haar channel
     of ``draws``, in order: for (modes, seed, k), the family
     ``random_kraus(spec, modes, seed, k)``; for k = 1 its one operator is the
-    unitary ``random_right_unitary`` draws from that seed. The results are
-    those of drawing and contracting one channel after another at one BLAS
-    thread.
+    unitary ``random_right_unitary`` draws from that seed. Called at one
+    BLAS thread, as :func:`experiment.run_experiment` calls it, the results
+    are those of drawing and contracting one channel after another.
 
     The isometries depend on their seeds alone, so two lanes, this thread
     and one helper thread, run the draws side by side. Each lane owns one of
     two buffers, both allocated here and sized for the largest draw, and
     takes the next undone draw: it fills and factors its buffer
     (:func:`_haar_isometry`), contracts the channel's operators, views of the
-    buffer, and stores the Gram matrix at the draw's place. The lanes run at
-    one BLAS thread (:func:`_one_blas_thread`), where a result does not
-    depend on which lane computed it or on what the other lane runs. The
-    first error stops both lanes; the helper is joined here and the error
-    re-raised.
+    buffer, and stores the Gram matrix at the draw's place. At one BLAS
+    thread a result does not depend on which lane computed it or on what the
+    other lane runs; at more, the QR and the contractions may round
+    differently. The first error stops both lanes; the helper is joined here
+    and the error re-raised.
     """
     if not draws:
         return []
@@ -350,14 +302,13 @@ def haar_channels_left(
                 failed.append(exc)
 
     helpers = [threading.Thread(target=lane, args=(b,)) for b in buffers[1:]]
-    with _one_blas_thread():
+    for helper in helpers:
+        helper.start()
+    try:
+        lane(buffers[0])
+    finally:
         for helper in helpers:
-            helper.start()
-        try:
-            lane(buffers[0])
-        finally:
-            for helper in helpers:
-                helper.join()
+            helper.join()
     if failed:
         raise failed[0]
     return out

@@ -5,11 +5,8 @@ file. Exit status: 0 when the verdict is pass, 1 when any residual exceeds its
 tolerance (each such check is named on stderr as ``name: residual >
 tolerance``), 2 on usage or configuration errors, including cutoffs so small
 that no outcome of the selective scan clears the probability floor.
-
-The experiment runs with numpy's and SciPy's OpenBLAS at one thread, their
-counts restored afterwards, so the report is the same bytes whatever thread
-count the environment sets; where a library's thread setter cannot be found,
-the run goes on at that library's own count and says so on stderr.
+The report is the bytes of ``run_experiment(config).to_json()`` and a
+newline.
 """
 from __future__ import annotations
 
@@ -18,7 +15,6 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from .channels import _one_blas_thread
 from .experiment import (
     SQRT_HALF, ExperimentConfig, NoOutcomeError, check_memory, run_experiment,
 )
@@ -143,19 +139,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    # one BLAS thread: faster here than two, and the report's bytes do not
-    # depend on the thread count the environment sets
-    with _one_blas_thread() as pinned:
-        if not pinned:
-            print(
-                "warning: could not set the BLAS thread count to 1; the report's "
-                "last bits may depend on the thread count", file=sys.stderr,
-            )
-        try:
-            report = run_experiment(config)
-        except NoOutcomeError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    try:
+        report = run_experiment(config)
+    except NoOutcomeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     text = report.to_json() + "\n"
     if args.emit == "-":
         sys.stdout.write(text)

@@ -16,7 +16,8 @@ of the ideal output, and that residual measures the simulator's own
 truncation error. Its tolerance grows as 2 sqrt(leakage); the no-signaling
 and oracle checks hold normalized left states to the base tolerance alone;
 invariance checks under right-side channels, run on arm-pair vectors, are
-exact, with fixed tolerances.
+exact, with fixed tolerances. It runs at one BLAS thread, so its report does
+not depend on the thread count the environment sets.
 
 Default per-mode cutoffs take the adequacy rule plus a margin of
 DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the evolved state agrees
@@ -26,13 +27,15 @@ around 1; at the bare adequacy cutoff that residual sits near 1e-7.
 from __future__ import annotations
 
 import functools
+import importlib
 import json
 import math
 import os
 import sys
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence, Union
+from typing import Iterator, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -556,6 +559,52 @@ class Report:
         return json.dumps(doc, indent=2)
 
 
+# Each OpenBLAS library in the process, as a module that links it and the
+# library's thread-count getter and setter: numpy's 64-bit-integer build and
+# the one SciPy's LAPACK (the Haar draws' QR) calls.
+_OPENBLAS = (
+    ("numpy._core._multiarray_umath",
+     "scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy.linalg._flapack", "scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _blas_thread_controls() -> tuple[tuple, bool]:
+    """The (getter, setter) pairs of :data:`_OPENBLAS` that this process's
+    libraries export, and whether every library exports them; found through
+    ``ctypes`` once per process."""
+    import ctypes  # imported by verdicts only
+
+    found = []
+    for module, get, put in _OPENBLAS:
+        try:
+            lib = ctypes.CDLL(importlib.import_module(module).__file__)
+            getter, setter = getattr(lib, get), getattr(lib, put)
+        except (ImportError, OSError, AttributeError):  # another BLAS build
+            continue
+        getter.argtypes, getter.restype = [], ctypes.c_int
+        setter.argtypes, setter.restype = [ctypes.c_int], None
+        found.append((getter, setter))
+    return tuple(found), len(found) == len(_OPENBLAS)
+
+
+@contextmanager
+def _one_blas_thread() -> Iterator[bool]:
+    """Run the block with every OpenBLAS library at one thread, and restore
+    each one's previous count after it. Yields whether every library could
+    be set; a library without the setter runs at its own count."""
+    controls, complete = _blas_thread_controls()
+    before = [getter() for getter, _ in controls]
+    for _, setter in controls:
+        setter(1)
+    try:
+        yield complete
+    finally:
+        for (_, setter), count in zip(controls, before):
+            setter(count)
+
+
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
@@ -578,78 +627,89 @@ def run_experiment(config: ExperimentConfig) -> Report:
     evolved state's left state: those rows also fail when the arm-vector
     route and the six-mode route disagree. The no-signaling rows, the
     structure check and the oracle read the six-mode states. The battery
-    runs on two lanes at one BLAS thread
-    (:func:`channels.haar_channels_left`), whose helper thread is joined
-    before it returns, and every channel residual is that of drawing and
-    contracting one channel after another at one BLAS thread.
+    runs on two lanes (:func:`channels.haar_channels_left`), whose helper
+    thread is joined before it returns.
+
+    The whole run holds numpy's and SciPy's OpenBLAS at one thread
+    (:func:`_one_blas_thread`), their counts restored after it, so every
+    channel residual is that of drawing and contracting one channel after
+    another. Where a library exports no thread-count setter, the run warns
+    (RuntimeWarning) and goes on at that library's own count.
     """
-    heis = heisenberg_residuals(config)
+    with _one_blas_thread() as pinned:
+        if not pinned:
+            warnings.warn(
+                "could not set the BLAS thread count to 1; the report's last bits may "
+                "depend on the thread count", RuntimeWarning, stacklevel=2,
+            )
+        heis = heisenberg_residuals(config)
 
-    # before any six-mode state, so a scan with no outcome stops the run early
-    branches = _branches(config, config.alpha, config.phi)
-    ranked, mixture = selective_ranking(config, branches)
-    occupation, probability, contrast, _ = ranked[0]
-    selective = {
-        "outcome": dict(zip(_SCAN_PAIR, occupation)),
-        "probability": probability,
-        "conditional_trace_distance": contrast,
-    }
+        # before any six-mode state, so a scan with no outcome stops the run early
+        branches = _branches(config, config.alpha, config.phi)
+        ranked, mixture = selective_ranking(config, branches)
+        occupation, probability, contrast, _ = ranked[0]
+        selective = {
+            "outcome": dict(zip(_SCAN_PAIR, occupation)),
+            "probability": probability,
+            "conditional_trace_distance": contrast,
+        }
 
-    psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
-    rho_bare, leak_bare = evolve_and_reduce(config, injected=False)[1:]
-    leakage = {
-        "initial_bare": leak_bare,
-        "initial_with_coherent": leak_with,
-        "final_bare": rho_bare.leakage,
-        "final_with_coherent": psi_with.leakage,
-    }
-    leak_max = max(leakage.values())
-    # every left state the run produces, for the reduced_invariants check
-    reduced = [rho_with, rho_bare] + [row[3] for row in ranked] + [mixture]
+        psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
+        rho_bare, leak_bare = evolve_and_reduce(config, injected=False)[1:]
+        leakage = {
+            "initial_bare": leak_bare,
+            "initial_with_coherent": leak_with,
+            "final_bare": rho_bare.leakage,
+            "final_with_coherent": psi_with.leakage,
+        }
+        leak_max = max(leakage.values())
+        # every left state the run produces, for the reduced_invariants check
+        reduced = [rho_with, rho_bare] + [row[3] for row in ranked] + [mixture]
 
-    structure = distance(psi_with, direct_final_state(config))
+        structure = distance(psi_with, direct_final_state(config))
 
-    oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
+        oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
 
-    pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
-    grams = haar_channels_left(
-        config.hilbert_spec(),
-        branches,
-        [(pair, (config.seed, 2, k), 1) for k, pair in enumerate(pairs)]
-        + [(pair, (config.seed, 3, k), 3) for k, pair in enumerate(pairs)],
-    )
-    grams.append(channel_gram(occupation_projectors(config.hilbert_spec(), _SCAN_PAIR), branches))
-    after = _left_states(config, grams, [psi_with.leakage] * len(grams))
-    reduced += after
-    unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
+        pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
+        grams = haar_channels_left(
+            config.hilbert_spec(),
+            branches,
+            [(pair, (config.seed, 2, k), 1) for k, pair in enumerate(pairs)]
+            + [(pair, (config.seed, 3, k), 3) for k, pair in enumerate(pairs)],
+        )
+        projectors = occupation_projectors(config.hilbert_spec(), _SCAN_PAIR)
+        grams.append(channel_gram(projectors, branches))
+        after = _left_states(config, grams, [psi_with.leakage] * len(grams))
+        reduced += after
+        unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
 
-    def moved(states: list[DensityOperator]) -> float:
-        return max(trace_distance(rho, rho_with) for rho in states)
+        def moved(states: list[DensityOperator]) -> float:
+            return max(trace_distance(rho, rho_with) for rho in states)
 
-    base = config.tolerance
-    checks = (
-        *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
-        ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
-        *no_signaling_rows(config, rho_with, rho_bare),
-        ("left_oracle", oracle, base),
-        ("channel_unitary", moved(unitary), _EXACT_CHECK_TOL),
-        ("channel_projective", moved(projective), _EXACT_CHECK_TOL),
-        ("channel_kraus", moved(kraus), _EXACT_CHECK_TOL),
-        ("selective_mixture", trace_distance(mixture, rho_with), _EXACT_CHECK_TOL),
-        (
-            "reduced_invariants",
-            max(max(rho.invariant_residuals().values()) for rho in reduced),
-            _EXACT_CHECK_TOL,
-        ),
-    )
-    verdict = "pass" if all(res <= tol for _, res, tol in checks) else "fail"
-    return Report(
-        config=config,
-        required_cutoff=config.required_cutoff,
-        adequacy_warning=config.adequacy_warning,
-        leakage=leakage,
-        tolerances={name: tol for name, _, tol in checks},
-        residuals={name: res for name, res, _ in checks},
-        selective=selective,
-        verdict=verdict,
-    )
+        base = config.tolerance
+        checks = (
+            *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
+            ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
+            *no_signaling_rows(config, rho_with, rho_bare),
+            ("left_oracle", oracle, base),
+            ("channel_unitary", moved(unitary), _EXACT_CHECK_TOL),
+            ("channel_projective", moved(projective), _EXACT_CHECK_TOL),
+            ("channel_kraus", moved(kraus), _EXACT_CHECK_TOL),
+            ("selective_mixture", trace_distance(mixture, rho_with), _EXACT_CHECK_TOL),
+            (
+                "reduced_invariants",
+                max(max(rho.invariant_residuals().values()) for rho in reduced),
+                _EXACT_CHECK_TOL,
+            ),
+        )
+        verdict = "pass" if all(res <= tol for _, res, tol in checks) else "fail"
+        return Report(
+            config=config,
+            required_cutoff=config.required_cutoff,
+            adequacy_warning=config.adequacy_warning,
+            leakage=leakage,
+            tolerances={name: tol for name, _, tol in checks},
+            residuals={name: res for name, res, _ in checks},
+            selective=selective,
+            verdict=verdict,
+        )

@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kalamidas import channels
+from kalamidas import experiment
 from kalamidas import (
     ExperimentConfig,
     MODE_LABELS,
@@ -85,7 +85,7 @@ def blas_thread_counts():
     """A function that reads numpy's and SciPy's OpenBLAS thread counts.
     Both are set to two threads for the test, so that a count pinned to one
     and not restored shows, and are put back after it."""
-    controls, complete = channels._blas_thread_controls()
+    controls, complete = experiment._blas_thread_controls()
     if not complete:
         pytest.skip("an OpenBLAS library here exports no thread-count setter")
     before = [getter() for getter, _ in controls]

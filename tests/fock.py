@@ -7,7 +7,8 @@ occupation scan and a channel's left state from the six-mode state, the
 completeness of an operator family, the adjoint, and the density-operator
 checks that raise. Each is written independently of the code it checks, on
 dense matrices or one projector at a time, so a test that compares the two
-compares two routes to one answer.
+compares two routes to one answer. One fault for a positive control drops
+the r y+ half of the photon's output (:func:`dropped_term_branches`).
 """
 import math
 from typing import Optional, Sequence
@@ -17,6 +18,7 @@ import scipy.linalg
 
 from kalamidas import optics
 from kalamidas.channels import PROBABILITY_FLOOR
+from kalamidas.experiment import _branches
 from kalamidas.hilbert import (
     LEFT_LABELS,
     RIGHT_LABELS,
@@ -209,6 +211,25 @@ def conditional_left_by_occupation(
         if p >= PROBABILITY_FLOOR
     ]
     return outcomes, DensityOperator(left, grams.sum(axis=0), leakage=state.leakage)
+
+
+def dropped_term_branches(config, alpha: complex, phi: float) -> list:
+    """A fault for ``experiment._branches``: the r y+ half of the photon's
+    output dropped. Each arm's q1 is t x+ q0 instead of (t x+ + r y+) q0,
+    with q0 the splitter's output of |0>|alpha> on the arm pair (x, y).
+
+    The overlap <q0|q1> is then -t r conj(alpha) on each arm, where the
+    honest branches give 0, so the normalized left state gains the
+    off-diagonal entry e^{i phi} z / 2, z = r^2 |alpha|^2 / (1 + r^2 |alpha|^2),
+    and sits a trace distance z / 2 from the bare preparation's.
+    """
+    (c0, q0a, _), (c1, _, q0b) = _branches(config, alpha, phi)
+
+    def t_raised(q: PureState, m: str) -> PureState:
+        sub = q.spec.subspace((m,))
+        return apply(LinearOperator(sub, config.t * raising_matrix(sub.dim)), q)
+
+    return [(c0, q0a, t_raised(q0b, "b2")), (c1, t_raised(q0a, "a2"), q0b)]
 
 
 def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:

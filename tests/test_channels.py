@@ -24,7 +24,9 @@ from kalamidas import (
 )
 from kalamidas import channels
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
-from kalamidas.experiment import _RIGHT_PAIRS, _branches, _left_states, selective_ranking
+from kalamidas.experiment import (
+    _RIGHT_PAIRS, _branches, _left_states, _one_blas_thread, selective_ranking,
+)
 from kalamidas.hilbert import embed
 from kalamidas.nosignal import normalized
 
@@ -307,8 +309,8 @@ def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec
     pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
     draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
     draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
-    got = haar_channels_left(quick_spec, branches, draws)
-    with channels._one_blas_thread():
+    with _one_blas_thread():  # as run_experiment calls the battery
+        got = haar_channels_left(quick_spec, branches, draws)
         want = [
             channel_gram((random_right_unitary(quick_spec, modes, seed),)
                          if k == 1 else random_kraus(quick_spec, modes, seed, k), branches)
@@ -338,33 +340,16 @@ def test_the_lanes_take_every_draw_once_under_fast_thread_switches(quick_spec, m
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        got = haar_channels_left(quick_spec, branches, draws)
+        with _one_blas_thread():
+            got = haar_channels_left(quick_spec, branches, draws)
     finally:
         sys.setswitchinterval(interval)
     assert sorted(seeds) == [seed for _, seed, _ in draws]
     monkeypatch.undo()
-    with channels._one_blas_thread():
+    with _one_blas_thread():
         want = [channel_gram((random_right_unitary(quick_spec, m, seed),), branches)
                 for m, seed, _ in draws]
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-
-
-def test_haar_channels_left_runs_at_one_blas_thread_and_restores_the_counts(
-    quick_spec, blas_thread_counts, monkeypatch
-):
-    during = []
-    draw = channels._haar_isometry
-
-    def recording(z, seed):
-        during.append(blas_thread_counts())
-        return draw(z, seed)
-
-    monkeypatch.setattr(channels, "_haar_isometry", recording)
-    config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
-    draws = [(("a2", "b2"), (0, 2, k), 1) for k in range(4)]
-    haar_channels_left(quick_spec, _branches(config, 0.0, 0.0), draws)
-    assert during == [[1, 1]] * len(draws)
-    assert blas_thread_counts() == [2, 2]
 
 
 _REFERENCE_CONFIGS = {

@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import channels, cli
+from kalamidas import cli, experiment
 from kalamidas.cli import build_parser, main
-from kalamidas.experiment import SQRT_HALF, run_experiment
+from kalamidas.experiment import SQRT_HALF
 
 CLI = [sys.executable, "-m", "kalamidas"]
 BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -90,8 +90,8 @@ def test_repeated_runs_are_byte_identical():
 
 @pytest.mark.parametrize("args", [["--alpha-re", "0"], QUICK_ARGS], ids=["alpha=0", "toy"])
 def test_the_report_does_not_depend_on_the_blas_thread_count(args):
-    """The CLI runs the experiment at one BLAS thread whatever the
-    environment sets, so one and two threads print the same bytes; at
+    """run_experiment runs at one BLAS thread whatever the environment
+    sets, so the CLI prints the same bytes at one and two threads; at
     alpha = 0 the Haar draws' QR rounds differently at two threads."""
     outputs = []
     for threads in ("1", "2"):
@@ -103,28 +103,34 @@ def test_the_report_does_not_depend_on_the_blas_thread_count(args):
     assert outputs[0] == outputs[1]
 
 
-def test_main_runs_at_one_blas_thread_and_restores_the_counts(
-    blas_thread_counts, monkeypatch, capsys
-):
-    during = []
-
-    def recording(config):
-        during.append(blas_thread_counts())
-        return run_experiment(config)
-
-    monkeypatch.setattr(cli, "run_experiment", recording)
-    assert main(QUICK_ARGS) == 0
-    capsys.readouterr()
-    assert during == [[1, 1]]
-    assert blas_thread_counts() == [2, 2]
+def test_a_python_caller_gets_the_cli_report_bytes():
+    """run_experiment pins its own BLAS thread count, so at two threads a
+    Python caller's report is the CLI's stdout, byte for byte."""
+    env = {**child_env(), **dict.fromkeys(BLAS_THREADS, "2")}
+    code = (
+        "import sys; from kalamidas import ExperimentConfig, run_experiment; "
+        "sys.stdout.write(run_experiment(ExperimentConfig(alpha=1.0)).to_json() + '\\n')"
+    )
+    outputs = []
+    for argv in ([sys.executable, "-c", code], CLI + ["--alpha-re", "1"]):
+        proc = subprocess.run(argv, capture_output=True, text=True, timeout=600, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        outputs.append(proc.stdout)
+    assert outputs[0] == outputs[1]
 
 
 def test_a_missing_blas_thread_setter_is_named_once_and_the_run_goes_on(monkeypatch, capsys):
-    monkeypatch.setattr(channels, "_blas_thread_controls", lambda: ((), False))
-    assert main(QUICK_ARGS) == 0
-    captured = capsys.readouterr()
-    assert json.loads(captured.out)["verdict"] == "pass"
-    assert captured.err.count("BLAS thread count") == 1
+    """Where a library exports no thread-count setter, run_experiment warns
+    once, attributed to its caller, and the CLI run still passes."""
+    monkeypatch.setattr(experiment, "_blas_thread_controls", lambda: ((), False))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert main(QUICK_ARGS) == 0
+    assert json.loads(capsys.readouterr().out)["verdict"] == "pass"
+    notices = [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    assert len(notices) == 1
+    assert "BLAS thread count" in str(notices[0].message)
+    assert notices[0].filename == cli.__file__
 
 
 def test_forced_failure_exits_1():

@@ -29,12 +29,16 @@ from kalamidas import (
     run_experiment,
     trace_distance,
 )
-from kalamidas import channels, experiment, hilbert
+from kalamidas import channels, cli, experiment, hilbert
 from kalamidas.channels import channel_gram, haar_channels_left
-from kalamidas.experiment import SQRT_HALF, evolve_and_reduce, left_states_over_phases
+from kalamidas.experiment import (
+    SQRT_HALF, NoOutcomeError, evolve_and_reduce, left_states_over_phases,
+)
+from kalamidas.hilbert import RIGHT_LABELS
+from kalamidas.nosignal import normalized
 from kalamidas.optics import BeamSplitter
 
-from fock import inner, ladder, number_op
+from fock import dropped_term_branches, inner, ladder, number_op
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
 
@@ -255,6 +259,80 @@ def test_a_verdict_builds_its_branches_once(monkeypatch):
     monkeypatch.setattr(experiment, "_branches", counted)
     run_experiment(config)
     assert calls == [(config, config.alpha, config.phi)]
+
+
+def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
+    blas_thread_counts, monkeypatch, capsys
+):
+    """run_experiment holds both OpenBLAS libraries at one thread from its
+    first stage to its last draw, whoever calls it, and puts both counts
+    back after it, also when the scan stops it with NoOutcomeError."""
+    during = []
+
+    def record(module, name):
+        stage = getattr(module, name)
+
+        def recording(*args):
+            during.append((name, blas_thread_counts()))
+            return stage(*args)
+
+        monkeypatch.setattr(module, name, recording)
+
+    record(experiment, "heisenberg_residuals")
+    record(channels, "_haar_isometry")
+    cutoffs = [arg for m, n in QUICK.items() for arg in ("--cutoff", f"{m}={n}")]
+    assert cli.main(["--alpha-re", "0", *cutoffs]) == 0
+    capsys.readouterr()
+    assert blas_thread_counts() == [2, 2]
+    assert run_experiment(ExperimentConfig(alpha=0.0, cutoffs=QUICK)).verdict == "pass"
+    assert blas_thread_counts() == [2, 2]
+    with pytest.raises(NoOutcomeError):
+        run_experiment(ExperimentConfig(alpha=4.0, cutoffs={"a3": 1, "b3": 1}))
+    assert blas_thread_counts() == [2, 2]
+    stages = [name for name, _ in during]
+    assert stages.count("heisenberg_residuals") == 3
+    assert stages.count("_haar_isometry") == 2 * 2 * experiment._CHANNEL_TRIALS
+    assert all(counts == [1, 1] for _, counts in during)
+
+
+@pytest.mark.parametrize("t", [0.3, 0.6, SQRT_HALF, 0.9])
+def test_the_dropped_term_moves_the_left_state_by_half_of_z(monkeypatch, t):
+    """With the r y+ half of the photon's output dropped, the injected and
+    bare left states sit a trace distance z / 2 apart,
+    z = r^2 |alpha|^2 / (1 + r^2 |alpha|^2), where the honest branches give
+    rounding."""
+    phis = [0.4, 1.9]
+    honest = experiment._branches
+    for alpha in (0.2, 0.7, 1.3):
+        config = ExperimentConfig(alpha=alpha, t=t)
+        shift = (config.r * alpha) ** 2
+        for branches, half_z in ((honest, 0.0), (dropped_term_branches, shift / (1 + shift) / 2)):
+            monkeypatch.setattr(experiment, "_branches", branches)
+            lefts = [left_states_over_phases(config, phis, injected) for injected in (True, False)]
+            for rho_with, rho_bare in zip(*lefts, strict=True):
+                got = trace_distance(normalized(rho_with), normalized(rho_bare))
+                assert abs(got - half_z) <= 1e-13
+
+
+def test_the_verdict_fails_the_dropped_term_on_the_cross_route_rows(monkeypatch):
+    """The dropped term moves the arm-vector route's left states, so every
+    row that compares them with the six-mode route fails, at 0.2188 and, for
+    the trace bookkeeping, 0.4375. The no-signaling rows read the six-mode
+    states alone and pass; once they read the arm-pair vectors, this set
+    changes."""
+    config = ExperimentConfig(alpha=0.5, cutoffs=dict.fromkeys(RIGHT_LABELS, 14))
+    assert run_experiment(config).verdict == "pass"
+    monkeypatch.setattr(experiment, "_branches", dropped_term_branches)
+    report = run_experiment(config)
+    failed = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
+    assert report.verdict == "fail"
+    assert failed == {
+        "channel_unitary", "channel_projective", "channel_kraus",
+        "selective_mixture", "reduced_invariants",
+    }
+    for name in failed:
+        want = 0.4375 if name == "reduced_invariants" else 0.2188
+        assert report.residuals[name] == pytest.approx(want, abs=5e-4)
 
 
 def test_photon_arm_occupation_closed_form():
@@ -633,7 +711,7 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
     branches = experiment._branches(config, config.alpha, config.phi)
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
-    with channels._one_blas_thread():  # as the battery runs
+    with experiment._one_blas_thread():  # as run_experiment runs
         unitaries = [
             channel_gram((random_right_unitary(spec, pair, (config.seed, 2, k)),), branches)
             for k, pair in enumerate(pairs)

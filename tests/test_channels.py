@@ -19,10 +19,11 @@ from kalamidas import (
     occupation_projectors,
     random_kraus,
     random_right_unitary,
+    run_experiment,
     reduce_left,
     trace_distance,
 )
-from kalamidas import channels
+from kalamidas import channels, experiment
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
 from kalamidas.experiment import (
     _RIGHT_PAIRS, _branches, _left_states, _one_blas_thread, selective_ranking,
@@ -350,6 +351,30 @@ def test_the_lanes_take_every_draw_once_under_fast_thread_switches(quick_spec, m
         want = [channel_gram((random_right_unitary(quick_spec, m, seed),), branches)
                 for m, seed, _ in draws]
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_haar_channels_left_runs_at_one_blas_thread_and_restores_the_counts(
+    quick_spec, blas_thread_counts, monkeypatch
+):
+    """The battery sets no thread count itself: its draws run at one thread
+    inside a verdict, as run_experiment calls it, and both counts are back
+    after the verdict."""
+    during = []
+    draw = channels._haar_isometry
+
+    def recording(z, seed):
+        during.append(blas_thread_counts())
+        return draw(z, seed)
+
+    monkeypatch.setattr(channels, "_haar_isometry", recording)
+    config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
+    draws = [(("a2", "b2"), (0, 2, k), 1) for k in range(4)]
+    haar_channels_left(quick_spec, _branches(config, 0.0, 0.0), draws)
+    assert during == [[2, 2]] * len(draws)
+    during.clear()
+    run_experiment(config)
+    assert during == [[1, 1]] * 2 * experiment._CHANNEL_TRIALS
+    assert blas_thread_counts() == [2, 2]
 
 
 _REFERENCE_CONFIGS = {

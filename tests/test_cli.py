@@ -103,6 +103,25 @@ def test_the_report_does_not_depend_on_the_blas_thread_count(args):
     assert outputs[0] == outputs[1]
 
 
+def test_main_runs_at_one_blas_thread_and_restores_the_counts(
+    blas_thread_counts, monkeypatch, capsys
+):
+    """The CLI's run goes through run_experiment's pin: its stages read one
+    thread for both libraries, and both counts are back after main."""
+    during = []
+    stage = experiment.heisenberg_residuals
+
+    def recording(*args):
+        during.append(blas_thread_counts())
+        return stage(*args)
+
+    monkeypatch.setattr(experiment, "heisenberg_residuals", recording)
+    assert main(QUICK_ARGS) == 0
+    capsys.readouterr()
+    assert during == [[1, 1]]
+    assert blas_thread_counts() == [2, 2]
+
+
 def test_a_python_caller_gets_the_cli_report_bytes():
     """run_experiment pins its own BLAS thread count, so at two threads a
     Python caller's report is the CLI's stdout, byte for byte."""

@@ -192,10 +192,7 @@ class ExperimentConfig:
 
     @property
     def adequacy_warning(self) -> bool:
-        if self.alpha == 0:
-            return False
-        needed = self.required_cutoff
-        return any(self.cutoffs_map[label] < needed for label in RIGHT_LABELS)
+        return bool(_inadequate_modes(self))
 
     def hilbert_spec(self) -> HilbertSpec:
         return _full_spec(self.cutoffs)
@@ -311,23 +308,45 @@ def initial_state_with_coherent(config: ExperimentConfig) -> PureState:
     return _prepared_state(config, config.alpha)
 
 
+def _inadequate_modes(config: ExperimentConfig) -> list[str]:
+    """The right modes whose cutoff is below the adequacy rule for the
+    config's alpha; none at alpha = 0, which injects nothing."""
+    if config.alpha == 0:
+        return []
+    return [m for m in RIGHT_LABELS if config.cutoffs_map[m] < config.required_cutoff]
+
+
+def _warn(message: str, category: type[Warning]) -> None:
+    """The package's one call of warnings.warn, attributed to the first
+    calling frame outside this package."""
+    package = os.path.dirname(__file__) + os.sep
+    frame, level = sys._getframe(1), 2  # the caller is level 2
+    while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
+        frame, level = frame.f_back, level + 1
+    warnings.warn(message, category, stacklevel=level)
+
+
 def _warn_if_inadequate(config: ExperimentConfig) -> None:
     """Warn when a right-mode cutoff is below the adequacy rule for the
-    config's alpha, attributed to the first calling frame outside this
-    package."""
-    if config.adequacy_warning:
-        package = os.path.dirname(__file__) + os.sep
-        frame, level = sys._getframe(1), 2  # the caller is level 2
-        while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
-            frame, level = frame.f_back, level + 1
-        low = [m for m in RIGHT_LABELS if config.cutoffs_map[m] < config.required_cutoff]
-        warnings.warn(
+    config's alpha."""
+    low = _inadequate_modes(config)
+    if low:
+        _warn(
             f"right-mode cutoffs {low} are below the adequacy rule "
             f"({config.required_cutoff}) for |alpha| = {abs(config.alpha):.4g}; "
             f"the structure tolerance is scaled by the resulting leakage",
             CutoffAdequacyWarning,
-            stacklevel=level,
         )
+
+
+def _poisson_tail(cutoff: int, lam: float) -> float:
+    """sum_{n > cutoff} e^{-lam} lam^n / n!, summed upward from cutoff + 1
+    without the coherent series, so that a fault in the series cannot cancel."""
+    n, total, term = cutoff + 1, 0.0, 1.0
+    while lam and (n <= lam or total + term != total):
+        term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
+        total, n = total + term, n + 1
+    return total
 
 
 def _splitters(config: ExperimentConfig) -> tuple[BeamSplitter, BeamSplitter, BeamSplitter]:
@@ -635,12 +654,20 @@ def run_experiment(config: ExperimentConfig) -> Report:
     channel residual is that of drawing and contracting one channel after
     another. Where a library exports no thread-count setter, the run warns
     (RuntimeWarning) and goes on at that library's own count.
+
+    Two rows read the booked leakage. ``unitarity`` is the larger, over the
+    two preparations, of final less initial leakage: the norm the
+    unitary-flagged splitters lose. Once the verdict is computed from the
+    arm-pair vectors instead of six-mode states, it must read the loss the
+    arm vectors book. ``preparation`` compares the injected preparation's
+    leakage with 1 - (1 - T_a3)(1 - T_b3), T the Poisson tail above each
+    cutoff (:func:`_poisson_tail`), and reads the bare one's, which is 0.
     """
     with _one_blas_thread() as pinned:
         if not pinned:
-            warnings.warn(
+            _warn(
                 "could not set the BLAS thread count to 1; the report's last bits may "
-                "depend on the thread count", RuntimeWarning, stacklevel=2,
+                "depend on the thread count", RuntimeWarning,
             )
         heis = heisenberg_residuals(config)
 
@@ -686,6 +713,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         def moved(states: list[DensityOperator]) -> float:
             return max(trace_distance(rho, rho_with) for rho in states)
 
+        lost = max(psi_with.leakage - leak_with, rho_bare.leakage - leak_bare)
+        tails = [_poisson_tail(config.cutoffs_map[m], abs(config.alpha) ** 2) for m in ("a3", "b3")]
+        kept = (1.0 - tails[0]) * (1.0 - tails[1])  # the norm^2 the injected preparation keeps
+
         base = config.tolerance
         checks = (
             *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
@@ -701,6 +732,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
                 max(max(rho.invariant_residuals().values()) for rho in reduced),
                 _EXACT_CHECK_TOL,
             ),
+            ("unitarity", lost, _EXACT_CHECK_TOL),
+            ("preparation", max(abs(leak_with - (1.0 - kept)), leak_bare), _EXACT_CHECK_TOL),
         )
         verdict = "pass" if all(res <= tol for _, res, tol in checks) else "fail"
         return Report(

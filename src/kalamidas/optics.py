@@ -19,13 +19,14 @@ state of a run is built with them, and they serve the tests as the reference
 the coherent series is checked against. A run injects coherent states as
 product states of the truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!),
 so their missing Poisson tail is visible as leakage. The cutoff-adequacy rule
-below keeps that tail below 1e-12 for |alpha| <= 2.
+below keeps that tail below 1e-12 for |alpha| <= 2; nothing here warns when a
+cutoff falls short of it, since a run warns once per configuration
+(:mod:`kalamidas.experiment`).
 """
 from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,21 +85,6 @@ def adequate_cutoff(alpha: complex) -> int:
     if not math.isfinite(needed):
         raise ValueError(f"|alpha| = {a:.4g} is too large for any cutoff")
     return math.ceil(needed)
-
-
-def _check_adequacy(spec: HilbertSpec, m: str, alpha: complex) -> None:
-    a = complex(alpha)
-    if a == 0:
-        return
-    needed = adequate_cutoff(a)
-    have = spec.cutoff_of(m)
-    if have < needed:
-        warnings.warn(
-            f"cutoff {have} on mode {m} is below the adequacy rule ({needed}) "
-            f"for |alpha| = {abs(a):.4g}; accuracy degrades and leakage grows",
-            CutoffAdequacyWarning,
-            stacklevel=3,
-        )
 
 
 def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
@@ -171,12 +157,11 @@ def heisenberg_action(u: LinearOperator, op: LinearOperator) -> LinearOperator:
 def displacement_unitary(spec: HilbertSpec, m: str, alpha: complex) -> LinearOperator:
     """D(alpha) = exp(alpha a+ - conj(alpha) a) on the mode's subspace.
 
-    Exactly unitary on the truncated space. Warns when the mode's cutoff is
-    below the adequacy rule, since the action near the boundary then deviates
-    from the ideal displacement.
+    Exactly unitary on the truncated space. Below the adequacy rule its
+    action near the boundary deviates from the ideal displacement; it does
+    not warn.
     """
     a = complex(alpha)
-    _check_adequacy(spec, m, a)
     sub = spec.subspace((m,))
     up = raising_matrix(sub.dim)
     gen = a * up - np.conj(a) * up.conj().T

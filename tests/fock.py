@@ -103,12 +103,11 @@ def validate(rho: DensityOperator, atol: float = 1e-10) -> DensityOperator:
 def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:
     """|alpha> on one mode, vacuum elsewhere, from the truncated series.
 
-    Warns as the package does when the mode's cutoff is below the adequacy
-    rule. The missing Poisson tail appears as leakage, so norm2 + leakage = 1
-    up to rounding.
+    It does not warn below the adequacy rule: the package's one adequacy
+    warning is a run's, per configuration. The missing Poisson tail appears
+    as leakage, so norm2 + leakage = 1 up to rounding.
     """
     a = complex(alpha)
-    optics._check_adequacy(spec, m, a)
     return product_state(spec, [(1.0, {m: optics.coherent_series(a, spec.cutoff_of(m) + 1)})])
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import cli, experiment
+from kalamidas import experiment
 from kalamidas.cli import build_parser, main
 from kalamidas.experiment import SQRT_HALF
 
@@ -141,7 +141,8 @@ def test_a_python_caller_gets_the_cli_report_bytes():
 
 def test_a_missing_blas_thread_setter_is_named_once_and_the_run_goes_on(monkeypatch, capsys):
     """Where a library exports no thread-count setter, run_experiment warns
-    once, attributed to its caller, and the CLI run still passes."""
+    once, attributed to the first calling frame outside the package (this
+    test), and the CLI run still passes."""
     monkeypatch.setattr(experiment, "_blas_thread_controls", lambda: ((), False))
     with pytest.warns(RuntimeWarning) as caught:
         assert main(QUICK_ARGS) == 0
@@ -149,7 +150,22 @@ def test_a_missing_blas_thread_setter_is_named_once_and_the_run_goes_on(monkeypa
     notices = [w for w in caught if issubclass(w.category, RuntimeWarning)]
     assert len(notices) == 1
     assert "BLAS thread count" in str(notices[0].message)
-    assert notices[0].filename == cli.__file__
+    assert notices[0].filename == __file__
+
+
+def test_a_missing_blas_thread_setter_names_no_file_of_the_package():
+    code = (
+        "import sys; from kalamidas import cli, experiment; "
+        "experiment._blas_thread_controls = lambda: ((), False); "
+        f"sys.exit(cli.main({QUICK_ARGS!r}))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=600, env=child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "RuntimeWarning: could not set the BLAS thread count" in proc.stderr
+    assert str(REPO / "src" / "kalamidas") not in proc.stderr
+    assert "cli.py" not in proc.stderr and "experiment.py" not in proc.stderr
 
 
 def test_forced_failure_exits_1():

@@ -498,6 +498,13 @@ def test_clipped_arm_splitters_fail_the_trace_distance(monkeypatch, width):
     assert report.verdict == "fail"
 
 
+def _arm_b_with_flipped_reflectivity(spec, bs):
+    """beamsplitter_unitary, with arm b built with -r."""
+    if bs.mode_pair == ("b2", "b3"):
+        bs = BeamSplitter(bs.mode_pair, bs.t, -bs.r)
+    return beamsplitter_unitary(spec, bs)
+
+
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
 def test_flipped_arm_b_reflectivity_fails_only_the_splitter_checks(monkeypatch):
     """Arm b built with -r is still a unitary on the right, so the left state
@@ -505,14 +512,7 @@ def test_flipped_arm_b_reflectivity_fails_only_the_splitter_checks(monkeypatch):
     splitter, so its Heisenberg check and the structure check fail. At these
     undersized cutoffs structure reads 4.2e-4 without the fault, already over
     its tolerance, so the fault is told by a residual of order one."""
-    stated = experiment.beamsplitter_unitary
-
-    def flipped(spec, bs):
-        if bs.mode_pair == ("b2", "b3"):
-            bs = BeamSplitter(bs.mode_pair, bs.t, -bs.r)
-        return stated(spec, bs)
-
-    monkeypatch.setattr(experiment, "beamsplitter_unitary", flipped)
+    monkeypatch.setattr(experiment, "beamsplitter_unitary", _arm_b_with_flipped_reflectivity)
     report = run_experiment(ExperimentConfig(**FAULTY))
     failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
     assert failing == {"heisenberg_arm_b", "structure"}
@@ -552,13 +552,12 @@ def test_nx_diagonal_arm_splitters_fail_the_arm_vector_rows(monkeypatch):
     vacuum vector to orthogonal vectors, with the same weights in both arms,
     so the normalized left state does not move; and the structure tolerance,
     base + 2 sqrt(booked loss), is wide enough to hold the distorted state.
-    The fault is caught across the two routes: the selective scan and the
-    channel battery contract the arm vectors, which the true splitters build
-    outside evolve, and the selective mixture and channel rows compare them
-    with the six-mode state's left state, which carries the loss. A loss
-    that both routes share (in apply, say) would pass here and still widen
-    structure, until a check on the norm that unitary-flagged applies lose
-    lands."""
+    The loss fails unitarity, and the fault is also caught across the two
+    routes: the selective scan and the channel battery contract the arm
+    vectors, which the true splitters build outside evolve, and the
+    selective mixture and channel rows compare them with the six-mode
+    state's left state, which carries the loss. A loss that both routes
+    share fails unitarity alone (see the fault table below)."""
     monkeypatch.setattr(experiment, "evolve", _evolve_with_banded_arms(0))
     report = run_experiment(ExperimentConfig(**FAULTY))
     assert report.leakage["final_with_coherent"] > 0.5
@@ -566,9 +565,72 @@ def test_nx_diagonal_arm_splitters_fail_the_arm_vector_rows(monkeypatch):
     arm_vector_rows = {
         "channel_unitary", "channel_projective", "channel_kraus", "selective_mixture",
     }
-    assert failing == arm_vector_rows | {"reduced_invariants"}
+    assert failing == arm_vector_rows | {"reduced_invariants", "unitarity"}
     assert min(report.residuals[name] for name in failing) > 0.3
     assert report.verdict == "fail"
+
+
+def _nx_diagonal_arm_apply(op, state):
+    """apply, with each arm splitter cut to its n_x-diagonal entries, so
+    evolve and the arm-pair vectors lose the same norm."""
+    if op.unitary and op.spec.modes in (("a2", "a3"), ("b2", "b3")):
+        blocks = tuple((sl, np.diag(np.diag(b))) for sl, b in op.blocks)
+        op = LinearOperator(op.spec, blocks=blocks, unitary=True)
+    return apply(op, state)
+
+
+def _series_normalized_with_e_to_minus_alpha_squared(alpha, dim):
+    return coherent_series(alpha, dim) * math.exp(-abs(alpha) ** 2 / 2)
+
+
+_CHANNEL_ROWS = {"channel_unitary", "channel_projective", "channel_kraus"}
+_CLIPPED = _CHANNEL_ROWS | {
+    "left_oracle", "reduced_invariants", "selective_mixture", "signaling_gap",
+    "trace_distance", "unitarity",
+}
+
+
+@pytest.mark.parametrize(
+    "seam, fault, failing",
+    [
+        pytest.param(None, None, set(), id="honest"),
+        pytest.param("evolve", _evolve_with_banded_arms(2), _CLIPPED, id="moves-over-2"),
+        pytest.param("evolve", _evolve_with_banded_arms(1), _CLIPPED, id="moves-over-1"),
+        pytest.param(
+            "evolve", _evolve_with_banded_arms(0),
+            _CHANNEL_ROWS | {"reduced_invariants", "selective_mixture", "unitarity"},
+            id="nx-diagonal-in-evolve",
+        ),
+        pytest.param(
+            "beamsplitter_unitary", _arm_b_with_flipped_reflectivity,
+            {"heisenberg_arm_b", "structure"}, id="arm-b-reflectivity-flipped",
+        ),
+        pytest.param("apply", _nx_diagonal_arm_apply, {"unitarity"}, id="nx-diagonal-in-both-routes"),
+        pytest.param(
+            "coherent_series", _series_normalized_with_e_to_minus_alpha_squared,
+            {"preparation"}, id="series-normalized-with-e^-|alpha|^2",
+        ),
+        pytest.param(
+            "_branches", dropped_term_branches,
+            _CHANNEL_ROWS | {"reduced_invariants", "selective_mixture"}, id="dropped-term",
+        ),
+    ],
+)
+def test_the_fault_table(monkeypatch, seam, fault, failing):
+    """Each fault, patched at one seam of the experiment module, fails
+    exactly these rows at alpha = 0.5 with right cutoffs 14, where the
+    honest run fails none. A row fails when its residual is not at or below
+    its tolerance, as the CLI reads it, so a NaN fails. The n_x-diagonal
+    cut in both routes (loss 0.65) and the series normalized with
+    e^{-|alpha|^2} (preparation loss 1 - e^{-1/2}) are each caught by one
+    row alone: the norm that unitary-flagged splitters lose, and the
+    preparation's leakage against its closed-form Poisson tails."""
+    if seam is not None:
+        monkeypatch.setattr(experiment, seam, fault)
+    report = run_experiment(ExperimentConfig(alpha=0.5, cutoffs=dict.fromkeys(RIGHT_LABELS, 14)))
+    got = {name for name, res in report.residuals.items() if not res <= report.tolerances[name]}
+    assert got == failing
+    assert report.verdict == ("fail" if failing else "pass")
 
 
 def test_report_is_identical_when_every_splitter_comes_from_the_cache():

@@ -1,7 +1,6 @@
-"""Splitter and displacement conventions, coherent series, adequacy warnings."""
+"""Splitter and displacement conventions, coherent series, the adequacy rule."""
 import math
 import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from hypothesis import strategies as st
 from kalamidas import (
     MODE_LABELS,
     BeamSplitter,
-    CutoffAdequacyWarning,
     ExperimentConfig,
     HilbertSpec,
     adequate_cutoff,
@@ -185,30 +183,11 @@ def test_coherent_mean_occupation():
 def test_coherent_state_leakage_is_poisson_tail():
     alpha = 1.2
     spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 4, 1))
-    with pytest.warns(CutoffAdequacyWarning):
-        state = coherent_state(spec, "a3", alpha)
+    state = coherent_state(spec, "a3", alpha)
     a2 = abs(alpha) ** 2
     cdf = math.exp(-a2) * sum(a2**n / math.factorial(n) for n in range(5))
     assert state.leakage == pytest.approx(1.0 - cdf, abs=1e-12)
     assert state.norm2 + state.leakage == pytest.approx(1.0, abs=1e-12)
-
-
-def test_adequacy_warning_quiet_cases():
-    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 1, 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        coherent_state(spec, "a3", 0.0)
-        displacement_unitary(spec, "b3", 0.0)
-    big = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, adequate_cutoff(0.8), 1))
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        coherent_state(big, "a3", 0.8)
-
-
-def test_adequacy_warning_fires_for_displacement():
-    spec = HilbertSpec(MODE_LABELS, (1, 1, 1, 1, 3, 1))
-    with pytest.warns(CutoffAdequacyWarning):
-        displacement_unitary(spec, "a3", 1.0)
 
 
 def test_heisenberg_action_guards(quick_spec):

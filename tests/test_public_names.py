@@ -105,6 +105,33 @@ def test_every_private_definition_is_read_by_the_package_or_a_script():
     assert _unread(private=True) == []
 
 
+def _warn_callers(node, owner=None):
+    """The innermost function around each ``warnings.warn`` call under
+    node, None at module level."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield from _warn_callers(child, child.name)
+            continue
+        if isinstance(child, ast.Call) and ast.unparse(child.func) == "warnings.warn":
+            yield owner
+        yield from _warn_callers(child, owner)
+
+
+def test_the_package_calls_warnings_warn_in_one_function():
+    """Every warning of the package goes through ``experiment._warn``, so
+    one rule says which frame a warning names."""
+    callers, imports = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        callers += [f"{path.stem}.{owner}" for owner in _warn_callers(tree)]
+        imports += [
+            path.stem for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "warnings"
+        ]
+    assert callers == ["experiment._warn"]
+    assert imports == []
+
+
 def test_the_tracer_runs_against_the_package(tmp_path):
     tracer = _tracer()
     plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"

@@ -4,9 +4,9 @@ A single photon is split between a left pair of modes and a right pair, and
 coherent states may be injected on two auxiliary right modes. The package
 verifies numerically that nothing done on the right (injection, unitaries,
 projective or generalized measurements without record) moves the left
-reduced state: a verdict's structure, no-signaling and oracle rows from the
-evolved six-mode state, its channel rows and scan and both scripts from the
-2 x 2 Gram matrix of two branches of arm-pair vectors.
+reduced state: every left state of a verdict, its scan and both scripts from
+the 2 x 2 Gram matrix of two branches of arm-pair vectors, and the structure
+row and booked leakage from the evolved six-mode state.
 """
 from .channels import (
     PROBABILITY_FLOOR,

@@ -6,13 +6,15 @@ tolerance (each such check is named on stderr as ``name: residual >
 tolerance``), 2 on usage or configuration errors, including cutoffs so small
 that no outcome of the selective scan clears the probability floor.
 The report is the bytes of ``run_experiment(config).to_json()`` and a
-newline.
+newline. Run as the program, :func:`main` prints each warning of the run as
+``kalamidas: Category: message``; a caller that passes ``argv`` gets them.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import warnings
 from typing import Optional, Sequence
 
 from .experiment import (
@@ -140,7 +142,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     try:
-        report = run_experiment(config)
+        with warnings.catch_warnings(record=argv is None) as caught:
+            try:
+                report = run_experiment(config)
+            finally:  # run as the program, a warning names the program, not a frame
+                for w in caught or ():
+                    print(f"{parser.prog}: {w.category.__name__}: {w.message}", file=sys.stderr)
     except NoOutcomeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

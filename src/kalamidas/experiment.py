@@ -9,15 +9,17 @@ splitters: one on each right arm pair, (a2, a3) and (b2, b3), with parameters
 :func:`run_experiment` runs the full verification battery for one
 configuration and returns a :class:`Report` whose verdict certifies that the
 left reduced state is independent of the injection and of every legitimate
-right-side operation, within explicit tolerances. Every state it builds is a
-sum of product states of single-mode vectors (hilbert.product_state), so the
-direct construction it compares the evolved state with is the box projection
-of the ideal output, and that residual measures the simulator's own
-truncation error. Its tolerance grows as 2 sqrt(leakage); the no-signaling
-and oracle checks hold normalized left states to the base tolerance alone;
-invariance checks under right-side channels, run on arm-pair vectors, are
-exact, with fixed tolerances. It runs at one BLAS thread, so its report does
-not depend on the thread count the environment sets.
+right-side operation, within explicit tolerances. Every left state it
+compares comes from the arm-pair branches before the left splitter; the
+six-mode states it evolves feed only the structure check and the leakage.
+Every state it builds is a sum of product states of single-mode vectors
+(hilbert.product_state), so the direct construction it compares the evolved
+state with is the box projection of the ideal output, and that residual
+measures the simulator's own truncation error. Its tolerance grows as
+2 sqrt(leakage); the no-signaling and oracle checks hold normalized left
+states to the base tolerance alone; invariance checks under right-side
+channels are exact, with fixed tolerances. It runs at one BLAS thread, so
+its report does not depend on the thread count the environment sets.
 
 Default per-mode cutoffs take the adequacy rule plus a margin of
 DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the evolved state agrees
@@ -62,7 +64,6 @@ from .hilbert import (
 from .nosignal import (
     analytic_left_state,
     normalized,
-    reduce_left,
     signaling_gap,
     trace_distance,
 )
@@ -318,7 +319,8 @@ def _inadequate_modes(config: ExperimentConfig) -> list[str]:
 
 def _warn(message: str, category: type[Warning]) -> None:
     """The package's one call of warnings.warn, attributed to the first
-    calling frame outside this package."""
+    calling frame outside this package; run as the program, the CLI prints
+    it under the program's name instead (:func:`cli.main`)."""
     package = os.path.dirname(__file__) + os.sep
     frame, level = sys._getframe(1), 2  # the caller is level 2
     while frame.f_back is not None and frame.f_code.co_filename.startswith(package):
@@ -368,17 +370,15 @@ def evolve(state: PureState, config: ExperimentConfig) -> PureState:
     return state
 
 
-def evolve_and_reduce(
-    config: ExperimentConfig, injected: bool
-) -> tuple[PureState, DensityOperator, float]:
-    """One preparation, injected or bare, evolved and reduced: (final state,
-    its left state, the prepared state's leakage). Only the leakage of the
-    prepared state is kept, so it is freed once the first splitter has acted,
-    and it and the evolved state are never both alive."""
+def evolve_and_reduce(config: ExperimentConfig, injected: bool) -> tuple[PureState, float]:
+    """One preparation, injected or bare, evolved, and reduced to what a
+    verdict reads: (final state, the prepared state's leakage). Only that
+    leakage is kept, so the prepared state is freed once the first splitter
+    has acted, and it and the evolved state are never both alive."""
     prepared = [(initial_state_with_coherent if injected else initial_state_bare)(config)]
     leakage = prepared[0].leakage
     final = evolve(prepared.pop(), config)  # evolve holds the only reference
-    return final, reduce_left(final), leakage
+    return final, leakage
 
 
 def _branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Branch]:
@@ -421,8 +421,8 @@ def left_states_over_phases(
     config: ExperimentConfig, phis: Sequence[float], injected: bool
 ) -> list[DensityOperator]:
     """The left state of the injected or bare preparation at each phase in
-    ``phis``: what :func:`evolve_and_reduce` gives at that phase, up to
-    rounding, built from arm-pair vectors without a six-mode state.
+    ``phis``: the partial trace of the evolved six-mode state at that phase,
+    up to rounding, built from arm-pair vectors without a six-mode state.
 
     The branches (:func:`_branches`, alpha = 0 for the bare preparation) and
     their Gram matrix G (:func:`channels.branch_gram`) are built once, at
@@ -629,25 +629,23 @@ def run_experiment(config: ExperimentConfig) -> Report:
 
     Order: Heisenberg checks on the three splitters; the selective ranking
     and mixture (:func:`selective_ranking`), which raises NoOutcomeError
-    before any six-mode state is built when the scan is empty; the injected,
-    then the bare preparation, evolved and reduced
-    (:func:`evolve_and_reduce`); the structure check; trace distance and gap
-    (:func:`no_signaling_rows`); the analytic oracle, the trace distance from
-    :func:`analytic_left_state`; invariance under right-side unitary,
-    projective, and Kraus channels. ``config.seed`` seeds only the channel
-    battery's Haar draws, and ``config.trials`` is read by no stage.
+    before any six-mode state is built when the scan is empty; the injected
+    preparation evolved (:func:`evolve_and_reduce`) and the structure
+    check, then the bare one evolved; the two left states; trace distance
+    and gap (:func:`no_signaling_rows`); the analytic oracle, the trace
+    distance from :func:`analytic_left_state`; invariance under right-side
+    unitary, projective, and Kraus channels. ``config.seed`` seeds only the
+    channel battery's Haar draws, and ``config.trials`` is read by no stage.
 
-    The scan and the channels act on the injected preparation's branches,
-    its arm-pair vectors (:func:`_branches`, built once for both), not on
-    the evolved state, and their Gram matrices are placed on the left pair
-    by :func:`_left_states`, as the sweep's left states are
-    (:func:`left_states_over_phases`). The
-    selective mixture and each channel row compare the result with the
-    evolved state's left state: those rows also fail when the arm-vector
-    route and the six-mode route disagree. The no-signaling rows, the
-    structure check and the oracle read the six-mode states. The battery
-    runs on two lanes (:func:`channels.haar_channels_left`), whose helper
-    thread is joined before it returns.
+    Every left state comes from branches of arm-pair vectors
+    (:func:`_branches`), not from an evolved state: the injected
+    preparation's, built once for the scan, the channels and its left
+    state, and the bare one's, at alpha = 0. Their Gram matrices are placed
+    by :func:`_left_states`, as the sweep's are, and each preparation's left
+    state books one minus its trace as leakage. The six-mode states feed
+    only structure and the leakage block, each dropped once read, so none
+    is alive while the battery draws on its two lanes
+    (:func:`channels.haar_channels_left`).
 
     The whole run holds numpy's and SciPy's OpenBLAS at one thread
     (:func:`_one_blas_thread`), their counts restored after it, so every
@@ -656,12 +654,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
     (RuntimeWarning) and goes on at that library's own count.
 
     Two rows read the booked leakage. ``unitarity`` is the larger, over the
-    two preparations, of final less initial leakage: the norm the
-    unitary-flagged splitters lose. Once the verdict is computed from the
-    arm-pair vectors instead of six-mode states, it must read the loss the
-    arm vectors book. ``preparation`` compares the injected preparation's
-    leakage with 1 - (1 - T_a3)(1 - T_b3), T the Poisson tail above each
-    cutoff (:func:`_poisson_tail`), and reads the bare one's, which is 0.
+    six-mode preparations, of final less initial leakage: the norm the
+    unitary-flagged splitters lose; once no six-mode state is evolved, it
+    must read the arm vectors' loss. ``preparation`` compares the injected
+    preparation's leakage with 1 - (1 - T_a3)(1 - T_b3), T the Poisson tail
+    above each cutoff (:func:`_poisson_tail`), and reads the bare one's, 0.
     """
     with _one_blas_thread() as pinned:
         if not pinned:
@@ -681,19 +678,24 @@ def run_experiment(config: ExperimentConfig) -> Report:
             "conditional_trace_distance": contrast,
         }
 
-        psi_with, rho_with, leak_with = evolve_and_reduce(config, injected=True)
-        rho_bare, leak_bare = evolve_and_reduce(config, injected=False)[1:]
+        psi_with, leak_with = evolve_and_reduce(config, injected=True)
+        final_with, structure = psi_with.leakage, distance(psi_with, direct_final_state(config))
+        del psi_with
+        psi_bare, leak_bare = evolve_and_reduce(config, injected=False)
         leakage = {
             "initial_bare": leak_bare,
             "initial_with_coherent": leak_with,
-            "final_bare": rho_bare.leakage,
-            "final_with_coherent": psi_with.leakage,
+            "final_bare": psi_bare.leakage,
+            "final_with_coherent": final_with,
         }
+        del psi_bare
         leak_max = max(leakage.values())
+
+        with_bare = [branch_gram(branches), branch_gram(_branches(config, 0.0, config.phi))]
+        booked = [1.0 - np.trace(g).real for g in with_bare]
+        rho_with, rho_bare = _left_states(config, with_bare, booked)
         # every left state the run produces, for the reduced_invariants check
         reduced = [rho_with, rho_bare] + [row[3] for row in ranked] + [mixture]
-
-        structure = distance(psi_with, direct_final_state(config))
 
         oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
 
@@ -706,14 +708,14 @@ def run_experiment(config: ExperimentConfig) -> Report:
         )
         projectors = occupation_projectors(config.hilbert_spec(), _SCAN_PAIR)
         grams.append(channel_gram(projectors, branches))
-        after = _left_states(config, grams, [psi_with.leakage] * len(grams))
+        after = _left_states(config, grams, [final_with] * len(grams))
         reduced += after
         unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
 
         def moved(states: list[DensityOperator]) -> float:
             return max(trace_distance(rho, rho_with) for rho in states)
 
-        lost = max(psi_with.leakage - leak_with, rho_bare.leakage - leak_bare)
+        lost = max(final_with - leak_with, leakage["final_bare"] - leak_bare)
         tails = [_poisson_tail(config.cutoffs_map[m], abs(config.alpha) ** 2) for m in ("a3", "b3")]
         kept = (1.0 - tails[0]) * (1.0 - tails[1])  # the norm^2 the injected preparation keeps
 

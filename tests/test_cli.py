@@ -412,10 +412,14 @@ def test_scan_with_no_outcome_exits_2_before_any_six_mode_state(capsys, monkeypa
 
 
 def test_adequacy_warning_names_no_file_of_the_package():
+    """Run as the program, the CLI names itself, not a package file and not
+    the interpreter's frame that started it."""
     proc = _run(args=["--alpha-re", "0.5", "--cutoff", "a3=0"])
     assert "CutoffAdequacyWarning" in proc.stderr
     assert str(REPO / "src" / "kalamidas") not in proc.stderr
     assert "experiment.py" not in proc.stderr
+    assert "<frozen" not in proc.stderr
+    assert proc.stderr.startswith("kalamidas: CutoffAdequacyWarning: right-mode cutoffs ['a3']")
 
 
 def test_other_errors_inside_the_battery_are_not_exit_2(monkeypatch):

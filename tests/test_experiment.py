@@ -1,4 +1,5 @@
 """Configuration handling, state construction, evolution, and the report."""
+import gc
 import json
 import math
 import threading
@@ -26,11 +27,12 @@ from kalamidas import (
     occupation_projectors,
     random_kraus,
     random_right_unitary,
+    reduce_left,
     run_experiment,
     trace_distance,
 )
-from kalamidas import channels, experiment, hilbert
-from kalamidas.channels import channel_gram, haar_channels_left
+from kalamidas import channels, experiment, hilbert, nosignal
+from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
 from kalamidas.experiment import (
     SQRT_HALF, NoOutcomeError, evolve_and_reduce, left_states_over_phases,
 )
@@ -212,7 +214,7 @@ def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, cutoffs):
         states = left_states_over_phases(config, phis, injected)
         assert len(states) == len(phis)
         for phi, rho in zip(phis, states):
-            direct = evolve_and_reduce(replace(config, phi=phi), injected)[1]
+            direct = reduce_left(evolve_and_reduce(replace(config, phi=phi), injected)[0])
             assert rho.spec == direct.spec
             assert np.abs(rho.matrix - direct.matrix).max() <= 1e-13
             assert abs(rho.leakage - direct.leakage) <= 1e-13
@@ -247,7 +249,9 @@ def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeyp
 
 
 def test_a_verdict_builds_its_branches_once(monkeypatch):
-    """The selective scan and the channel battery share one set of branches."""
+    """The selective scan, the channel battery and the injected left state
+    share one set of branches; the bare left state's are built once, at
+    alpha = 0."""
     config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
     calls = []
     build = experiment._branches
@@ -258,7 +262,7 @@ def test_a_verdict_builds_its_branches_once(monkeypatch):
 
     monkeypatch.setattr(experiment, "_branches", counted)
     run_experiment(config)
-    assert calls == [(config, config.alpha, config.phi)]
+    assert calls == [(config, config.alpha, config.phi), (config, 0.0, config.phi)]
 
 
 def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
@@ -310,25 +314,26 @@ def test_the_dropped_term_moves_the_left_state_by_half_of_z(monkeypatch, t):
                 assert abs(got - half_z) <= 1e-13
 
 
-def test_the_verdict_fails_the_dropped_term_on_the_cross_route_rows(monkeypatch):
-    """The dropped term moves the arm-vector route's left states, so every
-    row that compares them with the six-mode route fails, at 0.2188 and, for
-    the trace bookkeeping, 0.4375. The no-signaling rows read the six-mode
-    states alone and pass; once they read the arm-pair vectors, this set
-    changes."""
-    config = ExperimentConfig(alpha=0.5, cutoffs=dict.fromkeys(RIGHT_LABELS, 14))
-    assert run_experiment(config).verdict == "pass"
-    monkeypatch.setattr(experiment, "_branches", dropped_term_branches)
-    report = run_experiment(config)
-    failed = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
-    assert report.verdict == "fail"
-    assert failed == {
-        "channel_unitary", "channel_projective", "channel_kraus",
-        "selective_mixture", "reduced_invariants",
-    }
-    for name in failed:
-        want = 0.4375 if name == "reduced_invariants" else 0.2188
-        assert report.residuals[name] == pytest.approx(want, abs=5e-4)
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+def test_the_verdict_reads_the_dropped_term_as_half_of_z(monkeypatch):
+    """With the r y+ half of the photon's output dropped, the verdict's own
+    no-signaling rows read the signal: trace_distance and left_oracle z / 2,
+    signaling_gap z, at three points of the grid above and at right cutoffs
+    where the honest run passes."""
+    honest = experiment._branches
+    for t, alpha, phi, right in ((0.6, 0.2, 0.4, 8), (0.9, 0.2, 1.9, 8), (SQRT_HALF, 0.7, 1.9, 14)):
+        config = ExperimentConfig(
+            alpha=alpha, t=t, phi=phi, cutoffs=dict.fromkeys(RIGHT_LABELS, right)
+        )
+        monkeypatch.setattr(experiment, "_branches", honest)
+        assert run_experiment(config).verdict == "pass"
+        monkeypatch.setattr(experiment, "_branches", dropped_term_branches)
+        report = run_experiment(config)
+        shift = (config.r * alpha) ** 2
+        z = shift / (1 + shift)
+        assert report.verdict == "fail"
+        for name, want in (("trace_distance", z / 2), ("left_oracle", z / 2), ("signaling_gap", z)):
+            assert abs(report.residuals[name] - want) <= 1e-13
 
 
 def test_photon_arm_occupation_closed_form():
@@ -465,20 +470,33 @@ def test_leakage_entries_are_tracked_per_state():
 FAULTY = dict(alpha=0.5, cutoffs={m: 6 for m in ("a2", "b2", "a3", "b3")})
 
 
+def _banded_arm_splitters(width):
+    """beamsplitter_unitary, with each arm splitter's sector blocks cut to
+    the entries within ``width`` of the diagonal, so no move of more than
+    ``width`` photons between an arm's two modes survives. The cut blocks
+    stay flagged unitary, so apply books the norm they lose as leakage; the
+    left splitter is the true one."""
+
+    def faulty(spec, bs):
+        u = beamsplitter_unitary(spec, bs)
+        if bs.mode_pair == ("a1", "b1"):
+            return u
+        band = tuple((sl, np.triu(np.tril(b, width), -width)) for sl, b in u.blocks)
+        return LinearOperator(u.spec, blocks=band, unitary=True)
+
+    return faulty
+
+
 def _evolve_with_banded_arms(width):
-    """evolve, with each arm splitter's sector blocks cut to the entries
-    within ``width`` of the diagonal, so no move of more than ``width``
-    photons between an arm's two modes survives. The cut blocks stay flagged
-    unitary, so apply books the norm they lose as leakage; the left splitter
-    is the true one."""
+    """evolve, with the arm splitters of :func:`_banded_arm_splitters`: the
+    six-mode states alone carry the fault, the arm-pair vectors do not."""
+    banded = _banded_arm_splitters(width)
 
     def faulty(state, config):
-        for pair in (("b2", "b3"), ("a2", "a3")):
-            u = beamsplitter_unitary(state.spec, BeamSplitter(pair, config.t, config.r))
-            band = tuple((sl, np.triu(np.tril(b, width), -width)) for sl, b in u.blocks)
-            state = apply(LinearOperator(u.spec, blocks=band, unitary=True), state)
-        left = BeamSplitter(("a1", "b1"), SQRT_HALF, SQRT_HALF)
-        return apply(beamsplitter_unitary(state.spec, left), state)
+        left, arm_a, arm_b = experiment._splitters(config)
+        for bs in (arm_b, arm_a, left):
+            state = apply(banded(state.spec, bs), state)
+        return state
 
     return faulty
 
@@ -489,8 +507,10 @@ def test_clipped_arm_splitters_fail_the_trace_distance(monkeypatch, width):
     """Dropping the large moves takes more amplitude from the injected
     preparation than from the bare one, so the left state moves with alpha,
     the apparent signal the source paper shows the standard formalism never
-    gives. The booked loss (8.6e-4 and 1.7e-2) must not widen the bound."""
-    monkeypatch.setattr(experiment, "evolve", _evolve_with_banded_arms(width))
+    gives. The splitters are clipped where both the six-mode states and the
+    arm-pair vectors get them. The booked loss (8.6e-4 and 1.7e-2) must not
+    widen the bound."""
+    monkeypatch.setattr(experiment, "beamsplitter_unitary", _banded_arm_splitters(width))
     report = run_experiment(ExperimentConfig(**FAULTY))
     base = report.config.tolerance
     assert report.tolerances["trace_distance"] == base
@@ -546,26 +566,20 @@ def test_the_heisenberg_check_reads_the_sectors_up_to_the_smaller_cutoff(monkeyp
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
-def test_nx_diagonal_arm_splitters_fail_the_arm_vector_rows(monkeypatch):
-    """Arm splitters cut to their n_x-diagonal entries move no photon at all
-    and lose 0.65 of the norm. Each arm still sends its photon and its
-    vacuum vector to orthogonal vectors, with the same weights in both arms,
-    so the normalized left state does not move; and the structure tolerance,
-    base + 2 sqrt(booked loss), is wide enough to hold the distorted state.
-    The loss fails unitarity, and the fault is also caught across the two
-    routes: the selective scan and the channel battery contract the arm
-    vectors, which the true splitters build outside evolve, and the
-    selective mixture and channel rows compare them with the six-mode
-    state's left state, which carries the loss. A loss that both routes
-    share fails unitarity alone (see the fault table below)."""
+def test_nx_diagonal_arm_splitters_in_evolve_fail_the_booked_loss_rows(monkeypatch):
+    """Arm splitters cut to their n_x-diagonal entries in evolve move no
+    photon at all and lose 0.65 of the norm of the six-mode states. The left
+    states come from the arm-pair vectors, which the true splitters build
+    outside evolve, so no no-signaling, channel or selective row moves, and
+    the structure tolerance, base + 2 sqrt(booked loss), is wide enough to
+    hold the distorted state. The loss fails unitarity, and
+    reduced_invariants: each channel row's left state, of trace 1, books
+    the six-mode states' loss beside it."""
     monkeypatch.setattr(experiment, "evolve", _evolve_with_banded_arms(0))
     report = run_experiment(ExperimentConfig(**FAULTY))
     assert report.leakage["final_with_coherent"] > 0.5
     failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
-    arm_vector_rows = {
-        "channel_unitary", "channel_projective", "channel_kraus", "selective_mixture",
-    }
-    assert failing == arm_vector_rows | {"reduced_invariants", "unitarity"}
+    assert failing == {"reduced_invariants", "unitarity"}
     assert min(report.residuals[name] for name in failing) > 0.3
     assert report.verdict == "fail"
 
@@ -583,51 +597,107 @@ def _series_normalized_with_e_to_minus_alpha_squared(alpha, dim):
     return coherent_series(alpha, dim) * math.exp(-abs(alpha) ** 2 / 2)
 
 
-_CHANNEL_ROWS = {"channel_unitary", "channel_projective", "channel_kraus"}
-_CLIPPED = _CHANNEL_ROWS | {
-    "left_oracle", "reduced_invariants", "selective_mixture", "signaling_gap",
-    "trace_distance", "unitarity",
-}
+_ROW_BLOCKS = channels._row_blocks
+_SPLITTERS = experiment._splitters
+
+
+def _kraus_family_with_one_operator_dropped(sub, q):
+    """channels._row_blocks, with the last operator of each Kraus family
+    of the battery dropped; its unitaries are kept."""
+    blocks = _ROW_BLOCKS(sub, q)
+    return blocks[:-1] if len(blocks) > 1 else blocks
+
+
+def _haar_unitary_scaled_by_0_99(sub, q):
+    """channels._row_blocks, with each unitary of the battery scaled by 0.99."""
+    return (LinearOperator(sub, 0.99 * q),) if len(q) == sub.dim else _ROW_BLOCKS(sub, q)
+
+
+def _projectors_missing_total_zero(spec, modes):
+    return occupation_projectors(spec, modes)[1:]
+
+
+def _phase_on_the_a_pair(config, alpha):
+    """experiment._prepared_state, with e^{i phi} on a1+ a2+ instead of b1+ b2+."""
+    pairs = [("a1", "a2", np.exp(1j * config.phi)), ("b1", "b2", 1.0)]
+    amplitudes = {"a3": alpha, "b3": alpha}
+    return experiment._photon_pairs(config.hilbert_spec(), amplitudes, pairs, SQRT_HALF)
+
+
+def _left_splitter_at_t_0_6(config):
+    return (BeamSplitter(("a1", "b1"), 0.6, 0.8),) + _SPLITTERS(config)[1:]
 
 
 @pytest.mark.parametrize(
-    "seam, fault, failing",
+    "seam, fault, phi, failing",
     [
-        pytest.param(None, None, set(), id="honest"),
-        pytest.param("evolve", _evolve_with_banded_arms(2), _CLIPPED, id="moves-over-2"),
-        pytest.param("evolve", _evolve_with_banded_arms(1), _CLIPPED, id="moves-over-1"),
+        pytest.param(None, None, 0.0, set(), id="honest"),
+        pytest.param(None, None, 1.3, set(), id="honest-at-phi-1.3"),
         pytest.param(
-            "evolve", _evolve_with_banded_arms(0),
-            _CHANNEL_ROWS | {"reduced_invariants", "selective_mixture", "unitarity"},
-            id="nx-diagonal-in-evolve",
+            "experiment.evolve", _evolve_with_banded_arms(2), 0.0,
+            {"reduced_invariants", "unitarity"}, id="moves-over-2",
         ),
         pytest.param(
-            "beamsplitter_unitary", _arm_b_with_flipped_reflectivity,
+            "experiment.evolve", _evolve_with_banded_arms(1), 0.0,
+            {"reduced_invariants", "unitarity"}, id="moves-over-1",
+        ),
+        pytest.param(
+            "experiment.evolve", _evolve_with_banded_arms(0), 0.0,
+            {"reduced_invariants", "unitarity"}, id="nx-diagonal-in-evolve",
+        ),
+        pytest.param(
+            "experiment.beamsplitter_unitary", _arm_b_with_flipped_reflectivity, 0.0,
             {"heisenberg_arm_b", "structure"}, id="arm-b-reflectivity-flipped",
         ),
-        pytest.param("apply", _nx_diagonal_arm_apply, {"unitarity"}, id="nx-diagonal-in-both-routes"),
         pytest.param(
-            "coherent_series", _series_normalized_with_e_to_minus_alpha_squared,
+            "experiment.apply", _nx_diagonal_arm_apply, 0.0, {"unitarity"},
+            id="nx-diagonal-in-both-routes",
+        ),
+        pytest.param(
+            "experiment.coherent_series", _series_normalized_with_e_to_minus_alpha_squared, 0.0,
             {"preparation"}, id="series-normalized-with-e^-|alpha|^2",
         ),
         pytest.param(
-            "_branches", dropped_term_branches,
-            _CHANNEL_ROWS | {"reduced_invariants", "selective_mixture"}, id="dropped-term",
+            "experiment._branches", dropped_term_branches, 0.0,
+            {"trace_distance", "signaling_gap", "left_oracle", "reduced_invariants"},
+            id="dropped-term",
+        ),
+        pytest.param(
+            "channels._row_blocks", _kraus_family_with_one_operator_dropped, 0.0,
+            {"channel_kraus", "reduced_invariants"}, id="kraus-operator-dropped",
+        ),
+        pytest.param(
+            "channels._row_blocks", _haar_unitary_scaled_by_0_99, 0.0,
+            {"channel_unitary", "reduced_invariants"}, id="haar-unitary-scaled-by-0.99",
+        ),
+        pytest.param(
+            "experiment.occupation_projectors", _projectors_missing_total_zero, 0.0,
+            {"channel_projective", "reduced_invariants"}, id="projectors-missing-total-0",
+        ),
+        pytest.param(
+            "experiment._prepared_state", _phase_on_the_a_pair, 1.3, {"structure"},
+            id="phase-on-the-a-pair",
+        ),
+        pytest.param(
+            "experiment._splitters", _left_splitter_at_t_0_6, 0.0, {"structure"},
+            id="left-splitter-at-t-0.6",
         ),
     ],
 )
-def test_the_fault_table(monkeypatch, seam, fault, failing):
-    """Each fault, patched at one seam of the experiment module, fails
-    exactly these rows at alpha = 0.5 with right cutoffs 14, where the
-    honest run fails none. A row fails when its residual is not at or below
-    its tolerance, as the CLI reads it, so a NaN fails. The n_x-diagonal
-    cut in both routes (loss 0.65) and the series normalized with
-    e^{-|alpha|^2} (preparation loss 1 - e^{-1/2}) are each caught by one
-    row alone: the norm that unitary-flagged splitters lose, and the
-    preparation's leakage against its closed-form Poisson tails."""
+def test_the_fault_table(monkeypatch, seam, fault, phi, failing):
+    """Each fault, patched at one seam of the package, fails exactly these
+    rows at alpha = 0.5 with right cutoffs 14, where the honest run fails
+    none. A row fails when its residual is not at or below its tolerance,
+    as the CLI reads it, so a NaN fails. The n_x-diagonal cut in both
+    routes (loss 0.65) and the series normalized with e^{-|alpha|^2}
+    (preparation loss 1 - e^{-1/2}) are each caught by one row alone: the
+    norm that unitary-flagged splitters lose, and the preparation's leakage
+    against its closed-form Poisson tails. The preparation's phase on the
+    wrong pair changes nothing at phi = 0, so it runs at phi = 1.3."""
     if seam is not None:
-        monkeypatch.setattr(experiment, seam, fault)
-    report = run_experiment(ExperimentConfig(alpha=0.5, cutoffs=dict.fromkeys(RIGHT_LABELS, 14)))
+        monkeypatch.setattr(f"kalamidas.{seam}", fault)
+    config = ExperimentConfig(alpha=0.5, phi=phi, cutoffs=dict.fromkeys(RIGHT_LABELS, 14))
+    report = run_experiment(config)
     got = {name for name, res in report.residuals.items() if not res <= report.tolerances[name]}
     assert got == failing
     assert report.verdict == ("fail" if failing else "pass")
@@ -765,8 +835,9 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
     monkeypatch.undo()
 
     spec = config.hilbert_spec()
-    psi, rho, _ = evolve_and_reduce(config, injected=True)
     branches = experiment._branches(config, config.alpha, config.phi)
+    leakage = report.leakage["final_with_coherent"]
+    rho = experiment._left_states(config, [branch_gram(branches)], [leakage])[0]
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
     with experiment._one_blas_thread():  # as run_experiment runs
@@ -785,12 +856,36 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
         assert np.array_equal(got, want)
 
     def moved(grams):
-        lefts = experiment._left_states(config, grams, [psi.leakage] * len(grams))
+        lefts = experiment._left_states(config, grams, [leakage] * len(grams))
         return max(trace_distance(left, rho) for left in lefts)
 
     assert report.residuals["channel_unitary"] == moved(unitaries)
     assert report.residuals["channel_kraus"] == moved(kraus)
     assert report.residuals["channel_projective"] == moved([projective])
+
+
+def test_a_verdict_reads_no_six_mode_state_for_its_left_states(monkeypatch):
+    """Every left state of a verdict comes from the arm-pair branches: it
+    runs with reduce_left raising, and no six-mode state of its space is
+    alive when the channel battery is entered."""
+
+    def refused(state):
+        raise AssertionError("a verdict reduced a six-mode state")
+
+    monkeypatch.setattr(nosignal, "reduce_left", refused)
+    monkeypatch.setattr(experiment, "reduce_left", refused, raising=False)
+    config = ExperimentConfig(alpha=0.0, cutoffs={"a2": 4, "b2": 3, "a3": 2, "b3": 3}, trials=3)
+    spec = config.hilbert_spec()
+    alive = []
+
+    def battery(*args):
+        gc.collect()
+        alive.extend(o for o in gc.get_objects() if isinstance(o, PureState) and o.spec == spec)
+        return haar_channels_left(*args)
+
+    monkeypatch.setattr(experiment, "haar_channels_left", battery)
+    assert run_experiment(config).verdict == "pass"
+    assert alive == []
 
 
 class _DrawFailed(RuntimeError):

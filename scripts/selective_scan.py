@@ -8,9 +8,10 @@ state, so nothing is transmitted until the record itself travels. The first
 row is the report's selective outcome. No six-mode state is built, and the
 memory gate charges only the largest splitter build. The scan reads the
 diagonals of the arms' one-mode marginals, the unconditional state the
-overlaps of the arm-pair vectors (experiment.left_states_over_phases), and
-the left splitter places both; the last line is the distance between the
-scan's mixture and that state.
+overlaps of the arm-pair vectors (experiment.left_states_over_phases), each
+a 2 x 2 Gram matrix before the left splitter; the last line is the distance
+between the scan's mixture and that state. The two occupation lines apply
+the left splitter's one-photon block, so they read the left detectors.
 
 Example:
     python scripts/selective_scan.py --alpha-re 1 --top 8
@@ -21,14 +22,28 @@ import sys
 
 import numpy as np
 
-from kalamidas import trace_distance
+from kalamidas import beamsplitter_unitary, trace_distance
 from kalamidas.experiment import (
     ExperimentConfig,
     NoOutcomeError,
+    _splitters,
     check_pair_memory,
     left_states_over_phases,
     selective_ranking,
 )
+from kalamidas.nosignal import normalized
+
+
+def left_occupations(config, gram):
+    """The diagonal of the left pair's state after the left splitter, over
+    its whole basis (|00>, |01>, |10>, |11> at the default cutoffs), for a
+    Gram matrix G of the branches: U G U+ on the one-photon rows, with U
+    the splitter's one-photon block, and 0 on every other row."""
+    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
+    rows, block = u.blocks[1]  # by total, in sector_slices order
+    out = np.zeros(u.spec.dim)
+    out[rows] = np.diag(block @ gram @ block.conj().T).real
+    return out
 
 
 def main() -> int:
@@ -65,9 +80,9 @@ def main() -> int:
     print("-" * len(header))
 
     occ, _, _, conditional = ranked[0]
-    diag = np.diag(conditional.matrix).real
+    diag = left_occupations(config, conditional)
     print(f"top outcome {occ}: conditional left occupation diag {np.round(diag, 6)}")
-    print(f"unconditional diag {np.round(np.diag(rho.matrix / rho.trace).real, 6)}")
+    print(f"unconditional diag {np.round(left_occupations(config, normalized(rho)), 6)}")
     print(f"mixture-restoration residual {trace_distance(mixture, rho):.3e}")
     return 0
 

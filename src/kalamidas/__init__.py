@@ -4,9 +4,10 @@ A single photon is split between a left pair of modes and a right pair, and
 coherent states may be injected on two auxiliary right modes. The package
 verifies numerically that nothing done on the right (injection, unitaries,
 projective or generalized measurements without record) moves the left
-reduced state: every left state of a verdict, its scan and both scripts from
-the 2 x 2 Gram matrix of two branches of arm-pair vectors, and the structure
-row and booked leakage from the evolved six-mode state.
+reduced state. Every left state of a verdict, its scan and both scripts is
+the 2 x 2 Gram matrix of the two one-photon branches of arm-pair vectors
+before the left splitter, which no left check reads; the structure row and
+the booked leakage come from the evolved six-mode state.
 """
 from .channels import (
     PROBABILITY_FLOOR,
@@ -36,7 +37,6 @@ from .hilbert import (
     apply,
 )
 from .nosignal import (
-    analytic_left_state,
     reduce_left,
     signaling_gap,
     trace_distance,
@@ -74,7 +74,6 @@ __all__ = [
     "LinearOperator",
     "PureState",
     "apply",
-    "analytic_left_state",
     "reduce_left",
     "signaling_gap",
     "trace_distance",

@@ -10,8 +10,9 @@ splitters: one on each right arm pair, (a2, a3) and (b2, b3), with parameters
 configuration and returns a :class:`Report` whose verdict certifies that the
 left reduced state is independent of the injection and of every legitimate
 right-side operation, within explicit tolerances. Every left state it
-compares comes from the arm-pair branches before the left splitter; the
-six-mode states it evolves feed only the structure check and the leakage.
+compares is the 2 x 2 Gram matrix of the arm-pair branches before the left
+splitter, which no unitarily invariant left check reads; the six-mode
+states it evolves feed only the structure check and the leakage.
 Every state it builds is a sum of product states of single-mode vectors
 (hilbert.product_state), so the direct construction it compares the evolved
 state with is the box projection of the ideal output, and that residual
@@ -53,7 +54,6 @@ from .channels import (
 from .hilbert import (
     MODE_LABELS,
     RIGHT_LABELS,
-    DensityOperator,
     HilbertSpec,
     PureState,
     apply,
@@ -62,7 +62,7 @@ from .hilbert import (
     raising_matrix,
 )
 from .nosignal import (
-    analytic_left_state,
+    invariant_residuals,
     normalized,
     signaling_gap,
     trace_distance,
@@ -403,44 +403,29 @@ def _branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Bran
     return [(SQRT_HALF * np.exp(1j * phi), q0a, q1b), (SQRT_HALF, q1a, q0b)]
 
 
-def _left_states(
-    config: ExperimentConfig, grams: Sequence[np.ndarray], leakages: Sequence[float]
-) -> list[DensityOperator]:
-    """The left states of Gram matrices over :func:`_branches`, one leakage
-    each: with U the left splitter's one-photon block, U G U+ on the
-    one-photon rows."""
-    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
-    rows, block = u.blocks[1]  # by total, in sector_slices order
-    out = [np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128) for _ in grams]
-    for m, gram in zip(out, grams):
-        m[rows, rows] = block @ gram @ block.conj().T
-    return [DensityOperator(u.spec, m, leakage=x) for m, x in zip(out, leakages, strict=True)]
-
-
 def left_states_over_phases(
     config: ExperimentConfig, phis: Sequence[float], injected: bool
-) -> list[DensityOperator]:
+) -> list[np.ndarray]:
     """The left state of the injected or bare preparation at each phase in
-    ``phis``: the partial trace of the evolved six-mode state at that phase,
-    up to rounding, built from arm-pair vectors without a six-mode state.
+    ``phis``, as the 2 x 2 Gram matrix of its branches (:func:`_branches`,
+    alpha = 0 for the bare preparation), built without a six-mode state. One
+    minus its trace is the leakage it books. Placed on the left pair by the
+    left splitter, it is the partial trace of the evolved six-mode state at
+    that phase, up to rounding.
 
-    The branches (:func:`_branches`, alpha = 0 for the bare preparation) and
-    their Gram matrix G (:func:`channels.branch_gram`) are built once, at
-    phi = 0. A phase multiplies the |01> coefficient by e^{i phi}, so it
-    gives G times c c+ entrywise, c = (e^{i phi}, 1), placed as the channel
-    rows' and the scan's are (:func:`_left_states`), with leakage one minus
-    its trace.
+    The branches and their Gram matrix G (:func:`channels.branch_gram`) are
+    built once, at phi = 0. A phase multiplies the |01> coefficient by
+    e^{i phi}, so it gives G times c c+ entrywise, c = (e^{i phi}, 1).
     """
     if injected:
         _warn_if_inadequate(config)
     gram = branch_gram(_branches(config, config.alpha if injected else 0.0, 0.0))
     phases = [np.array([np.exp(1j * phi), 1.0]) for phi in phis]
-    grams = [gram * np.outer(c, c.conj()) for c in phases]
-    return _left_states(config, grams, [1.0 - np.trace(g).real for g in grams])
+    return [gram * np.outer(c, c.conj()) for c in phases]
 
 
 def no_signaling_rows(
-    config: ExperimentConfig, rho_with: DensityOperator, rho_bare: DensityOperator
+    config: ExperimentConfig, rho_with: np.ndarray, rho_bare: np.ndarray
 ) -> tuple[tuple[str, float, float], ...]:
     """The trace_distance and signaling_gap check rows (name, residual,
     tolerance): the two left states, each normalized, against the base
@@ -460,10 +445,10 @@ class NoOutcomeError(ValueError):
 
 def selective_ranking(
     config: ExperimentConfig, branches: Optional[Sequence[Branch]] = None
-) -> tuple[list[tuple[tuple[int, ...], float, float, DensityOperator]], DensityOperator]:
+) -> tuple[list[tuple[tuple[int, ...], float, float, np.ndarray]], np.ndarray]:
     """Every (a2, b2) outcome at or above PROBABILITY_FLOOR as (occupation,
-    probability, contrast, conditional left state), and the mixture of every
-    outcome (leakage one minus its trace), from the arm-pair vectors of
+    probability, contrast, conditional Gram matrix, of trace 1), and the
+    Gram matrix of every outcome's mixture, from the arm-pair vectors of
     :func:`_branches`, built here unless ``branches`` gives them. The
     contrast is the trace distance from the normalized mixture. One rule
     orders the rows: probability times contrast, rounded to 15 decimals,
@@ -478,15 +463,9 @@ def selective_ranking(
             f"no ({', '.join(_SCAN_PAIR)}) outcome has probability above the floor "
             f"{PROBABILITY_FLOOR:.0e} in a state with norm squared {norm2:.3g}; raise the cutoffs"
         )
-    grams = [cond for _, _, cond in outcomes] + [gram / norm2, gram]
-    *conditionals, baseline, mixture = _left_states(
-        config, grams, [0.0] * (len(grams) - 1) + [1.0 - norm2]
-    )
-    rows = [
-        (occ, p, trace_distance(cond, baseline), cond)
-        for (occ, p, _), cond in zip(outcomes, conditionals)
-    ]
-    return sorted(rows, key=lambda row: -round(row[1] * row[2], 15)), mixture
+    baseline = gram / norm2
+    rows = [(occ, p, trace_distance(cond, baseline), cond) for occ, p, cond in outcomes]
+    return sorted(rows, key=lambda row: -round(row[1] * row[2], 15)), gram
 
 
 def direct_final_state(config: ExperimentConfig) -> PureState:
@@ -633,19 +612,19 @@ def run_experiment(config: ExperimentConfig) -> Report:
     preparation evolved (:func:`evolve_and_reduce`) and the structure
     check, then the bare one evolved; the two left states; trace distance
     and gap (:func:`no_signaling_rows`); the analytic oracle, the trace
-    distance from :func:`analytic_left_state`; invariance under right-side
-    unitary, projective, and Kraus channels. ``config.seed`` seeds only the
-    channel battery's Haar draws, and ``config.trials`` is read by no stage.
+    distance from I / 2, the closed-form left state on the one-photon block;
+    invariance under right-side unitary, projective, and Kraus channels.
+    ``config.seed`` seeds only the channel battery's Haar draws, and
+    ``config.trials`` is read by no stage.
 
-    Every left state comes from branches of arm-pair vectors
-    (:func:`_branches`), not from an evolved state: the injected
-    preparation's, built once for the scan, the channels and its left
-    state, and the bare one's, at alpha = 0. Their Gram matrices are placed
-    by :func:`_left_states`, as the sweep's are, and each preparation's left
-    state books one minus its trace as leakage. The six-mode states feed
-    only structure and the leakage block, each dropped once read, so none
-    is alive while the battery draws on its two lanes
-    (:func:`channels.haar_channels_left`).
+    Every left state is a 2 x 2 Gram matrix of branches of arm-pair vectors
+    (:func:`_branches`): the injected preparation's, built once for the
+    scan, the channels and its left state, and the bare one's, at alpha = 0
+    (an alpha = 0 run reuses the injected one). A preparation's left state
+    books one minus its trace as leakage, a channel row's the evolved
+    injected state's. The six-mode states feed only structure and the
+    leakage block, each dropped once read, so none is alive while the
+    battery draws on its two lanes (:func:`channels.haar_channels_left`).
 
     The whole run holds numpy's and SciPy's OpenBLAS at one thread
     (:func:`_one_blas_thread`), their counts restored after it, so every
@@ -691,13 +670,15 @@ def run_experiment(config: ExperimentConfig) -> Report:
         del psi_bare
         leak_max = max(leakage.values())
 
-        with_bare = [branch_gram(branches), branch_gram(_branches(config, 0.0, config.phi))]
-        booked = [1.0 - np.trace(g).real for g in with_bare]
-        rho_with, rho_bare = _left_states(config, with_bare, booked)
-        # every left state the run produces, for the reduced_invariants check
-        reduced = [rho_with, rho_bare] + [row[3] for row in ranked] + [mixture]
+        rho_with = branch_gram(branches)
+        rho_bare = (
+            rho_with if config.alpha == 0 else branch_gram(_branches(config, 0.0, config.phi))
+        )
+        # every left state the run produces with the leakage it books, for reduced_invariants
+        booked = [(rho, 1.0 - np.trace(rho).real) for rho in (rho_with, rho_bare)]
+        booked += [(row[3], 0.0) for row in ranked] + [(mixture, 1.0 - np.trace(mixture).real)]
 
-        oracle = trace_distance(normalized(rho_with), analytic_left_state(rho_with.spec))
+        oracle = trace_distance(normalized(rho_with), np.eye(2) / 2)
 
         pairs = [_RIGHT_PAIRS[k % len(_RIGHT_PAIRS)] for k in range(_CHANNEL_TRIALS)]
         grams = haar_channels_left(
@@ -708,11 +689,10 @@ def run_experiment(config: ExperimentConfig) -> Report:
         )
         projectors = occupation_projectors(config.hilbert_spec(), _SCAN_PAIR)
         grams.append(channel_gram(projectors, branches))
-        after = _left_states(config, grams, [final_with] * len(grams))
-        reduced += after
-        unitary, kraus, projective = after[:_CHANNEL_TRIALS], after[_CHANNEL_TRIALS:-1], after[-1:]
+        booked += [(gram, final_with) for gram in grams]
+        unitary, kraus, projective = grams[:_CHANNEL_TRIALS], grams[_CHANNEL_TRIALS:-1], grams[-1:]
 
-        def moved(states: list[DensityOperator]) -> float:
+        def moved(states: list[np.ndarray]) -> float:
             return max(trace_distance(rho, rho_with) for rho in states)
 
         lost = max(final_with - leak_with, leakage["final_bare"] - leak_bare)
@@ -731,7 +711,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             ("selective_mixture", trace_distance(mixture, rho_with), _EXACT_CHECK_TOL),
             (
                 "reduced_invariants",
-                max(max(rho.invariant_residuals().values()) for rho in reduced),
+                max(max(invariant_residuals(rho, x).values()) for rho, x in booked),
                 _EXACT_CHECK_TOL,
             ),
             ("unitarity", lost, _EXACT_CHECK_TOL),

@@ -362,10 +362,11 @@ def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Hermitian positive-semidefinite matrix on a mode subset.
+    """Hermitian positive-semidefinite matrix on a mode subset: the left
+    reduction of a six-mode state (:func:`nosignal.reduce_left`).
 
-    Reduced states carry the leakage of the state they came from, so the
-    trace invariant is trace = 1 - leakage rather than exactly 1.
+    It carries the leakage of the state it came from, so its trace is
+    1 - leakage rather than exactly 1.
     """
 
     spec: HilbertSpec
@@ -384,15 +385,6 @@ class DensityOperator:
     @property
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
-
-    def invariant_residuals(self) -> dict[str, float]:
-        """Hermiticity, negative-eigenvalue excess, and trace residuals."""
-        m = self.matrix
-        herm = float(np.abs(m - m.conj().T).max())
-        eigs = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
-        negative = float(max(0.0, -eigs.min()))
-        trace = float(abs(np.trace(m).real - (1.0 - self.leakage)))
-        return {"hermiticity": herm, "negativity": negative, "trace": trace}
 
 
 def product_state(

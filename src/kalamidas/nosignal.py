@@ -3,19 +3,21 @@
 The claim under test is an equality of reduced density operators: whatever
 happens on the right side of the apparatus, the partial trace over the right
 modes leaves the same operator on (a1, b1), so no left observable can detect
-it. This module supplies the partial trace and the trace distance, which
-tests that equality exactly, and :func:`signaling_gap`, the trace norm of
-the difference: the largest expectation difference any left observable of
-spectral norm 1 can show. No run calls :func:`expectation`, Tr(rho h) for
-one observable, or :func:`random_left_observable`: the tests check the gap
-against them, and the benchmark's tracer times them.
+it. The checks here take square matrices, which a run gives as the 2 x 2
+Gram matrices of the two one-photon branches before the left splitter:
+that splitter is a fixed unitary on the block, and the trace distance, the
+gap (its trace norm, the largest expectation difference any left observable
+of spectral norm 1 can show) and :func:`invariant_residuals` are unitarily
+invariant. :func:`reduce_left`, the partial trace of a six-mode state, is
+the tests' reference; no run calls it, :func:`expectation` or
+:func:`random_left_observable`, and the benchmark's tracer times them.
 
 The left states are compared with two references. Against the bare
 preparation's left state the comparison asks whether the injection moved
-anything. Against :func:`analytic_left_state`, the closed-form left state
-built directly on the two-mode space without touching the simulation, it
-asks whether the simulator got the state right at all, so a bug shared by
-both simulated preparations cannot fake agreement.
+anything. Against I / 2, the closed-form (|u><u| + |v><v|) / 2 with
+u = (|10> + |01>)/sqrt2 and v = (-|10> + |01>)/sqrt2, which span the block,
+it asks whether the simulator got the state right at all, so a bug shared
+by both simulated preparations cannot fake agreement.
 """
 from __future__ import annotations
 
@@ -65,37 +67,34 @@ def expectation(rho: DensityOperator, h: LinearOperator) -> float:
     return value.real
 
 
-def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
-    """Closed-form left state of the evolved apparatus, (|u><u| + |v><v|)/2.
-
-    Independent of the six-mode simulation: built on the bare two-mode space
-    from u = (|10> + |01>)/sqrt2 and v = (-|10> + |01>)/sqrt2, the two equally
-    likely left states the balanced splitter produces. Every legitimate
-    right-side history leaves the left pair in this state.
-    """
-    if spec.modes != LEFT_LABELS:
-        raise ValueError("the analytic left state lives on the left pair (a1, b1)")
-    ones = [spec.index_of((1, 0)), spec.index_of((0, 1))]
-    u = np.zeros(spec.dim, dtype=np.complex128)
-    v = np.zeros(spec.dim, dtype=np.complex128)
-    u[ones] = (1.0, 1.0)  # sqrt2 u and sqrt2 v, so the mixture's 1/2 becomes 1/4
-    v[ones] = (-1.0, 1.0)
-    return DensityOperator(spec, 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
-
-
-def normalized(rho: DensityOperator) -> DensityOperator:
+def normalized(rho: np.ndarray) -> np.ndarray:
     """rho / Tr rho, the left state the no-signaling checks compare: a
     renormalized truncated state is itself a legitimate preparation."""
-    return DensityOperator(rho.spec, rho.matrix / rho.trace)
+    return rho / np.trace(rho).real
 
 
-def trace_distance(rho: DensityOperator, sigma: DensityOperator) -> float:
-    """(1/2) sum |eigenvalues(rho - sigma)|; zero iff the states are equal."""
-    if rho.spec != sigma.spec:
-        raise ValueError("trace distance needs matching specs")
-    delta = rho.matrix - sigma.matrix
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
+    """(1/2) sum |eigenvalues(rho - sigma)| of two square matrices of one
+    shape; zero iff the states are equal."""
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape != sigma.shape:
+        raise ValueError(
+            f"trace distance needs two square matrices of one shape, got {rho.shape} "
+            f"and {sigma.shape}"
+        )
+    delta = rho - sigma
     delta = (delta + delta.conj().T) / 2.0
     return float(0.5 * np.abs(np.linalg.eigvalsh(delta)).sum())
+
+
+def invariant_residuals(rho: np.ndarray, leakage: float) -> dict[str, float]:
+    """Hermiticity, negative-eigenvalue excess, and the trace's distance
+    from 1 - leakage, for a left state that books ``leakage``; a negative
+    booking counts as none, so a trace above 1 shows."""
+    herm = float(np.abs(rho - rho.conj().T).max())
+    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+    negative = float(max(0.0, -eigs.min()))
+    trace = float(abs(np.trace(rho).real - (1.0 - max(0.0, float(leakage)))))
+    return {"hermiticity": herm, "negativity": negative, "trace": trace}
 
 
 def random_left_observable(
@@ -109,7 +108,7 @@ def random_left_observable(
     return LinearOperator(spec, (g + g.conj().T) / 2.0, hermitian=True)
 
 
-def signaling_gap(rho_a: DensityOperator, rho_b: DensityOperator) -> float:
+def signaling_gap(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
     """||rho_a - rho_b||_1, twice the trace distance: the largest
     expectation difference |Tr((rho_a - rho_b) H)| over every left
     observable H of spectral norm 1, reached by H = sign(rho_a - rho_b)

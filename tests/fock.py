@@ -7,8 +7,12 @@ occupation scan and a channel's left state from the six-mode state, the
 completeness of an operator family, the adjoint, and the density-operator
 checks that raise. Each is written independently of the code it checks, on
 dense matrices or one projector at a time, so a test that compares the two
-compares two routes to one answer. One fault for a positive control drops
-the r y+ half of the photon's output (:func:`dropped_term_branches`).
+compares two routes to one answer. The package's left states are 2 x 2
+branch Gram matrices before the left splitter; :func:`placed_left_state`
+puts one where the six-mode reduction holds it, and
+:func:`analytic_left_state` is the closed form on the whole left pair. One
+fault for a positive control drops the r y+ half of the photon's output
+(:func:`dropped_term_branches`).
 """
 import math
 from typing import Optional, Sequence
@@ -18,7 +22,7 @@ import scipy.linalg
 
 from kalamidas import optics
 from kalamidas.channels import PROBABILITY_FLOOR
-from kalamidas.experiment import _branches
+from kalamidas.experiment import _branches, _splitters
 from kalamidas.hilbert import (
     LEFT_LABELS,
     RIGHT_LABELS,
@@ -31,6 +35,7 @@ from kalamidas.hilbert import (
     product_state,
     raising_matrix,
 )
+from kalamidas.nosignal import invariant_residuals
 
 
 def vacuum(spec: HilbertSpec) -> PureState:
@@ -92,12 +97,42 @@ def adjoint(op: LinearOperator) -> LinearOperator:
 
 def validate(rho: DensityOperator, atol: float = 1e-10) -> DensityOperator:
     """Raise unless the density-operator invariants hold within atol."""
-    for name, value in rho.invariant_residuals().items():
+    for name, value in invariant_residuals(rho.matrix, rho.leakage).items():
         if value > atol:
             raise ValueError(
                 f"density operator violates {name} by {value:.3e} (> {atol:.1e})"
             )
     return rho
+
+
+def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
+    """Closed-form left state of the evolved apparatus, (|u><u| + |v><v|)/2.
+
+    Independent of the six-mode simulation: built on the bare two-mode space
+    from u = (|10> + |01>)/sqrt2 and v = (-|10> + |01>)/sqrt2, the two equally
+    likely left states the balanced splitter produces. Every legitimate
+    right-side history leaves the left pair in this state.
+    """
+    if spec.modes != LEFT_LABELS:
+        raise ValueError("the analytic left state lives on the left pair (a1, b1)")
+    ones = [spec.index_of((1, 0)), spec.index_of((0, 1))]
+    u = np.zeros(spec.dim, dtype=np.complex128)
+    v = np.zeros(spec.dim, dtype=np.complex128)
+    u[ones] = (1.0, 1.0)  # sqrt2 u and sqrt2 v, so the mixture's 1/2 becomes 1/4
+    v[ones] = (-1.0, 1.0)
+    return DensityOperator(spec, 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
+
+
+def placed_left_state(config, gram: np.ndarray, leakage: float = 0.0) -> DensityOperator:
+    """A 2 x 2 Gram matrix over ``experiment._branches`` (basis |01>, |10>)
+    as the left pair's state after the left splitter, where the reduction of
+    the evolved six-mode state holds it: U G U+ on the one-photon rows, with
+    U the splitter's one-photon block, zero elsewhere, booking ``leakage``."""
+    u = optics.beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
+    rows, block = u.blocks[1]  # by total, in sector_slices order
+    out = np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128)
+    out[rows, rows] = block @ gram @ block.conj().T
+    return DensityOperator(u.spec, out, leakage=leakage)
 
 
 def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:

@@ -17,11 +17,9 @@ from conftest import child_env
 
 from kalamidas import (
     BeamSplitter,
-    DensityOperator,
     ExperimentConfig,
     LinearOperator,
     apply,
-    analytic_left_state,
     beamsplitter_unitary,
     direct_final_state,
     evolve,
@@ -40,7 +38,13 @@ from kalamidas.nosignal import expectation, random_left_observable
 from kalamidas.optics import displacement_unitary
 
 from fock import (
-    completeness_defect, conditional_left_by_occupation, number_op, vacuum, validate,
+    analytic_left_state,
+    completeness_defect,
+    conditional_left_by_occupation,
+    number_op,
+    placed_left_state,
+    vacuum,
+    validate,
 )
 
 FROZEN_SELECTIVE_PROBABILITY = 0.27590958087858186
@@ -60,8 +64,9 @@ CONTRAST_FLOOR = 0.01
 
 def test_no_signaling_across_parameter_grid():
     """Every phase of an (alpha, t) comes from its arm-pair vectors
-    (left_states_over_phases); for each alpha one point is also evolved the
-    direct way, in full, and must agree with it."""
+    (left_states_over_phases), as 2 x 2 Gram matrices; for each alpha one
+    point is also evolved the direct way, in full, and its reduction must
+    agree with them placed by the left splitter."""
     alphas = [0.0, 0.5, 1.0, 1.0 + 0.5j]
     ts = [0.6, SQRT_HALF, 0.9]
     phis = [0.0, math.pi / 3.0, math.pi]
@@ -72,11 +77,13 @@ def test_no_signaling_across_parameter_grid():
             config = ExperimentConfig(alpha=alpha, t=t)
             with_states = left_states_over_phases(config, phis, injected=True)
             bare_states = left_states_over_phases(config, phis, injected=False)
-            for phi, rho_with, rho_bare in zip(phis, with_states, bare_states):
-                validate(rho_with, atol=HYGIENE_TOL)
-                validate(rho_bare, atol=HYGIENE_TOL)
-                td = trace_distance(rho_with, rho_bare)
-                gap = signaling_gap(rho_with, rho_bare)
+            for phi, g_with, g_bare in zip(phis, with_states, bare_states):
+                rho_with, rho_bare = (
+                    validate(placed_left_state(config, g, 1.0 - np.trace(g).real), atol=HYGIENE_TOL)
+                    for g in (g_with, g_bare)
+                )
+                td = trace_distance(g_with, g_bare)
+                gap = signaling_gap(g_with, g_bare)
                 assert td <= NO_SIGNALING_TOL, f"trace distance {td:.3e} at {alpha=}, {t=}, {phi=}"
                 assert gap <= NO_SIGNALING_TOL, f"gap {gap:.3e} at {alpha=}, {t=}, {phi=}"
                 worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
@@ -109,7 +116,9 @@ def test_no_signaling_across_parameter_grid():
             state = apply(u, state)
         return reduce_left(state)
 
-    td = trace_distance(run(initial_state_with_coherent(config)), run(initial_state_bare(config)))
+    td = trace_distance(
+        run(initial_state_with_coherent(config)).matrix, run(initial_state_bare(config)).matrix
+    )
     assert td <= NO_SIGNALING_TOL
     worst_td = max(worst_td, td)
     points += 1
@@ -129,7 +138,7 @@ def test_left_expectation_matches_analytic_oracle(reduced_pair):
         h = random_left_observable(rho_with.spec, (11, k))
         worst = max(worst, abs(expectation(rho_with, h) - expectation(sigma, h)))
     assert worst <= ORACLE_TOL
-    gap = signaling_gap(rho_with, sigma)
+    gap = signaling_gap(rho_with.matrix, sigma.matrix)
     assert gap <= ORACLE_TOL
 
     left = rho_with.spec
@@ -220,7 +229,7 @@ def test_selective_outcome_contrast_and_mixture(default_report, evolved_states):
     (conditional,) = [cond for occ, _, cond in outcomes if occ == (0, 0)]
     diag = np.diag(conditional.matrix).real
     assert np.abs(diag - np.array(FROZEN_CONDITIONAL_DIAG)).max() < 1e-9
-    mixture_residual = trace_distance(mixture, reduce_left(psi_with))
+    mixture_residual = trace_distance(mixture.matrix, reduce_left(psi_with).matrix)
     assert mixture_residual <= MIXTURE_TOL
     print(
         f"PASS selective: outcome (0, 0) with probability "

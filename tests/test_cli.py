@@ -1,4 +1,6 @@
 """Command line contract: flags, exit codes, emission, determinism."""
+import contextlib
+import io
 import json
 import resource
 import runpy
@@ -10,7 +12,7 @@ from pathlib import Path
 import pytest
 from conftest import child_env
 
-from kalamidas import experiment
+from kalamidas import CutoffAdequacyWarning, experiment
 from kalamidas.cli import build_parser, main
 from kalamidas.experiment import SQRT_HALF
 
@@ -19,6 +21,12 @@ BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 QUICK_ARGS = [
     "--alpha-re", "0",
     "--cutoff", "a2=3", "--cutoff", "b2=3", "--cutoff", "a3=3", "--cutoff", "b3=3",
+    "--trials", "3",
+]
+# alpha = 1 below the adequacy rule: its booked leakage is of order 1e-6
+RIGHT_8_ARGS = [
+    "--alpha-re", "1", "--t", "0.6",
+    "--cutoff", "a2=8", "--cutoff", "b2=8", "--cutoff", "a3=8", "--cutoff", "b3=8",
     "--trials", "3",
 ]
 REPO = Path(__file__).parents[1]
@@ -175,7 +183,11 @@ def test_forced_failure_exits_1():
 
 
 def test_failing_checks_are_named_on_stderr(capsys):
-    assert main(QUICK_ARGS + ["--tolerance", "1e-30"]) == 1
+    """At alpha = 1, t = 0.6 and right cutoffs 8 the no-signaling rows read
+    rounding of order 1e-33, so a tolerance of 1e-40 fails several rows:
+    each is named on stderr, in report order."""
+    with pytest.warns(CutoffAdequacyWarning):
+        assert main(RIGHT_8_ARGS + ["--tolerance", "1e-40"]) == 1
     out, err = capsys.readouterr()
     doc = json.loads(out)
     over = {
@@ -183,7 +195,7 @@ def test_failing_checks_are_named_on_stderr(capsys):
         for name, res in doc["residuals"].items()
         if res > doc["tolerances"][name]
     }
-    assert set(over) == {"structure", "left_oracle"}
+    assert set(over) == {"trace_distance", "signaling_gap", "left_oracle"}
     assert err.splitlines() == [
         f"{name}: {res:.3e} > {tol:.3e}" for name, (res, tol) in over.items()
     ]
@@ -191,14 +203,32 @@ def test_failing_checks_are_named_on_stderr(capsys):
     assert capsys.readouterr().err == ""
 
 
-@pytest.mark.parametrize("t", [SQRT_HALF, 0.6, 0.8], ids=["t=sqrt_half", "t=0.6", "t=0.8"])
-def test_left_oracle_fails_a_tolerance_of_1e_30_at_every_t(t, capsys):
-    """The oracle compares the normalized left state with the analytic one,
-    whose distance is rounding-level but not zero at the toy cutoffs, and is
-    held to the base tolerance alone, so 1e-30 fails it whatever t is."""
-    assert main(QUICK_ARGS + ["--t", repr(t), "--tolerance", "1e-30"]) == 1
-    err = capsys.readouterr().err.splitlines()
-    assert [line for line in err if line.startswith("left_oracle: ")]
+@pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
+@pytest.mark.parametrize(
+    "args, zero",
+    [
+        (QUICK_ARGS + ["--t", repr(SQRT_HALF)], True),
+        (QUICK_ARGS + ["--t", "0.6"], True),
+        (QUICK_ARGS + ["--t", "0.8"], True),
+        (["--alpha-re", "0", "--t", "0.6", "--cutoff", "b3=0"], False),
+        (RIGHT_8_ARGS, False),
+    ],
+    ids=["t=sqrt_half", "t=0.6", "t=0.8", "b3=0", "alpha=1,right-8"],
+)
+def test_left_oracle_reads_zero_on_the_toy_config_and_takes_the_base_tolerance(
+    args, zero, capsys
+):
+    """On the toy config the branches' Gram matrix, normalized, is exactly
+    I / 2 at every t, so the oracle reads 0.0. Its tolerance is the base
+    --tolerance alone, also at b3=0 and at alpha = 1 with right cutoffs 8,
+    where the booked leakage widens the structure tolerance."""
+    main(args + ["--tolerance", "1e-30"])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["tolerances"]["left_oracle"] == 1e-30
+    if zero:
+        assert doc["residuals"]["left_oracle"] == 0.0
+    if args is RIGHT_8_ARGS:
+        assert doc["tolerances"]["structure"] > 1e-6
 
 
 def test_readme_cli_table_lists_the_parsers_flags():
@@ -218,6 +248,18 @@ def test_readme_cli_table_lists_the_parsers_flags():
         if option not in ("-h", "--help")
     ]
     assert table == flags
+
+
+def test_readme_python_quick_start_runs():
+    """The first Python block under README's ``## Quick start`` runs as
+    written and prints the verdict ``pass``."""
+    text = (REPO / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(code, "README.md", "exec"), {})
+    assert out.getvalue().splitlines()[0].split()[0] == "pass"
 
 
 def _declared_script_help():

@@ -29,18 +29,21 @@ from kalamidas import (
     random_right_unitary,
     reduce_left,
     run_experiment,
+    signaling_gap,
     trace_distance,
 )
 from kalamidas import channels, experiment, hilbert, nosignal
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
 from kalamidas.experiment import (
-    SQRT_HALF, NoOutcomeError, evolve_and_reduce, left_states_over_phases,
+    SQRT_HALF, NoOutcomeError, evolve_and_reduce, left_states_over_phases, selective_ranking,
 )
-from kalamidas.hilbert import RIGHT_LABELS
-from kalamidas.nosignal import normalized
+from kalamidas.hilbert import LEFT_LABELS, RIGHT_LABELS
+from kalamidas.nosignal import invariant_residuals, normalized
 from kalamidas.optics import BeamSplitter
 
-from fock import dropped_term_branches, inner, ladder, number_op
+from fock import (
+    analytic_left_state, dropped_term_branches, inner, ladder, number_op, placed_left_state,
+)
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
 
@@ -207,25 +210,62 @@ def test_left_states_over_phases_match_evolve_and_reduce(alpha, t, cutoffs):
     """The left states from arm-pair vectors against the full six-mode
     evolution: at left cutoffs above 1, on arms of different dimensions
     (so their splitters differ) and on an arm whose coherent factor is only
-    its vacuum amplitude (a3=0, a large clipped tail)."""
+    its vacuum amplitude (a3=0, a large clipped tail). Each 2 x 2 Gram
+    matrix is placed by the left splitter, and one minus its trace is the
+    leakage it books."""
     config = ExperimentConfig(alpha=alpha, t=t, cutoffs={**STAGE_RIGHT, **cutoffs})
     phis = [0.0, 2.5, -1.0]
     for injected in (True, False):
         states = left_states_over_phases(config, phis, injected)
         assert len(states) == len(phis)
-        for phi, rho in zip(phis, states):
+        for phi, gram in zip(phis, states):
+            assert gram.shape == (2, 2)
+            rho = placed_left_state(config, gram)
             direct = reduce_left(evolve_and_reduce(replace(config, phi=phi), injected)[0])
             assert rho.spec == direct.spec
             assert np.abs(rho.matrix - direct.matrix).max() <= 1e-13
-            assert abs(rho.leakage - direct.leakage) <= 1e-13
+            assert abs(1.0 - np.trace(gram).real - direct.leakage) <= 1e-13
+
+
+@pytest.mark.parametrize("phi", [0.0, 1.3])
+@pytest.mark.parametrize("t", [0.3, SQRT_HALF, 0.9])
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1 + 0.5j])
+def test_every_left_check_reads_the_same_on_the_gram_matrix_and_its_placed_state(alpha, t, phi):
+    """The left splitter is a fixed unitary on the one-photon block, and
+    every left check is unitarily invariant: the trace distance, the gap,
+    the oracle and the invariants read the same, to 1e-15, on the 2 x 2
+    branch Gram matrices as on their placed 4 x 4 states. The states are
+    the two preparations' left states, the scan's mixture and its
+    conditional states; the oracle's reference is I / 2 on the block and
+    the closed form on the left pair."""
+    config = ExperimentConfig(alpha=alpha, t=t, phi=phi)
+    (g_with,), (g_bare,) = (left_states_over_phases(config, [phi], inj) for inj in (True, False))
+    ranked, mixture = selective_ranking(config)
+    grams = [g_with, g_bare, mixture] + [row[3] for row in ranked]
+    booked = [1.0 - np.trace(g).real for g in grams]
+    analytic = analytic_left_state(config.hilbert_spec().subspace(LEFT_LABELS)).matrix
+
+    def read(states, half):
+        rho_with, rho_bare, *others = states
+        with_, bare = normalized(rho_with), normalized(rho_bare)
+        out = [trace_distance(with_, bare), signaling_gap(with_, bare), trace_distance(with_, half)]
+        out += [trace_distance(rho, rho_with) for rho in others]
+        for rho, leakage in zip(states, booked):
+            out += invariant_residuals(rho, leakage).values()
+        return np.array(out)
+
+    on_gram = read(grams, np.eye(2) / 2)
+    on_placed = read([placed_left_state(config, g).matrix for g in grams], analytic)
+    assert len(on_gram) == 3 + (len(grams) - 2) + 3 * len(grams)
+    assert np.abs(on_gram - on_placed).max() <= 1e-15
 
 
 @pytest.mark.filterwarnings("ignore::kalamidas.CutoffAdequacyWarning")
 def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeypatch):
-    """The arm vectors, their Gram matrix and the left splitter's block are
-    built once per call of left_states_over_phases: both preparations of a
-    group make the same applies, Gram matrices and splitter requests for one
-    phase as for five."""
+    """The arm vectors and their Gram matrix are built once per call of
+    left_states_over_phases: both preparations of a group make the same
+    applies, Gram matrices and splitter requests for one phase as for five,
+    and no request is the left splitter's."""
     config = ExperimentConfig(alpha=0.5, t=0.6, cutoffs=QUICK)
     calls = []
 
@@ -246,13 +286,11 @@ def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeyp
         counts.append(sorted(calls))
     assert counts[0] == counts[1]
     assert counts[0].count("apply") == 8 and counts[0].count("branch_gram") == 2
+    assert counts[0].count("beamsplitter_unitary") == 4  # two arms, two preparations
 
 
-def test_a_verdict_builds_its_branches_once(monkeypatch):
-    """The selective scan, the channel battery and the injected left state
-    share one set of branches; the bare left state's are built once, at
-    alpha = 0."""
-    config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
+def _branch_calls(monkeypatch, config):
+    """The arguments of every _branches call of one verdict on ``config``."""
     calls = []
     build = experiment._branches
 
@@ -261,7 +299,25 @@ def test_a_verdict_builds_its_branches_once(monkeypatch):
         return build(*args)
 
     monkeypatch.setattr(experiment, "_branches", counted)
-    run_experiment(config)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CutoffAdequacyWarning)
+        run_experiment(config)
+    return calls
+
+
+def test_a_verdict_builds_its_branches_once(monkeypatch):
+    """The selective scan, the channel battery and the injected left state
+    share one set of branches, and a run that injects nothing takes its
+    bare left state to be the injected one: one build at alpha = 0."""
+    config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
+    assert _branch_calls(monkeypatch, config) == [(config, config.alpha, config.phi)]
+
+
+def test_an_injected_verdict_builds_the_bare_branches_once_more(monkeypatch):
+    """With alpha != 0 the bare left state's branches are built once, at
+    alpha = 0, after the injected ones."""
+    config = ExperimentConfig(alpha=0.5, cutoffs=QUICK, trials=3)
+    calls = _branch_calls(monkeypatch, config)
     assert calls == [(config, config.alpha, config.phi), (config, 0.0, config.phi)]
 
 
@@ -298,9 +354,9 @@ def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
 @pytest.mark.parametrize("t", [0.3, 0.6, SQRT_HALF, 0.9])
 def test_the_dropped_term_moves_the_left_state_by_half_of_z(monkeypatch, t):
     """With the r y+ half of the photon's output dropped, the injected and
-    bare left states sit a trace distance z / 2 apart,
-    z = r^2 |alpha|^2 / (1 + r^2 |alpha|^2), where the honest branches give
-    rounding."""
+    bare left states, placed by the left splitter, sit a trace distance z / 2
+    apart, z = r^2 |alpha|^2 / (1 + r^2 |alpha|^2), where the honest
+    branches give rounding."""
     phis = [0.4, 1.9]
     honest = experiment._branches
     for alpha in (0.2, 0.7, 1.3):
@@ -309,7 +365,8 @@ def test_the_dropped_term_moves_the_left_state_by_half_of_z(monkeypatch, t):
         for branches, half_z in ((honest, 0.0), (dropped_term_branches, shift / (1 + shift) / 2)):
             monkeypatch.setattr(experiment, "_branches", branches)
             lefts = [left_states_over_phases(config, phis, injected) for injected in (True, False)]
-            for rho_with, rho_bare in zip(*lefts, strict=True):
+            for g_with, g_bare in zip(*lefts, strict=True):
+                rho_with, rho_bare = (placed_left_state(config, g).matrix for g in (g_with, g_bare))
                 got = trace_distance(normalized(rho_with), normalized(rho_bare))
                 assert abs(got - half_z) <= 1e-13
 
@@ -837,7 +894,7 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
     spec = config.hilbert_spec()
     branches = experiment._branches(config, config.alpha, config.phi)
     leakage = report.leakage["final_with_coherent"]
-    rho = experiment._left_states(config, [branch_gram(branches)], [leakage])[0]
+    rho = placed_left_state(config, branch_gram(branches), leakage)
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
     with experiment._one_blas_thread():  # as run_experiment runs
@@ -856,12 +913,15 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
         assert np.array_equal(got, want)
 
     def moved(grams):
-        lefts = experiment._left_states(config, grams, [leakage] * len(grams))
-        return max(trace_distance(left, rho) for left in lefts)
+        return max(trace_distance(gram, branch_gram(branches)) for gram in grams)
 
-    assert report.residuals["channel_unitary"] == moved(unitaries)
-    assert report.residuals["channel_kraus"] == moved(kraus)
-    assert report.residuals["channel_projective"] == moved([projective])
+    def placed_moved(grams):
+        lefts = [placed_left_state(config, gram, leakage).matrix for gram in grams]
+        return max(trace_distance(left, rho.matrix) for left in lefts)
+
+    for name, grams in (("unitary", unitaries), ("kraus", kraus), ("projective", [projective])):
+        assert report.residuals[f"channel_{name}"] == moved(grams)
+        assert abs(placed_moved(grams) - moved(grams)) <= 1e-15
 
 
 def test_a_verdict_reads_no_six_mode_state_for_its_left_states(monkeypatch):

@@ -30,6 +30,7 @@ from kalamidas.hilbert import (
     sector_slices,
     total_occupations,
 )
+from kalamidas.nosignal import invariant_residuals
 
 from fock import (
     adjoint,
@@ -320,7 +321,7 @@ def test_density_operator_invariants(quick_spec):
     left = quick_spec.subspace(("a1", "b1"))
     rho = DensityOperator(left, np.diag([0.25, 0.25, 0.25, 0.25]).astype(complex))
     assert rho.trace == pytest.approx(1.0)
-    assert max(rho.invariant_residuals().values()) < 1e-15
+    assert max(invariant_residuals(rho.matrix, rho.leakage).values()) < 1e-15
     validate(rho)
 
     short = DensityOperator(left, np.diag([0.5, 0.0, 0.0, 0.0]).astype(complex))

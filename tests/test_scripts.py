@@ -13,7 +13,6 @@ from conftest import child_env
 from kalamidas import (
     MODE_LABELS, ExperimentConfig, cli, experiment, hilbert, nosignal, run_experiment,
 )
-from kalamidas.experiment import SQRT_HALF
 from kalamidas.optics import _splitter_matrix
 
 SCRIPTS = Path(__file__).parents[1] / "scripts"
@@ -125,9 +124,10 @@ def test_sweep_repeated_phi_prints_identical_rows():
 
 def test_sweep_builds_each_splitter_once(monkeypatch, capsys):
     """Per (alpha, t) the sweep needs the arm splitter at the config's
-    cutoffs, which both preparations share; the left pair's is shared by
-    all. The cache must build each exactly once over the pass."""
-    keys = {((2, 2), math.atan2(SQRT_HALF, SQRT_HALF))}
+    cutoffs, which both preparations share, and no left splitter: its left
+    states are the branches' Gram matrices. The cache must build each
+    exactly once over the pass."""
+    keys = set()
     for alpha in GRID["alphas"]:
         for t in GRID["ts"]:
             config = ExperimentConfig(alpha=alpha, t=t)
@@ -152,18 +152,16 @@ BENCHMARK_GRID_ARGS = [
 
 def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
     """Over the benchmark grid (2 alpha x 2 t x 3 phi) the first pass builds
-    one validated operator per distinct (pair space, theta), the left pair's
-    and both arms' per (alpha, t), and the second pass builds none: every
+    one validated operator per distinct (pair space, theta), both arms' per
+    (alpha, t) and no left pair's, and the second pass builds none: every
     splitter it asks for is the operator already built over the cached
     blocks."""
-    left_theta = math.atan2(SQRT_HALF, SQRT_HALF)
     wanted = set()
     for alpha in BENCHMARK_GRID["alphas"]:
         for t in BENCHMARK_GRID["ts"]:
             config = ExperimentConfig(alpha=alpha, t=t)
             spec = config.hilbert_spec()
             arm_theta = math.atan2(config.r, config.t)
-            wanted.add((spec.subspace(("a1", "b1")), left_theta))
             wanted.add((spec.subspace(("a2", "a3")), arm_theta))
             wanted.add((spec.subspace(("b2", "b3")), arm_theta))
     init = hilbert.LinearOperator.__init__
@@ -186,7 +184,7 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
         per_pass.append(list(built))
     first, second = per_pass
     assert second == []  # nor any other operator
-    assert _splitter_matrix.cache_info().misses == 5
+    assert _splitter_matrix.cache_info().misses == 4
 
     def key(op):
         """The wanted (pair space, theta) whose cache entry keeps the operator
@@ -200,7 +198,7 @@ def test_a_warm_sweep_pass_builds_no_splitter_operator(monkeypatch, capsys):
         return only
 
     keys = [key(op) for op in first]
-    assert len(keys) == len(set(keys)) == len(wanted) == 9
+    assert len(keys) == len(set(keys)) == len(wanted) == 8
     assert set(keys) == wanted
 
 

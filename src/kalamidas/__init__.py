@@ -4,10 +4,12 @@ A single photon is split between a left pair of modes and a right pair, and
 coherent states may be injected on two auxiliary right modes. The package
 verifies numerically that nothing done on the right (injection, unitaries,
 projective or generalized measurements without record) moves the left
-reduced state. Every left state of a verdict, its scan and both scripts is
-the 2 x 2 Gram matrix of the two one-photon branches of arm-pair vectors
-before the left splitter, which no left check reads; the structure row and
-the booked leakage come from the evolved six-mode state.
+reduced state. A verdict, its scan and both scripts run on the two
+one-photon branches of arm-pair vectors before the left splitter: every left
+state is their 2 x 2 Gram matrix, which no left check reads, and the
+structure row compares the arm vectors with the ideal ones. The six-mode
+states (``evolve``, ``initial_state_*``, ``direct_final_state``,
+``reduce_left``) are a plain reference that no run builds.
 """
 from .channels import (
     PROBABILITY_FLOOR,

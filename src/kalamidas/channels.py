@@ -74,7 +74,9 @@ def _owners(branches: Sequence[Branch], modes: Sequence[str]) -> list:
 
 def _overlaps(branches: Sequence[Branch], k: int) -> np.ndarray:
     """Entry (i, j) is <f_j|f_i> over the arm vectors f at place k."""
-    return np.array([[np.vdot(g[k].stored, f[k].stored) for g in branches] for f in branches])
+    return np.array(
+        [[np.vdot(g[k].amplitudes, f[k].amplitudes) for g in branches] for f in branches]
+    )
 
 
 def _coefficients(branches: Sequence[Branch]) -> np.ndarray:
@@ -94,8 +96,14 @@ def _marginal(f: PureState, g: PureState, mode: str) -> np.ndarray:
     """The one-mode marginal of |f><g| on ``mode``, for two vectors of one
     arm pair: the partial trace over the pair's other mode."""
     axis = f.spec.axis_of(mode)
-    x, y = (np.moveaxis(v.stored.reshape(v.spec.dims), axis, 0) for v in (f, g))
+    x, y = (np.moveaxis(v.amplitudes.reshape(v.spec.dims), axis, 0) for v in (f, g))
     return x.reshape(len(x), -1) @ y.reshape(len(y), -1).conj().T
+
+
+def _cross_term(k: np.ndarray, x: np.ndarray, y: np.ndarray) -> complex:
+    """sum_r Tr(K_r+ x^T K_r y) over a chunk of operator rows K shaped
+    (rows, d_x, d_y): their share of Tr(K sigma K+) for sigma = x (x) y."""
+    return np.vdot(k, x.T @ (k @ y))
 
 
 def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]) -> np.ndarray:
@@ -121,7 +129,7 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
     n = len(branches)
     acc = np.zeros((n, n), dtype=np.complex128)
     if owners[0] == owners[1]:  # the arm's own pair
-        vectors = np.array([f[owners[0]].stored.reshape(-1) for f in branches]).T
+        vectors = np.array([f[owners[0]].amplitudes for f in branches]).T
         overlaps = _overlaps(branches, 3 - owners[0])  # the other arm's
 
         def contract(rows: np.ndarray) -> None:
@@ -137,7 +145,7 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
         def contract(rows: np.ndarray) -> None:
             k = rows.reshape((len(rows),) + pair.dims)
             for (i, j), (x, y) in zip(upper, marginals):
-                acc[i, j] += np.vdot(k, x.T @ (k @ y))
+                acc[i, j] += _cross_term(k, x, y)
 
     chunk = np.zeros((_GRAM_ROWS, pair.dim), dtype=np.complex128)
     filled = 0

@@ -18,7 +18,7 @@ import warnings
 from typing import Optional, Sequence
 
 from .experiment import (
-    SQRT_HALF, ExperimentConfig, NoOutcomeError, check_memory, run_experiment,
+    SQRT_HALF, ExperimentConfig, NoOutcomeError, check_pair_memory, run_experiment,
 )
 from .hilbert import MODE_LABELS
 
@@ -69,7 +69,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--tolerance", type=float, default=1e-9,
-        help="base tolerance; only structure adds 2 sqrt(leakage) to it (default 1e-9)",
+        help=(
+            "base tolerance; only structure adds to it, the truncation bound its "
+            "cutoffs imply (default 1e-9)"
+        ),
     )
     parser.add_argument(
         "--emit", default="-", metavar="PATH",
@@ -136,7 +139,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             tolerance=args.tolerance,
         )
         _check_emit(args.emit)
-        check_memory(config)
+        check_pair_memory(config)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

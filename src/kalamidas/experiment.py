@@ -1,4 +1,4 @@
-"""Experiment driver: build, evolve, verify, and report.
+"""The experiment: build, verify, and report.
 
 The apparatus prepares a single photon in the superposition
 (1/sqrt2)(a1+ a2+ + e^{i phi} b1+ b2+)|0>, optionally with coherent states of
@@ -9,23 +9,29 @@ splitters: one on each right arm pair, (a2, a3) and (b2, b3), with parameters
 :func:`run_experiment` runs the full verification battery for one
 configuration and returns a :class:`Report` whose verdict certifies that the
 left reduced state is independent of the injection and of every legitimate
-right-side operation, within explicit tolerances. Every left state it
-compares is the 2 x 2 Gram matrix of the arm-pair branches before the left
-splitter, which no unitarily invariant left check reads; the six-mode
-states it evolves feed only the structure check and the leakage.
-Every state it builds is a sum of product states of single-mode vectors
-(hilbert.product_state), so the direct construction it compares the evolved
-state with is the box projection of the ideal output, and that residual
-measures the simulator's own truncation error. Its tolerance grows as
-2 sqrt(leakage); the no-signaling and oracle checks hold normalized left
-states to the base tolerance alone; invariance checks under right-side
-channels are exact, with fixed tolerances. It runs at one BLAS thread, so
-its report does not depend on the thread count the environment sets.
+right-side operation, within explicit tolerances. It builds no six-mode
+state: before the left splitter the apparatus is two one-photon branches,
+each a coefficient times one vector on each arm pair, (a2, a3) and (b2, b3),
+and every row reads those arm-pair vectors. Every left state it compares is
+the 2 x 2 Gram matrix of the branches, which no unitarily invariant left
+check reads. The structure check compares the arm vectors with the box
+projections of the ideal ones, so it measures the simulator's own truncation
+error, against the base tolerance plus a bound derived from the Poisson
+tails the cutoffs leave (:func:`_truncation`); the no-signaling and oracle
+checks hold normalized left states to the base tolerance alone; invariance
+checks under right-side channels are exact, with fixed tolerances. It runs
+at one BLAS thread, so its report does not depend on the thread count the
+environment sets.
+
+The six-mode states (:func:`initial_state_bare`,
+:func:`initial_state_with_coherent`, :func:`evolve`,
+:func:`direct_final_state`) are the tests' plain reference; no run builds
+them.
 
 Default per-mode cutoffs take the adequacy rule plus a margin of
-DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the evolved state agrees
-with the independent direct construction to a few parts in 1e10 at |alpha|
-around 1; at the bare adequacy cutoff that residual sits near 1e-7.
+DEFAULT_CUTOFF_MARGIN. The margin is calibrated so the arm vectors agree
+with the ideal ones to a few parts in 1e10 at |alpha| around 1; at the bare
+adequacy cutoff that residual sits near 1e-7.
 """
 from __future__ import annotations
 
@@ -57,7 +63,6 @@ from .hilbert import (
     HilbertSpec,
     PureState,
     apply,
-    distance,
     product_state,
     raising_matrix,
 )
@@ -81,6 +86,7 @@ DEFAULT_CUTOFF_MARGIN = 5
 
 _CHANNEL_TRIALS = 20
 _SCAN_PAIR = ("a2", "b2")
+_ARMS = (("a2", "a3"), ("b2", "b3"))  # each arm's pair (photon mode, coherent mode)
 _RIGHT_PAIRS = (
     ("a2", "b2"),
     ("a2", "a3"),
@@ -210,14 +216,6 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
 # Resident memory of the interpreter with kalamidas imported: 55.5-55.6 MiB
 # with its bytecode cached, 57.2 MiB when it is compiled at import.
 _BASELINE_BYTES = 56 * 2**20
-# Peak resident memory of a run above 55.5 MiB and the pair-operator charge
-# below, per byte of one stored state (the left pair's two one-photon rows),
-# with one BLAS thread and the bytecode cached (peak, stored state, ratio):
-# 73.8 MiB, 2.00 MiB, 4.6 at alpha = 0; 101.1 MiB, 7.15 MiB, 1.9 at alpha = 1;
-# 175.6 MiB, 24.7 MiB, 0.35 at alpha = 2: the evolved states, the splitters'
-# chunks and the heap that transients leave; the channel battery reads no
-# state. Earlier builds read up to 5.2, and the largest is kept.
-_PEAK_PER_STATE_BYTE = 5.3
 # Peak traced memory of building one dense operator on a mode pair of
 # dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
 # and 2: 9.0 for a splitter (expm), 3.1 for a Kraus family (its 3d x d
@@ -232,31 +230,17 @@ _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 def check_pair_memory(config: ExperimentConfig) -> None:
     """Raise ValueError when the largest dense operator a run builds on a
     mode pair would take more than physical memory at peak: the whole charge
-    of the sweep and the scan, which build no six-mode state."""
-    _check_peak(config, 0)
-
-
-def check_memory(config: ExperimentConfig) -> None:
-    """:func:`check_pair_memory` with a verdict's six-mode states charged
-    too. Every state of a run stores the left pair's two one-photon rows, so
-    a state is charged 2 / (left dimension) of the full amplitude count."""
-    spec = config.hilbert_spec()
-    _check_peak(config, 2 * spec.dim // spec.left_dim)
-
-
-def _check_peak(config: ExperimentConfig, state: int) -> None:
+    of a verdict, the sweep and the scan, none of which builds a six-mode
+    state."""
     spec = config.hilbert_spec()
     pair = max(spec.subspace(p).dim for p in (("a1", "b1"),) + _RIGHT_PAIRS)
-    need = _BASELINE_BYTES + 16 * (
-        _PEAK_PER_STATE_BYTE * state + _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
-    )
+    need = _BASELINE_BYTES + 16 * _PEAK_PER_PAIR_OPERATOR_BYTE * pair**2
     have = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if need > have:
         cutoffs = ", ".join(f"{k}={v}" for k, v in config.cutoffs_map.items())
-        states = f"{state:.3g} stored amplitudes per state and " if state else ""
         raise ValueError(
             f"|alpha| = {abs(config.alpha):.4g} at cutoffs {cutoffs} "
-            f"needs {states}dense operators on mode pairs of up to {pair:.3g} levels, "
+            f"needs dense operators on mode pairs of up to {pair:.3g} levels, "
             f"an estimated {need / 2**30:.3g} GiB at peak, more than the "
             f"{have / 2**30:.3g} GiB of physical memory; lower |alpha| or the cutoffs"
         )
@@ -271,14 +255,16 @@ def _mode_factor(spec: HilbertSpec, m: str, alpha: complex, photon: bool = False
     return raising_matrix(d) @ vec if photon else vec
 
 
-def _photon_pairs(
+def _raised(
     spec: HilbertSpec,
     amplitudes: Mapping[str, complex],
-    pairs: list[tuple[str, str, complex]],
-    scale: float,
+    terms: list[tuple[complex, tuple[str, ...]]],
+    scale: float = 1.0,
 ) -> PureState:
-    """scale * sum_k c_k x_k+ y_k+ acting on coherent states of the given
-    amplitudes (vacuum on the other modes), for pairs (x_k, y_k, c_k).
+    """scale * sum_k c_k (the product of m+ over the modes m of raised_k)
+    acting on coherent states of the given amplitudes (vacuum on the other
+    modes), for terms (c_k, raised_k): the one builder of every state a
+    preparation or an ideal output is made of.
 
     Every factor is the box projection of its ideal single-mode vector
     (:func:`_mode_factor`).
@@ -288,14 +274,17 @@ def _photon_pairs(
         return _mode_factor(spec, m, amplitudes.get(m, 0.0), photon)
 
     background = {m: factor(m) for m in amplitudes}
-    terms = [(c, {**background, x: factor(x, True), y: factor(y, True)}) for x, y, c in pairs]
-    return product_state(spec, terms, scale=scale)
+    return product_state(
+        spec,
+        [(c, {**background, **{m: factor(m, True) for m in raised}}) for c, raised in terms],
+        scale=scale,
+    )
 
 
 def _prepared_state(config: ExperimentConfig, alpha: complex) -> PureState:
     """(1/sqrt2)(a1+ a2+ + e^{i phi} b1+ b2+) acting on |alpha> on a3 and b3."""
-    pairs = [("a1", "a2", 1.0), ("b1", "b2", np.exp(1j * config.phi))]
-    return _photon_pairs(config.hilbert_spec(), {"a3": alpha, "b3": alpha}, pairs, SQRT_HALF)
+    terms = [(1.0, ("a1", "a2")), (np.exp(1j * config.phi), ("b1", "b2"))]
+    return _raised(config.hilbert_spec(), {"a3": alpha, "b3": alpha}, terms, SQRT_HALF)
 
 
 def initial_state_bare(config: ExperimentConfig) -> PureState:
@@ -336,14 +325,17 @@ def _warn_if_inadequate(config: ExperimentConfig) -> None:
         _warn(
             f"right-mode cutoffs {low} are below the adequacy rule "
             f"({config.required_cutoff}) for |alpha| = {abs(config.alpha):.4g}; "
-            f"the structure tolerance is scaled by the resulting leakage",
+            f"the structure tolerance adds the truncation bound they imply",
             CutoffAdequacyWarning,
         )
 
 
 def _poisson_tail(cutoff: int, lam: float) -> float:
     """sum_{n > cutoff} e^{-lam} lam^n / n!, summed upward from cutoff + 1
-    without the coherent series, so that a fault in the series cannot cancel."""
+    without the coherent series, so that a fault in the series cannot cancel;
+    1 below cutoff 0, where the sum is the whole distribution."""
+    if cutoff < 0:
+        return 1.0
     n, total, term = cutoff + 1, 0.0, 1.0
     while lam and (n <= lam or total + term != total):
         term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1))
@@ -370,37 +362,115 @@ def evolve(state: PureState, config: ExperimentConfig) -> PureState:
     return state
 
 
-def evolve_and_reduce(config: ExperimentConfig, injected: bool) -> tuple[PureState, float]:
-    """One preparation, injected or bare, evolved, and reduced to what a
-    verdict reads: (final state, the prepared state's leakage). Only that
-    leakage is kept, so the prepared state is freed once the first splitter
-    has acted, and it and the evolved state are never both alive."""
-    prepared = [(initial_state_with_coherent if injected else initial_state_bare)(config)]
-    leakage = prepared[0].leakage
-    final = evolve(prepared.pop(), config)  # evolve holds the only reference
-    return final, leakage
+def _paired(phi: float, arms: Sequence[Sequence[PureState]]) -> list[Branch]:
+    """The two one-photon branches from each arm's vectors (v0, v1), arm a
+    then arm b, in the order of the left basis: (e^{i phi} / sqrt2, v0a,
+    v1b) on |01>, (1 / sqrt2, v1a, v0b) on |10>."""
+    (v0a, v1a), (v0b, v1b) = arms
+    return [(SQRT_HALF * np.exp(1j * phi), v0a, v1b), (SQRT_HALF, v1a, v0b)]
+
+
+def _prepared_branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Branch]:
+    """The preparation's branches (:func:`_paired`): on each arm pair (x, y),
+    v0 = |0> |alpha> and v1 = x+|0> |alpha> at the arm's own cutoffs, each
+    booking the tail it lost as leakage."""
+    spec = config.hilbert_spec()
+    return _paired(phi, [
+        [_raised(spec.subspace((x, y)), {y: alpha}, [(1.0, raised)]) for raised in ((), (x,))]
+        for x, y in _ARMS
+    ])
 
 
 def _branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Branch]:
-    """The two one-photon branches before the left splitter, in the order of
-    the left basis: (e^{i phi} / sqrt2, q0a, q1b) on |01>, (1 / sqrt2, q1a,
-    q0b) on |10>. On each arm pair (x, y), v0 = |0> |alpha> and
-    v1 = x+|0> |alpha> go through the arm's splitter, at the arm's own
-    cutoffs, to q0 and q1."""
+    """The two one-photon branches before the left splitter: those of
+    :func:`_prepared_branches`, each arm vector sent through its arm's
+    splitter (v0 to q0, v1 to q1)."""
     spec = config.hilbert_spec()
-    arms = []
-    for bs in _splitters(config)[1:]:
-        x, y = bs.mode_pair
-        pair = spec.subspace(bs.mode_pair)
-        u = beamsplitter_unitary(spec, bs)  # its space is `pair` itself, memoized
-        coherent = _mode_factor(pair, y, alpha)
-        prepared = [
-            product_state(pair, [(1.0, {x: _mode_factor(pair, x, 0.0, photon), y: coherent})])
-            for photon in (False, True)
+    _, arm_a, arm_b = _splitters(config)
+    ua, ub = (beamsplitter_unitary(spec, bs) for bs in (arm_a, arm_b))  # memoized
+    prepared = _prepared_branches(config, alpha, phi)
+    return [(c, apply(ua, fa), apply(ub, fb)) for c, fa, fb in prepared]
+
+
+def _ideal_branches(config: ExperimentConfig) -> list[Branch]:
+    """The branches of the ideal output before the left splitter, built from
+    the config alone (:func:`_paired` at ``config.phi``): on each arm pair
+    (x, y) p0 is the box projection of |-r alpha> |t alpha> and p1 that of
+    (t x+ + r y+) acting on it."""
+    t, r, alpha = config.t, config.r, config.alpha
+    spec = config.hilbert_spec()
+    return _paired(config.phi, [
+        [
+            _raised(spec.subspace((x, y)), {x: -r * alpha, y: t * alpha}, terms)
+            for terms in ([(1.0, ())], [(t, (x,)), (r, (y,))])
         ]
-        arms.append([apply(u, v) for v in prepared])
-    (q0a, q1a), (q0b, q1b) = arms
-    return [(SQRT_HALF * np.exp(1j * phi), q0a, q1b), (SQRT_HALF, q1a, q0b)]
+        for x, y in _ARMS
+    ])
+
+
+def _structure(branches: Sequence[Branch], ideal: Sequence[Branch]) -> float:
+    """||psi - phi|| for two states given as their branches over the
+    orthonormal left basis: the square root of the sum over branches of
+    ||F (x) G - P (x) Q||^2, each branch's coefficient folded into its arm a
+    vector (F = c Fa, P = k Pa). The left splitter is exact on the
+    one-photon block, so this is also the distance after it. Each term is
+    expanded as ||(F - P) (x) G||^2 + ||P (x) (G - Q)||^2
+    + 2 Re(<F - P|P> <G|G - Q>), which takes no difference of two
+    near-equal norms."""
+    total = 0.0
+    for (c, fa, g), (k, pa, q) in zip(branches, ideal, strict=True):
+        f, p = c * fa.amplitudes, k * pa.amplitudes
+        g, q = g.amplitudes, q.amplitudes
+        df, dg = f - p, g - q
+        total += (
+            np.vdot(df, df).real * np.vdot(g, g).real
+            + np.vdot(p, p).real * np.vdot(dg, dg).real
+            + 2.0 * (np.vdot(df, p) * np.vdot(g, dg)).real
+        )
+    return math.sqrt(max(0.0, float(total)))
+
+
+def _truncation(config: ExperimentConfig) -> dict[str, object]:
+    """The truncation weights of each arm pair (x, y) and the bound they
+    give the structure residual: per arm ``w0``, ``w1`` and ``tail``, and
+    ``structure_bound``.
+
+    Derivation. On an arm pair let v0 = |0> |alpha> and v1 = x+|0> |alpha>,
+    Pi the box projection, U the ideal splitter and U_box the truncated one;
+    the arm vector is F = U_box Pi v and its ideal P = Pi U v. U keeps the
+    pair's total n, and the box holds every sector n <= m = min(c_x, c_y)
+    whole, where U_box acts as U (c_x >= 1, so both v lie in the box up
+    to their coherent factor's tail). So the part of v at n <= m gives F and P
+    alike, and with u the part above m, F - P = U_box Pi u - Pi U u. The
+    part of u in the box has norm squared w, the rest (n_y > c_y) T =
+    ``tail``, the Poisson tail of |alpha|^2 above c_y
+    (:func:`_poisson_tail`). Both splitters are unitary and Pi contracts, so
+    ||F - P|| <= 2 sqrt(w) + sqrt(T) =: e. For v0 (n = n_y)
+    w0 = T(m) - T(c_y); for v1 (n = n_y + 1) w1 = T(m - 1) - T(c_y). Every
+    vector here has norm at most 1, so
+    ||F (x) G - P (x) Q|| <= ||F - P|| + ||G - Q||, and both branches weigh
+    1/2: in exact arithmetic the structure residual is at most
+    sqrt(1/2 (e0_a + e1_b)^2 + 1/2 (e1_a + e0_b)^2).
+    """
+    lam = abs(config.alpha) ** 2
+    cutoffs = config.cutoffs_map
+    out, bounds = {}, []
+    for name, (x, y) in zip(("arm_a", "arm_b"), _ARMS):
+        m, tail = min(cutoffs[x], cutoffs[y]), _poisson_tail(cutoffs[y], lam)
+        w0, w1 = (max(0.0, _poisson_tail(m - k, lam) - tail) for k in (0, 1))
+        out[name] = {"w0": w0, "w1": w1, "tail": tail}
+        bounds.append([2.0 * math.sqrt(w) + math.sqrt(tail) for w in (w0, w1)])
+    (e0a, e1a), (e0b, e1b) = bounds
+    out["structure_bound"] = math.sqrt(0.5 * (e0a + e1b) ** 2 + 0.5 * (e1a + e0b) ** 2)
+    return out
+
+
+def _booked_leakage(branches: Sequence[Branch]) -> float:
+    """The leakage of a state given as its branches (c_i, Fa_i, Fb_i), as its
+    arm vectors book it: 1 - sum_i |c_i|^2 (1 - leakage of Fa_i)
+    (1 - leakage of Fb_i), at least 0, as a PureState's."""
+    kept = sum(abs(c) ** 2 * (1.0 - fa.leakage) * (1.0 - fb.leakage) for c, fa, fb in branches)
+    return max(0.0, 1.0 - kept)
 
 
 def left_states_over_phases(
@@ -480,13 +550,13 @@ def direct_final_state(config: ExperimentConfig) -> PureState:
     """
     t, r, alpha = config.t, config.r, config.alpha
     phase = np.exp(1j * config.phi)
-    pairs = [
-        ("a1", "a2", t), ("a1", "a3", r), ("b1", "a2", t), ("b1", "a3", r),
-        ("a1", "b2", -phase * t), ("a1", "b3", -phase * r),
-        ("b1", "b2", phase * t), ("b1", "b3", phase * r),
+    terms = [
+        (t, ("a1", "a2")), (r, ("a1", "a3")), (t, ("b1", "a2")), (r, ("b1", "a3")),
+        (-phase * t, ("a1", "b2")), (-phase * r, ("a1", "b3")),
+        (phase * t, ("b1", "b2")), (phase * r, ("b1", "b3")),
     ]
     amplitudes = {"a2": -r * alpha, "b2": -r * alpha, "a3": t * alpha, "b3": t * alpha}
-    return _photon_pairs(config.hilbert_spec(), amplitudes, pairs, 0.5)
+    return _raised(config.hilbert_spec(), amplitudes, terms, 0.5)
 
 
 def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
@@ -500,11 +570,20 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
     sector n + 1, U's blocks U_n give U_{n+1} X U_n+, compared with
     t X + r Y, and U_{n+1} Y U_n+, compared with -r X + t Y. A pair with a
     cutoff of 0 has no such sector, and its residual is 0.
+
+    (t, r) is each splitter's stated form, not the one it was built with:
+    the balanced closed form t = r = sqrt(1/2) on the left pair, the
+    config's (t, r) on the arms. No other row reads the left splitter.
     """
     spec = config.hilbert_spec()
     left, arm_a, arm_b = _splitters(config)
+    stated = (
+        ("left_pair", left, SQRT_HALF, SQRT_HALF),
+        ("arm_a", arm_a, config.t, config.r),
+        ("arm_b", arm_b, config.t, config.r),
+    )
     out = {}
-    for name, bs in (("left_pair", left), ("arm_a", arm_a), ("arm_b", arm_b)):
+    for name, bs, t, r in stated:
         u = beamsplitter_unitary(spec, bs)
         blocks = [block for _, block in u.blocks]  # by total, in sector_slices order
         worst = 0.0
@@ -514,7 +593,7 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
             x[k + 1, k] = np.sqrt(k + 1)
             y = np.zeros((n + 2, n + 1))
             y[k, k] = np.sqrt(n - k + 1)
-            for op, target in ((x, bs.t * x + bs.r * y), (y, -bs.r * x + bs.t * y)):
+            for op, target in ((x, t * x + r * y), (y, -r * x + t * y)):
                 acted = blocks[n + 1] @ op @ blocks[n].conj().T
                 worst = max(worst, float(np.abs(acted - target).max()))
         out[name] = worst
@@ -529,6 +608,7 @@ class Report:
     required_cutoff: int
     adequacy_warning: bool
     leakage: dict[str, float]
+    truncation: dict[str, object]
     tolerances: dict[str, float]
     residuals: dict[str, float]
     selective: dict[str, object]
@@ -549,6 +629,7 @@ class Report:
             "required_cutoff": self.required_cutoff,
             "adequacy_warning": self.adequacy_warning,
             "leakage": self.leakage,
+            "truncation": self.truncation,
             "tolerances": self.tolerances,
             "residuals": self.residuals,
             "selective": self.selective,
@@ -606,25 +687,19 @@ def _one_blas_thread() -> Iterator[bool]:
 def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
-    Order: Heisenberg checks on the three splitters; the selective ranking
+    Order: Heisenberg checks on the three splitters; the injected
+    preparation's branches (:func:`_branches`) and the selective ranking
     and mixture (:func:`selective_ranking`), which raises NoOutcomeError
-    before any six-mode state is built when the scan is empty; the injected
-    preparation evolved (:func:`evolve_and_reduce`) and the structure
-    check, then the bare one evolved; the two left states; trace distance
+    when the scan is empty, before the rest is built; the bare
+    preparation's branches, at alpha = 0 (an alpha = 0 run reuses the
+    injected ones); the leakage; the structure check against the ideal
+    branches (:func:`_ideal_branches`, :func:`_structure`); trace distance
     and gap (:func:`no_signaling_rows`); the analytic oracle, the trace
     distance from I / 2, the closed-form left state on the one-photon block;
-    invariance under right-side unitary, projective, and Kraus channels.
-    ``config.seed`` seeds only the channel battery's Haar draws, and
-    ``config.trials`` is read by no stage.
-
-    Every left state is a 2 x 2 Gram matrix of branches of arm-pair vectors
-    (:func:`_branches`): the injected preparation's, built once for the
-    scan, the channels and its left state, and the bare one's, at alpha = 0
-    (an alpha = 0 run reuses the injected one). A preparation's left state
-    books one minus its trace as leakage, a channel row's the evolved
-    injected state's. The six-mode states feed only structure and the
-    leakage block, each dropped once read, so none is alive while the
-    battery draws on its two lanes (:func:`channels.haar_channels_left`).
+    invariance under right-side unitary, projective, and Kraus channels
+    (:func:`channels.haar_channels_left` on two lanes). ``config.seed``
+    seeds only the channel battery's Haar draws, and ``config.trials`` is
+    read by no stage. No six-mode state is built.
 
     The whole run holds numpy's and SciPy's OpenBLAS at one thread
     (:func:`_one_blas_thread`), their counts restored after it, so every
@@ -632,12 +707,18 @@ def run_experiment(config: ExperimentConfig) -> Report:
     another. Where a library exports no thread-count setter, the run warns
     (RuntimeWarning) and goes on at that library's own count.
 
-    Two rows read the booked leakage. ``unitarity`` is the larger, over the
-    six-mode preparations, of final less initial leakage: the norm the
-    unitary-flagged splitters lose; once no six-mode state is evolved, it
-    must read the arm vectors' loss. ``preparation`` compares the injected
-    preparation's leakage with 1 - (1 - T_a3)(1 - T_b3), T the Poisson tail
-    above each cutoff (:func:`_poisson_tail`), and reads the bare one's, 0.
+    Every row but the Heisenberg ones reads the arm-pair vectors. The
+    leakage block books, per preparation, the arm vectors' leakage before
+    and after the arm splitters (:func:`_booked_leakage`); a preparation's
+    left state books one minus its trace, a channel row's the injected
+    final leakage.
+    ``unitarity`` is the larger, over the preparations, of final less
+    initial leakage: the norm the unitary-flagged splitters lose.
+    ``preparation`` compares the injected preparation's leakage with
+    1 - (1 - T_a3)(1 - T_b3), T the Poisson tail above each cutoff
+    (:func:`_poisson_tail`), and reads the bare one's, 0. ``structure``
+    takes the base tolerance plus the bound of :func:`_truncation`, which
+    the report's ``truncation`` block holds with its weights.
     """
     with _one_blas_thread() as pinned:
         if not pinned:
@@ -647,7 +728,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             )
         heis = heisenberg_residuals(config)
 
-        # before any six-mode state, so a scan with no outcome stops the run early
+        # the scan next, so a run whose scan has no outcome stops here
         branches = _branches(config, config.alpha, config.phi)
         ranked, mixture = selective_ranking(config, branches)
         occupation, probability, contrast, _ = ranked[0]
@@ -656,24 +737,25 @@ def run_experiment(config: ExperimentConfig) -> Report:
             "probability": probability,
             "conditional_trace_distance": contrast,
         }
+        _warn_if_inadequate(config)
 
-        psi_with, leak_with = evolve_and_reduce(config, injected=True)
-        final_with, structure = psi_with.leakage, distance(psi_with, direct_final_state(config))
-        del psi_with
-        psi_bare, leak_bare = evolve_and_reduce(config, injected=False)
+        bare = branches if config.alpha == 0 else _branches(config, 0.0, config.phi)
+        leak_with, leak_bare = (
+            _booked_leakage(_prepared_branches(config, alpha, config.phi))
+            for alpha in (config.alpha, 0.0)
+        )
+        final_with = _booked_leakage(branches)
         leakage = {
             "initial_bare": leak_bare,
             "initial_with_coherent": leak_with,
-            "final_bare": psi_bare.leakage,
+            "final_bare": _booked_leakage(bare),
             "final_with_coherent": final_with,
         }
-        del psi_bare
-        leak_max = max(leakage.values())
+        structure = _structure(branches, _ideal_branches(config))
+        truncation = _truncation(config)
 
         rho_with = branch_gram(branches)
-        rho_bare = (
-            rho_with if config.alpha == 0 else branch_gram(_branches(config, 0.0, config.phi))
-        )
+        rho_bare = rho_with if bare is branches else branch_gram(bare)
         # every left state the run produces with the leakage it books, for reduced_invariants
         booked = [(rho, 1.0 - np.trace(rho).real) for rho in (rho_with, rho_bare)]
         booked += [(row[3], 0.0) for row in ranked] + [(mixture, 1.0 - np.trace(mixture).real)]
@@ -702,7 +784,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
         base = config.tolerance
         checks = (
             *((f"heisenberg_{name}", res, _EXACT_CHECK_TOL) for name, res in heis.items()),
-            ("structure", structure, base + 2.0 * math.sqrt(leak_max)),
+            ("structure", structure, base + truncation["structure_bound"]),
             *no_signaling_rows(config, rho_with, rho_bare),
             ("left_oracle", oracle, base),
             ("channel_unitary", moved(unitary), _EXACT_CHECK_TOL),
@@ -723,6 +805,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             required_cutoff=config.required_cutoff,
             adequacy_warning=config.adequacy_warning,
             leakage=leakage,
+            truncation=truncation,
             tolerances={name: tol for name, _, tol in checks},
             residuals={name: res for name, res, _ in checks},
             selective=selective,

@@ -9,15 +9,6 @@ complex amplitude vector over occupation-number tuples
 ordering is row-major over the mode list, the occupation of the last mode
 varying fastest, so ``amplitudes.reshape(spec.dims)`` exposes one axis per mode.
 
-A state is its left rows. The left modes lead every space, so the amplitudes
-form a matrix with one row per left basis state, and a :class:`PureState`
-stores only the rows in a slice of the left basis, every other row being
-zero. A state built from product terms whose left factors share one total
-occupation stores that sector: the apparatus keeps one photon on (a1, b1), so
-its states store two rows of four. Right-mode operators act on the stored
-rows only, and so do the norms, distances and left reductions; the full
-vector is assembled only when ``amplitudes`` is read.
-
 Truncation is explicit and monotone: no operation renormalizes a state. Norm
 squared lost at a cutoff boundary is tracked in the ``leakage`` field of
 :class:`PureState`, so every accuracy claim downstream can be tied to it.
@@ -29,11 +20,10 @@ is one block, a beam splitter one block per total-occupation sector of its
 pair, and a diagonal operator its nonzero entries as 1 x 1 blocks.
 :func:`apply` acts with a subset operator directly on the matching tensor axes
 of the state, one block at a time, which keeps the cost linear in the state
-size. Its kernel works through the other axes a chunk of a few hundred
-columns at a time, so it holds no full-size temporary besides its result.
-No run calls :func:`embed`, which materializes the full matrix: it is the
-independent dense cross-check of :func:`apply`, and the benchmark's tracer
-times it.
+size. A run applies operators only to the vectors of one arm pair; six-mode
+states are the tests' reference. No run calls :func:`embed`, which
+materializes the full matrix: it is the independent dense cross-check of
+:func:`apply`, and the benchmark's tracer times it.
 
 What depends only on mode labels and cutoffs is built once. A spec computes
 its sizes on first access and keeps them; :meth:`HilbertSpec.subspace` is
@@ -111,16 +101,6 @@ class HilbertSpec:
     def dim(self) -> int:
         return math.prod(self.dims)
 
-    @functools.cached_property
-    def left_dims(self) -> tuple[int, ...]:
-        """The dimensions of the left modes this space holds; they lead it."""
-        return self.dims[: sum(m in LEFT_LABELS for m in self.modes)]
-
-    @functools.cached_property
-    def left_dim(self) -> int:
-        """The size of the left basis: 1 when the space holds no left mode."""
-        return math.prod(self.left_dims)
-
     def axis_of(self, m: str) -> int:
         return self.modes.index(m)
 
@@ -180,9 +160,8 @@ def sector_slices(dims: Sequence[int]) -> tuple[slice, ...]:
     return _sector_slices(tuple(int(d) for d in dims))
 
 
-# Keyed by one mode's or one pair's dimensions: the left pair's, which every
-# product state reads, and each arm pair's, read once per splitter build.
-# An entry is one slice per total, never a table over a whole space.
+# Keyed by one mode's or one pair's dimensions, read once per splitter
+# build. An entry is one slice per total, never a table over a whole space.
 @functools.lru_cache(maxsize=32)
 def _sector_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     totals = total_occupations(dims)
@@ -208,24 +187,18 @@ def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
 
 @dataclass(frozen=True, init=False)
 class PureState:
-    """Amplitude vector over the truncated Fock basis with tracked leakage,
-    stored as its left rows (see the module docstring).
+    """Amplitude vector over the truncated Fock basis with tracked leakage.
 
-    ``rows`` is a slice of the left basis and ``stored`` the read-only matrix
-    of those rows' amplitudes, one row per left basis state over the other
-    modes; the rows outside the slice are zero. ``PureState(spec,
-    amplitudes)`` takes the full vector, all rows; with ``rows`` given,
-    ``amplitudes`` holds those rows only. ``leakage`` is the norm squared lost
-    to truncation by prior operations, so a normalized construction satisfies
-    norm2 + leakage = 1.
+    ``amplitudes`` is the read-only vector over the whole basis of ``spec``.
+    ``leakage`` is the norm squared lost to truncation by prior operations,
+    so a normalized construction satisfies norm2 + leakage = 1.
 
     The amplitudes are copied unless ``fresh`` is set, which only code that
     just created the array and drops it does (see :func:`apply`).
     """
 
     spec: HilbertSpec
-    rows: slice
-    stored: np.ndarray
+    amplitudes: np.ndarray
     leakage: float = 0.0
 
     def __init__(
@@ -234,41 +207,19 @@ class PureState:
         amplitudes: np.ndarray,
         leakage: float = 0.0,
         fresh: bool = False,
-        *,
-        rows: Optional[slice] = None,
     ) -> None:
-        left_dim = spec.left_dim
-        rows = slice(0, left_dim) if rows is None else rows
-        kept = range(left_dim)[rows]
-        if kept.step < 0:
-            raise ValueError(f"rows {rows} run backwards")
-        n_rows = len(kept)
         amps = _readonly(np.ravel(amplitudes), fresh)
-        if amps.shape != (n_rows * (spec.dim // left_dim),):
+        if amps.shape != (spec.dim,):
             raise ValueError(
-                f"amplitude vector of length {amps.shape[0]} does not match "
-                f"dim {spec.dim} over {n_rows} of {left_dim} left rows"
+                f"amplitude vector of length {amps.shape[0]} does not match dim {spec.dim}"
             )
         object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "stored", amps.reshape(n_rows, -1))
+        object.__setattr__(self, "amplitudes", amps)
         object.__setattr__(self, "leakage", max(0.0, float(leakage)))
 
     @property
-    def amplitudes(self) -> np.ndarray:
-        """The full amplitude vector, read-only: the stored rows themselves
-        when they are all rows, assembled anew on each access otherwise."""
-        left_dim = self.spec.left_dim
-        if len(self.stored) == left_dim:
-            return self.stored.reshape(-1)
-        out = np.zeros((left_dim, self.stored.shape[1]), dtype=np.complex128)
-        out[self.rows] = self.stored
-        out.setflags(write=False)
-        return out.reshape(-1)
-
-    @property
     def norm2(self) -> float:
-        return float(np.vdot(self.stored, self.stored).real)
+        return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
 
 Blocks = tuple[tuple[slice, np.ndarray], ...]
@@ -395,15 +346,15 @@ def product_state(
     """scale * sum_k c_k (tensor product over the modes of f_km), for terms
     ``(c_k, {mode: f_km})``; a mode that a term does not name holds its vacuum.
 
-    The state stores the left rows its terms' left factors reach: the sector
-    of their one total occupation when they share one, else all rows. Each
-    product is formed before its coefficient multiplies it, and the scale
+    Each product is formed before its coefficient multiplies it, and the scale
     multiplies the sum. The norm squared missing from 1 is booked as leakage,
     so a truncated normalized state reports the tail it lost.
     """
-    n_left = len(spec.left_dims)
     vacua = [np.eye(d, 1, dtype=np.complex128).ravel() for d in spec.dims]
-    factored = []
+    # each product starts from 1, so even a one-mode product is a new array;
+    # 1 x f is f exactly
+    one = np.ones(1, dtype=np.complex128)
+    out = np.zeros(spec.dim, dtype=np.complex128)
     for coeff, named in terms:
         factors = list(vacua)
         for m, vec in named.items():
@@ -414,26 +365,11 @@ def product_state(
                     f"({spec.dims[axis]},)"
                 )
             factors[axis] = vec
-        # the left factor over the left basis, a new array; 1 x f is f exactly
-        one = np.ones(1, dtype=np.complex128)
-        left = functools.reduce(np.multiply.outer, factors[:n_left], one).reshape(-1)
-        factored.append((coeff, left, factors[n_left:]))
-    left_dim = spec.left_dim
-    reached = np.zeros(left_dim, dtype=bool)
-    for _, left, _ in factored:
-        reached |= left != 0
-    totals = np.unique(total_occupations(spec.left_dims)[reached])
-    rows = sector_slices(spec.left_dims)[totals[0]] if len(totals) == 1 else slice(0, left_dim)
-    out = np.zeros(len(range(left_dim)[rows]) * (spec.dim // left_dim), dtype=np.complex128)
-    for coeff, left, rest in factored:
-        factors = [left[rows]] + rest
-        product = functools.reduce(np.multiply.outer, factors).reshape(-1)
+        product = functools.reduce(np.multiply.outer, factors, one).reshape(-1)
         out += np.multiply(coeff, product, out=product)  # no caller's array
         del product  # before the next term's product is formed
     out *= scale
-    return PureState(
-        spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True, rows=rows
-    )
+    return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
 
 
 def raising_matrix(d: int) -> np.ndarray:
@@ -474,130 +410,33 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
     return LinearOperator(spec, full, hermitian=op.hermitian, unitary=op.unitary)
 
 
-# OpenBLAS computes a product's last (columns mod 4) columns in a tail kernel
-# that rounds differently, so a product cut into chunks of columns keeps the
-# bits of the whole product only when every cut falls a multiple of 4 columns in.
-_COLUMN_GROUP = 4
-# A chunk spans at least _CHUNK_COLUMNS columns, from which a GEMM against a
-# dense 256^2 or 484^2 block runs at full speed, and at least
-# _CHUNK_AMPLITUDES amplitudes (0.5 MiB) over its rows, so a small block
-# (the 2 x 2 left splitter) costs few calls.
-_CHUNK_COLUMNS = 64
-_CHUNK_AMPLITUDES = 2**15
-
-
-def _chunks(shape: tuple[int, ...], width: int) -> list[tuple]:
-    """Index tuples that cut an array of this shape into chunks of about
-    ``width`` elements of its flattened index: a range along one axis, the
-    earlier axes fixed and the later ones whole. Every chunk but the last
-    starts a multiple of _COLUMN_GROUP elements in; where no cut allows that,
-    the whole array is one chunk, ``()``."""
-    trailing = 1
-    for axis in reversed(range(len(shape))):
-        n = shape[axis]
-        if trailing * n >= width:
-            step = -(-width // trailing)
-            while step * trailing % _COLUMN_GROUP:
-                step += 1
-            step = min(step, n)
-            last = n % step or step
-            if last * trailing % _COLUMN_GROUP and math.prod(shape[:axis]) > 1:
-                break
-            return [
-                lead + (slice(j, j + step),)
-                for lead in np.ndindex(*shape[:axis])
-                for j in range(0, n, step)
-            ]
-        trailing *= n
-    return [()]
-
-
-def _block_products(
-    tensor: np.ndarray, positions: tuple[int, ...], blocks: Blocks, out: np.ndarray
-) -> None:
-    """The one way an operator acts: its blocks on the ``positions`` axes of
-    ``tensor``, written into ``out``, an array of the tensor's shape. Each
-    chunk of the other axes (:func:`_chunks`) is copied once in
-    operator-major order, each block multiplies its rows of the copy, the
-    rows outside every block are zeroed, and the products go to the chunk's
-    place in ``out``."""
-    k = len(positions)
-    free = tuple(i for i in range(tensor.ndim) if i not in positions)
-    order = positions + free
-    moved, target = tensor.transpose(order), out.transpose(order)
-    op_dim = math.prod(moved.shape[:k])
-    chunks = _chunks(moved.shape[k:], max(_CHUNK_COLUMNS, _CHUNK_AMPLITUDES // op_dim))
-    room = moved[(slice(None),) * k + chunks[0]].size
-    gathered = np.empty(room, dtype=np.complex128)
-    products = np.empty(room, dtype=np.complex128)
-    for chunk in chunks:
-        where = (slice(None),) * k + chunk
-        src = moved[where]
-        x = gathered[: src.size].reshape(op_dim, -1)
-        y = products[: src.size].reshape(op_dim, -1)
-        x.reshape(src.shape)[...] = src
-        y.fill(0.0)  # the rows outside every block
-        for sl, block in blocks:
-            # strided row views: BLAS reads and writes them in place
-            np.matmul(block, x[sl], out=y[sl])
-        target[where] = y.reshape(src.shape)
-
-
 def apply(op: LinearOperator, state: PureState) -> PureState:
     """Act with an operator on a state, on its modes' tensor axes only.
 
-    The state's tensor is its stored rows as one axis, then the right modes.
-    A right-mode operator acts on that tensor, so the result stores the same
-    rows. A left operator with a block on exactly the stored rows (the left
-    splitter on a one-photon state) acts with that block; any other operator
-    on left modes acts on the full vector, and the result stores all rows.
-    The blocks act chunk by chunk over the other axes
-    (:func:`_block_products`) and are written straight into the result, so
-    a state cut into several chunks needs no full-size temporary; rows
-    outside every block are zero. The chunks keep the bits of one product
-    over all columns.
+    One path for every operator: the state's tensor with the operator's axes
+    moved first (a copy unless they lead already) is cut into the
+    operator's rows, each block multiplies its rows into a zeroed result, so
+    rows outside every block are zero, and the axes are moved back.
 
     After a unitary-flagged operator any norm squared the state lost is added
-    to its leakage, and the state is never renormalized; the splitters and
-    displacements are unitary on the truncated space, so what is booked there
-    is rounding. The result owns its amplitudes, so the new state takes them
-    without a copy.
+    to its leakage, and the state is never renormalized; the splitters are
+    unitary on the truncated space, so what is booked there is rounding. The
+    result owns its amplitudes, so the new state takes them without a copy.
     """
     spec = state.spec
     if not spec.contains(op.spec):
         raise ValueError("operator modes/cutoffs do not match the state space")
-    n_left = len(spec.left_dims)
-    left = range(spec.left_dim)
-    rows, blocks = state.rows, op.blocks
-    on_left = op.spec.modes == spec.modes[:n_left]
-    on_rows = [block for sl, block in blocks if on_left and left[sl] == left[rows]]
-    if on_rows:
-        tensor, positions = state.stored, (0,)
-        blocks = ((slice(0, len(state.stored)), on_rows[0]),)
-    elif any(m in LEFT_LABELS for m in op.spec.modes):
-        rows = slice(0, len(left))
-        tensor = state.amplitudes.reshape(spec.dims)
-        positions = tuple(spec.axis_of(m) for m in op.spec.modes)
-    else:  # the stored rows as axis 0, then the right modes
-        tensor = state.stored.reshape((len(state.stored),) + spec.dims[n_left:])
-        positions = tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
-    new = np.empty(tensor.shape, dtype=np.complex128)
-    _block_products(tensor, positions, blocks, out=new)
-    new = new.reshape(-1)
+    positions = tuple(spec.axis_of(m) for m in op.spec.modes)
+    first = tuple(range(len(positions)))
+    moved = np.moveaxis(state.amplitudes.reshape(spec.dims), positions, first)
+    rows = moved.reshape(op.spec.dim, -1)
+    out = np.zeros(rows.shape, dtype=np.complex128)
+    for sl, block in op.blocks:
+        # strided row views: BLAS reads and writes them in place
+        np.matmul(block, rows[sl], out=out[sl])
+    back = np.moveaxis(out.reshape(moved.shape), first, positions)
+    new = np.ascontiguousarray(back).reshape(-1)
     leakage = state.leakage
     if op.unitary:
-        old_n2 = state.norm2
-        new_n2 = float(np.vdot(new, new).real)
-        leakage += max(0.0, old_n2 - new_n2)
-    return PureState(spec, new, leakage=leakage, fresh=True, rows=rows)
-
-
-def distance(x: PureState, y: PureState) -> float:
-    """The norm of x - y, over their stored rows when they store the same
-    ones, else over their full vectors."""
-    if x.spec != y.spec:
-        raise ValueError("the two states need matching specs")
-    left = range(x.spec.left_dim)
-    if left[x.rows] == left[y.rows]:
-        return float(np.linalg.norm(x.stored - y.stored))
-    return float(np.linalg.norm(x.amplitudes - y.amplitudes))
+        leakage += max(0.0, state.norm2 - float(np.vdot(new, new).real))
+    return PureState(spec, new, leakage=leakage, fresh=True)

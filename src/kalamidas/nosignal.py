@@ -39,19 +39,17 @@ _IMAG_ATOL = 1e-10
 def reduce_left(state: PureState) -> DensityOperator:
     """Partial trace of a pure state over everything but the left pair (a1, b1).
 
-    The Gram matrix of the stored rows, each row a left basis state over the
-    rest, placed at those rows and columns of the left matrix; the rows the
-    state does not store are zero, and so are their entries. Leakage is
-    carried, so the output trace is 1 - leakage for normalized constructions.
+    The left modes lead the space, so the amplitudes form a matrix with one
+    row per left basis state, and the reduction is its Gram matrix. Leakage
+    is carried, so the output trace is 1 - leakage for normalized
+    constructions.
     """
     left = state.spec.subspace(LEFT_LABELS)
     left_pos = tuple(state.spec.axis_of(m) for m in left.modes)
     if left_pos != (0, 1):
         raise ValueError("state space must contain both left modes at slots 0, 1")
-    a = state.stored
-    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
-    out[state.rows, state.rows] = a @ a.conj().T
-    return DensityOperator(left, out, leakage=state.leakage)
+    a = state.amplitudes.reshape(left.dim, -1)
+    return DensityOperator(left, a @ a.conj().T, leakage=state.leakage)
 
 
 def expectation(rho: DensityOperator, h: LinearOperator) -> float:

@@ -113,11 +113,10 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 
 
 # A sweep uses per (alpha, t) one arm splitter, which both arms and both
-# preparations share, and the left pair's throughout, so 16 entries keep
-# every splitter of a grid of up to 15 (alpha, t) points across passes. The
-# blocks of one arm take 0.11 MB at the default cutoffs for alpha = 1 and
-# 7.0 MB at alpha = 6.29, the largest the scripts' memory gate admits on
-# 7.84 GiB (the CLI's admits up to alpha = 5.33).
+# preparations share, so 16 entries keep every splitter of a grid of up to
+# 16 (alpha, t) points across passes. The blocks of one arm take 0.11 MB at
+# the default cutoffs for alpha = 1 and 7.0 MB at alpha = 6.29, the largest
+# the memory gate admits on 7.84 GiB.
 @functools.lru_cache(maxsize=16)
 def _splitter_matrix(
     dims: tuple[int, int], theta: float

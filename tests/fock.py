@@ -178,10 +178,7 @@ def selective_outcome(
     p = projected.norm2
     if p < PROBABILITY_FLOOR:
         return None, p
-    conditional = PureState(
-        state.spec, projected.stored / math.sqrt(p), fresh=True, rows=projected.rows
-    )
-    return conditional, p
+    return PureState(state.spec, projected.amplitudes / math.sqrt(p), fresh=True), p
 
 
 def nonselective_left(
@@ -191,23 +188,21 @@ def nonselective_left(
     the six-mode reference for ``channels.channel_gram``.
 
     Each branch A_k |psi> is built by ``apply`` and contributes the Gram
-    matrix of its stored rows. The operators must act on right modes only;
-    that they form a channel is the caller's to ensure. Such a channel
-    preserves the trace, so the output carries the input state's leakage.
+    matrix of its rows, one per left basis state. The operators must act on
+    right modes only; that they form a channel is the caller's to ensure.
+    Such a channel preserves the trace, so the output carries the input
+    state's leakage.
     """
     if not operators:
         raise ValueError("nonselective_left needs at least one operator")
-    n_rows = len(state.stored)
-    gram = np.zeros((n_rows, n_rows), dtype=np.complex128)
+    left = state.spec.subspace(LEFT_LABELS)
+    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
     for a in operators:
         bad = [m for m in a.spec.modes if m not in RIGHT_LABELS]
         if bad:
             raise ValueError(f"operation must act on right modes only, got {bad}")
-        branch = apply(a, state).stored
-        gram += branch @ branch.conj().T
-    left = state.spec.subspace(LEFT_LABELS)
-    out = np.zeros((left.dim, left.dim), dtype=np.complex128)
-    out[state.rows, state.rows] = gram
+        branch = apply(a, state).amplitudes.reshape(left.dim, -1)
+        out += branch @ branch.conj().T
     return DensityOperator(left, out, leakage=state.leakage)
 
 
@@ -231,14 +226,12 @@ def conditional_left_by_occupation(
         raise ValueError(f"operation must act on right modes only, got {bad}")
     sub = spec.subspace(modes)
     left = spec.subspace(LEFT_LABELS)  # the modes of slots 0 and 1
-    # the stored rows as axis 0, then the right modes at their slots less one
+    # the left basis as axis 0, then the right modes at their slots less one
     scan_pos = tuple(spec.axis_of(m) - 1 for m in sub.modes)
     rest_pos = tuple(i for i in range(1, len(spec.modes) - 1) if i not in scan_pos)
-    n_rows = len(state.stored)
-    tensor = state.stored.reshape((n_rows,) + spec.dims[2:])
-    a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(n_rows, sub.dim, -1)
-    grams = np.zeros((sub.dim, left.dim, left.dim), dtype=np.complex128)
-    grams[:, state.rows, state.rows] = np.einsum("iko,jko->kij", a, a.conj())
+    tensor = state.amplitudes.reshape((left.dim,) + spec.dims[2:])
+    a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(left.dim, sub.dim, -1)
+    grams = np.einsum("iko,jko->kij", a, a.conj())
     outcomes = [
         (sub.occupation_of(k), float(p), DensityOperator(left, grams[k] / p))
         for k, p in enumerate(np.einsum("kii->k", grams).real)
@@ -279,23 +272,3 @@ def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:
     phases = np.diagonal(r)
     q *= phases / np.abs(phases)
     return q
-
-
-def whole_product_apply(op: LinearOperator, state: PureState) -> np.ndarray:
-    """The stored rows of ``apply(op, state)`` for an operator on right
-    modes, as one product per block over every column: the state copied
-    into operator-major order, each block's rows multiplied into a zeroed
-    buffer, and the axes moved back."""
-    spec = state.spec
-    n_left = len(spec.left_dims)
-    n_rows = len(state.stored)
-    tensor = state.stored.reshape((n_rows,) + spec.dims[n_left:])
-    positions = tuple(spec.axis_of(m) - n_left + 1 for m in op.spec.modes)
-    first = tuple(range(len(positions)))
-    moved = np.moveaxis(tensor, positions, first)
-    op_major = moved.reshape(op.spec.dim, -1)
-    out = np.zeros(op_major.shape, dtype=np.complex128)
-    for sl, block in op.blocks:
-        np.matmul(block, op_major[sl], out=out[sl])
-    out = np.moveaxis(out.reshape(op.spec.dims + moved.shape[len(positions):]), first, positions)
-    return np.ascontiguousarray(out).reshape(n_rows, -1)

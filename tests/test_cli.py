@@ -23,13 +23,15 @@ QUICK_ARGS = [
     "--cutoff", "a2=3", "--cutoff", "b2=3", "--cutoff", "a3=3", "--cutoff", "b3=3",
     "--trials", "3",
 ]
-# alpha = 1 below the adequacy rule: its booked leakage is of order 1e-6
+# alpha = 1 below the adequacy rule: its truncation bound is of order 1e-2
 RIGHT_8_ARGS = [
     "--alpha-re", "1", "--t", "0.6",
     "--cutoff", "a2=8", "--cutoff", "b2=8", "--cutoff", "a3=8", "--cutoff", "b3=8",
     "--trials", "3",
 ]
 REPO = Path(__file__).parents[1]
+# the six-mode reference that no run calls (see test_public_names)
+SIX_MODE_NAMES = ("evolve", "initial_state_bare", "initial_state_with_coherent", "direct_final_state")
 SWEEP = REPO / "scripts" / "parameter_sweep.py"
 
 # What an installed console-script wrapper does: load the entry point, then
@@ -221,7 +223,7 @@ def test_left_oracle_reads_zero_on_the_toy_config_and_takes_the_base_tolerance(
     """On the toy config the branches' Gram matrix, normalized, is exactly
     I / 2 at every t, so the oracle reads 0.0. Its tolerance is the base
     --tolerance alone, also at b3=0 and at alpha = 1 with right cutoffs 8,
-    where the booked leakage widens the structure tolerance."""
+    where the truncation bound widens the structure tolerance."""
     main(args + ["--tolerance", "1e-30"])
     doc = json.loads(capsys.readouterr().out)
     assert doc["tolerances"]["left_oracle"] == 1e-30
@@ -414,17 +416,23 @@ def test_infinite_tolerance_exits_2_before_the_battery(capsys, monkeypatch, tole
 def test_zero_right_cutoffs_run_without_a_traceback(capsys):
     # no pair sector is exactly representable at cutoff 0, so the Heisenberg
     # residuals of the arm splitters read 0; at t = 0.6 the photon reflected
-    # into a3 or b3 is cut, and the structure check fails cleanly
+    # into b3 is cut, structure reads 0.283 inside its truncation bound of
+    # sqrt2, and a base tolerance below rounding fails the run cleanly
     argv = ["--alpha-re", "0", "--trials", "3", "--cutoff", "a3=0", "--cutoff", "b3=0"]
     assert main(argv + ["--t", "1"]) == 0
     out, err = capsys.readouterr()
     residuals = json.loads(out)["residuals"]
     assert residuals["heisenberg_arm_a"] == residuals["heisenberg_arm_b"] == 0
     assert err == ""
-    assert main(["--alpha-re", "0", "--trials", "3", "--t", "0.6", "--cutoff", "b3=0"]) == 1
+    argv = ["--alpha-re", "0", "--trials", "3", "--t", "0.6", "--cutoff", "b3=0"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["residuals"]["structure"] == pytest.approx(0.2828427, abs=1e-7)
+    assert doc["truncation"]["structure_bound"] == pytest.approx(2**0.5, abs=1e-15)
+    assert main(argv + ["--tolerance", "1e-30"]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
-    assert err.startswith("structure: 2.828e-01 > 1.000e-09")
+    assert err.startswith("left_oracle: ") and err.endswith(" > 1.000e-30\n")
 
 
 def test_scan_with_no_outcome_above_the_floor_exits_2():
@@ -441,11 +449,14 @@ def test_scan_with_no_outcome_above_the_floor_exits_2():
 
 def test_scan_with_no_outcome_exits_2_before_any_six_mode_state(capsys, monkeypatch):
     """The scan runs on the arm-pair vectors right after the Heisenberg
-    checks, so a run whose scan is empty stops before it evolves a state."""
-    def no_evolve(state, config):
-        raise AssertionError("a six-mode state was evolved")
+    checks, and a run whose scan is empty exits 2 with every six-mode
+    reference name raising."""
+    def refused(*args):
+        raise AssertionError("a six-mode reference was called")
 
-    monkeypatch.setattr("kalamidas.experiment.evolve", no_evolve)
+    for name in SIX_MODE_NAMES:
+        monkeypatch.setattr(experiment, name, refused)
+    monkeypatch.setattr("kalamidas.nosignal.reduce_left", refused)
     assert main(["--alpha-re", "4", "--cutoff", "a3=1", "--cutoff", "b3=1"]) == 2
     out, err = capsys.readouterr()
     assert out == ""

@@ -19,12 +19,8 @@ from kalamidas import (
     occupation_projectors,
     random_kraus,
     random_right_unitary,
-    reduce_left,
 )
 from kalamidas.hilbert import (
-    LEFT_LABELS,
-    _chunks,
-    distance,
     embed,
     product_state,
     sector_slices,
@@ -41,7 +37,6 @@ from fock import (
     number_op,
     vacuum,
     validate,
-    whole_product_apply,
 )
 
 
@@ -133,12 +128,9 @@ def test_kept_sizes_and_memoized_subspaces_equal_fresh_computations(cutoffs, spa
     assert sub.cutoffs == tuple(cutoffs[MODE_LABELS.index(m)] for m in ordered)
     for s in (full, spec, sub, HilbertSpec(sub.modes, sub.cutoffs)):
         dims = tuple(c + 1 for c in s.cutoffs)
-        left_dims = tuple(d for m, d in zip(s.modes, dims) if m in LEFT_LABELS)
         for _ in range(2):  # computed on the first access, then kept
             assert s.dims == dims
             assert s.dim == math.prod(dims)
-            assert s.left_dims == left_dims
-            assert s.left_dim == math.prod(left_dims)
 
 
 @settings(max_examples=40, deadline=None)
@@ -535,96 +527,3 @@ def test_only_a_single_block_is_stored_as_the_matrix():
     assert np.count_nonzero(assembled) <= inside
     dense = LinearOperator(u.spec, assembled, unitary=True)
     assert dense.matrix is dense.blocks[0][1] is assembled
-
-
-@pytest.mark.parametrize("left", [{"a1": 2}, {"b1": 2}], ids=["a1=2", "b1=2"])
-def test_the_stored_rows_act_as_the_full_vector(left):
-    cutoffs = {**dict(zip(MODE_LABELS, (1, 1, 2, 2, 2, 2))), **left}
-    spec = HilbertSpec(MODE_LABELS, tuple(cutoffs.values()))
-    rng = np.random.default_rng(23)
-
-    def vec(m):
-        d = spec.cutoff_of(m) + 1
-        return rng.standard_normal(d) + 1j * rng.standard_normal(d)
-
-    photon = np.array([0.0, 1.0, 0.0])
-    terms = [
-        (0.6, {"a1": photon[: spec.cutoff_of("a1") + 1], "a2": vec("a2"), "b3": vec("b3")}),
-        (0.8j, {"b1": photon[: spec.cutoff_of("b1") + 1], "b2": vec("b2"), "a3": vec("a3")}),
-    ]
-    psi = product_state(spec, terms)
-    one_photon = range(6)[sector_slices(spec.left_dims)[1]]
-    assert range(6)[psi.rows] == one_photon and len(psi.stored) == 2
-    full = PureState(spec, psi.amplitudes)
-    assert len(full.stored) == 6
-    for pair in _RIGHT_PAIRS:
-        dense = [random_right_unitary(spec, pair, 1), *random_kraus(spec, pair, 2)]
-        diagonal = list(occupation_projectors(spec, pair))
-        for op, is_dense in [(a, True) for a in dense] + [(p, False) for p in diagonal]:
-            got, want = apply(op, psi), apply(op, full)
-            assert got.rows == psi.rows
-            assert not np.delete(want.stored, one_photon, axis=0).any()
-            if is_dense:
-                # BLAS rounds the last (columns mod 4) columns of a product
-                # in a tail kernel; at 9 columns per row they fall on stored
-                # rows in one product and not in the other
-                assert np.allclose(got.stored, want.stored[psi.rows], rtol=0, atol=1e-15)
-            else:
-                assert np.array_equal(got.stored, want.stored[psi.rows])
-    # the left splitter acts with its one-photon block and keeps the rows;
-    # any other left operator acts on the full vector and stores all rows
-    u = beamsplitter_unitary(spec, BeamSplitter(("a1", "b1"), 0.6, 0.8))
-    got = apply(u, psi)
-    assert got.rows == psi.rows
-    assert np.array_equal(got.amplitudes, apply(u, full).amplitudes)
-    n = number_op(spec, "b1")
-    assert len(apply(n, psi).stored) == 6
-    assert np.array_equal(apply(n, psi).amplitudes, apply(n, full).amplitudes)
-    assert np.allclose(reduce_left(psi).matrix, reduce_left(full).matrix, rtol=0, atol=1e-15)
-    assert distance(psi, full) == 0.0  # over the full vectors, their rows differing
-    # a term on another left sector makes the state store every row
-    vacuum_term = (0.1, {"a2": vec("a2")})
-    assert len(product_state(spec, terms + [vacuum_term]).stored) == 6
-
-
-def test_right_unitaries_on_the_default_state_rows_are_bit_identical(evolved_states):
-    # 484 columns per stored row: every column of both products is computed
-    # by the same BLAS kernel, so the stored rows agree bit for bit
-    psi = evolved_states[0]
-    assert len(psi.stored) == 2
-    full = PureState(psi.spec, psi.amplitudes)
-    for k, pair in enumerate(_RIGHT_PAIRS):
-        u = random_right_unitary(psi.spec, pair, (7, k))
-        got, want = apply(u, psi), apply(u, full)
-        assert np.array_equal(got.stored, want.stored[psi.rows])
-        assert not np.delete(want.stored, range(4)[psi.rows], axis=0).any()
-
-
-@settings(max_examples=60, deadline=None)
-@given(
-    shape=st.lists(st.integers(1, 9), min_size=1, max_size=4).map(tuple),
-    width=st.integers(1, 200),
-)
-def test_chunks_cut_the_flattened_index_in_order_at_multiples_of_4(shape, width):
-    flat = np.arange(math.prod(shape)).reshape(shape)
-    pieces = [flat[chunk].ravel() for chunk in _chunks(shape, width)]
-    assert np.array_equal(np.concatenate(pieces), flat.ravel())
-    assert all(len(piece) % 4 == 0 for piece in pieces[:-1])
-    if len(pieces) > 1:
-        assert max(len(piece) for piece in pieces) < width + 4 * math.prod(shape[1:])
-
-
-def test_chunked_apply_keeps_the_bits_of_one_whole_product(evolved_states):
-    """At the alpha = 1 default every operator acts on the stored rows in
-    chunks of a few hundred columns; each column's bits are those of one
-    product over all columns."""
-    psi = evolved_states[0]
-    spec = psi.spec
-    operators = [
-        beamsplitter_unitary(spec, BeamSplitter(("a2", "a3"), 0.6, 0.8)),
-        beamsplitter_unitary(spec, BeamSplitter(("b2", "b3"), 0.6, 0.8)),
-        random_right_unitary(spec, ("a2", "b3"), 4),
-        *occupation_projectors(spec, ("b2", "a3"))[5:7],
-    ]
-    for op in operators:
-        assert np.array_equal(apply(op, psi).stored, whole_product_apply(op, psi))

@@ -6,15 +6,23 @@ The tracer only warns when a name it wraps is missing, and its per-layer
 figures then read 0, so a rename would go unseen without these checks; its
 count hooks read attributes of the package's objects, so a traced run is made
 here too. A function or class, public or private, that only the tests call
-belongs in the tests' helper module, ``fock``, not in the package."""
+belongs in the tests' helper module, ``fock``, not in the package; the
+six-mode reference the tracer wraps is the one exception, and no front end
+may call it."""
 import ast
 import importlib
 import importlib.util
+import runpy
+import sys
 from pathlib import Path
+
+import pytest
 
 import kalamidas
 import kalamidas.cli
 import kalamidas.experiment
+from kalamidas import hilbert
+from kalamidas.hilbert import LEFT_LABELS
 
 REPO = Path(__file__).parents[1]
 TRACER = REPO / "benchmark" / "tracer.py"
@@ -147,3 +155,47 @@ def test_the_tracer_runs_against_the_package(tmp_path):
     assert metrics["cli.main.calls"] == 1
     assert {name: metrics[name] for name in tracer.COUNT_NAMES if metrics[name] <= 0} == {}
     assert traced.read_bytes() == plain.read_bytes()
+
+
+# The six-mode reference the tracer pins by name: importable where it is,
+# called by the tests alone.
+SIX_MODE_REFERENCE = {
+    "experiment": (
+        "evolve", "initial_state_bare", "initial_state_with_coherent", "direct_final_state",
+    ),
+    "nosignal": ("reduce_left",),
+}
+
+
+def test_no_front_end_calls_the_six_mode_reference(monkeypatch, capsys, tmp_path):
+    """With every name of the six-mode reference raising, in every module
+    that holds it, the toy-config CLI, a one-point sweep and the scan still
+    succeed, and none of them constructs a state on a space with a left
+    mode."""
+    def refused(*args, **kwargs):
+        raise AssertionError("a front end called the six-mode reference")
+
+    modules = [kalamidas] + [importlib.import_module(f"kalamidas.{m}") for m in _tracer().TRACED]
+    for names in SIX_MODE_REFERENCE.values():
+        for name in names:
+            for module in modules:
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, refused)
+    init = hilbert.PureState.__init__
+    spaces = []
+
+    def recorded(self, spec, *args, **kwargs):
+        spaces.append(spec.modes)
+        init(self, spec, *args, **kwargs)
+
+    monkeypatch.setattr(hilbert.PureState, "__init__", recorded)
+    assert kalamidas.cli.main(TOY_ARGS + ["--emit", str(tmp_path / "r.json")]) == 0
+    one_point = ["--alphas", "0.5", "--ts", "0.6", "--phis", "0", "--trials", "3"]
+    for script, argv in (("parameter_sweep.py", one_point), ("selective_scan.py", ["--top", "2"])):
+        monkeypatch.setattr(sys, "argv", [str(SCRIPTS / script), *argv])
+        with pytest.raises(SystemExit) as done:
+            runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+        assert done.value.code == 0
+    capsys.readouterr()
+    assert spaces  # the arm-pair vectors are states too
+    assert [modes for modes in spaces if set(modes) & set(LEFT_LABELS)] == []

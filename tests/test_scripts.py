@@ -349,11 +349,11 @@ def _physical_memory(monkeypatch, gib):
     )
 
 
-def test_the_scripts_charge_no_six_mode_state(monkeypatch, capsys):
-    """On 7.84 GiB at alpha = 5.5 (cutoffs 73) the scripts, which build no
-    six-mode state, are admitted on their largest splitter build, while the
-    CLI is refused on its states plus that build. Nothing past the gates
-    runs. Refused at alpha = 50, the scripts' error names no amplitudes."""
+def test_no_front_end_charges_a_six_mode_state(monkeypatch, capsys):
+    """On 7.84 GiB at alpha = 5.5 (cutoffs 73) the scripts and the CLI,
+    none of which builds a six-mode state, are admitted on their largest
+    splitter build. Nothing past the gates runs. Refused at alpha = 50, each
+    error names the pair operators and no amplitudes."""
     def admitted(*args, **kwargs):
         raise _Admitted
 
@@ -369,12 +369,14 @@ def test_the_scripts_charge_no_six_mode_state(monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", [str(script), *argv])
         with pytest.raises(_Admitted):
             runpy.run_path(str(script), run_name="__main__")
+    with pytest.raises(_Admitted):
+        cli.main(["--alpha-re", "5.5"])
     capsys.readouterr()
 
-    assert cli.main(["--alpha-re", "5.5"]) == 2
+    assert cli.main(["--alpha-re", "50"]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "stored amplitudes per state" in err
-    assert "GiB of physical memory" in err
+    assert err.startswith("error:") and "mode pairs" in err
+    assert "amplitudes" not in err
 
     for script, argv in [
         (SWEEP, ["--alphas", "50", "--ts", "0.6", "--phis", "0"]),

@@ -5,14 +5,12 @@ Each (alpha, t) and preparation builds its two branches from four arm-pair
 vectors, each sent through its arm splitter, and their 2 x 2 Gram matrix
 once; every phase rescales that Gram matrix, the left state before the left
 splitter, which no left check reads (experiment.left_states_over_phases).
-No six-mode state and no left splitter are built, and the memory gate
-charges only the largest splitter build. The bare preparation is the same
-computation at alpha = 0, so an alpha = 0 group builds its left states
-once. Each point
-compares the two left states, normalized to unit trace, against --tolerance:
-the gap is the trace norm of their difference, twice the trace distance.
---trials and --seed are validated and otherwise ignored, since a sweep draws
-nothing.
+No six-mode state and no left splitter are built. The bare preparation is
+the same computation at alpha = 0, so an alpha = 0 group builds its left
+states once. Each point compares the two left states, normalized to unit
+trace, against --tolerance: the gap is the trace norm of their difference,
+twice the trace distance. --trials and --seed are validated and otherwise
+ignored, since a sweep draws nothing.
 
 Example:
     python scripts/parameter_sweep.py --alphas 0,0.5,1 --ts 0.6,0.9

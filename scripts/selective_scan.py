@@ -5,13 +5,12 @@ This is the flip side of the no-signaling verdict: conditioning on a recorded
 right-side outcome does move the left state (nonzero contrast), but the
 probability-weighted mixture of all conditionals restores the unconditional
 state, so nothing is transmitted until the record itself travels. The first
-row is the report's selective outcome. No six-mode state is built, and the
-memory gate charges only the largest splitter build. The scan reads the
-diagonals of the arms' one-mode marginals, the unconditional state the
-overlaps of the arm-pair vectors (experiment.left_states_over_phases), each
-a 2 x 2 Gram matrix before the left splitter; the last line is the distance
-between the scan's mixture and that state. The two occupation lines apply
-the left splitter's one-photon block, so they read the left detectors.
+row is the report's selective outcome. No six-mode state is built. The scan
+reads the diagonals of the arms' one-mode marginals, the unconditional state
+the overlaps of the arm-pair vectors (experiment.left_states_over_phases),
+each a 2 x 2 Gram matrix before the left splitter; the last line is the
+distance between the scan's mixture and that state. The two occupation lines
+apply the left splitter's one-photon block, so they read the left detectors.
 
 Example:
     python scripts/selective_scan.py --alpha-re 1 --top 8

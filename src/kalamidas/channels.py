@@ -36,7 +36,6 @@ import threading
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.linalg.lapack import zgeqrf, zungqr
 
 from .hilbert import (
     MODE_LABELS,
@@ -213,6 +212,7 @@ def _haar_isometry(z: np.ndarray, seed: Union[int, Sequence[int]]) -> np.ndarray
     those of ``scipy.linalg.qr(z, mode="economic", overwrite_a=True)`` on the
     same draw.
     """
+    from scipy.linalg.lapack import zgeqrf, zungqr  # loaded at the first draw
     rng = np.random.default_rng(seed)
     n = len(z)
     for part in (z.real, z.imag):

@@ -213,17 +213,18 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
     return HilbertSpec(MODE_LABELS, cutoffs)
 
 
-# Resident memory of the interpreter with kalamidas imported: 55.5-55.6 MiB
-# with its bytecode cached, 57.2 MiB when it is compiled at import.
+# Resident memory of the interpreter once a verdict has loaded SciPy, which
+# it does before its battery: 55.5-55.6 MiB. ``import kalamidas`` alone,
+# which loads no SciPy, takes about 29 MiB.
 _BASELINE_BYTES = 56 * 2**20
-# Peak traced memory of building one dense operator on a mode pair of
-# dimension d = d_x d_y, per byte of its d^2 complex entries, at alpha = 1
-# and 2: 9.0 for a splitter (expm), 3.1 for a Kraus family (its 3d x d
-# buffer and one chunk of rows of its Gaussian), 1.1 for a Haar unitary, and
-# for the channel battery (the two lanes' 3d x d buffers and the 64-row
-# chunks each lane contracts its buffer in, both lanes at once) up to 7.6,
-# 6.8 and 6.4 at alpha = 0, 1 and 2. The largest is charged for every pair a
-# run builds on.
+# Resident peak of a verdict above that baseline, per byte of one dense
+# operator (d^2 complex entries) on its largest mode pair, d = d_x d_y. The
+# channel battery (the two lanes' 3d x d buffers and the row chunks each
+# lane contracts them in) sets it; a splitter is only its sector blocks.
+# The CLI at one BLAS thread peaks at 86.0, 108.4, 142.2 and 305.2 MiB at
+# alpha = 1, 1.5, 2 and 3, against charges of 88.2, 118.8, 167.4 and 408.0
+# MiB; at alpha = 0 fixed overheads exceed the charge by 3.6 MiB (68.7
+# against 65.0 MiB). The sweep and the scan are charged the same.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 
 

@@ -7,19 +7,19 @@ acts in the Heisenberg picture as
     U x+ U+ = t x+ + r y+
     U y+ U+ = -r x+ + t y+
 
-where x+ denotes the creation operator. U is built by exponentiating the
-anti-hermitian generator theta (y+ x - x+ y) with theta = atan2(r, t). The
-truncated generator is exactly anti-hermitian, so U is exactly unitary on the
-truncated space; truncation shows up as a distorted action on pair sectors
-whose total occupation exceeds the smaller cutoff, not as norm loss.
+where x+ denotes the creation operator. U = exp(theta (y+ x - x+ y)), with
+theta = atan2(r, t), conserves the pair's photon number and is built as one
+block per total occupation (:func:`_splitter_matrix`), unitary to rounding.
+Truncation shows up as a distorted action on pair sectors whose total
+occupation exceeds the smaller cutoff, not as norm loss.
 
-Displacement operators are likewise matrix exponentials of the exact
-anti-hermitian generator alpha a+ - conj(alpha) a, hence exactly unitary; no
-state of a run is built with them, and they serve the tests as the reference
-the coherent series is checked against. A run injects coherent states as
-product states of the truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!),
-so their missing Poisson tail is visible as leakage. The cutoff-adequacy rule
-below keeps that tail below 1e-12 for |alpha| <= 2; nothing here warns when a
+Displacement operators are SciPy's expm of the exact anti-hermitian
+generator alpha a+ - conj(alpha) a, hence unitary; no state of a run is
+built with them, and they serve the tests as the reference the coherent
+series is checked against. A run injects coherent states as product states
+of the truncated series exp(-|alpha|^2/2) alpha^n / sqrt(n!), so their
+missing Poisson tail is visible as leakage. The cutoff-adequacy rule below
+keeps that tail below 1e-12 for |alpha| <= 2; nothing here warns when a
 cutoff falls short of it, since a run warns once per configuration
 (:mod:`kalamidas.experiment`).
 """
@@ -30,7 +30,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .hilbert import (
     Blocks,
@@ -121,25 +120,23 @@ def beamsplitter_unitary(spec: HilbertSpec, bs: BeamSplitter) -> LinearOperator:
 def _splitter_matrix(
     dims: tuple[int, int], theta: float
 ) -> tuple[Blocks, dict[HilbertSpec, LinearOperator]]:
-    """expm of theta (y+ x - x+ y) on a pair of the given dimensions, as its
+    """exp(theta (y+ x - x+ y)) on a pair of the given dimensions, as its
     read-only blocks per total occupation, with the operators over them per
-    pair space, which :func:`beamsplitter_unitary` adds. Raises ValueError
-    when the matrix has a nonzero entry outside those blocks, which the
-    blocks would drop."""
-    lower_x = raising_matrix(dims[0]).conj().T
-    lower_y = raising_matrix(dims[1]).conj().T
-    gen = theta * (
-        np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
-    )
-    out = expm(gen)
+    pair space, which :func:`beamsplitter_unitary` adds. On sector n the
+    generator is theta A over the n_x the pair admits, A real tridiagonal
+    with A[n_x - 1, n_x] = -A[n_x, n_x - 1] = sqrt(n_x (n - n_x + 1)); with
+    D = diag(i^k), A = D (i S) D+ for a real symmetric S = V diag(lam) V^T,
+    so the block is the real part of D V exp(i theta lam) V^T D+."""
     blocks = []
-    for sl in sector_slices(dims):
-        block = out[sl, sl].copy()
+    for n, sl in enumerate(sector_slices(dims)):
+        n_x = np.arange(max(0, n - dims[1] + 1), min(n, dims[0] - 1) + 1)
+        coupling = np.sqrt(n_x[1:] * (n - n_x[1:] + 1.0))
+        lam, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
+        phase = np.array([1, 1j, -1, -1j])[np.arange(len(n_x)) % 4]
+        rotation = (v * np.exp(1j * theta * lam)) @ v.T
+        block = (phase[:, None] * rotation * phase.conj()).real.astype(np.complex128)
         block.setflags(write=False)
         blocks.append((sl, block))
-        out[sl, sl] = 0  # what the blocks leave must be zero
-    if out.any():
-        raise ValueError("the splitter matrix has nonzero entries outside its sectors")
     return tuple(blocks), {}
 
 
@@ -160,6 +157,7 @@ def displacement_unitary(spec: HilbertSpec, m: str, alpha: complex) -> LinearOpe
     action near the boundary deviates from the ideal displacement; it does
     not warn.
     """
+    from scipy.linalg import expm  # not at import: no run builds a displacement
     a = complex(alpha)
     sub = spec.subspace((m,))
     up = raising_matrix(sub.dim)

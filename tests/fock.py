@@ -4,15 +4,15 @@ Basis states, the inner product, single-mode operators and the rank-1
 occupation projectors, plus the plain forms of what the package computes in
 a fused way or not at all: conditioning on one projector at a time, the
 occupation scan and a channel's left state from the six-mode state, the
-completeness of an operator family, the adjoint, and the density-operator
-checks that raise. Each is written independently of the code it checks, on
-dense matrices or one projector at a time, so a test that compares the two
-compares two routes to one answer. The package's left states are 2 x 2
-branch Gram matrices before the left splitter; :func:`placed_left_state`
-puts one where the six-mode reduction holds it, and
-:func:`analytic_left_state` is the closed form on the whole left pair. One
-fault for a positive control drops the r y+ half of the photon's output
-(:func:`dropped_term_branches`).
+completeness of an operator family, the adjoint, a splitter as one dense
+matrix exponential, and the density-operator checks that raise. Each is
+written independently of the code it checks, on dense matrices or one
+projector at a time, so a test that compares the two compares two routes to
+one answer. The package's left states are 2 x 2 branch Gram matrices before
+the left splitter; :func:`placed_left_state` puts one where the six-mode
+reduction holds it, and :func:`analytic_left_state` is the closed form on
+the whole left pair. One fault for a positive control drops the r y+ half
+of the photon's output (:func:`dropped_term_branches`).
 """
 import math
 from typing import Optional, Sequence
@@ -272,3 +272,14 @@ def haar_isometry_reference(dim: int, k: int, seed) -> np.ndarray:
     phases = np.diagonal(r)
     q *= phases / np.abs(phases)
     return q
+
+
+def splitter_reference(dims: tuple[int, int], theta: float) -> np.ndarray:
+    """exp(theta (y+ x - x+ y)) on a pair of the given dimensions as one
+    dense matrix: SciPy's expm of the generator written out from the ladder
+    matrices with np.kron, as the package first built it."""
+    lower_x = raising_matrix(dims[0]).T
+    lower_y = raising_matrix(dims[1]).T
+    return scipy.linalg.expm(
+        theta * (np.kron(lower_x, lower_y.T) - np.kron(lower_x.T, lower_y))
+    )

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import os
 import resource
 import runpy
 import shutil
@@ -344,7 +345,7 @@ def test_oversized_alpha_exits_2_before_allocating(capsys, monkeypatch, alpha):
 
 
 def test_oversized_pair_operator_exits_2_before_allocating(capsys, monkeypatch):
-    # an 11.6 MB state whose (a2, a3) splitter would be a dense 90601 x 90601 matrix
+    # an 11.6 MB state whose (a2, a3) channels would be dense 90601 x 90601 matrices
     _stop_at_battery(monkeypatch)
     before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     argv = ["--alpha-re", "0", "--cutoff", "a2=300", "--cutoff", "a3=300",
@@ -355,6 +356,33 @@ def test_oversized_pair_operator_exits_2_before_allocating(capsys, monkeypatch):
     assert err.startswith("error:")
     assert "mode pairs" in err
     assert grown_kb < 16 * 1024
+
+
+# Runs the CLI in a grandchild and prints its resident peak in KiB.
+_CLI_PEAK = """
+import resource, subprocess, sys
+subprocess.run([sys.executable, "-m", "kalamidas", *sys.argv[1:]], check=True)
+print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
+"""
+
+
+def test_a_verdict_peaks_within_its_memory_charge(tmp_path, monkeypatch):
+    """The memory gate charges a verdict at alpha = 1.5 (118.8 MiB) at
+    least the resident peak of the CLI that runs it: on a machine whose
+    physical memory were that peak, it would refuse the run."""
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_PEAK, "--alpha-re", "1.5", "--emit", str(tmp_path / "r.json")],
+        capture_output=True, text=True, timeout=600, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    peak = int(proc.stdout.split()[-1]) * 1024
+    sysconf = os.sysconf
+    pages = peak // sysconf("SC_PAGE_SIZE")
+    monkeypatch.setattr(
+        os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
+    )
+    with pytest.raises(ValueError, match="physical memory"):
+        experiment.check_pair_memory(experiment.ExperimentConfig(alpha=1.5))
 
 
 def test_oversized_trials_exit_2_before_allocating(capsys, monkeypatch):

@@ -19,10 +19,10 @@ from kalamidas import (
     heisenberg_action,
     heisenberg_residuals,
 )
-from kalamidas.hilbert import embed
-from kalamidas.optics import displacement_unitary
+from kalamidas.hilbert import embed, sector_slices
+from kalamidas.optics import _splitter_matrix, displacement_unitary
 
-from fock import basis_state, coherent_state, ladder, number_op, vacuum
+from fock import basis_state, coherent_state, ladder, number_op, splitter_reference, vacuum
 
 SQRT_HALF = math.sqrt(0.5)
 
@@ -242,42 +242,29 @@ def test_arm_splitters_share_one_read_only_matrix(quick_spec):
 
 @pytest.mark.parametrize("pair,t,r", [(("a2", "a3"), 0.6, 0.8), (("a1", "b1"), SQRT_HALF, SQRT_HALF)])
 def test_cached_splitter_equals_a_fresh_build(pair, t, r):
-    # the expm of the generator written out from the ladder operators
-    from scipy.linalg import expm
-
-    from kalamidas.optics import _splitter_matrix
-
     _splitter_matrix.cache_clear()
     spec = HilbertSpec(MODE_LABELS, (1, 1, 3, 2, 4, 2))
-    x, y = pair
-    theta = math.atan2(r, t)
-    lower_x = ladder(spec, x, "lower").matrix
-    lower_y = ladder(spec, y, "lower").matrix
-    fresh = expm(theta * (
-        np.kron(lower_x, lower_y.conj().T) - np.kron(lower_x.conj().T, lower_y)
-    ))
+    fresh, _ = _splitter_matrix.__wrapped__(spec.subspace(pair).dims, math.atan2(r, t))
     for _ in range(2):  # the first call builds, the second reads the cache
         u = beamsplitter_unitary(spec, BeamSplitter(pair, t, r))
-        assert np.array_equal(u.matrix, fresh)
+        assert [sl for sl, _ in u.blocks] == [sl for sl, _ in fresh]
+        for (_, cached), (_, block) in zip(u.blocks, fresh):
+            assert np.array_equal(cached, block)
 
 
-def test_splitter_entries_outside_the_sectors_are_refused(monkeypatch):
-    from kalamidas import optics
-
-    build = optics.expm
-
-    def stray_expm(gen):
-        out = build(gen)
-        out[0, -1] = 1e-300  # total 0 to the largest total
-        return out
-
-    monkeypatch.setattr(optics, "expm", stray_expm)
-    optics._splitter_matrix.cache_clear()
-    try:
-        with pytest.raises(ValueError, match="outside"):
-            optics._splitter_matrix((3, 4), 0.5)
-    finally:
-        optics._splitter_matrix.cache_clear()
+@pytest.mark.parametrize("dims", [(2, 2), (4, 1), (4, 2), (3, 5), (22, 22), (30, 30)])
+def test_splitter_blocks_match_the_dense_expm(dims):
+    for t in (0.0, 0.3, 0.6, SQRT_HALF, 0.8, 1.0):
+        theta = math.atan2(math.sqrt(1.0 - t * t), t)
+        blocks, _ = _splitter_matrix.__wrapped__(dims, theta)
+        dense = splitter_reference(dims, theta)
+        assert [sl for sl, _ in blocks] == list(sector_slices(dims))
+        for sl, block in blocks:
+            assert block.dtype == np.complex128 and not block.imag.any()
+            assert np.abs(block - dense[sl, sl]).max() < 1e-13
+            assert np.abs(block @ block.conj().T - np.eye(len(block))).max() < 1e-14
+            dense[sl, sl] = 0
+        assert np.abs(dense).max() < 1e-13  # the blocks leave nothing out
 
 
 def test_cache_hit_splitter_allocates_no_dense_matrix():

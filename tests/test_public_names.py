@@ -1,6 +1,6 @@
 """The public surface: the names the package exports, the names the
-benchmark's tracer wraps, and the rule that the package holds only what its
-front-ends run.
+benchmark's tracer wraps, the rule that the package holds only what its
+front-ends run, and which front ends load SciPy.
 
 The tracer only warns when a name it wraps is missing, and its per-layer
 figures then read 0, so a rename would go unseen without these checks; its
@@ -13,10 +13,12 @@ import ast
 import importlib
 import importlib.util
 import runpy
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from conftest import child_env
 
 import kalamidas
 import kalamidas.cli
@@ -199,3 +201,39 @@ def test_no_front_end_calls_the_six_mode_reference(monkeypatch, capsys, tmp_path
     capsys.readouterr()
     assert spaces  # the arm-pair vectors are states too
     assert [modes for modes in spaces if set(modes) & set(LEFT_LABELS)] == []
+
+
+# Runs a script, or a module such as the CLI, as __main__ with the given
+# arguments, then prints whether any SciPy module is loaded.
+_RUN_THEN_PROBE = """
+import runpy, sys
+target, *sys.argv[1:] = sys.argv[1:]
+run = runpy.run_path if target.endswith(".py") else runpy.run_module
+try:
+    run(target, run_name="__main__")
+except SystemExit as done:
+    assert not done.code, done.code
+print("scipy loaded:", any(m.partition(".")[0] == "scipy" for m in sys.modules))
+"""
+
+
+def _loads_scipy(target, *argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUN_THEN_PROBE, target, *argv],
+        capture_output=True, text=True, timeout=600, env=child_env(),
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1] == "scipy loaded: True"
+
+
+def test_scipy_loads_for_the_haar_draws_alone(tmp_path):
+    """SciPy serves the Haar draws' QR (and the tests' dense references):
+    importing the package and building a config, a one-point sweep and the
+    scan never load it; a verdict, which draws, does."""
+    config = tmp_path / "config.py"
+    config.write_text("import kalamidas\nkalamidas.ExperimentConfig(alpha=1.0)\n")
+    one_point = ["--alphas", "0.5", "--ts", "0.6", "--phis", "0", "--trials", "3"]
+    assert not _loads_scipy(str(config))
+    assert not _loads_scipy(str(SCRIPTS / "parameter_sweep.py"), *one_point)
+    assert not _loads_scipy(str(SCRIPTS / "selective_scan.py"), "--top", "2")
+    assert _loads_scipy("kalamidas", *TOY_ARGS, "--emit", str(tmp_path / "r.json"))

@@ -351,9 +351,10 @@ def _physical_memory(monkeypatch, gib):
 
 def test_no_front_end_charges_a_six_mode_state(monkeypatch, capsys):
     """On 7.84 GiB at alpha = 5.5 (cutoffs 73) the scripts and the CLI,
-    none of which builds a six-mode state, are admitted on their largest
-    splitter build. Nothing past the gates runs. Refused at alpha = 50, each
-    error names the pair operators and no amplitudes."""
+    none of which builds a six-mode state, are admitted on one dense
+    operator on their largest mode pair. Nothing past the gates runs.
+    Refused at alpha = 50, each error names the pair operators and no
+    amplitudes."""
     def admitted(*args, **kwargs):
         raise _Admitted
 

@@ -20,7 +20,7 @@ import math
 import sys
 
 from kalamidas.experiment import (
-    ExperimentConfig, check_pair_memory, left_states_over_phases, no_signaling_rows,
+    ExperimentConfig, check_pair_memory, failing, left_states_over_phases, no_signaling_rows,
 )
 
 
@@ -80,7 +80,7 @@ def main() -> int:
         for config, rho_with, rho_bare in zip(group, with_states, bare_states):
             rows = no_signaling_rows(config, rho_with, rho_bare)
             (_, td, _), (_, gap, _) = rows
-            ok = all(residual <= tolerance for _, residual, tolerance in rows)
+            ok = not failing(rows)
             failures += 0 if ok else 1
             worst_td, worst_gap = max(worst_td, td), max(worst_gap, gap)
             print(

@@ -21,11 +21,11 @@ import sys
 
 import numpy as np
 
-from kalamidas import beamsplitter_unitary, trace_distance
+from kalamidas import BeamSplitter, beamsplitter_unitary, trace_distance
 from kalamidas.experiment import (
+    SQRT_HALF,
     ExperimentConfig,
     NoOutcomeError,
-    _splitters,
     check_pair_memory,
     left_states_over_phases,
     selective_ranking,
@@ -38,7 +38,8 @@ def left_occupations(config, gram):
     its whole basis (|00>, |01>, |10>, |11> at the default cutoffs), for a
     Gram matrix G of the branches: U G U+ on the one-photon rows, with U
     the splitter's one-photon block, and 0 on every other row."""
-    u = beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
+    left = BeamSplitter(("a1", "b1"), SQRT_HALF, SQRT_HALF)
+    u = beamsplitter_unitary(config.hilbert_spec(), left)
     rows, block = u.blocks[1]  # by total, in sector_slices order
     out = np.zeros(u.spec.dim)
     out[rows] = np.diag(block @ gram @ block.conj().T).real

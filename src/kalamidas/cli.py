@@ -1,10 +1,11 @@
 """Command line entry point.
 
 Runs one experiment configuration and emits the JSON report to stdout or to a
-file. Exit status: 0 when the verdict is pass, 1 when any residual exceeds its
-tolerance (each such check is named on stderr as ``name: residual >
-tolerance``), 2 on usage or configuration errors, including cutoffs so small
-that no outcome of the selective scan clears the probability floor.
+file. Exit status: 0 when the verdict is pass, 1 when a residual is not at or
+below its tolerance (a NaN fails; each such check is named on stderr as
+``name: residual > tolerance``), 2 on usage or configuration errors,
+including cutoffs so small that no outcome of the selective scan clears the
+probability floor.
 The report is the bytes of ``run_experiment(config).to_json()`` and a
 newline. Run as the program, :func:`main` prints each warning of the run as
 ``kalamidas: Category: message``; a caller that passes ``argv`` gets them.
@@ -18,7 +19,7 @@ import warnings
 from typing import Optional, Sequence
 
 from .experiment import (
-    SQRT_HALF, ExperimentConfig, NoOutcomeError, check_pair_memory, run_experiment,
+    SQRT_HALF, ExperimentConfig, NoOutcomeError, check_pair_memory, failing, run_experiment,
 )
 from .hilbert import MODE_LABELS
 
@@ -160,11 +161,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     else:
         with open(args.emit, "w", encoding="utf-8") as handle:
             handle.write(text)
-    for name, residual in report.residuals.items():
-        tolerance = report.tolerances[name]
-        if not residual <= tolerance:
-            print(f"{name}: {residual:.3e} > {tolerance:.3e}", file=sys.stderr)
-    return 0 if report.verdict == "pass" else 1
+    failed = failing(report.checks)
+    for name, residual, tolerance in failed:
+        print(f"{name}: {residual:.3e} > {tolerance:.3e}", file=sys.stderr)
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -213,18 +213,18 @@ def _full_spec(cutoffs: tuple[int, ...]) -> HilbertSpec:
     return HilbertSpec(MODE_LABELS, cutoffs)
 
 
-# Resident memory of the interpreter once a verdict has loaded SciPy, which
-# it does before its battery: 55.5-55.6 MiB. ``import kalamidas`` alone,
-# which loads no SciPy, takes about 29 MiB.
-_BASELINE_BYTES = 56 * 2**20
+# Resident memory of a verdict outside its battery: the interpreter with
+# SciPy loaded, which a verdict does before its battery (55.5-55.6 MiB;
+# ``import kalamidas`` alone takes about 29 MiB), and the run's fixed
+# overheads, which the CLI shows at alpha = 0: it peaks at 68.6-68.8 MiB.
+_BASELINE_BYTES = 62 * 2**20
 # Resident peak of a verdict above that baseline, per byte of one dense
 # operator (d^2 complex entries) on its largest mode pair, d = d_x d_y. The
 # channel battery (the two lanes' 3d x d buffers and the row chunks each
 # lane contracts them in) sets it; a splitter is only its sector blocks.
-# The CLI at one BLAS thread peaks at 86.0, 108.4, 142.2 and 305.2 MiB at
-# alpha = 1, 1.5, 2 and 3, against charges of 88.2, 118.8, 167.4 and 408.0
-# MiB; at alpha = 0 fixed overheads exceed the charge by 3.6 MiB (68.7
-# against 65.0 MiB). The sweep and the scan are charged the same.
+# The CLI at one BLAS thread peaks at 68.8, 75.4, 86.0, 108.4, 142.2 and
+# 305.2 MiB at alpha = 0, 0.5, 1, 1.5, 2 and 3, against charges of 71.0,
+# 79.9, 94.2, 124.8, 173.4 and 414.0 MiB; the sweep and the scan alike.
 _PEAK_PER_PAIR_OPERATOR_BYTE = 9.01
 
 
@@ -601,19 +601,34 @@ def heisenberg_residuals(config: ExperimentConfig) -> dict[str, float]:
     return out
 
 
+def failing(rows: Sequence[tuple[str, float, float]]) -> list[tuple[str, float, float]]:
+    """The rows (name, residual, tolerance) whose residual is not at or below
+    its tolerance, in order, a NaN failing: the one rule that judges a row."""
+    return [row for row in rows if not row[1] <= row[2]]
+
+
 @dataclass(frozen=True)
 class Report:
-    """Residuals, tolerances, and the verdict for one configuration."""
+    """One run's ordered check rows (name, residual, tolerance), which give its
+    residuals, tolerances and verdict, and its leakage, truncation and scan."""
 
     config: ExperimentConfig
-    required_cutoff: int
-    adequacy_warning: bool
     leakage: dict[str, float]
     truncation: dict[str, object]
-    tolerances: dict[str, float]
-    residuals: dict[str, float]
+    checks: tuple[tuple[str, float, float], ...]
     selective: dict[str, object]
-    verdict: str
+
+    @property
+    def residuals(self) -> dict[str, float]:
+        return {name: res for name, res, _ in self.checks}
+
+    @property
+    def tolerances(self) -> dict[str, float]:
+        return {name: tol for name, _, tol in self.checks}
+
+    @property
+    def verdict(self) -> str:
+        return "fail" if failing(self.checks) else "pass"
 
     def to_json(self) -> str:
         doc = {
@@ -627,8 +642,8 @@ class Report:
                 "trials": self.config.trials,
                 "tolerance": self.config.tolerance,
             },
-            "required_cutoff": self.required_cutoff,
-            "adequacy_warning": self.adequacy_warning,
+            "required_cutoff": self.config.required_cutoff,
+            "adequacy_warning": self.config.adequacy_warning,
             "leakage": self.leakage,
             "truncation": self.truncation,
             "tolerances": self.tolerances,
@@ -716,10 +731,11 @@ def run_experiment(config: ExperimentConfig) -> Report:
     ``unitarity`` is the larger, over the preparations, of final less
     initial leakage: the norm the unitary-flagged splitters lose.
     ``preparation`` compares the injected preparation's leakage with
-    1 - (1 - T_a3)(1 - T_b3), T the Poisson tail above each cutoff
-    (:func:`_poisson_tail`), and reads the bare one's, 0. ``structure``
-    takes the base tolerance plus the bound of :func:`_truncation`, which
-    the report's ``truncation`` block holds with its weights.
+    1 - (1 - T_a3)(1 - T_b3), T the Poisson tail above each cutoff (the
+    ``tail`` of each arm in :func:`_truncation`), and reads the bare one's,
+    0. ``structure`` takes the base tolerance plus the bound of
+    :func:`_truncation`, which the report's ``truncation`` block holds with
+    its weights.
     """
     with _one_blas_thread() as pinned:
         if not pinned:
@@ -779,8 +795,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             return max(trace_distance(rho, rho_with) for rho in states)
 
         lost = max(final_with - leak_with, leakage["final_bare"] - leak_bare)
-        tails = [_poisson_tail(config.cutoffs_map[m], abs(config.alpha) ** 2) for m in ("a3", "b3")]
-        kept = (1.0 - tails[0]) * (1.0 - tails[1])  # the norm^2 the injected preparation keeps
+        kept = math.prod(1.0 - truncation[arm]["tail"] for arm in ("arm_a", "arm_b"))
 
         base = config.tolerance
         checks = (
@@ -800,15 +815,4 @@ def run_experiment(config: ExperimentConfig) -> Report:
             ("unitarity", lost, _EXACT_CHECK_TOL),
             ("preparation", max(abs(leak_with - (1.0 - kept)), leak_bare), _EXACT_CHECK_TOL),
         )
-        verdict = "pass" if all(res <= tol for _, res, tol in checks) else "fail"
-        return Report(
-            config=config,
-            required_cutoff=config.required_cutoff,
-            adequacy_warning=config.adequacy_warning,
-            leakage=leakage,
-            truncation=truncation,
-            tolerances={name: tol for name, _, tol in checks},
-            residuals={name: res for name, res, _ in checks},
-            selective=selective,
-            verdict=verdict,
-        )
+        return Report(config, leakage, truncation, checks, selective)

@@ -366,12 +366,16 @@ print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)
 """
 
 
-def test_a_verdict_peaks_within_its_memory_charge(tmp_path, monkeypatch):
-    """The memory gate charges a verdict at alpha = 1.5 (118.8 MiB) at
-    least the resident peak of the CLI that runs it: on a machine whose
-    physical memory were that peak, it would refuse the run."""
+@pytest.mark.parametrize("alpha", [0.0, 0.5, 1.5])
+def test_a_verdict_peaks_within_its_memory_charge(alpha, tmp_path, monkeypatch):
+    """The memory gate charges a verdict at least the resident peak of the
+    CLI that runs it: on a machine whose physical memory were that peak, it
+    would refuse the run. At alpha = 0 and 0.5 (charges 71.0 and 79.9 MiB)
+    the fixed overheads outside the battery set most of the peak; at 1.5
+    (124.8 MiB) the battery does."""
+    argv = ["--alpha-re", repr(alpha), "--emit", str(tmp_path / "r.json")]
     proc = subprocess.run(
-        [sys.executable, "-c", _CLI_PEAK, "--alpha-re", "1.5", "--emit", str(tmp_path / "r.json")],
+        [sys.executable, "-c", _CLI_PEAK, *argv],
         capture_output=True, text=True, timeout=600, env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr
@@ -382,7 +386,7 @@ def test_a_verdict_peaks_within_its_memory_charge(tmp_path, monkeypatch):
         os, "sysconf", lambda name: pages if name == "SC_PHYS_PAGES" else sysconf(name)
     )
     with pytest.raises(ValueError, match="physical memory"):
-        experiment.check_pair_memory(experiment.ExperimentConfig(alpha=1.5))
+        experiment.check_pair_memory(experiment.ExperimentConfig(alpha=alpha))
 
 
 def test_oversized_trials_exit_2_before_allocating(capsys, monkeypatch):

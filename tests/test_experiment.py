@@ -4,7 +4,7 @@ import json
 import math
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -34,7 +34,7 @@ from kalamidas import (
 from kalamidas import channels, experiment
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
 from kalamidas.experiment import (
-    SQRT_HALF, NoOutcomeError, left_states_over_phases, selective_ranking,
+    SQRT_HALF, NoOutcomeError, failing, left_states_over_phases, selective_ranking,
 )
 from kalamidas.hilbert import LEFT_LABELS, RIGHT_LABELS
 from kalamidas.nosignal import invariant_residuals, normalized
@@ -487,6 +487,40 @@ def test_report_json_schema_and_float_precision():
     assert set(doc["selective"]["outcome"]) == {"a2", "b2"}
 
 
+def test_a_report_is_its_check_rows():
+    """A report stores its ordered check rows once: the residuals,
+    tolerances and verdict are read from them, so a row that turns NaN
+    turns the verdict, and required_cutoff and adequacy_warning come from
+    the config."""
+    report = run_experiment(_quick_config())
+    assert [f.name for f in fields(report)] == [
+        "config", "leakage", "truncation", "checks", "selective",
+    ]
+    names = [name for name, _, _ in report.checks]
+    assert list(report.residuals) == list(report.tolerances) == names
+    assert list(report.residuals.values()) == [res for _, res, _ in report.checks]
+    assert list(report.tolerances.values()) == [tol for _, _, tol in report.checks]
+    assert failing(report.checks) == [] and report.verdict == "pass"
+    doc = json.loads(report.to_json())
+    assert doc["required_cutoff"] == report.config.required_cutoff
+    assert doc["adequacy_warning"] is report.config.adequacy_warning
+
+    (name, _, tol), *rest = report.checks
+    broken = replace(report, checks=((name, math.nan, tol), *rest))
+    assert [n for n, _, _ in failing(broken.checks)] == [name]
+    assert broken.verdict == "fail"
+    assert json.loads(broken.to_json())["verdict"] == "fail"
+
+
+def test_failing_keeps_the_rows_not_at_or_below_their_tolerance_in_order():
+    rows = (
+        ("a", 1.0, 1.0), ("b", 2.0, 1.0), ("c", math.nan, 1.0), ("d", 0.0, 1.0),
+        ("e", math.inf, 1.0), ("f", -math.inf, 1.0),
+    )
+    assert [name for name, _, _ in failing(rows)] == ["b", "c", "e"]
+    assert failing(()) == []
+
+
 def test_quick_run_passes_with_tiny_residuals():
     report = run_experiment(_quick_config())
     assert report.verdict == "pass"
@@ -494,7 +528,7 @@ def test_quick_run_passes_with_tiny_residuals():
     assert report.residuals["signaling_gap"] < 1e-12
     assert report.residuals["structure"] < 1e-12
     assert report.residuals["channel_unitary"] < 1e-11
-    assert not report.adequacy_warning
+    assert not report.config.adequacy_warning
 
 
 def test_degraded_run_flags_warning_and_widens_only_the_structure_tolerance():
@@ -503,7 +537,7 @@ def test_degraded_run_flags_warning_and_widens_only_the_structure_tolerance():
     )
     with pytest.warns(CutoffAdequacyWarning):
         report = run_experiment(config)
-    assert report.adequacy_warning
+    assert report.config.adequacy_warning
     assert report.leakage["final_with_coherent"] > 0.1
     bound = report.truncation["structure_bound"]
     assert bound > 0.1
@@ -582,8 +616,8 @@ def test_flipped_arm_b_reflectivity_fails_only_the_splitter_checks(monkeypatch):
     derived bound of 1.2e-3; with it, a residual of order one."""
     monkeypatch.setattr(experiment, "beamsplitter_unitary", _arm_b_with_flipped_reflectivity)
     report = run_experiment(ExperimentConfig(**FAULTY))
-    failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
-    assert failing == {"heisenberg_arm_b", "structure"}
+    failed = {name for name, _, _ in failing(report.checks)}
+    assert failed == {"heisenberg_arm_b", "structure"}
     assert min(report.residuals["heisenberg_arm_b"], report.residuals["structure"]) > 1.0
     for name in ("trace_distance", "signaling_gap", "left_oracle"):
         assert report.tolerances[name] == report.config.tolerance
@@ -624,9 +658,9 @@ def test_nx_diagonal_arm_splitters_fail_unitarity_and_structure(monkeypatch):
     monkeypatch.setattr(experiment, "beamsplitter_unitary", _banded_arm_splitters(0))
     report = run_experiment(ExperimentConfig(**FAULTY))
     assert report.leakage["final_with_coherent"] > 0.5
-    failing = {name for name, res in report.residuals.items() if res > report.tolerances[name]}
-    assert failing == {"heisenberg_arm_a", "heisenberg_arm_b", "structure", "unitarity"}
-    assert min(report.residuals[name] for name in failing) > 0.3
+    failed = {name for name, _, _ in failing(report.checks)}
+    assert failed == {"heisenberg_arm_a", "heisenberg_arm_b", "structure", "unitarity"}
+    assert min(report.residuals[name] for name in failed) > 0.3
     assert report.verdict == "fail"
 
 
@@ -689,7 +723,7 @@ _CLIPPED = {
 
 
 @pytest.mark.parametrize(
-    "seam, fault, phi, failing",
+    "seam, fault, phi, failed",
     [
         pytest.param(None, None, 0.0, set(), id="honest"),
         pytest.param(None, None, 1.3, set(), id="honest-at-phi-1.3"),
@@ -750,25 +784,25 @@ _CLIPPED = {
         ),
     ],
 )
-def test_the_fault_table(monkeypatch, seam, fault, phi, failing):
+def test_the_fault_table(monkeypatch, seam, fault, phi, failed):
     """Each fault, patched at one seam of the package, fails exactly these
     rows at alpha = 0.5 with right cutoffs 14, where the honest run fails
-    none. A row fails when its residual is not at or below its tolerance,
-    as the CLI reads it, so a NaN fails. The series normalized with
-    e^{-|alpha|^2} (preparation loss 1 - e^{-1/2}) is caught by one row
-    alone, the preparation's leakage against its closed-form Poisson tails;
-    the branches' phase on the wrong pair by structure alone, against the
-    ideal branches' coefficients, and it changes nothing at phi = 0, so it
-    runs at phi = 1.3; the left splitter at t = 0.6 by its Heisenberg row
-    alone, held to the balanced closed form, since no other row reads the
-    left splitter."""
+    none. A row fails when its residual is not at or below its tolerance, as
+    ``failing`` reads it for the report, the CLI and the sweep, so a NaN
+    fails. The series normalized with e^{-|alpha|^2} (preparation loss 1 -
+    e^{-1/2}) is caught by one row alone, the preparation's leakage against
+    its closed-form Poisson tails; the branches' phase on the wrong pair by
+    structure alone, against the ideal branches' coefficients, and it
+    changes nothing at phi = 0, so it runs at phi = 1.3; the left splitter
+    at t = 0.6 by its Heisenberg row alone, held to the balanced closed
+    form, since no other row reads the left splitter."""
     if seam is not None:
         monkeypatch.setattr(f"kalamidas.{seam}", fault)
     config = ExperimentConfig(alpha=0.5, phi=phi, cutoffs=dict.fromkeys(RIGHT_LABELS, 14))
     report = run_experiment(config)
-    got = {name for name, res in report.residuals.items() if not res <= report.tolerances[name]}
-    assert got == failing
-    assert report.verdict == ("fail" if failing else "pass")
+    got = {name for name, _, _ in failing(report.checks)}
+    assert got == failed
+    assert report.verdict == ("fail" if failed else "pass")
 
 
 # The battery's 40 draws in order: 20 Haar unitaries, then 20 Kraus

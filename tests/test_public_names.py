@@ -115,6 +115,25 @@ def test_every_private_definition_is_read_by_the_package_or_a_script():
     assert _unread(private=True) == []
 
 
+def test_no_script_imports_a_private_name_of_the_package():
+    """The scripts are front ends of the package's public surface: no
+    ``from kalamidas... import _name``, and no private module of it."""
+    private = []
+    for path in sorted(SCRIPTS.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("kalamidas"):
+                names = node.module.split(".") + [alias.name for alias in node.names]
+            elif isinstance(node, ast.Import):
+                names = [
+                    part for alias in node.names if alias.name.startswith("kalamidas")
+                    for part in alias.name.split(".")
+                ]
+            else:
+                continue
+            private += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert private == []
+
+
 def _warn_callers(node, owner=None):
     """The innermost function around each ``warnings.warn`` call under
     node, None at module level."""

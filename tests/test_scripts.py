@@ -87,6 +87,37 @@ def test_sweep_summary_prints_the_base_tolerance_as_given(tolerance, printed, mo
     assert float(printed) == float(tolerance)
 
 
+def test_a_nan_residual_fails_the_report_the_cli_and_the_sweep(monkeypatch, capsys):
+    """With the trace-distance row patched to read NaN, the one rule that
+    judges a row (``experiment.failing``) fails it for every reader: the
+    verdict is fail, the CLI exits 1 naming the row on stderr, and the
+    sweep prints FAIL for the point and exits 1."""
+    stated = experiment.no_signaling_rows
+
+    def nan_trace_distance(config, rho_with, rho_bare):
+        (name, _, tol), gap = stated(config, rho_with, rho_bare)
+        return (name, math.nan, tol), gap
+
+    monkeypatch.setattr("kalamidas.experiment.no_signaling_rows", nan_trace_distance)
+    toy = {m: 3 for m in ("a2", "b2", "a3", "b3")}
+    report = run_experiment(ExperimentConfig(alpha=0.0, cutoffs=toy, trials=3))
+    assert report.verdict == "fail"
+    assert [name for name, _, _ in experiment.failing(report.checks)] == ["trace_distance"]
+
+    toy_args = [arg for m, c in toy.items() for arg in ("--cutoff", f"{m}={c}")]
+    assert cli.main(["--alpha-re", "0", *toy_args, "--trials", "3"]) == 1
+    assert capsys.readouterr().err == "trace_distance: nan > 1.000e-09\n"
+
+    monkeypatch.setattr(sys, "argv", [str(SWEEP), *ONE_POINT])
+    with pytest.raises(SystemExit) as done:
+        runpy.run_path(str(SWEEP), run_name="__main__")
+    assert done.value.code == 1
+    out = capsys.readouterr().out
+    ((_, line),) = _table_rows(out)
+    assert line.split()[3] == "nan"
+    assert line.endswith("FAIL")
+
+
 def _table_rows(stdout):
     """The (alpha, t, phi) columns and the full text of each table row."""
     lines = stdout.splitlines()

@@ -32,7 +32,6 @@ from .experiment import (
 from .hilbert import (
     LEFT_LABELS,
     MODE_LABELS,
-    DensityOperator,
     HilbertSpec,
     LinearOperator,
     PureState,
@@ -71,7 +70,6 @@ __all__ = [
     "run_experiment",
     "LEFT_LABELS",
     "MODE_LABELS",
-    "DensityOperator",
     "HilbertSpec",
     "LinearOperator",
     "PureState",

@@ -172,7 +172,7 @@ def occupation_projectors(
     sub = _right(spec.subspace(modes))
     totals = total_occupations(sub.dims)
     return tuple(
-        LinearOperator(sub, blocks=diagonal_blocks(totals == n), hermitian=True)
+        LinearOperator(sub, blocks=diagonal_blocks(totals == n))
         for n in np.unique(totals)
     )
 

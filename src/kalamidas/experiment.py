@@ -382,14 +382,13 @@ def _prepared_branches(config: ExperimentConfig, alpha: complex, phi: float) -> 
     ])
 
 
-def _branches(config: ExperimentConfig, alpha: complex, phi: float) -> list[Branch]:
-    """The two one-photon branches before the left splitter: those of
-    :func:`_prepared_branches`, each arm vector sent through its arm's
-    splitter (v0 to q0, v1 to q1)."""
+def _branches(config: ExperimentConfig, prepared: Sequence[Branch]) -> list[Branch]:
+    """The two one-photon branches before the left splitter: those of a
+    preparation (:func:`_prepared_branches`), each arm vector sent through
+    its arm's splitter (v0 to q0, v1 to q1)."""
     spec = config.hilbert_spec()
     _, arm_a, arm_b = _splitters(config)
     ua, ub = (beamsplitter_unitary(spec, bs) for bs in (arm_a, arm_b))  # memoized
-    prepared = _prepared_branches(config, alpha, phi)
     return [(c, apply(ua, fa), apply(ub, fb)) for c, fa, fb in prepared]
 
 
@@ -490,7 +489,8 @@ def left_states_over_phases(
     """
     if injected:
         _warn_if_inadequate(config)
-    gram = branch_gram(_branches(config, config.alpha if injected else 0.0, 0.0))
+    prepared = _prepared_branches(config, config.alpha if injected else 0.0, 0.0)
+    gram = branch_gram(_branches(config, prepared))
     phases = [np.array([np.exp(1j * phi), 1.0]) for phi in phis]
     return [gram * np.outer(c, c.conj()) for c in phases]
 
@@ -526,7 +526,7 @@ def selective_ranking(
     descending, ties in scan order; row 0 is the report's outcome. Raises
     NoOutcomeError when no outcome clears the floor."""
     if branches is None:
-        branches = _branches(config, config.alpha, config.phi)
+        branches = _branches(config, _prepared_branches(config, config.alpha, config.phi))
     outcomes, gram = conditional_left_by_occupation(branches, _SCAN_PAIR)
     norm2 = float(np.trace(gram).real)
     if not outcomes:
@@ -647,11 +647,14 @@ class Report:
             "leakage": self.leakage,
             "truncation": self.truncation,
             "tolerances": self.tolerances,
-            "residuals": self.residuals,
+            # strict JSON has no NaN or infinity: such a residual is written as null
+            "residuals": {
+                name: res if math.isfinite(res) else None for name, res in self.residuals.items()
+            },
             "selective": self.selective,
             "verdict": self.verdict,
         }
-        return json.dumps(doc, indent=2)
+        return json.dumps(doc, indent=2, allow_nan=False)
 
 
 # Each OpenBLAS library in the process, as a module that links it and the
@@ -704,18 +707,20 @@ def run_experiment(config: ExperimentConfig) -> Report:
     """Run the full battery for one configuration and return the report.
 
     Order: Heisenberg checks on the three splitters; the injected
-    preparation's branches (:func:`_branches`) and the selective ranking
-    and mixture (:func:`selective_ranking`), which raises NoOutcomeError
-    when the scan is empty, before the rest is built; the bare
-    preparation's branches, at alpha = 0 (an alpha = 0 run reuses the
-    injected ones); the leakage; the structure check against the ideal
-    branches (:func:`_ideal_branches`, :func:`_structure`); trace distance
-    and gap (:func:`no_signaling_rows`); the analytic oracle, the trace
-    distance from I / 2, the closed-form left state on the one-photon block;
-    invariance under right-side unitary, projective, and Kraus channels
-    (:func:`channels.haar_channels_left` on two lanes). ``config.seed``
-    seeds only the channel battery's Haar draws, and ``config.trials`` is
-    read by no stage. No six-mode state is built.
+    preparation (:func:`_prepared_branches`), its branches
+    (:func:`_branches`) and the selective ranking and mixture
+    (:func:`selective_ranking`), which raises NoOutcomeError when the scan
+    is empty, before the rest is built; the bare preparation and its
+    branches, at alpha = 0 (an alpha = 0 run reuses the injected ones), so
+    each preparation is built once; the leakage; the structure check
+    against the ideal branches (:func:`_ideal_branches`,
+    :func:`_structure`); trace distance and gap (:func:`no_signaling_rows`);
+    the analytic oracle, the trace distance from I / 2, the closed-form left
+    state on the one-photon block; invariance under right-side unitary,
+    projective, and Kraus channels (:func:`channels.haar_channels_left` on
+    two lanes). ``config.seed`` seeds only the channel battery's Haar
+    draws, and ``config.trials`` is read by no stage. No six-mode state is
+    built.
 
     The whole run holds numpy's and SciPy's OpenBLAS at one thread
     (:func:`_one_blas_thread`), their counts restored after it, so every
@@ -746,7 +751,8 @@ def run_experiment(config: ExperimentConfig) -> Report:
         heis = heisenberg_residuals(config)
 
         # the scan next, so a run whose scan has no outcome stops here
-        branches = _branches(config, config.alpha, config.phi)
+        prepared = _prepared_branches(config, config.alpha, config.phi)
+        branches = _branches(config, prepared)
         ranked, mixture = selective_ranking(config, branches)
         occupation, probability, contrast, _ = ranked[0]
         selective = {
@@ -756,11 +762,12 @@ def run_experiment(config: ExperimentConfig) -> Report:
         }
         _warn_if_inadequate(config)
 
-        bare = branches if config.alpha == 0 else _branches(config, 0.0, config.phi)
-        leak_with, leak_bare = (
-            _booked_leakage(_prepared_branches(config, alpha, config.phi))
-            for alpha in (config.alpha, 0.0)
-        )
+        if config.alpha == 0:
+            prepared_bare, bare = prepared, branches
+        else:
+            prepared_bare = _prepared_branches(config, 0.0, config.phi)
+            bare = _branches(config, prepared_bare)
+        leak_with, leak_bare = _booked_leakage(prepared), _booked_leakage(prepared_bare)
         final_with = _booked_leakage(branches)
         leakage = {
             "initial_bare": leak_bare,

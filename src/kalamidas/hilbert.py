@@ -45,9 +45,6 @@ MODE_LABELS = ("a1", "b1", "a2", "b2", "a3", "b3")
 LEFT_LABELS = ("a1", "b1")
 RIGHT_LABELS = ("a2", "b2", "a3", "b3")
 
-_HERMITIAN_ATOL = 1e-12
-
-
 def check_mode_order(labels: Sequence[str]) -> None:
     """Raise ValueError, naming the label at fault, unless every label is in
     MODE_LABELS and they are distinct and listed in its order."""
@@ -173,19 +170,17 @@ def _sector_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     return tuple(out)
 
 
-def _readonly(arr: np.ndarray, fresh: bool = False) -> np.ndarray:
-    """A read-only complex128 array: a private copy of a caller's array, or,
-    when ``fresh``, the complex128 array itself, which its creator hands over
-    and no longer writes."""
-    if fresh and arr.dtype == np.complex128:
-        out = arr
-    else:
-        out = np.array(arr, dtype=np.complex128, copy=True)
+def _readonly(arr: np.ndarray) -> np.ndarray:
+    """A read-only complex128 array: the array itself when it is one, which
+    its creator hands over and no longer writes, else a private copy."""
+    if arr.dtype == np.complex128 and not arr.flags.writeable:
+        return arr
+    out = np.array(arr, dtype=np.complex128, copy=True)
     out.setflags(write=False)
     return out
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class PureState:
     """Amplitude vector over the truncated Fock basis with tracked leakage.
 
@@ -193,29 +188,21 @@ class PureState:
     ``leakage`` is the norm squared lost to truncation by prior operations,
     so a normalized construction satisfies norm2 + leakage = 1.
 
-    The amplitudes are copied unless ``fresh`` is set, which only code that
-    just created the array and drops it does (see :func:`apply`).
+    Read-only complex128 amplitudes are kept, any others copied.
     """
 
     spec: HilbertSpec
     amplitudes: np.ndarray
     leakage: float = 0.0
 
-    def __init__(
-        self,
-        spec: HilbertSpec,
-        amplitudes: np.ndarray,
-        leakage: float = 0.0,
-        fresh: bool = False,
-    ) -> None:
-        amps = _readonly(np.ravel(amplitudes), fresh)
-        if amps.shape != (spec.dim,):
+    def __post_init__(self) -> None:
+        amps = _readonly(np.ravel(self.amplitudes))
+        if amps.shape != (self.spec.dim,):
             raise ValueError(
-                f"amplitude vector of length {amps.shape[0]} does not match dim {spec.dim}"
+                f"amplitude vector of length {amps.shape[0]} does not match dim {self.spec.dim}"
             )
-        object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "amplitudes", amps)
-        object.__setattr__(self, "leakage", max(0.0, float(leakage)))
+        object.__setattr__(self, "leakage", max(0.0, float(self.leakage)))
 
     @property
     def norm2(self) -> float:
@@ -238,22 +225,19 @@ class LinearOperator:
     so operators built from one cache share one set.
 
     Construction refuses overlapping slices and blocks whose shape does not
-    match their slice, and verifies the hermitian flag block by block. The
-    unitary flag is a declaration used by :func:`apply` for leakage
-    bookkeeping; truncated unitaries satisfy it up to the tolerance declared
-    where they are built.
+    match their slice. The unitary flag is a declaration used by
+    :func:`apply` for leakage bookkeeping; truncated unitaries satisfy it up
+    to the tolerance declared where they are built.
     """
 
     spec: HilbertSpec
     blocks: Blocks
-    hermitian: bool = False
     unitary: bool = False
 
     def __init__(
         self,
         spec: HilbertSpec,
         matrix: Optional[np.ndarray] = None,
-        hermitian: bool = False,
         unitary: bool = False,
         *,
         blocks: Optional[Blocks] = None,
@@ -262,9 +246,7 @@ class LinearOperator:
             raise ValueError("give either a dense matrix or its blocks")
         if matrix is not None:
             blocks = ((slice(0, spec.dim), np.asarray(matrix)),)
-        kept = tuple(
-            (sl, _readonly(block, fresh=not block.flags.writeable)) for sl, block in blocks
-        )
+        kept = tuple((sl, _readonly(block)) for sl, block in blocks)
         hits = np.zeros(spec.dim, dtype=np.int64)
         for sl, block in kept:
             n = len(range(spec.dim)[sl])
@@ -276,16 +258,8 @@ class LinearOperator:
             hits[sl] += 1
         if np.any(hits > 1):
             raise ValueError("block indices overlap")
-        if hermitian:
-            for sl, block in kept:
-                defect = float(np.abs(block - block.conj().T).max(initial=0.0))
-                if defect > _HERMITIAN_ATOL:
-                    raise ValueError(
-                        f"hermitian flag set but max|M - M^H| = {defect:.3e}"
-                    )
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "blocks", kept)
-        object.__setattr__(self, "hermitian", hermitian)
         object.__setattr__(self, "unitary", unitary)
 
     @property
@@ -309,33 +283,6 @@ def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
         (slice(i, i + 1), diagonal[i : i + 1].reshape(1, 1))
         for i in np.flatnonzero(diagonal)
     )
-
-
-@dataclass(frozen=True)
-class DensityOperator:
-    """Hermitian positive-semidefinite matrix on a mode subset: the left
-    reduction of a six-mode state (:func:`nosignal.reduce_left`).
-
-    It carries the leakage of the state it came from, so its trace is
-    1 - leakage rather than exactly 1.
-    """
-
-    spec: HilbertSpec
-    matrix: np.ndarray
-    leakage: float = 0.0
-
-    def __post_init__(self) -> None:
-        m = _readonly(self.matrix)
-        if m.shape != (self.spec.dim, self.spec.dim):
-            raise ValueError(
-                f"matrix shape {m.shape} does not match dim {self.spec.dim}"
-            )
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "leakage", max(0.0, float(self.leakage)))
-
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
 
 
 def product_state(
@@ -369,7 +316,8 @@ def product_state(
         out += np.multiply(coeff, product, out=product)  # no caller's array
         del product  # before the next term's product is formed
     out *= scale
-    return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real), fresh=True)
+    out.setflags(write=False)
+    return PureState(spec, out, leakage=1.0 - float(np.vdot(out, out).real))
 
 
 def raising_matrix(d: int) -> np.ndarray:
@@ -407,7 +355,7 @@ def embed(op: LinearOperator, spec: HilbertSpec) -> LinearOperator:
     for i in range(len(spec.modes)):
         perm.append(k + positions.index(i) if i in positions else 2 * k + nr + rest.index(i))
     full = tensor.transpose(perm).reshape(spec.dim, spec.dim)
-    return LinearOperator(spec, full, hermitian=op.hermitian, unitary=op.unitary)
+    return LinearOperator(spec, full, unitary=op.unitary)
 
 
 def apply(op: LinearOperator, state: PureState) -> PureState:
@@ -421,7 +369,8 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
     After a unitary-flagged operator any norm squared the state lost is added
     to its leakage, and the state is never renormalized; the splitters are
     unitary on the truncated space, so what is booked there is rounding. The
-    result owns its amplitudes, so the new state takes them without a copy.
+    result's amplitudes are new and marked read-only, so the state keeps them
+    without a copy.
     """
     spec = state.spec
     if not spec.contains(op.spec):
@@ -436,7 +385,8 @@ def apply(op: LinearOperator, state: PureState) -> PureState:
         np.matmul(block, rows[sl], out=out[sl])
     back = np.moveaxis(out.reshape(moved.shape), first, positions)
     new = np.ascontiguousarray(back).reshape(-1)
+    new.setflags(write=False)
     leakage = state.leakage
     if op.unitary:
         leakage += max(0.0, state.norm2 - float(np.vdot(new, new).real))
-    return PureState(spec, new, leakage=leakage, fresh=True)
+    return PureState(spec, new, leakage=leakage)

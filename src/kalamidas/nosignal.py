@@ -25,23 +25,18 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .hilbert import (
-    LEFT_LABELS,
-    DensityOperator,
-    HilbertSpec,
-    LinearOperator,
-    PureState,
-)
+from .hilbert import LEFT_LABELS, HilbertSpec, LinearOperator, PureState
 
+_HERMITIAN_ATOL = 1e-12
 _IMAG_ATOL = 1e-10
 
 
-def reduce_left(state: PureState) -> DensityOperator:
+def reduce_left(state: PureState) -> np.ndarray:
     """Partial trace of a pure state over everything but the left pair (a1, b1).
 
     The left modes lead the space, so the amplitudes form a matrix with one
-    row per left basis state, and the reduction is its Gram matrix. Leakage
-    is carried, so the output trace is 1 - leakage for normalized
+    row per left basis state, and the reduction is its Gram matrix. Its
+    trace is the state's norm squared, 1 - leakage for normalized
     constructions.
     """
     left = state.spec.subspace(LEFT_LABELS)
@@ -49,17 +44,20 @@ def reduce_left(state: PureState) -> DensityOperator:
     if left_pos != (0, 1):
         raise ValueError("state space must contain both left modes at slots 0, 1")
     a = state.amplitudes.reshape(left.dim, -1)
-    return DensityOperator(left, a @ a.conj().T, leakage=state.leakage)
+    return a @ a.conj().T
 
 
-def expectation(rho: DensityOperator, h: LinearOperator) -> float:
-    """Tr(rho h) for a hermitian-flagged observable; the imaginary residue
-    must stay below 1e-10 and is discarded after the check."""
-    if not h.hermitian:
-        raise ValueError("expectation needs a hermitian-flagged observable")
-    if rho.spec != h.spec:
-        raise ValueError("density operator and observable specs do not match")
-    value = complex(np.trace(rho.matrix @ h.matrix))
+def expectation(rho: np.ndarray, h: LinearOperator) -> float:
+    """Tr(rho h) for a left state and an observable of its dimension. The
+    observable's matrix must be hermitian to 1e-12, and the imaginary
+    residue must stay below 1e-10; it is discarded after the check."""
+    m = h.matrix
+    if rho.shape != m.shape:
+        raise ValueError(f"left state {rho.shape} and observable {m.shape} do not match")
+    defect = float(np.abs(m - m.conj().T).max())
+    if defect > _HERMITIAN_ATOL:
+        raise ValueError(f"expectation needs a hermitian observable, max|H - H^H| = {defect:.3e}")
+    value = complex(np.trace(rho @ m))
     if abs(value.imag) > _IMAG_ATOL:
         raise ValueError(f"expectation has imaginary residue {value.imag:.3e}")
     return value.real
@@ -103,7 +101,7 @@ def random_left_observable(
     g = rng.standard_normal((spec.dim, spec.dim)) + 1j * rng.standard_normal(
         (spec.dim, spec.dim)
     )
-    return LinearOperator(spec, (g + g.conj().T) / 2.0, hermitian=True)
+    return LinearOperator(spec, (g + g.conj().T) / 2.0)
 
 
 def signaling_gap(rho_a: np.ndarray, rho_b: np.ndarray) -> float:

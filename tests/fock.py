@@ -22,11 +22,10 @@ import scipy.linalg
 
 from kalamidas import optics
 from kalamidas.channels import PROBABILITY_FLOOR
-from kalamidas.experiment import _branches, _splitters
+from kalamidas.experiment import _branches, _prepared_branches, _splitters
 from kalamidas.hilbert import (
     LEFT_LABELS,
     RIGHT_LABELS,
-    DensityOperator,
     HilbertSpec,
     LinearOperator,
     PureState,
@@ -78,34 +77,33 @@ def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
 def number_op(spec: HilbertSpec, m: str) -> LinearOperator:
     """Occupation-number operator for one mode, on its single-mode subspace."""
     sub = spec.subspace((m,))
-    return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)), hermitian=True)
+    return LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim)))
 
 
 def identity(spec: HilbertSpec) -> LinearOperator:
-    return LinearOperator(
-        spec, np.eye(spec.dim, dtype=np.complex128), hermitian=True, unitary=True
-    )
+    return LinearOperator(spec, np.eye(spec.dim, dtype=np.complex128), unitary=True)
 
 
 def adjoint(op: LinearOperator) -> LinearOperator:
-    """The conjugate transpose, block by block, with the same flags."""
+    """The conjugate transpose, block by block, with the same unitary flag."""
     return LinearOperator(
         op.spec, blocks=tuple((sl, block.conj().T) for sl, block in op.blocks),
-        hermitian=op.hermitian, unitary=op.unitary,
+        unitary=op.unitary,
     )
 
 
-def validate(rho: DensityOperator, atol: float = 1e-10) -> DensityOperator:
-    """Raise unless the density-operator invariants hold within atol."""
-    for name, value in invariant_residuals(rho.matrix, rho.leakage).items():
+def validate(matrix: np.ndarray, leakage: float, atol: float) -> np.ndarray:
+    """Raise unless the density-matrix invariants of a left state that books
+    ``leakage`` hold within atol."""
+    for name, value in invariant_residuals(matrix, leakage).items():
         if value > atol:
             raise ValueError(
-                f"density operator violates {name} by {value:.3e} (> {atol:.1e})"
+                f"density matrix violates {name} by {value:.3e} (> {atol:.1e})"
             )
-    return rho
+    return matrix
 
 
-def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
+def analytic_left_state(spec: HilbertSpec) -> np.ndarray:
     """Closed-form left state of the evolved apparatus, (|u><u| + |v><v|)/2.
 
     Independent of the six-mode simulation: built on the bare two-mode space
@@ -120,19 +118,19 @@ def analytic_left_state(spec: HilbertSpec) -> DensityOperator:
     v = np.zeros(spec.dim, dtype=np.complex128)
     u[ones] = (1.0, 1.0)  # sqrt2 u and sqrt2 v, so the mixture's 1/2 becomes 1/4
     v[ones] = (-1.0, 1.0)
-    return DensityOperator(spec, 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj())))
+    return 0.25 * (np.outer(u, u.conj()) + np.outer(v, v.conj()))
 
 
-def placed_left_state(config, gram: np.ndarray, leakage: float = 0.0) -> DensityOperator:
+def placed_left_state(config, gram: np.ndarray) -> np.ndarray:
     """A 2 x 2 Gram matrix over ``experiment._branches`` (basis |01>, |10>)
     as the left pair's state after the left splitter, where the reduction of
     the evolved six-mode state holds it: U G U+ on the one-photon rows, with
-    U the splitter's one-photon block, zero elsewhere, booking ``leakage``."""
+    U the splitter's one-photon block, zero elsewhere."""
     u = optics.beamsplitter_unitary(config.hilbert_spec(), _splitters(config)[0])
     rows, block = u.blocks[1]  # by total, in sector_slices order
     out = np.zeros((u.spec.dim, u.spec.dim), dtype=np.complex128)
     out[rows, rows] = block @ gram @ block.conj().T
-    return DensityOperator(u.spec, out, leakage=leakage)
+    return out
 
 
 def coherent_state(spec: HilbertSpec, m: str, alpha: complex) -> PureState:
@@ -151,7 +149,7 @@ def tuple_projectors(spec: HilbertSpec, modes: Sequence[str]) -> tuple[LinearOpe
     in basis order."""
     sub = spec.subspace(modes)
     return tuple(
-        LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim) == k), hermitian=True)
+        LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim) == k))
         for k in range(sub.dim)
     )
 
@@ -178,20 +176,18 @@ def selective_outcome(
     p = projected.norm2
     if p < PROBABILITY_FLOOR:
         return None, p
-    return PureState(state.spec, projected.amplitudes / math.sqrt(p), fresh=True), p
+    return PureState(state.spec, projected.amplitudes / math.sqrt(p)), p
 
 
-def nonselective_left(
-    state: PureState, operators: Sequence[LinearOperator]
-) -> DensityOperator:
+def nonselective_left(state: PureState, operators: Sequence[LinearOperator]) -> np.ndarray:
     """Left reduction of sum_k A_k |psi><psi| A_k+, the outcomes discarded:
     the six-mode reference for ``channels.channel_gram``.
 
     Each branch A_k |psi> is built by ``apply`` and contributes the Gram
     matrix of its rows, one per left basis state. The operators must act on
     right modes only; that they form a channel is the caller's to ensure.
-    Such a channel preserves the trace, so the output carries the input
-    state's leakage.
+    Such a channel preserves the trace, so the output's trace is the input
+    state's norm squared.
     """
     if not operators:
         raise ValueError("nonselective_left needs at least one operator")
@@ -203,12 +199,12 @@ def nonselective_left(
             raise ValueError(f"operation must act on right modes only, got {bad}")
         branch = apply(a, state).amplitudes.reshape(left.dim, -1)
         out += branch @ branch.conj().T
-    return DensityOperator(left, out, leakage=state.leakage)
+    return out
 
 
 def conditional_left_by_occupation(
     state: PureState, modes: Sequence[str]
-) -> tuple[list[tuple[tuple[int, ...], float, DensityOperator]], DensityOperator]:
+) -> tuple[list[tuple[tuple[int, ...], float, np.ndarray]], np.ndarray]:
     """Condition on every occupation outcome of the given right modes at once:
     the six-mode reference for ``channels.conditional_left_by_occupation``.
 
@@ -216,7 +212,7 @@ def conditional_left_by_occupation(
     conditional left state) in scan order for every outcome at or above
     PROBABILITY_FLOOR. ``mixture`` sums every outcome's unnormalized left
     matrix, sub-floor ones included, so it reproduces the unconditional
-    reduced state and carries the state's leakage. Equivalent to projecting
+    reduced state. Equivalent to projecting
     on each occupation tuple, normalizing and reducing to the left pair, but
     computed in a single contraction.
     """
@@ -233,14 +229,19 @@ def conditional_left_by_occupation(
     a = tensor.transpose((0,) + scan_pos + rest_pos).reshape(left.dim, sub.dim, -1)
     grams = np.einsum("iko,jko->kij", a, a.conj())
     outcomes = [
-        (sub.occupation_of(k), float(p), DensityOperator(left, grams[k] / p))
+        (sub.occupation_of(k), float(p), grams[k] / p)
         for k, p in enumerate(np.einsum("kii->k", grams).real)
         if p >= PROBABILITY_FLOOR
     ]
-    return outcomes, DensityOperator(left, grams.sum(axis=0), leakage=state.leakage)
+    return outcomes, grams.sum(axis=0)
 
 
-def dropped_term_branches(config, alpha: complex, phi: float) -> list:
+def branches_at(config, alpha: complex, phi: float) -> list:
+    """``experiment._branches`` of the preparation at (alpha, phi)."""
+    return _branches(config, _prepared_branches(config, alpha, phi))
+
+
+def dropped_term_branches(config, prepared: list) -> list:
     """A fault for ``experiment._branches``: the r y+ half of the photon's
     output dropped. Each arm's q1 is t x+ q0 instead of (t x+ + r y+) q0,
     with q0 the splitter's output of |0>|alpha> on the arm pair (x, y).
@@ -250,7 +251,7 @@ def dropped_term_branches(config, alpha: complex, phi: float) -> list:
     off-diagonal entry e^{i phi} z / 2, z = r^2 |alpha|^2 / (1 + r^2 |alpha|^2),
     and sits a trace distance z / 2 from the bare preparation's.
     """
-    (c0, q0a, _), (c1, _, q0b) = _branches(config, alpha, phi)
+    (c0, q0a, _), (c1, _, q0b) = _branches(config, prepared)
 
     def t_raised(q: PureState, m: str) -> PureState:
         sub = q.spec.subspace((m,))

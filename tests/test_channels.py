@@ -25,12 +25,13 @@ from kalamidas import (
 )
 from kalamidas import channels, experiment
 from kalamidas.channels import branch_gram, channel_gram, haar_channels_left
-from kalamidas.experiment import _RIGHT_PAIRS, _branches, _one_blas_thread, selective_ranking
+from kalamidas.experiment import _RIGHT_PAIRS, _one_blas_thread, selective_ranking
 from kalamidas.hilbert import embed
 from kalamidas.nosignal import invariant_residuals, normalized
 
 import fock
 from fock import (
+    branches_at,
     completeness_defect,
     haar_isometry_reference,
     identity,
@@ -55,7 +56,7 @@ def _dense_nonselective_left(state, operators):
         reduce_left(PureState(state.spec, embed(a, state.spec).matrix @ state.amplitudes))
         for a in operators
     )
-    return sum(rho.matrix for rho in branches)
+    return sum(branches)
 
 
 def _assert_projector_family(projectors, atol=1e-10):
@@ -94,9 +95,9 @@ def test_projective_channel_preserves_left_state(small_spec):
     family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     after = nonselective_left(psi, family)
     dense = _dense_nonselective_left(psi, family)
-    assert np.abs(after.matrix - dense).max() < 1e-14
-    assert trace_distance(after.matrix, reduce_left(psi).matrix) < 1e-12
-    assert after.trace == pytest.approx(psi.norm2, abs=1e-12)
+    assert np.abs(after - dense).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
+    assert np.trace(after).real == pytest.approx(psi.norm2, abs=1e-12)
 
 
 def test_kraus_channel_preserves_left_state(small_spec):
@@ -105,8 +106,8 @@ def test_kraus_channel_preserves_left_state(small_spec):
     assert completeness_defect(family) < 1e-12
     after = nonselective_left(psi, family)
     dense = _dense_nonselective_left(psi, family)
-    assert np.abs(after.matrix - dense).max() < 1e-14
-    assert trace_distance(after.matrix, reduce_left(psi).matrix) < 1e-12
+    assert np.abs(after - dense).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
 
 
 def test_projectors_are_a_kraus_special_case(small_spec):
@@ -121,10 +122,10 @@ def test_unitary_channel_matches_the_dense_conjugation(small_spec):
     psi = PureState(small_spec, amps, leakage=1.0 - 0.81)
     u = random_right_unitary(small_spec, ("a2", "a3"), seed=3)
     after = nonselective_left(psi, (u,))
-    assert np.abs(after.matrix - _dense_nonselective_left(psi, (u,))).max() < 1e-14
-    assert trace_distance(after.matrix, reduce_left(psi).matrix) < 1e-12
-    assert after.leakage == psi.leakage
-    assert max(invariant_residuals(after.matrix, after.leakage).values()) < 1e-12
+    assert np.abs(after - _dense_nonselective_left(psi, (u,))).max() < 1e-14
+    assert trace_distance(after, reduce_left(psi)) < 1e-12
+    assert np.trace(after).real == pytest.approx(1.0 - psi.leakage, abs=1e-12)
+    assert max(invariant_residuals(after, psi.leakage).values()) < 1e-12
 
 
 def test_nonselective_left_guards(small_spec):
@@ -213,14 +214,14 @@ def test_scan_matches_projector_by_projector_conditioning(quick_spec):
         if cond is not None:
             order.append(occ)
             assert scanned[occ][0] == pytest.approx(prob, abs=1e-13)
-            assert trace_distance(scanned[occ][1].matrix, reduce_left(cond).matrix) < 1e-12
+            assert trace_distance(scanned[occ][1], reduce_left(cond)) < 1e-12
     assert [occ for occ, _, _ in outcomes] == order  # scan order
 
 
 def test_scan_mixture_restores_unconditional_state(quick_spec):
     psi = _random_state(quick_spec, 19)
     _, mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
-    assert np.abs(mixture.matrix - reduce_left(psi).matrix).max() < 1e-14
+    assert np.abs(mixture - reduce_left(psi)).max() < 1e-14
 
 
 def test_scan_keeps_subfloor_mass_in_the_mixture(quick_spec):
@@ -230,7 +231,7 @@ def test_scan_keeps_subfloor_mass_in_the_mixture(quick_spec):
     occ, prob, _ = outcomes[0]
     assert occ == (0, 0)
     assert prob == pytest.approx(1.0)
-    assert mixture.trace == pytest.approx(1.0, abs=1e-14)
+    assert np.trace(mixture).real == pytest.approx(1.0, abs=1e-14)
 
 
 def test_scan_carries_leakage(quick_spec):
@@ -239,9 +240,8 @@ def test_scan_carries_leakage(quick_spec):
     amps *= 0.9 / np.linalg.norm(amps)
     state = PureState(quick_spec, amps, leakage=1.0 - 0.81)
     _, mixture = fock.conditional_left_by_occupation(state, ("a2", "b2"))
-    assert mixture.leakage == pytest.approx(state.leakage)
-    assert mixture.trace == pytest.approx(0.81, abs=1e-12)
-    assert max(invariant_residuals(mixture.matrix, mixture.leakage).values()) < 1e-10
+    assert np.trace(mixture).real == pytest.approx(0.81, abs=1e-12)
+    assert max(invariant_residuals(mixture, state.leakage).values()) < 1e-10
 
 
 def test_scan_rejects_left_modes(quick_spec):
@@ -256,7 +256,7 @@ def test_channel_invariance_under_embedded_unitary_composition(small_spec):
     u2 = random_right_unitary(small_spec, ("a3", "b3"), seed=2)
     baseline = reduce_left(psi)
     after = reduce_left(apply(embed(u2, small_spec), apply(embed(u1, small_spec), psi)))
-    assert trace_distance(after.matrix, baseline.matrix) < 1e-12
+    assert trace_distance(after, baseline) < 1e-12
 
 
 @pytest.mark.parametrize("spec_name", ["small_spec", "quick_spec"])
@@ -305,7 +305,7 @@ def test_haar_channels_left_equals_drawing_and_applying_one_at_a_time(quick_spec
     """The two lanes change no bit: each Gram matrix equals channel_gram
     of the family drawn on its own at one BLAS thread, in draw order."""
     config = ExperimentConfig(alpha=0.6, phi=0.9, cutoffs=quick_spec.cutoffs)
-    branches = _branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     pairs = [("a2", "b2"), ("a2", "a3"), ("b2", "b3"), ("a3", "b3"), ("a2", "b3")]
     draws = [(pair, (3, 2, k), 1) for k, pair in enumerate(pairs)]
     draws += [(pair, (3, 3, k), 3) for k, pair in enumerate(pairs)]
@@ -327,7 +327,7 @@ def test_the_lanes_take_every_draw_once_under_fast_thread_switches(quick_spec, m
     lanes draw each seed exactly once and store each result at its draw's
     place."""
     config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
-    branches = _branches(config, 0.0, 0.0)
+    branches = branches_at(config, 0.0, 0.0)
     draws = [(("a2", "b3"), (5, 2, k), 1) for k in range(256)]
     seeds = []
     draw = channels._haar_isometry
@@ -368,7 +368,7 @@ def test_haar_channels_left_runs_at_one_blas_thread_and_restores_the_counts(
     monkeypatch.setattr(channels, "_haar_isometry", recording)
     config = ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs)
     draws = [(("a2", "b2"), (0, 2, k), 1) for k in range(4)]
-    haar_channels_left(quick_spec, _branches(config, 0.0, 0.0), draws)
+    haar_channels_left(quick_spec, branches_at(config, 0.0, 0.0), draws)
     assert during == [[2, 2]] * len(draws)
     during.clear()
     run_experiment(config)
@@ -396,7 +396,7 @@ def test_channel_gram_equals_the_six_mode_reference(name):
     config = ExperimentConfig(**_REFERENCE_CONFIGS[name])
     spec = config.hilbert_spec()
     psi = evolve(initial_state_with_coherent(config), config)
-    branches = _branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     families = [
         family
         for k, pair in enumerate(_RIGHT_PAIRS)
@@ -404,14 +404,13 @@ def test_channel_gram_equals_the_six_mode_reference(name):
     ]
     families += [occupation_projectors(spec, pair) for pair in [("a2", "b2"), ("a2", "a3")]]
     for family in families:
-        got = placed_left_state(config, channel_gram(family, branches), psi.leakage)
+        got = placed_left_state(config, channel_gram(family, branches))
         want = nonselective_left(psi, family)
-        assert np.abs(got.matrix - want.matrix).max() <= 1e-14
-        assert got.leakage == want.leakage
+        assert np.abs(got - want).max() <= 1e-14
 
 
 def test_channel_gram_refuses_operators_off_a_right_pair(quick_spec):
-    branches = _branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
+    branches = branches_at(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
     single = random_right_unitary(quick_spec, ("a2",), 1)
     left = identity(quick_spec.subspace(("a1", "b1")))
     wide = random_right_unitary(quick_spec, ("a2", "b2", "a3"), 1)
@@ -428,7 +427,7 @@ def test_a_cross_pair_kraus_family_is_contracted_a_chunk_of_rows_at_a_time():
     64-row chunk (0.47 MiB): the peak is the chunk, the two products made
     from it and small arrays."""
     config = ExperimentConfig()
-    branches = _branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     family = random_kraus(config.hilbert_spec(), ("a2", "b2"), (0, 3, 0), k=3)
     chunk = 64 * 16 * family[0].spec.dim
     assert chunk < 2**20
@@ -461,18 +460,18 @@ def test_branch_scan_equals_the_six_mode_reference(name, request):
         psi = request.getfixturevalue("evolved_states")[0]
     else:
         psi = evolve(initial_state_with_coherent(config), config)
-    branches = _branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     outcomes, gram = conditional_left_by_occupation(branches, ("a2", "b2"))
     want, want_mixture = fock.conditional_left_by_occupation(psi, ("a2", "b2"))
     assert [occ for occ, _, _ in outcomes] == [occ for occ, _, _ in want]
     for (_, p, cond), (_, p_ref, ref) in zip(outcomes, want):
         assert abs(p - p_ref) <= 1e-14
         assert np.trace(cond).real == pytest.approx(1.0, abs=1e-14)
-        assert np.abs(placed_left_state(config, cond).matrix - ref.matrix).max() <= 1e-13
-    assert np.abs(placed_left_state(config, gram).matrix - want_mixture.matrix).max() <= 1e-13
+        assert np.abs(placed_left_state(config, cond) - ref).max() <= 1e-13
+    assert np.abs(placed_left_state(config, gram) - want_mixture).max() <= 1e-13
 
-    baseline = normalized(want_mixture.matrix)
-    scores = [(occ, p * trace_distance(ref.matrix, baseline)) for occ, p, ref in want]
+    baseline = normalized(want_mixture)
+    scores = [(occ, p * trace_distance(ref, baseline)) for occ, p, ref in want]
     ranked = sorted(scores, key=lambda row: -round(row[1], 15))
     assert [row[0] for row in selective_ranking(config)[0]] == [occ for occ, _ in ranked]
 
@@ -481,13 +480,13 @@ def test_branch_gram_is_the_scan_mixture():
     """The Gram matrix of the branches themselves is the sum of the scan's
     outcome Gram matrices, every outcome included."""
     config = ExperimentConfig(**_REFERENCE_CONFIGS["quick"])
-    branches = _branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     _, mixture = conditional_left_by_occupation(branches, ("a2", "b2"))
     assert np.abs(branch_gram(branches) - mixture).max() <= 1e-15
 
 
 @pytest.mark.parametrize("modes", [("a2", "a3"), ("a1", "b2"), ("a2",)])
 def test_branch_scan_needs_one_mode_of_each_arm(quick_spec, modes):
-    branches = _branches(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
+    branches = branches_at(ExperimentConfig(alpha=0.0, cutoffs=quick_spec.cutoffs), 0.0, 0.0)
     with pytest.raises(ValueError, match="one mode of each arm"):
         conditional_left_by_occupation(branches, modes)

@@ -255,14 +255,17 @@ def test_readme_cli_table_lists_the_parsers_flags():
 
 def test_readme_python_quick_start_runs():
     """The first Python block under README's ``## Quick start`` runs as
-    written and prints the verdict ``pass``."""
+    written, prints the verdict ``pass``, and then the trace distance of the
+    two six-mode reductions, at rounding."""
     text = (REPO / "README.md").read_text(encoding="utf-8")
     section = text.split("\n## Quick start\n", 1)[1].split("\n## ", 1)[0]
     code = section.split("```python\n", 1)[1].split("```", 1)[0]
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(code, "README.md", "exec"), {})
-    assert out.getvalue().splitlines()[0].split()[0] == "pass"
+    verdict, distance = out.getvalue().splitlines()
+    assert verdict.split()[0] == "pass"
+    assert float(distance) <= 1e-12
 
 
 def _declared_script_help():

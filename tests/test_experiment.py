@@ -41,7 +41,8 @@ from kalamidas.nosignal import invariant_residuals, normalized
 from kalamidas.optics import BeamSplitter
 
 from fock import (
-    analytic_left_state, dropped_term_branches, inner, ladder, number_op, placed_left_state,
+    analytic_left_state, branches_at, dropped_term_branches, inner, ladder, number_op,
+    placed_left_state,
 )
 
 QUICK = {"a2": 3, "b2": 3, "a3": 3, "b3": 3}
@@ -221,10 +222,10 @@ def test_left_states_over_phases_match_the_six_mode_reduction(alpha, t, cutoffs)
             assert gram.shape == (2, 2)
             rho = placed_left_state(config, gram)
             point = replace(config, phi=phi)
-            direct = reduce_left(evolve(prepare(point), point))
-            assert rho.spec == direct.spec
-            assert np.abs(rho.matrix - direct.matrix).max() <= 1e-13
-            assert abs(1.0 - np.trace(gram).real - direct.leakage) <= 1e-13
+            psi = evolve(prepare(point), point)
+            direct = reduce_left(psi)
+            assert np.abs(rho - direct).max() <= 1e-13
+            assert abs(1.0 - np.trace(gram).real - psi.leakage) <= 1e-13
 
 
 @pytest.mark.parametrize("phi", [0.0, 1.3])
@@ -243,7 +244,7 @@ def test_every_left_check_reads_the_same_on_the_gram_matrix_and_its_placed_state
     ranked, mixture = selective_ranking(config)
     grams = [g_with, g_bare, mixture] + [row[3] for row in ranked]
     booked = [1.0 - np.trace(g).real for g in grams]
-    analytic = analytic_left_state(config.hilbert_spec().subspace(LEFT_LABELS)).matrix
+    analytic = analytic_left_state(config.hilbert_spec().subspace(LEFT_LABELS))
 
     def read(states, half):
         rho_with, rho_bare, *others = states
@@ -255,7 +256,7 @@ def test_every_left_check_reads_the_same_on_the_gram_matrix_and_its_placed_state
         return np.array(out)
 
     on_gram = read(grams, np.eye(2) / 2)
-    on_placed = read([placed_left_state(config, g).matrix for g in grams], analytic)
+    on_placed = read([placed_left_state(config, g) for g in grams], analytic)
     assert len(on_gram) == 3 + (len(grams) - 2) + 3 * len(grams)
     assert np.abs(on_gram - on_placed).max() <= 1e-15
 
@@ -290,35 +291,42 @@ def test_a_sweep_group_builds_its_branches_once_for_any_number_of_phases(monkeyp
 
 
 def _branch_calls(monkeypatch, config):
-    """The arguments of every _branches call of one verdict on ``config``."""
-    calls = []
-    build = experiment._branches
+    """The arguments of every _prepared_branches call of one verdict on
+    ``config``, and the number of its _branches calls."""
+    prepared, built = [], []
+    prepare, build = experiment._prepared_branches, experiment._branches
 
-    def counted(*args):
-        calls.append(args)
+    def counted_preparation(*args):
+        prepared.append(args)
+        return prepare(*args)
+
+    def counted_branches(*args):
+        built.append(args)
         return build(*args)
 
-    monkeypatch.setattr(experiment, "_branches", counted)
+    monkeypatch.setattr(experiment, "_prepared_branches", counted_preparation)
+    monkeypatch.setattr(experiment, "_branches", counted_branches)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CutoffAdequacyWarning)
         run_experiment(config)
-    return calls
+    return prepared, len(built)
 
 
 def test_a_verdict_builds_its_branches_once(monkeypatch):
-    """The selective scan, the channel battery and the injected left state
-    share one set of branches, and a run that injects nothing takes its
-    bare left state to be the injected one: one build at alpha = 0."""
+    """The selective scan, the channel battery, the leakage and the injected
+    left state share one preparation and one set of branches, and a run
+    that injects nothing takes its bare left state to be the injected one:
+    one build of each at alpha = 0."""
     config = ExperimentConfig(alpha=0.0, cutoffs=QUICK, trials=3)
-    assert _branch_calls(monkeypatch, config) == [(config, config.alpha, config.phi)]
+    assert _branch_calls(monkeypatch, config) == ([(config, config.alpha, config.phi)], 1)
 
 
 def test_an_injected_verdict_builds_the_bare_branches_once_more(monkeypatch):
-    """With alpha != 0 the bare left state's branches are built once, at
-    alpha = 0, after the injected ones."""
+    """With alpha != 0 the bare preparation and its branches are built once,
+    at alpha = 0, after the injected ones."""
     config = ExperimentConfig(alpha=0.5, cutoffs=QUICK, trials=3)
     calls = _branch_calls(monkeypatch, config)
-    assert calls == [(config, config.alpha, config.phi), (config, 0.0, config.phi)]
+    assert calls == ([(config, config.alpha, config.phi), (config, 0.0, config.phi)], 2)
 
 
 def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
@@ -339,6 +347,7 @@ def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
         monkeypatch.setattr(module, name, recording)
 
     record(experiment, "heisenberg_residuals")
+    record(experiment, "_prepared_branches")
     record(channels, "_haar_isometry")
     assert run_experiment(ExperimentConfig(alpha=0.0, cutoffs=QUICK)).verdict == "pass"
     assert blas_thread_counts() == [2, 2]
@@ -347,6 +356,9 @@ def test_a_verdict_runs_at_one_blas_thread_and_restores_the_counts(
     assert blas_thread_counts() == [2, 2]
     stages = [name for name, _ in during]
     assert stages.count("heisenberg_residuals") == 2
+    # one preparation per run: the alpha = 0 run's, and the injected one the
+    # stopped run builds before its scan
+    assert stages.count("_prepared_branches") == 2
     assert stages.count("_haar_isometry") == 2 * experiment._CHANNEL_TRIALS
     assert all(counts == [1, 1] for _, counts in during)
 
@@ -366,7 +378,7 @@ def test_the_dropped_term_moves_the_left_state_by_half_of_z(monkeypatch, t):
             monkeypatch.setattr(experiment, "_branches", branches)
             lefts = [left_states_over_phases(config, phis, injected) for injected in (True, False)]
             for g_with, g_bare in zip(*lefts, strict=True):
-                rho_with, rho_bare = (placed_left_state(config, g).matrix for g in (g_with, g_bare))
+                rho_with, rho_bare = (placed_left_state(config, g) for g in (g_with, g_bare))
                 got = trace_distance(normalized(rho_with), normalized(rho_bare))
                 assert abs(got - half_z) <= 1e-13
 
@@ -705,10 +717,10 @@ def _cross_term_unconjugated(k, x, y):
     return np.sum(k * (x.T @ (k @ y)))
 
 
-def _phase_on_the_a_pair(config, alpha, phi):
+def _phase_on_the_a_pair(config, prepared):
     """experiment._branches, with e^{i phi} on the a1+ a2+ branch (|10>)
     instead of the b1+ b2+ one (|01>)."""
-    (c0, q0a, q1b), (c1, q1a, q0b) = _BRANCHES(config, alpha, phi)
+    (c0, q0a, q1b), (c1, q1a, q0b) = _BRANCHES(config, prepared)
     return [(c1, q0a, q1b), (c0, q1a, q0b)]
 
 
@@ -876,7 +888,7 @@ _STRUCTURE_CONFIGS = {
 
 
 def _arm_structure(config):
-    branches = experiment._branches(config, config.alpha, config.phi)
+    branches = branches_at(config, config.alpha, config.phi)
     return experiment._structure(branches, experiment._ideal_branches(config))
 
 
@@ -1036,9 +1048,8 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
     monkeypatch.undo()
 
     spec = config.hilbert_spec()
-    branches = experiment._branches(config, config.alpha, config.phi)
-    leakage = report.leakage["final_with_coherent"]
-    rho = placed_left_state(config, branch_gram(branches), leakage)
+    branches = branches_at(config, config.alpha, config.phi)
+    rho = placed_left_state(config, branch_gram(branches))
     right_pairs = experiment._RIGHT_PAIRS
     pairs = [right_pairs[k % len(right_pairs)] for k in range(experiment._CHANNEL_TRIALS)]
     with experiment._one_blas_thread():  # as run_experiment runs
@@ -1060,8 +1071,8 @@ def test_the_channel_battery_equals_drawing_and_applying_one_channel_at_a_time(m
         return max(trace_distance(gram, branch_gram(branches)) for gram in grams)
 
     def placed_moved(grams):
-        lefts = [placed_left_state(config, gram, leakage).matrix for gram in grams]
-        return max(trace_distance(left, rho.matrix) for left in lefts)
+        lefts = [placed_left_state(config, gram) for gram in grams]
+        return max(trace_distance(left, rho) for left in lefts)
 
     for name, grams in (("unitary", unitaries), ("kraus", kraus), ("projective", [projective])):
         assert report.residuals[f"channel_{name}"] == moved(grams)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from kalamidas import (
     LEFT_LABELS,
-    DensityOperator,
     HilbertSpec,
     LinearOperator,
     PureState,
@@ -51,7 +50,7 @@ def _brute_force_reduction(state):
 
 def test_reduce_left_matches_brute_force(quick_spec):
     psi = _random_state(quick_spec, 101)
-    fast = reduce_left(psi).matrix
+    fast = reduce_left(psi)
     slow = _brute_force_reduction(psi)
     assert np.abs(fast - slow).max() < 1e-13
 
@@ -61,11 +60,11 @@ def test_evolved_bare_state_reduces_to_half_mixture():
 
     config = ExperimentConfig(alpha=0.0, phi=0.0, cutoffs=(2, 2, 2, 2, 2, 2))
     rho = reduce_left(evolve(initial_state_bare(config), config))
-    left = rho.spec
+    left = config.hilbert_spec().subspace(LEFT_LABELS)
     expected = np.zeros((left.dim, left.dim), dtype=np.complex128)
     expected[left.index_of((1, 0)), left.index_of((1, 0))] = 0.5
     expected[left.index_of((0, 1)), left.index_of((0, 1))] = 0.5
-    assert np.abs(rho.matrix - expected).max() < 1e-10
+    assert np.abs(rho - expected).max() < 1e-10
     assert np.abs(_brute_force_reduction(
         evolve(initial_state_bare(config), config)
     ) - expected).max() < 1e-10
@@ -80,15 +79,14 @@ def test_reduce_left_of_product_state_is_exact(quick_spec):
     v = rng.standard_normal(rest_dim) + 1j * rng.standard_normal(rest_dim)
     v /= np.linalg.norm(v)
     psi = PureState(quick_spec, np.kron(u, v))
-    assert np.abs(reduce_left(psi).matrix - np.outer(u, u.conj())).max() < 1e-14
+    assert np.abs(reduce_left(psi) - np.outer(u, u.conj())).max() < 1e-14
 
 
 def test_reduce_left_carries_leakage(quick_spec):
     psi = _random_state(quick_spec, 109, scale=0.8)
     rho = reduce_left(psi)
-    assert rho.leakage == pytest.approx(psi.leakage)
-    assert rho.trace == pytest.approx(1.0 - psi.leakage, abs=1e-12)
-    assert max(invariant_residuals(rho.matrix, rho.leakage).values()) < 1e-12
+    assert np.trace(rho).real == pytest.approx(1.0 - psi.leakage, abs=1e-12)
+    assert max(invariant_residuals(rho, psi.leakage).values()) < 1e-12
 
 
 def test_reduce_left_requires_left_modes(quick_spec):
@@ -100,20 +98,31 @@ def test_reduce_left_requires_left_modes(quick_spec):
 
 def test_expectation_matches_manual_trace():
     left = _left_pair_spec()
-    rho = DensityOperator(left, np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex))
+    rho = np.diag([0.1, 0.2, 0.3, 0.4]).astype(complex)
     h = random_left_observable(left, 5)
-    manual = float(np.trace(rho.matrix @ h.matrix).real)
+    manual = float(np.trace(rho @ h.matrix).real)
     assert expectation(rho, h) == pytest.approx(manual, abs=1e-14)
 
 
+def test_expectation_refuses_a_non_hermitian_observable(quick_spec):
+    """The observable's own matrix is checked: a raising operator, or one
+    block 1e-3 off hermitian, is refused, and a hermitian matrix is taken
+    as it is."""
+    sub = quick_spec.subspace(("a2",))
+    rho = np.eye(sub.dim, dtype=complex) / sub.dim
+    with pytest.raises(ValueError, match="hermitian"):
+        expectation(rho, ladder(quick_spec, "a2", "raise"))
+    skew = np.array([[1.0, 1e-3], [0.0, 1.0]])
+    with pytest.raises(ValueError, match="hermitian"):
+        expectation(rho, LinearOperator(sub, blocks=((slice(0, 1), np.eye(1)), (slice(1, 3), skew))))
+    assert expectation(rho, LinearOperator(sub, np.eye(sub.dim))) == pytest.approx(1.0, abs=1e-15)
+    assert expectation(rho, number_op(quick_spec, "a2")) == pytest.approx(1.0, abs=1e-15)
+
+
 def test_expectation_guards():
-    left = _left_pair_spec()
-    rho = DensityOperator(left, np.eye(4, dtype=complex) / 4)
-    plain = LinearOperator(left, np.eye(4, dtype=complex))
-    with pytest.raises(ValueError):
-        expectation(rho, plain)
+    rho = np.eye(4, dtype=complex) / 4
     other = random_left_observable(HilbertSpec(LEFT_LABELS, (2, 2)), 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="do not match"):
         expectation(rho, other)
 
 
@@ -121,11 +130,11 @@ def test_expectation_rejects_imaginary_residue():
     left = _left_pair_spec()
     skew = np.zeros((4, 4), dtype=complex)
     skew[0, 1] = 1.0
-    rho = DensityOperator(left, skew)
+    rho = skew
     h_matrix = np.zeros((4, 4), dtype=complex)
     h_matrix[0, 1] = -1j
     h_matrix[1, 0] = 1j
-    h = LinearOperator(left, h_matrix, hermitian=True)
+    h = LinearOperator(left, h_matrix)
     with pytest.raises(ValueError, match="imaginary"):
         expectation(rho, h)
 
@@ -136,14 +145,12 @@ def test_analytic_anchors():
     with a spare b1 level."""
     for cutoffs in ((1, 1), (1, 2)):
         left = HilbertSpec(LEFT_LABELS, cutoffs)
-        sigma = validate(analytic_left_state(left), atol=1e-15)
+        sigma = validate(analytic_left_state(left), 0.0, 1e-15)
         n_a1 = embed(number_op(left, "a1"), left)
-        total = LinearOperator(
-            left, n_a1.matrix + embed(number_op(left, "b1"), left).matrix, hermitian=True
-        )
+        total = LinearOperator(left, n_a1.matrix + embed(number_op(left, "b1"), left).matrix)
         up_a = embed(ladder(left, "a1", "raise"), left).matrix
         up_b = embed(ladder(left, "b1", "raise"), left).matrix
-        hop = LinearOperator(left, up_a @ up_b.conj().T + up_b @ up_a.conj().T, hermitian=True)
+        hop = LinearOperator(left, up_a @ up_b.conj().T + up_b @ up_a.conj().T)
         assert expectation(sigma, n_a1) == pytest.approx(0.5, abs=1e-15)
         assert expectation(sigma, total) == pytest.approx(1.0, abs=1e-15)
         assert expectation(sigma, hop) == pytest.approx(0.0, abs=1e-15)
@@ -163,7 +170,7 @@ def test_oracle_is_not_fooled_by_a_wrong_left_state():
     left = _left_pair_spec()
     in_a1 = np.zeros((left.dim, left.dim), dtype=complex)
     in_a1[left.index_of((1, 0)), left.index_of((1, 0))] = 1.0
-    sigma = analytic_left_state(left).matrix
+    sigma = analytic_left_state(left)
     assert signaling_gap(in_a1, sigma) == pytest.approx(1.0)
     assert trace_distance(in_a1, sigma) == pytest.approx(0.5)
 
@@ -205,7 +212,6 @@ def test_random_left_observable_is_exactly_hermitian():
     assert np.array_equal(h1.matrix, h1.matrix.conj().T)
     assert np.array_equal(h1.matrix, h2.matrix)
     assert not np.array_equal(h1.matrix, h3.matrix)
-    assert h1.hermitian
 
 
 def test_signaling_gap_zero_for_identical_states():
@@ -231,11 +237,10 @@ def test_signaling_gap_bounds_every_normalized_observable():
     rho_b = _random_density(5)
     gap = signaling_gap(rho_a, rho_b)
     left = _left_pair_spec()
-    rho_a, rho_b = DensityOperator(left, rho_a), DensityOperator(left, rho_b)
     worst = 0.0
     for k in range(100):
         h = random_left_observable(left, (9, k))
-        h = LinearOperator(left, h.matrix / np.linalg.norm(h.matrix, 2), hermitian=True)
+        h = LinearOperator(left, h.matrix / np.linalg.norm(h.matrix, 2))
         worst = max(worst, abs(expectation(rho_a, h) - expectation(rho_b, h)))
     assert 0.0 < worst <= gap + 1e-15
 

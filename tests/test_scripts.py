@@ -1,5 +1,6 @@
 """The scripts' command lines: bad input is refused with exit 2 before any
 output, a valid sweep prints its table, and the scan ranks as the report does."""
+import json
 import math
 import os
 import runpy
@@ -90,8 +91,9 @@ def test_sweep_summary_prints_the_base_tolerance_as_given(tolerance, printed, mo
 def test_a_nan_residual_fails_the_report_the_cli_and_the_sweep(monkeypatch, capsys):
     """With the trace-distance row patched to read NaN, the one rule that
     judges a row (``experiment.failing``) fails it for every reader: the
-    verdict is fail, the CLI exits 1 naming the row on stderr, and the
-    sweep prints FAIL for the point and exits 1."""
+    verdict is fail, the CLI exits 1 naming the row on stderr and writes
+    it as null in a report that a strict JSON parser reads, and the sweep
+    prints FAIL for the point, nan as its worst trace distance, and exits 1."""
     stated = experiment.no_signaling_rows
 
     def nan_trace_distance(config, rho_with, rho_bare):
@@ -106,7 +108,15 @@ def test_a_nan_residual_fails_the_report_the_cli_and_the_sweep(monkeypatch, caps
 
     toy_args = [arg for m, c in toy.items() for arg in ("--cutoff", f"{m}={c}")]
     assert cli.main(["--alpha-re", "0", *toy_args, "--trials", "3"]) == 1
-    assert capsys.readouterr().err == "trace_distance: nan > 1.000e-09\n"
+    out, err = capsys.readouterr()
+    assert err == "trace_distance: nan > 1.000e-09\n"
+
+    def refuse(token):
+        raise ValueError(f"not strict JSON: {token}")
+
+    written = json.loads(out, parse_constant=refuse)
+    assert written["residuals"]["trace_distance"] is None
+    assert written["verdict"] == "fail"
 
     monkeypatch.setattr(sys, "argv", [str(SWEEP), *ONE_POINT])
     with pytest.raises(SystemExit) as done:
@@ -116,6 +126,9 @@ def test_a_nan_residual_fails_the_report_the_cli_and_the_sweep(monkeypatch, caps
     ((_, line),) = _table_rows(out)
     assert line.split()[3] == "nan"
     assert line.endswith("FAIL")
+    *_, worst, verdict = out.splitlines()
+    assert worst.startswith("worst trace distance nan, worst gap ")
+    assert verdict == "1 point(s) not within the tolerance 1e-09 on normalized left states"
 
 
 def _table_rows(stdout):

@@ -1,12 +1,12 @@
 """Right-side quantum operations and selective conditioning.
 
 Three families of legitimate operations act on the right modes: unitaries,
-non-selective projective measurements (rho -> sum_k P_k rho P_k), and
-non-selective generalized measurements given by a Kraus family
-(rho -> sum_k A_k rho A_k+). None of them can change the left reduced state;
-the experiment driver measures exactly that. A channel is its operators: a
-tuple of LinearOperator on one right-mode subspace, complete when
-sum_k A_k+ A_k = I.
+non-selective photon counting on a mode or pair (rho -> sum_n P_n rho P_n,
+P_n its sector n, as a splitter's block n), and non-selective generalized
+measurements given by a Kraus family (rho -> sum_k A_k rho A_k+). None of
+them can change the left reduced state; the experiment driver measures
+exactly that. A channel is its operators: a tuple of LinearOperator on one
+right-mode subspace, complete when sum_k A_k+ A_k = I.
 
 All three run through :func:`channel_gram` on a state given as its
 branches, sum_i |e_i> c_i Fa_i Fb_i with one vector per arm pair, (a2, a3)
@@ -43,8 +43,7 @@ from .hilbert import (
     HilbertSpec,
     LinearOperator,
     PureState,
-    diagonal_blocks,
-    total_occupations,
+    sector_slices,
 )
 
 # One branch of a state: (coefficient, arm a vector, arm b vector).
@@ -164,16 +163,16 @@ def channel_gram(operators: Sequence[LinearOperator], branches: Sequence[Branch]
     return _coefficients(branches) * acc * overlaps
 
 
-def occupation_projectors(
-    spec: HilbertSpec, modes: Sequence[str] = RIGHT_LABELS
-) -> tuple[LinearOperator, ...]:
-    """Diagonal projectors onto the total photon number of the given right
-    modes, one per total, so the family size is linear in the cutoff sum."""
+def occupation_projectors(spec: HilbertSpec, modes: Sequence[str]) -> tuple[LinearOperator, ...]:
+    """Projector n onto photon number n of one right mode or a right pair
+    (ValueError for more modes): sector n of :func:`hilbert.sector_slices`, as
+    a splitter's block n, held as 1 x 1 blocks sharing one read-only [[1]]."""
     sub = _right(spec.subspace(modes))
-    totals = total_occupations(sub.dims)
+    one = np.ones((1, 1), dtype=np.complex128)
+    one.setflags(write=False)
     return tuple(
-        LinearOperator(sub, blocks=diagonal_blocks(totals == n))
-        for n in np.unique(totals)
+        LinearOperator(sub, blocks=tuple((slice(i, i + 1), one) for i in range(sub.dim)[sl]))
+        for sl in sector_slices(sub.dims)
     )
 
 

@@ -63,6 +63,7 @@ from .hilbert import (
     HilbertSpec,
     PureState,
     apply,
+    as_integer,
     product_state,
     raising_matrix,
 )
@@ -114,9 +115,11 @@ class ExperimentConfig:
 
     ``cutoffs`` may be None (defaults for this alpha), a partial mapping of
     mode label to cutoff that overrides the defaults, or a tuple of all six
-    cutoffs in mode order; it is normalized to the six-entry tuple.
-    r is derived as +sqrt(1 - t^2). ``trials`` must be >= 1 and is echoed in
-    the report, but no stage reads it: the no-signaling rows are exact.
+    cutoffs in mode order; it is normalized to the six-entry tuple of a
+    valid HilbertSpec. Cutoffs, seed and trials are integers
+    (:func:`hilbert.as_integer`). r is +sqrt(1 - t^2). ``trials`` >= 1 is
+    echoed in the report, but no stage reads it: the no-signaling rows are
+    exact.
     """
 
     alpha: complex = 1.0
@@ -140,14 +143,11 @@ class ExperimentConfig:
         if not 0.0 <= t <= 1.0:
             raise ValueError(f"t must lie in [0, 1], got {t}")
         object.__setattr__(self, "t", t)
-        seed = int(self.seed)
-        if seed < 0:
-            raise ValueError("seed must be a nonnegative integer")
-        object.__setattr__(self, "seed", seed)
-        trials = int(self.trials)
-        if trials < 1:
-            raise ValueError("trials must be >= 1")
-        object.__setattr__(self, "trials", trials)
+        for name, least in (("seed", 0), ("trials", 1)):
+            count = as_integer(getattr(self, name), name)
+            if count < least:
+                raise ValueError(f"{name} must be >= {least}")
+            object.__setattr__(self, name, count)
         tolerance = float(self.tolerance)
         if not (tolerance > 0 and math.isfinite(tolerance)):
             raise ValueError(f"tolerance must be finite and positive, got {tolerance}")
@@ -169,21 +169,14 @@ class ExperimentConfig:
             for label, value in items:
                 if label not in MODE_LABELS:
                     raise ValueError(f"unknown mode label {label!r} in cutoffs")
-                resolved[label] = int(value)
-        for label in ("a1", "b1"):
-            if resolved[label] < 1:
-                raise ValueError(f"cutoff for left mode {label} must be >= 1")
+                resolved[label] = value
+        # integers, nonnegative, at least 1 on the left pair: the spec's rule
+        spec = HilbertSpec(MODE_LABELS, tuple(resolved[m] for m in MODE_LABELS))
         for label in ("a2", "b2"):
-            if resolved[label] < 1:
-                raise ValueError(
-                    f"cutoff for photon arm {label} must be >= 1 (it carries "
-                    f"the injected photon)"
-                )
-        if any(resolved[label] < 0 for label in MODE_LABELS):
-            raise ValueError("cutoffs must be nonnegative")
-        object.__setattr__(
-            self, "cutoffs", tuple(resolved[label] for label in MODE_LABELS)
-        )
+            if spec.cutoff_of(label) < 1:
+                raise ValueError(f"cutoff for photon arm {label} must be >= 1 "
+                                 f"(it carries the injected photon)")
+        object.__setattr__(self, "cutoffs", spec.cutoffs)
 
     @property
     def r(self) -> float:

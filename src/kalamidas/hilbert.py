@@ -17,7 +17,7 @@ Operators may live on the full space or on a subspace spanned by a subset of
 the modes. An operator is stored as its diagonal blocks: disjoint runs of its
 basis, each with a square block, and zero rows everywhere else. A dense matrix
 is one block, a beam splitter one block per total-occupation sector of its
-pair, and a diagonal operator its nonzero entries as 1 x 1 blocks.
+pair, and an occupation projector its sector's entries as 1 x 1 blocks.
 :func:`apply` acts with a subset operator directly on the matching tensor axes
 of the state, one block at a time, which keeps the cost linear in the state
 size. A run applies operators only to the vectors of one arm pair; six-mode
@@ -59,14 +59,24 @@ def check_mode_order(labels: Sequence[str]) -> None:
             )
 
 
+def as_integer(value: object, field: str) -> int:
+    """``value`` as an int if it is a Python or numpy integer or a float equal
+    to one; ValueError naming ``field`` for anything else, NaN and infinity
+    included, so nothing is truncated."""
+    whole = isinstance(value, (float, np.floating)) and float(value).is_integer()
+    if whole or isinstance(value, (int, np.integer)):
+        return int(value)
+    raise ValueError(f"{field} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class HilbertSpec:
     """A truncated tensor-product space over an ordered subset of the modes.
 
     ``modes`` holds labels from MODE_LABELS, distinct and in that order, and
-    ``cutoffs`` gives the maximum occupation per mode, so each mode
-    contributes a factor of dimension cutoff + 1. The left modes, when
-    present, must allow at least one photon.
+    ``cutoffs`` gives each mode's maximum occupation (:func:`as_integer`),
+    so each mode contributes a factor of dimension cutoff + 1. The left
+    modes, when present, must allow at least one photon.
     """
 
     modes: tuple[str, ...]
@@ -74,14 +84,14 @@ class HilbertSpec:
 
     def __post_init__(self) -> None:
         mds = tuple(self.modes)
-        cts = tuple(int(c) for c in self.cutoffs)
-        object.__setattr__(self, "modes", mds)
-        object.__setattr__(self, "cutoffs", cts)
-        if len(mds) != len(cts):
+        if len(mds) != len(self.cutoffs):
             raise ValueError("one cutoff per mode required")
         if not mds:
             raise ValueError("empty mode list")
         check_mode_order(mds)
+        cts = tuple(as_integer(c, f"cutoff of mode {m}") for m, c in zip(mds, self.cutoffs))
+        object.__setattr__(self, "modes", mds)
+        object.__setattr__(self, "cutoffs", cts)
         for m, c in zip(mds, cts):
             if c < 0:
                 raise ValueError(f"negative cutoff for mode {m}")
@@ -142,26 +152,16 @@ def _subspace(
     return HilbertSpec(ordered, tuple(cutoffs[modes.index(m)] for m in ordered))
 
 
-def total_occupations(dims: Sequence[int]) -> np.ndarray:
-    """The total photon number of every basis index of a space with these
-    per-mode dimensions, in basis order."""
-    return np.indices(tuple(dims)).sum(axis=0).ravel()
-
-
-def sector_slices(dims: Sequence[int]) -> tuple[slice, ...]:
+# Keyed by one mode's or one pair's dimensions, read by each splitter build
+# and projector family. An entry is one slice per total, never a whole table.
+@functools.lru_cache(maxsize=32)
+def sector_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
     """The basis indices of each total occupation n = 0, 1, ... of one mode
     or a pair, as slices (ValueError for more modes). On a pair (d_x, d_y)
     sector n is n + (d_y - 1) n_x over the n_x the pair admits: a strided run."""
     if len(dims) > 2:
-        raise ValueError(f"sector slices need one mode or a pair, got dims {tuple(dims)}")
-    return _sector_slices(tuple(int(d) for d in dims))
-
-
-# Keyed by one mode's or one pair's dimensions, read once per splitter
-# build. An entry is one slice per total, never a table over a whole space.
-@functools.lru_cache(maxsize=32)
-def _sector_slices(dims: tuple[int, ...]) -> tuple[slice, ...]:
-    totals = total_occupations(dims)
+        raise ValueError(f"sector slices need one mode or a pair, got dims {dims}")
+    totals = np.indices(dims).sum(axis=0).ravel()
     out = []
     for n in range(int(totals.max()) + 1):
         idx = np.flatnonzero(totals == n)
@@ -274,15 +274,6 @@ class LinearOperator:
             out[sl, sl] = block
         out.setflags(write=False)
         return out
-
-
-def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
-    """A diagonal matrix as blocks: each nonzero entry a 1 x 1 block."""
-    diagonal = np.asarray(diagonal, dtype=np.complex128)
-    return tuple(
-        (slice(i, i + 1), diagonal[i : i + 1].reshape(1, 1))
-        for i in np.flatnonzero(diagonal)
-    )
 
 
 def product_state(

@@ -123,13 +123,13 @@ def _splitter_matrix(
     """exp(theta (y+ x - x+ y)) on a pair of the given dimensions, as its
     read-only blocks per total occupation, with the operators over them per
     pair space, which :func:`beamsplitter_unitary` adds. On sector n the
-    generator is theta A over the n_x the pair admits, A real tridiagonal
+    generator is theta A over the n_x of its slice, A real tridiagonal
     with A[n_x - 1, n_x] = -A[n_x, n_x - 1] = sqrt(n_x (n - n_x + 1)); with
     D = diag(i^k), A = D (i S) D+ for a real symmetric S = V diag(lam) V^T,
     so the block is the real part of D V exp(i theta lam) V^T D+."""
     blocks = []
     for n, sl in enumerate(sector_slices(dims)):
-        n_x = np.arange(max(0, n - dims[1] + 1), min(n, dims[0] - 1) + 1)
+        n_x = np.arange(dims[0] * dims[1])[sl] // dims[1]
         coupling = np.sqrt(n_x[1:] * (n - n_x[1:] + 1.0))
         lam, v = np.linalg.eigh(np.diag(coupling, 1) + np.diag(coupling, -1))
         phase = np.array([1, 1j, -1, -1j])[np.arange(len(n_x)) % 4]

@@ -1,18 +1,19 @@
 """Reference helpers that only the tests use.
 
-Basis states, the inner product, single-mode operators and the rank-1
-occupation projectors, plus the plain forms of what the package computes in
-a fused way or not at all: conditioning on one projector at a time, the
-occupation scan and a channel's left state from the six-mode state, the
-completeness of an operator family, the adjoint, a splitter as one dense
-matrix exponential, and the density-operator checks that raise. Each is
-written independently of the code it checks, on dense matrices or one
-projector at a time, so a test that compares the two compares two routes to
-one answer. The package's left states are 2 x 2 branch Gram matrices before
-the left splitter; :func:`placed_left_state` puts one where the six-mode
-reduction holds it, and :func:`analytic_left_state` is the closed form on
-the whole left pair. One fault for a positive control drops the r y+ half
-of the photon's output (:func:`dropped_term_branches`).
+Basis states, the inner product, single-mode operators, the rank-1
+occupation projectors and the total-number projectors of any modes, plus the
+plain forms of what the package computes in a fused way or not at all:
+conditioning on one projector at a time, the occupation scan and a channel's
+left state from the six-mode state, the completeness of an operator family,
+the adjoint, a splitter as one dense matrix exponential, and the
+density-operator checks that raise. Each is written independently of the
+code it checks, on dense matrices or one projector at a time, so a test that
+compares the two compares two routes to one answer. The package's left
+states are 2 x 2 branch Gram matrices before the left splitter;
+:func:`placed_left_state` puts one where the six-mode reduction holds it,
+and :func:`analytic_left_state` is the closed form on the whole left pair.
+One fault for a positive control drops the r y+ half of the photon's output
+(:func:`dropped_term_branches`).
 """
 import math
 from typing import Optional, Sequence
@@ -29,8 +30,8 @@ from kalamidas.hilbert import (
     HilbertSpec,
     LinearOperator,
     PureState,
+    Blocks,
     apply,
-    diagonal_blocks,
     product_state,
     raising_matrix,
 )
@@ -72,6 +73,15 @@ def ladder(spec: HilbertSpec, m: str, kind: str) -> LinearOperator:
     if kind == "lower":
         return LinearOperator(sub, up.conj().T)
     raise ValueError(f"kind must be 'raise' or 'lower', got {kind!r}")
+
+
+def diagonal_blocks(diagonal: np.ndarray) -> Blocks:
+    """A diagonal matrix as blocks: each nonzero entry a 1 x 1 block."""
+    diagonal = np.asarray(diagonal, dtype=np.complex128)
+    return tuple(
+        (slice(i, i + 1), diagonal[i : i + 1].reshape(1, 1))
+        for i in np.flatnonzero(diagonal)
+    )
 
 
 def number_op(spec: HilbertSpec, m: str) -> LinearOperator:
@@ -151,6 +161,16 @@ def tuple_projectors(spec: HilbertSpec, modes: Sequence[str]) -> tuple[LinearOpe
     return tuple(
         LinearOperator(sub, blocks=diagonal_blocks(np.arange(sub.dim) == k))
         for k in range(sub.dim)
+    )
+
+
+def total_number_projectors(spec: HilbertSpec, modes: Sequence[str]) -> tuple[LinearOperator, ...]:
+    """One diagonal projector per total photon number of the given modes, any
+    number of them, n = 0, 1, ..., read off their occupation tuples."""
+    sub = spec.subspace(modes)
+    totals = np.array([sum(sub.occupation_of(k)) for k in range(sub.dim)])
+    return tuple(
+        LinearOperator(sub, blocks=diagonal_blocks(totals == n)) for n in range(totals.max() + 1)
     )
 
 

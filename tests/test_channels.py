@@ -38,6 +38,7 @@ from fock import (
     nonselective_left,
     placed_left_state,
     selective_outcome,
+    total_number_projectors,
     tuple_projectors,
     vacuum,
 )
@@ -69,7 +70,9 @@ def _assert_projector_family(projectors, atol=1e-10):
 
 
 def test_occupation_projectors_total_group(small_spec):
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
+    """The total photon number of the right quartet, read off the occupation
+    tuples: the six-mode counterpart of the package's pair families."""
+    family = total_number_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     _assert_projector_family(family)
     assert len(family) == 5
     for i, p in enumerate(family):
@@ -92,7 +95,7 @@ def test_occupation_projectors_guards(quick_spec):
 
 def test_projective_channel_preserves_left_state(small_spec):
     psi = _random_state(small_spec, 5)
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
+    family = total_number_projectors(small_spec, ("a2", "b2", "a3", "b3"))
     after = nonselective_left(psi, family)
     dense = _dense_nonselective_left(psi, family)
     assert np.abs(after - dense).max() < 1e-14
@@ -110,9 +113,11 @@ def test_kraus_channel_preserves_left_state(small_spec):
     assert trace_distance(after, reduce_left(psi)) < 1e-12
 
 
-def test_projectors_are_a_kraus_special_case(small_spec):
-    family = occupation_projectors(small_spec, ("a2", "b2", "a3", "b3"))
-    assert completeness_defect(family) < 1e-14
+def test_projectors_are_a_kraus_special_case(quick_spec):
+    for pair in [("a2", "b2"), ("a2", "a3")]:
+        family = occupation_projectors(quick_spec, pair)
+        assert len(family) == 5
+        assert completeness_defect(family) < 1e-14
 
 
 def test_unitary_channel_matches_the_dense_conjugation(small_spec):
@@ -267,7 +272,9 @@ def test_projector_masks_equal_the_dense_product(
 ):
     spec = request.getfixturevalue(spec_name)
     psi = _random_state(spec, 5)
-    family = (occupation_projectors if group == "total" else tuple_projectors)(spec, modes)
+    # the package counts one mode or a pair; the quartet's totals are the reference's
+    total = occupation_projectors if len(modes) <= 2 else total_number_projectors
+    family = (total if group == "total" else tuple_projectors)(spec, modes)
     for p in family:
         assert all(block.shape == (1, 1) for _, block in p.blocks)
         assert np.array_equal(apply(p, psi).amplitudes, tensordot_apply(p, psi))

@@ -12,6 +12,7 @@ import pytest
 from kalamidas import (
     CutoffAdequacyWarning,
     ExperimentConfig,
+    HilbertSpec,
     LinearOperator,
     PureState,
     apply,
@@ -91,6 +92,41 @@ def test_config_validations():
         ExperimentConfig(alpha=complex("inf"))
     with pytest.raises(ValueError, match="phi"):
         ExperimentConfig(phi=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        ("cutoff of mode a3", {"cutoffs": {"a3": 2.7}}),
+        ("cutoff of mode b3", {"cutoffs": (1, 1, 3, 3, 3, 3.9)}),
+        ("cutoff of mode a2", {"cutoffs": {"a2": "3"}}),
+        ("seed", {"seed": 1.9}),
+        ("seed", {"seed": float("inf")}),
+        ("seed", {"seed": float("nan")}),
+        ("trials", {"trials": 2.5}),
+        ("trials", {"trials": np.float64(-math.inf)}),
+        ("cutoff of mode a2", {"spec": (1.9, 2)}),
+        ("cutoff of mode a3", {"spec": (1, np.nan)}),
+    ],
+)
+def test_counts_are_whole_numbers_or_refused(field, value):
+    """A cutoff, seed or trials count is an integer, or a float equal to one;
+    anything else is refused by name, never truncated."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        if "spec" in value:
+            HilbertSpec(("a2", "a3"), value["spec"])
+        else:
+            ExperimentConfig(alpha=0.0, **value)
+
+
+def test_counts_equal_to_integers_are_kept():
+    config = ExperimentConfig(
+        alpha=0.0, cutoffs={"a3": 2.0, "b3": np.int64(3)}, seed=np.float64(7.0), trials=np.uint8(2)
+    )
+    assert config.cutoffs_map["a3"] == 2 and config.cutoffs_map["b3"] == 3
+    assert (config.seed, config.trials) == (7, 2)
+    assert all(type(n) is int for n in (*config.cutoffs, config.seed, config.trials))
+    assert HilbertSpec(("a2", "a3"), (np.int32(1), 2.0)).cutoffs == (1, 2)
 
 
 def test_r_derivation():

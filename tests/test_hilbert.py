@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from kalamidas import (
     MODE_LABELS,
     BeamSplitter,
+    ExperimentConfig,
     HilbertSpec,
     LinearOperator,
     PureState,
@@ -23,7 +24,6 @@ from kalamidas.hilbert import (
     embed,
     product_state,
     sector_slices,
-    total_occupations,
 )
 from kalamidas.nosignal import invariant_residuals
 
@@ -424,21 +424,45 @@ def _random_state(spec, seed, leakage=0.0):
     return PureState(spec, amps / np.linalg.norm(amps), leakage=leakage)
 
 
-def test_total_occupations_match_the_occupation_tuples():
-    for spec in (_RAGGED, _RAGGED.subspace(("a2", "a3")), _RAGGED.subspace(("b3",))):
-        expected = [sum(spec.occupation_of(i)) for i in range(spec.dim)]
-        assert total_occupations(spec.dims).tolist() == expected
-
-
 def test_sector_slices_hold_each_total_of_a_mode_or_pair_and_refuse_more_modes():
     """Three or more modes have sectors that are not one strided run: (2, 2, 2)
     holds total 1 at indices 1, 2 and 4, which no slice picks out."""
-    for dims in ((3,), (2, 5), (4, 3), (3, 3)):
-        totals = total_occupations(dims)
-        got = [list(range(len(totals))[sl]) for sl in sector_slices(dims)]
-        assert got == [np.flatnonzero(totals == n).tolist() for n in range(totals.max() + 1)]
+    subspaces = [HilbertSpec(("a3",), (2,)), HilbertSpec(("a2", "b2"), (1, 4))]
+    subspaces += [_RAGGED.subspace(m) for m in [("a2", "a3"), ("a2", "b2"), ("b2", "b3"), ("b3",)]]
+    for spec in subspaces:
+        totals = [sum(spec.occupation_of(i)) for i in range(spec.dim)]
+        got = [list(range(spec.dim)[sl]) for sl in sector_slices(spec.dims)]
+        want = [[i for i, n in enumerate(totals) if n == total] for total in range(max(totals) + 1)]
+        assert got == want
+    cached = sector_slices.cache_info().currsize
     with pytest.raises(ValueError, match="one mode or a pair"):
         sector_slices((2, 2, 2))
+    assert sector_slices.cache_info().currsize == cached  # a refusal is not kept
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [ExperimentConfig(alpha=0.0).hilbert_spec(), ExperimentConfig(alpha=1.0).hilbert_spec(), _RAGGED],
+    ids=["alpha=0", "alpha=1", "ragged"],
+)
+def test_projectors_and_splitter_blocks_sit_on_the_pair_sectors(spec):
+    """Projector n of a pair holds exactly the entries of sector n, as 1 x 1
+    blocks sharing one read-only [[1]]; the pair's splitter blocks sit on the
+    same slices; a group of three modes has no sectors and is refused."""
+    pair = ("a2", "b2")
+    sub = spec.subspace(pair)
+    slices = sector_slices(sub.dims)
+    family = occupation_projectors(spec, pair)
+    one = family[0].blocks[0][1]
+    assert one.dtype == np.complex128 and one.tolist() == [[1.0]] and not one.flags.writeable
+    assert len(family) == len(slices)
+    for p, sl in zip(family, slices):
+        assert [rows.start for rows, _ in p.blocks] == list(range(sub.dim)[sl])
+        assert all(block is one for _, block in p.blocks)
+    u = beamsplitter_unitary(spec, BeamSplitter(pair, 0.6, 0.8))
+    assert [rows for rows, _ in u.blocks] == list(slices)
+    with pytest.raises(ValueError, match="one mode or a pair"):
+        occupation_projectors(spec, ("a2", "b2", "a3"))
 
 
 @pytest.mark.parametrize("pair", _SPLITTER_PAIRS)
